@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--data", required=True, type=Path, help="JSON Lines dataset")
     p_eval.add_argument("--binarize", action="store_true",
                         help="merge multi-class labels to Hate/NoHate before scoring")
-    p_eval.add_argument("--threads", type=int, default=1,
-                        help="evaluation parallelism")
     p_eval.add_argument("--out", type=Path, default=None,
                         help="also write the metrics table here (.csv twin alongside)")
 
@@ -100,7 +98,7 @@ def cmd_eval(args) -> int:
             f"label spaces differ: model {list(model.label_space.names)} vs "
             f"dataset {list(dataset.label_space.names)}"
             + ("" if args.binarize else " (did you mean --binarize?)"))
-    report = evaluate_model(model, dataset, threads=max(1, args.threads))
+    report = evaluate_model(model, dataset)
     modes, fusion_type = describe_model(model.config)
     row = ResultRow(args.model.stem, modes, fusion_type, report)
     text = format_table([row]) + "\n\n" + format_report(report) + "\n"

@@ -34,7 +34,7 @@ _TRAIN_KEYS = {
     "disc_steps", "clip_norm", "fusion_loss_updates_encoders", "patience",
     "class_weights",
 }
-_EVAL_KEYS = {"threads", "metrics_path"}
+_EVAL_KEYS = {"metrics_path"}
 _EXPERIMENT_KEYS = {"seed"}
 
 _SECTIONS = {
@@ -61,7 +61,6 @@ class ExperimentConfig:
     data: DataConfig
     train: TrainConfig
     vocab_size: Optional[int] = None
-    eval_threads: int = 1
     metrics_path: Optional[Path] = None
     source_path: Optional[Path] = None
 
@@ -241,7 +240,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         data=data,
         train=train,
         vocab_size=m.int_("vocab_size"),
-        eval_threads=e.int_("threads", 1),
         metrics_path=Path(metrics_path) if metrics_path else None,
         source_path=path,
     )

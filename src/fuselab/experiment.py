@@ -90,7 +90,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
                    val_dataset=val_ds if len(val_ds) else None)
     if len(test_ds) < 1:
         raise InputError("test split is empty; adjust [data] split")
-    report = evaluate_model(model, test_ds, threads=config.eval_threads)
+    report = evaluate_model(model, test_ds)
 
     modes, fusion_type = describe_model(config.model)
     row = ResultRow(model_name, modes, fusion_type, report)

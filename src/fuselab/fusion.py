@@ -16,7 +16,7 @@ log so the adversarial objective stays finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,21 +35,16 @@ class FusionResult:
     z_fuse: Tensor
     z: Optional[Tensor] = None        # concatenated input latents (auto)
     z_hat: Optional[Tensor] = None    # reconstruction (auto)
-    z_g: Dict[str, Tensor] = field(default_factory=dict)       # generator outputs per modality
-    d_scores: Dict[str, Tensor] = field(default_factory=dict)  # D(real), D(z_g) per modality
+    z_g: Dict[str, Tensor] = field(default_factory=dict)  # generator outputs per modality
 
 
 def _check_pair(z_v: Tensor, z_t: Tensor, dim: int) -> None:
+    if z_v.ndim != 2:
+        raise ShapeError(f"fuse: need (batch, d) latents, got {z_v.shape}")
     if z_v.shape != z_t.shape:
         raise ShapeError(f"fuse: latent shapes {z_v.shape} and {z_t.shape} differ")
     if z_v.shape[-1] != dim:
         raise ShapeError(f"fuse: latent dim {z_v.shape[-1]} does not match configured {dim}")
-
-
-def _as_batch(z: Tensor) -> Tuple[Tensor, bool]:
-    if z.ndim == 1:
-        return z.reshape(1, z.shape[0]), True
-    return z, False
 
 
 class ConcatFusion:
@@ -82,7 +77,7 @@ class ConcatFusion:
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
-        z = nc.concat([z_v, z_t], axis=-1 if z_v.ndim == 1 else 1)
+        z = nc.concat([z_v, z_t], axis=1)
         z_fuse = self.projection(z) if self.projection else z
         return FusionResult(z_fuse=z_fuse, z=z)
 
@@ -116,7 +111,7 @@ class AutoFusion:
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
-        z = nc.concat([z_v, z_t], axis=-1 if z_v.ndim == 1 else 1)
+        z = nc.concat([z_v, z_t], axis=1)
         z_fuse = self.encoder(z)
         z_hat = self.decoder(z_fuse)
         return FusionResult(z_fuse=z_fuse, z=z, z_hat=z_hat)
@@ -168,6 +163,14 @@ class GanFusionModule:
         score = self.disc_out(self.disc_hidden(z_d))
         return nc.clamp(score, D_CLAMP, 1.0 - D_CLAMP)
 
+    def adversarial(self, real: Tensor, z_g: Tensor) -> GanLossParts:
+        """J_adv = E[log D(real)] + E[log(1 - D(z_g))] over the minibatch,
+        the objective this module's discriminator ascends."""
+        d_real = self.discriminate(real)
+        d_fake = self.discriminate(z_g)
+        j_adv = nc.add(nc.tmean(nc.tlog(d_real)), nc.tmean(nc.tlog(nc.sub(1.0, d_fake))))
+        return GanLossParts(j_adv=j_adv, z_g=z_g, d_real=d_real, d_fake=d_fake)
+
 
 @dataclass
 class GanLossParts:
@@ -180,22 +183,17 @@ class GanLossParts:
 def gan_adv_loss(module: GanFusionModule, real: Tensor, source: Tensor,
                  rng: Optional[np.random.Generator] = None,
                  noise: Optional[np.ndarray] = None) -> GanLossParts:
-    """Adversarial objective of one module, as the discriminator sees it.
+    """Adversarial objective of one module over (batch, d) latents: generate
+    from source, then score against real (GanFusionModule.adversarial).
 
     The discriminator ascends this; the generator descends it (or the
     non-saturating surrogate, see generator_loss).
     """
-    real_b, _ = _as_batch(real)
-    source_b, _ = _as_batch(source)
-    if real_b.shape != source_b.shape:
+    if real.shape != source.shape:
         raise ShapeError(f"gan_adv_loss: latent shapes {real.shape} and {source.shape} differ")
     if noise is None:
-        noise = module.sample_noise(source_b.shape[0], rng)
-    z_g = module.generate(source_b, noise)
-    d_real = module.discriminate(real_b)
-    d_fake = module.discriminate(z_g)
-    j_adv = nc.add(nc.tmean(nc.tlog(d_real)), nc.tmean(nc.tlog(nc.sub(1.0, d_fake))))
-    return GanLossParts(j_adv=j_adv, z_g=z_g, d_real=d_real, d_fake=d_fake)
+        noise = module.sample_noise(source.shape[0], rng)
+    return module.adversarial(real, module.generate(source, noise))
 
 
 def generator_loss(parts: GanLossParts, saturating: bool = False) -> Tensor:
@@ -207,14 +205,6 @@ def generator_loss(parts: GanLossParts, saturating: bool = False) -> Tensor:
     if saturating:
         return nc.tmean(nc.tlog(nc.sub(1.0, parts.d_fake)))
     return nc.neg(nc.tmean(nc.tlog(parts.d_fake)))
-
-
-def total_gan_loss(t_component: Tensor, v_component: Tensor) -> Tensor:
-    """J_adv = J_adv(text module) + J_adv(visual module)."""
-    out = nc.add(t_component, v_component)
-    if not np.isfinite(out.data).all():
-        raise ConfigError("total_gan_loss: non-finite component")
-    return out
 
 
 class GanFusion:
@@ -261,50 +251,21 @@ class GanFusion:
         _check_pair(z_v, z_t, self.latent_dim)
         batch = z_v.shape[0]
         noise = noise or {}
-        noise_t = noise.get("t", self.text_module.sample_noise(batch, rng))
-        noise_v = noise.get("v", self.visual_module.sample_noise(batch, rng))
+        # sample only what the caller did not supply, so rng advances only then
+        noise_t = noise["t"] if "t" in noise else self.text_module.sample_noise(batch, rng)
+        noise_v = noise["v"] if "v" in noise else self.visual_module.sample_noise(batch, rng)
         z_g_t = self.text_module.generate(z_t, noise_t)
         z_g_v = self.visual_module.generate(z_v, noise_v)
         pieces = [z_g_t, z_g_v]
         if self.append_raw_latents:
             pieces += [z_v, z_t]
         z_fuse = self.combiner(nc.concat(pieces, axis=1))
-        d_scores = {
-            "t_real": self.text_module.discriminate(z_v),
-            "t_fake": self.text_module.discriminate(z_g_t),
-            "v_real": self.visual_module.discriminate(z_t),
-            "v_fake": self.visual_module.discriminate(z_g_v),
-        }
-        return FusionResult(z_fuse=z_fuse, z_g={"t": z_g_t, "v": z_g_v}, d_scores=d_scores)
-
-
-Mechanism = Union[ConcatFusion, AutoFusion, GanFusion]
-
-
-def fuse(z_v: Tensor, z_t: Tensor, mechanism: Mechanism,
-         rng: Optional[np.random.Generator] = None) -> FusionResult:
-    """Fuse a single latent pair (or aligned batches) with any mechanism."""
-    z_v_b, squeeze_v = _as_batch(z_v)
-    z_t_b, squeeze_t = _as_batch(z_t)
-    if squeeze_v != squeeze_t:
-        raise ShapeError(f"fuse: latent shapes {z_v.shape} and {z_t.shape} differ")
-    result = mechanism.fuse_batch(z_v_b, z_t_b, rng)
-    if squeeze_v:
-        result.z_fuse = result.z_fuse.reshape(result.z_fuse.shape[-1])
-        if result.z is not None:
-            result.z = result.z.reshape(result.z.shape[-1])
-        if result.z_hat is not None:
-            result.z_hat = result.z_hat.reshape(result.z_hat.shape[-1])
-        result.z_g = {k: v.reshape(v.shape[-1]) for k, v in result.z_g.items()}
-        result.d_scores = {k: v.reshape(1) for k, v in result.d_scores.items()}
-    return result
+        return FusionResult(z_fuse=z_fuse, z_g={"t": z_g_t, "v": z_g_v})
 
 
 def auto_fusion_loss(z: Tensor, z_hat: Tensor) -> Tensor:
-    """Reconstruction penalty ||z_hat - z||^2 (minibatch mean for batches)."""
+    """Reconstruction penalty ||z_hat - z||^2, minibatch mean over (batch, 2d) rows."""
     if z.shape != z_hat.shape:
         raise ShapeError(f"auto_fusion_loss: shapes {z.shape} and {z_hat.shape} differ")
-    if z.ndim == 1:
-        return nc.squared_norm(nc.sub(z_hat, z))
     diff = nc.sub(z_hat, z)
     return nc.tmean(nc.tsum(nc.mul(diff, diff), axis=1))

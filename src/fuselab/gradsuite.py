@@ -156,8 +156,8 @@ def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
                      "v": noise_rng.standard_normal((2, model.mechanism.noise_dim))}
 
         def objective():
-            z_t = model._encode_texts(pubs)
-            z_v = model._encode_visuals(pubs)
+            latents = model.encode(pubs)
+            z_t, z_v = latents["text"], latents["visual"]
             if fusion == "gan":
                 result = model.mechanism.fuse_batch(z_v, z_t, noise=noise)
             else:
@@ -166,11 +166,10 @@ def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
             if fusion == "auto":
                 j = nc.add(j, auto_fusion_loss(result.z, result.z_hat))
             if fusion == "gan":
-                d = result.d_scores
-                for real_key, fake_key in (("t_real", "t_fake"), ("v_real", "v_fake")):
-                    j = nc.add(j, nc.add(
-                        nc.tmean(nc.tlog(d[real_key])),
-                        nc.tmean(nc.tlog(nc.sub(1.0, d[fake_key])))))
+                mech = model.mechanism
+                for module, real, z_g in ((mech.text_module, z_v, result.z_g["t"]),
+                                          (mech.visual_module, z_t, result.z_g["v"])):
+                    j = nc.add(j, module.adversarial(real, z_g).j_adv)
             return j
 
         reports.append(_summary(f"end_to_end {fusion}", grad_check_params(

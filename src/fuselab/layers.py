@@ -208,14 +208,6 @@ class RecurrentTextEncoder:
         return latent, weights
 
 
-def encode_text(tokens: Sequence[int], encoder: RecurrentTextEncoder) -> Tuple[Tensor, Tensor]:
-    """Encode one token-id sequence to (latent of length d, attention weights)."""
-    if len(tokens) < 1:
-        raise InputError("encode_text: empty sequence; substitute the empty-text sentinel token")
-    latents, weights = encoder.encode_batch(np.asarray(tokens, dtype=np.intp).reshape(1, -1))
-    return latents.reshape(encoder.latent_dim), weights.reshape(len(tokens))
-
-
 class ConvVisualEncoder:
     """Two stride-1 3x3 convolutions with max pooling, then a projection.
 
@@ -281,12 +273,3 @@ class ConvVisualEncoder:
             raise ShapeError(f"visual encoder emitted {latent.shape}")
         return latent
 
-
-def encode_visual(grid: Tensor, encoder: ConvVisualEncoder) -> Tensor:
-    """Encode one H x W x C grid to a latent of length d."""
-    if grid.ndim != 3:
-        raise ShapeError(f"encode_visual: need (H, W, C), got {grid.shape}")
-    if not np.isfinite(grid.data).all():
-        raise InputError("encode_visual: grid contains non-finite values")
-    latent = encoder.encode_batch(grid.reshape(1, *grid.shape))
-    return latent.reshape(encoder.latent_dim)

@@ -1,13 +1,15 @@
 """The training loop, including alternating minimax updates for the
 adversarial mechanism.
 
-Per batch:
-  concat      one descent step on J_C
-  auto        one descent step on J_C + lambda * J_auto
-  gan         k discriminator ascent steps on J_adv (touching only
-              discriminator parameters), then one descent step on
-              J_C + lambda * (generator-side adversarial term) touching
-              encoders, generators, combiner, and classifier
+Per batch, the encoders run once and every step below reuses their
+latents:
+  concat      the head, then one descent step on J_C
+  auto        the head, then one descent step on J_C + lambda * J_auto
+  gan         k discriminator ascent steps on J_adv over detached copies
+              of the latents (touching only discriminator parameters),
+              then the head and one descent step on J_C + lambda *
+              (generator-side adversarial term) touching encoders,
+              generators, combiner, and classifier
 
 The reported J_F column is always the fusion objective itself (J_auto,
 or J_adv = text module + visual module); the J column is the quantity
@@ -177,11 +179,13 @@ def _train_step(model: FusionModel, batch: Sequence[Publication],
                 targets: np.ndarray, config: TrainConfig,
                 rng: np.random.Generator, main_opt, disc_opt, is_gan: bool,
                 step: int, all_params, recurrent) -> LossReport:
+    latents = model.encode(batch)
     if is_gan:
-        step_discriminator(model, batch, config, disc_opt, rng, step)
+        detached = {name: z.detach() for name, z in latents.items()}
+        step_discriminator(model, detached, config, disc_opt, rng, step)
 
     zero_grads(all_params)
-    probs, result, latents = model.forward_batch(batch, rng)
+    probs, result = model.head(batch, latents, rng)
     j_c = batch_cross_entropy(targets, probs, config.class_weights)
     parts: Dict[str, float] = {}
     j_f_value = 0.0
@@ -225,18 +229,18 @@ def _train_step(model: FusionModel, batch: Sequence[Publication],
     )
 
 
-def step_discriminator(model: FusionModel, batch: Sequence[Publication],
+def step_discriminator(model: FusionModel, latents: Dict[str, Tensor],
                        config: TrainConfig, disc_opt, rng: np.random.Generator,
                        step: int) -> None:
     """k ascent updates on J_adv; only discriminator parameters change.
 
-    Latents are detached: the discriminator objective must not shape the
-    encoders, and the ascent step only applies to D anyway.
+    latents are the batch's encoder outputs, detached by the caller: the
+    discriminator objective must not shape the encoders, and the ascent
+    step only applies to D anyway.
     """
     mech: GanFusion = model.mechanism
     for _ in range(config.disc_steps):
         zero_grads(model.parameters())
-        latents = _encode_detached(model, batch)
         parts_t = gan_adv_loss(mech.text_module, real=latents["visual"],
                                source=latents["text"], rng=rng)
         parts_v = gan_adv_loss(mech.visual_module, real=latents["text"],
@@ -245,20 +249,8 @@ def step_discriminator(model: FusionModel, batch: Sequence[Publication],
         _finite_or_raise(float(j_adv.data), step, "J_adv")
         nc.neg(j_adv).backward()  # ascent on J_adv
         disc_opt.step()
+    # the backward also wrote grads into the generator parameters
     zero_grads(model.parameters())
-
-
-def _encode_detached(model: FusionModel, batch: Sequence[Publication]) -> Dict[str, Tensor]:
-    return {
-        "text": model._encode_texts(batch).detach(),
-        "visual": model._encode_visuals(batch).detach(),
-    }
-
-
-def _gen_term_from_fake(d_fake: Tensor, saturating: bool) -> Tensor:
-    if saturating:
-        return nc.tmean(nc.tlog(nc.sub(1.0, d_fake)))
-    return nc.neg(nc.tmean(nc.tlog(d_fake)))
 
 
 def _gan_terms(model: FusionModel, result, latents, rng: np.random.Generator,
@@ -266,42 +258,29 @@ def _gan_terms(model: FusionModel, result, latents, rng: np.random.Generator,
     """The two adversarial objectives (for reporting) and the generator-side
     term that joins the main objective."""
     mech: GanFusion = model.mechanism
-    d = result.d_scores
-    j_adv_t = nc.add(nc.tmean(nc.tlog(d["t_real"])),
-                     nc.tmean(nc.tlog(nc.sub(1.0, d["t_fake"]))))
-    j_adv_v = nc.add(nc.tmean(nc.tlog(d["v_real"])),
-                     nc.tmean(nc.tlog(nc.sub(1.0, d["v_fake"]))))
-    if adv_updates_encoders:
-        gen_term = nc.add(_gen_term_from_fake(d["t_fake"], mech.saturating),
-                          _gen_term_from_fake(d["v_fake"], mech.saturating))
-    else:
+    parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
+    parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
+    gen_t, gen_v = parts_t, parts_v
+    if not adv_updates_encoders:
         # rebuild generator scores from detached latents so the adversarial
         # term cannot reach the encoders
-        parts_t = gan_adv_loss(mech.text_module, real=latents["visual"].detach(),
-                               source=latents["text"].detach(), rng=rng)
-        parts_v = gan_adv_loss(mech.visual_module, real=latents["text"].detach(),
-                               source=latents["visual"].detach(), rng=rng)
-        gen_term = nc.add(generator_loss(parts_t, mech.saturating),
-                          generator_loss(parts_v, mech.saturating))
-    return j_adv_t, j_adv_v, gen_term
+        gen_t = gan_adv_loss(mech.text_module, real=latents["visual"].detach(),
+                             source=latents["text"].detach(), rng=rng)
+        gen_v = gan_adv_loss(mech.visual_module, real=latents["text"].detach(),
+                             source=latents["visual"].detach(), rng=rng)
+    gen_term = nc.add(generator_loss(gen_t, mech.saturating),
+                      generator_loss(gen_v, mech.saturating))
+    return parts_t.j_adv, parts_v.j_adv, gen_term
 
 
-def evaluate_model(model: FusionModel, dataset: Dataset,
-                   threads: int = 1) -> MetricsReport:
-    truths, preds = predict_dataset(model, dataset, threads)
+def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:
+    truths, preds = predict_dataset(model, dataset)
     return evaluate(truths, preds, dataset.label_space)
 
 
-def predict_dataset(model: FusionModel, dataset: Dataset,
-                    threads: int = 1) -> Tuple[List[str], List[str]]:
+def predict_dataset(model: FusionModel, dataset: Dataset) -> Tuple[List[str], List[str]]:
     if len(dataset) < 1:
         raise InputError("evaluate: empty dataset")
     truths = [p.label for p in dataset]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(lambda p: model.predict(p)[1], dataset.publications))
-    else:
-        preds = [model.predict(p)[1] for p in dataset.publications]
+    preds = [model.predict(p)[1] for p in dataset.publications]
     return truths, preds

@@ -267,14 +267,12 @@ class FusionModel:
                 rows[i] = p.entity_features
         return Tensor(rows)
 
-    def forward_batch(self, pubs: Sequence[Publication],
-                      rng: Optional[np.random.Generator] = None
-                      ) -> Tuple[Tensor, Optional[FusionResult], Dict[str, Tensor]]:
-        """Class probabilities (batch, C) plus fusion auxiliaries and latents."""
+    def encode(self, pubs: Sequence[Publication]) -> Dict[str, Tensor]:
+        """Encoder latents (batch, d) of every modality the model reads,
+        keyed "text" and "visual". Draws no randomness."""
         if not pubs:
-            raise InputError("forward_batch: empty batch")
+            raise InputError("encode: empty batch")
         latents: Dict[str, Tensor] = {}
-        result: Optional[FusionResult] = None
         mode = self.config.input_modes
         if mode in ("text", "multimodal"):
             for p in pubs:
@@ -284,14 +282,20 @@ class FusionModel:
             latents["text"] = self._encode_texts(pubs)
         if mode in ("visual", "multimodal"):
             latents["visual"] = self._encode_visuals(pubs)
+        return latents
 
+    def head(self, pubs: Sequence[Publication], latents: Dict[str, Tensor],
+             rng: Optional[np.random.Generator] = None
+             ) -> Tuple[Tensor, Optional[FusionResult]]:
+        """Class probabilities (batch, C) from encoded latents, plus the
+        fusion auxiliaries of a multimodal model (None otherwise)."""
+        result: Optional[FusionResult] = None
+        mode = self.config.input_modes
         if mode == "multimodal":
             result = self.mechanism.fuse_batch(latents["visual"], latents["text"], rng)
             base = result.z_fuse
-        elif mode == "text":
-            base = latents["text"]
         else:
-            base = latents["visual"]
+            base = latents[mode]
 
         pieces = [base]
         if self.config.wants_entity_tuple:
@@ -299,13 +303,19 @@ class FusionModel:
         if self.config.entity_feature_dim:
             pieces.append(self._entity_feature_rows(pubs))
         features = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=1)
-        probs = self.classifier(features)
-        return probs, result, latents
+        return self.classifier(features), result
+
+    def forward_batch(self, pubs: Sequence[Publication],
+                      rng: Optional[np.random.Generator] = None
+                      ) -> Tuple[Tensor, Optional[FusionResult]]:
+        """Class probabilities and fusion auxiliaries of a batch: encode,
+        then head."""
+        return self.head(pubs, self.encode(pubs), rng)
 
     def predict(self, pub: Publication) -> Tuple[np.ndarray, str]:
         """Label distribution and argmax label (lowest index wins ties).
         Inference is deterministic: adversarial noise is zero."""
-        probs, _, _ = self.forward_batch([pub], rng=None)
+        probs, _ = self.forward_batch([pub], rng=None)
         dist = probs.data[0]
         return dist, self.label_space.names[int(np.argmax(dist))]
 

@@ -28,10 +28,6 @@ class SGD:
             if p.grad is not None:
                 p.data += sign * self.lr * p.grad
 
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.grad = None
-
 
 class Adam:
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -64,10 +60,6 @@ class Adam:
             v += (1.0 - self.beta2) * (p.grad * p.grad)
             update = (m / b1t) / (np.sqrt(v / b2t) + self.eps)
             p.data += sign * self.lr * update
-
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.grad = None
 
 
 def make_optimizer(kind: str, params: Sequence[Tensor], lr: float,

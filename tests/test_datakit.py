@@ -49,6 +49,12 @@ class TestPublication:
         with pytest.raises(SchemaError):
             Publication(id="x", label="0", visual=np.zeros((4, 4)))
 
+    def test_non_finite_grid_rejected(self):
+        grid = np.zeros((4, 4, 1))
+        grid[1, 2, 0] = np.nan
+        with pytest.raises(SchemaError):
+            Publication(id="x", label="0", visual=grid)
+
 
 class TestLabelSpace:
     def test_merge_examples(self):

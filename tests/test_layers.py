@@ -11,8 +11,6 @@ from fuselab.layers import (
     EmbeddingTable,
     RecurrentTextEncoder,
     dense_forward,
-    encode_text,
-    encode_visual,
 )
 from fuselab.numcore import Tensor
 
@@ -64,30 +62,30 @@ class TestTextEncoder:
                                     latent_dim=d, rng=rng, **kw)
 
     def test_single_token_attention_weight_is_one(self):
-        z, attn = encode_text([3], self._encoder())
-        assert attn.data.tolist() == [1.0]
+        z, attn = self._encoder().encode_batch(np.array([[3]]))
+        assert attn.data.tolist() == [[1.0]]
 
     def test_all_zero_parameters_give_zero_latent(self):
         enc = self._encoder()
         _zero_params(enc.parameters())
-        z, attn = encode_text([1, 2, 3], enc)
+        z, attn = enc.encode_batch(np.array([[1, 2, 3]]))
         assert np.allclose(z.data, 0.0, atol=0)
         # uniform attention over the zero states
         assert np.allclose(attn.data, 1.0 / 3.0)
 
     def test_latent_length_matches_configured_dim(self):
-        z, _ = encode_text([1, 2], self._encoder(d=64))
-        assert z.shape == (64,)
+        z, _ = self._encoder(d=64).encode_batch(np.array([[1, 2]]))
+        assert z.shape == (1, 64)
 
     def test_attention_weights_sum_to_one(self):
         enc = self._encoder(seed=5)
         for length in (1, 2, 7, 20):
-            _, attn = encode_text(list(range(length)), enc)
+            _, attn = enc.encode_batch(np.arange(length).reshape(1, length))
             assert abs(attn.data.sum() - 1.0) < 1e-9
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(InputError):
-            encode_text([], self._encoder())
+            self._encoder().encode_batch(np.zeros((1, 0), dtype=np.intp))
 
     def test_palindrome_with_tied_directions_mirrors_states(self):
         enc = self._encoder(seed=3, tied_directions=True)
@@ -96,8 +94,8 @@ class TestTextEncoder:
         for t in range(5):
             assert np.allclose(fwd[t].data, bwd[len(ids[0]) - 1 - t].data, atol=1e-12)
         # and the encoding is invariant under reversal of the palindrome
-        z1, _ = encode_text([2, 5, 9, 5, 2], enc)
-        z2, _ = encode_text([2, 5, 9, 5, 2][::-1], enc)
+        z1, _ = enc.encode_batch(ids)
+        z2, _ = enc.encode_batch(ids[:, ::-1])
         assert np.array_equal(z1.data, z2.data)
 
     def test_gradients_through_recurrence_length_20(self):
@@ -118,8 +116,8 @@ class TestTextEncoder:
         ids = np.array([[4, 2, 7], [1, 1, 5]])
         batch, _ = enc.encode_batch(ids)
         for row, seq in zip(batch.data, ids):
-            single, _ = encode_text(list(seq), enc)
-            assert np.allclose(row, single.data, atol=1e-12)
+            single, _ = enc.encode_batch(seq.reshape(1, -1))
+            assert np.allclose(row, single.data[0], atol=1e-12)
 
 
 class TestVisualEncoder:
@@ -129,28 +127,28 @@ class TestVisualEncoder:
 
     def test_zero_grid_zero_bias_gives_zero_latent(self):
         enc = self._encoder()
-        z = encode_visual(Tensor(np.zeros((12, 12, 1))), enc)
+        z = enc.encode_batch(Tensor(np.zeros((1, 12, 12, 1))))
         assert np.allclose(z.data, 0.0, atol=0)
 
     def test_fixed_seed_fixed_grid_bitwise_identical(self):
-        grid = Tensor(np.random.default_rng(5).normal(size=(12, 12, 1)))
-        outs = [encode_visual(grid, self._encoder(seed=7)).data for _ in range(2)]
+        grid = Tensor(np.random.default_rng(5).normal(size=(1, 12, 12, 1)))
+        outs = [self._encoder(seed=7).encode_batch(grid).data for _ in range(2)]
         assert np.array_equal(outs[0], outs[1])
 
     def test_shape_contract_16x16_d64(self):
         enc = self._encoder(d=64)
-        z = encode_visual(Tensor(np.random.default_rng(0).normal(size=(16, 16, 1))), enc)
-        assert z.shape == (64,)
+        z = enc.encode_batch(Tensor(np.random.default_rng(0).normal(size=(1, 16, 16, 1))))
+        assert z.shape == (1, 64)
 
     def test_latent_dim_independent_of_grid_size(self):
         enc = self._encoder(d=5)
         for size in (10, 12, 17):
-            grid = Tensor(np.random.default_rng(size).normal(size=(size, size, 1)))
-            assert encode_visual(grid, enc).shape == (5,)
+            grid = Tensor(np.random.default_rng(size).normal(size=(1, size, size, 1)))
+            assert enc.encode_batch(grid).shape == (1, 5)
 
     def test_grid_below_receptive_field_rejected(self):
         with pytest.raises(ShapeError):
-            encode_visual(Tensor(np.zeros((2, 2, 1))), self._encoder())
+            self._encoder().encode_batch(Tensor(np.zeros((1, 2, 2, 1))))
 
     def test_gradients_through_conv_stack(self):
         enc = self._encoder(d=3, seed=13)
@@ -170,6 +168,6 @@ def test_equal_latent_dims_across_encoders():
     rng = np.random.default_rng(0)
     text = RecurrentTextEncoder(10, 4, 3, latent_dim=8, rng=rng)
     visual = ConvVisualEncoder(1, latent_dim=8, rng=rng)
-    z_t, _ = encode_text([1, 2], text)
-    z_v = encode_visual(Tensor(np.zeros((12, 12, 1))), visual)
-    assert z_t.shape == z_v.shape == (8,)
+    z_t, _ = text.encode_batch(np.array([[1, 2]]))
+    z_v = visual.encode_batch(Tensor(np.zeros((1, 12, 12, 1))))
+    assert z_t.shape == z_v.shape == (1, 8)

@@ -198,7 +198,8 @@ class TestParameterPartition:
         for _ in range(config.epochs):
             for batch in stream:
                 main_before = [p.data.copy() for p in main_params]
-                step_discriminator(model, batch, config, disc_opt, rng, step)
+                latents = {name: z.detach() for name, z in model.encode(batch).items()}
+                step_discriminator(model, latents, config, disc_opt, rng, step)
                 for before, p in zip(main_before, main_params):
                     assert np.array_equal(before, p.data), \
                         f"discriminator step moved {p.name} at step {step}"
@@ -338,13 +339,9 @@ class TestFullPipelineGradients:
                 if fusion == "auto":
                     j = nc.add(j, auto_fusion_loss(result.z, result.z_hat))
                 if fusion == "gan":
-                    d = result.d_scores
-                    j_adv = nc.add(
-                        nc.add(nc.tmean(nc.tlog(d["t_real"])),
-                               nc.tmean(nc.tlog(nc.sub(1.0, d["t_fake"])))),
-                        nc.add(nc.tmean(nc.tlog(d["v_real"])),
-                               nc.tmean(nc.tlog(nc.sub(1.0, d["v_fake"])))),
-                    )
+                    mech = model.mechanism
+                    j_adv = nc.add(mech.text_module.adversarial(z_v, result.z_g["t"]).j_adv,
+                                   mech.visual_module.adversarial(z_t, result.z_g["v"]).j_adv)
                     j = nc.add(j, j_adv)
                 return j
 

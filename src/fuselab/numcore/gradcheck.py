@@ -2,7 +2,9 @@
 
 Central differences with step h; per-coordinate relative error is
 |analytic - numeric| / max(1, |analytic|, |numeric|), and a check passes
-when the worst coordinate stays below the tolerance.
+when the worst coordinate stays below the tolerance. The analytic pass
+builds the graph; the finite-difference probes run under no_graph(),
+since only their values are read.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import ContractError, EvaluationError
-from .tensor import Tensor
+from .tensor import Tensor, no_graph
 
 
 @dataclass
@@ -32,7 +34,8 @@ class CheckReport:
 
 
 def _eval_scalar(f: Callable[[Tensor], Tensor], point: Tensor, coord) -> float:
-    out = f(point)
+    with no_graph():
+        out = f(point)
     if not isinstance(out, Tensor):
         raise ContractError("grad_check: function must return a Tensor")
     if out.size != 1:
@@ -103,7 +106,8 @@ def grad_check_params(
     """Check d f() / d p for each parameter tensor of a closed-over model.
 
     f must be deterministic (fix any noise before calling). Parameter data
-    is perturbed in place for the finite-difference side and restored.
+    is perturbed in place for the finite-difference side and restored,
+    also when a probe raises.
     """
     for p in params:
         p.grad = None
@@ -122,11 +126,14 @@ def grad_check_params(
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f().data.reshape(()))
-            flat[i] = orig - h
-            fm = float(f().data.reshape(()))
-            flat[i] = orig
+            try:
+                with no_graph():
+                    flat[i] = orig + h
+                    fp = float(f().data.reshape(()))
+                    flat[i] = orig - h
+                    fm = float(f().data.reshape(()))
+            finally:
+                flat[i] = orig
             if not (np.isfinite(fp) and np.isfinite(fm)):
                 coord = np.unravel_index(i, p.shape) if p.ndim else ()
                 raise EvaluationError(

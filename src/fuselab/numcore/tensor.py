@@ -15,10 +15,22 @@ Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct
 threads. A Tensor with no graph references is plain data and safe to
 share.
+
+Inside ``with no_graph():`` ops still compute their values and still
+reject non-finite results, but return plain data: no parents, no
+backward closure, ``requires_grad`` False. Inference and the
+finite-difference probes of gradcheck run this way. The mode is a
+per-thread flag, so a thread inside ``no_graph()`` does not change what
+graphs other threads build; blocks nest and restore the outer mode on
+exit, exceptions included. Tensors constructed directly (parameters,
+inputs) are unaffected, and ``backward()`` inside the block raises
+ContractError instead of silently updating nothing.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,6 +38,24 @@ import numpy as np
 from ..exceptions import ContractError, DomainError
 
 Arrayish = Union["Tensor", np.ndarray, float, int, Sequence]
+
+
+class _GraphMode(threading.local):
+    building = True
+
+
+_mode = _GraphMode()
+
+
+@contextmanager
+def no_graph():
+    """Run ops on this thread without recording the compute graph."""
+    previous = _mode.building
+    _mode.building = False
+    try:
+        yield
+    finally:
+        _mode.building = previous
 
 
 class Tensor:
@@ -57,7 +87,7 @@ class Tensor:
         if not np.isfinite(data).all():
             raise DomainError(f"op '{op}' produced a non-finite value")
         out = cls(data)
-        if any(p.requires_grad for p in parents):
+        if _mode.building and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._op = op
             out._parents = parents
@@ -110,6 +140,9 @@ class Tensor:
         The loss must hold a single value. Gradients accumulate across
         calls; use zero_grads between independent passes.
         """
+        if not _mode.building:
+            raise ContractError("backward() inside no_graph(): no graph was recorded, "
+                                "so no gradient would reach any parameter")
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:

@@ -21,6 +21,7 @@ configured seed, so identical runs produce bitwise-identical curves.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,6 +36,10 @@ from ..numcore import Tensor, clip_grad_norm, zero_grads
 from .model import FusionModel
 from .objectives import batch_cross_entropy, one_hot
 from .optim import DEFAULT_LR, make_optimizer
+
+# Rows per inference batch: batching amortizes the per-op overhead, and a
+# cap keeps peak memory flat however large the dataset.
+PREDICT_BATCH = 64
 
 
 @dataclass
@@ -258,8 +263,10 @@ def _gan_terms(model: FusionModel, result, latents, rng: np.random.Generator,
     """The two adversarial objectives (for reporting) and the generator-side
     term that joins the main objective."""
     mech: GanFusion = model.mechanism
-    parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
-    parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
+    # without encoder updates the two objectives are only reported
+    with nullcontext() if adv_updates_encoders else nc.no_graph():
+        parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
+        parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
     gen_t, gen_v = parts_t, parts_v
     if not adv_updates_encoders:
         # rebuild generator scores from detached latents so the adversarial
@@ -279,8 +286,16 @@ def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:
 
 
 def predict_dataset(model: FusionModel, dataset: Dataset) -> Tuple[List[str], List[str]]:
+    """True and predicted labels. Publications are scored in consecutive
+    batches of PREDICT_BATCH without recording a graph; the argmax takes
+    the lowest index on ties, as predict does."""
     if len(dataset) < 1:
         raise InputError("evaluate: empty dataset")
-    truths = [p.label for p in dataset]
-    preds = [model.predict(p)[1] for p in dataset.publications]
-    return truths, preds
+    pubs = dataset.publications
+    names = model.label_space.names
+    preds: List[str] = []
+    with nc.no_graph():
+        for start in range(0, len(pubs), PREDICT_BATCH):
+            probs, _ = model.forward_batch(pubs[start : start + PREDICT_BATCH])
+            preds.extend(names[int(i)] for i in np.argmax(probs.data, axis=1))
+    return [p.label for p in pubs], preds

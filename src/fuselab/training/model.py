@@ -314,8 +314,10 @@ class FusionModel:
 
     def predict(self, pub: Publication) -> Tuple[np.ndarray, str]:
         """Label distribution and argmax label (lowest index wins ties).
-        Inference is deterministic: adversarial noise is zero."""
-        probs, _ = self.forward_batch([pub], rng=None)
+        Inference is deterministic: adversarial noise is zero. Runs the
+        graph-free batched forward on a batch of one."""
+        with nc.no_graph():
+            probs, _ = self.forward_batch([pub], rng=None)
         dist = probs.data[0]
         return dist, self.label_space.names[int(np.argmax(dist))]
 

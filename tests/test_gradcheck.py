@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuselab import numcore as nc
-from fuselab.exceptions import EvaluationError
+from fuselab.exceptions import DomainError, EvaluationError
 
 
 def test_square_at_three():
@@ -98,3 +98,60 @@ def test_hundred_random_points_across_primitives():
         x = nc.Tensor(rng.normal(size=shape))
         report = nc.grad_check(f, x, h=1e-5, tol=1e-4, label=name)
         assert report.passed, report
+
+
+def test_non_finite_probe_in_grad_check_reports_its_coordinate():
+    def f(x):
+        # finite at the base point; the +h probe of x[1, 0] reaches log(0)
+        with np.errstate(divide="ignore"):
+            return nc.Tensor(np.log(1e-5 - float(x.data[1, 0])) + float(x.data.sum()))
+
+    with pytest.raises(EvaluationError) as exc:
+        nc.grad_check(f, nc.Tensor(np.zeros((2, 2))), h=1e-5)
+    assert exc.value.coordinate == (1, 0)
+
+
+def test_non_finite_probe_in_grad_check_params_reports_its_coordinate():
+    w = nc.Tensor(np.zeros((2, 3)), requires_grad=True, name="w")
+
+    def f():
+        # differentiable at the base point; the -h probe of w[0, 2] bypasses
+        # the op-level check and returns a NaN
+        val = nc.squared_norm(w)
+        if w.data[0, 2] < 0:
+            return nc.Tensor(np.nan)
+        return val
+
+    with pytest.raises(EvaluationError) as exc:
+        nc.grad_check_params(f, [w])
+    assert exc.value.coordinate == (0, 2)
+    assert np.array_equal(w.data, np.zeros((2, 3)))  # the probe was undone
+
+
+def test_only_the_analytic_pass_records_a_graph():
+    w = nc.Tensor(np.ones(3), requires_grad=True)
+    recorded = []
+
+    def f_params():
+        out = nc.squared_norm(nc.tanh(w))
+        recorded.append(out.requires_grad)
+        return out
+
+    def f_point(x):
+        out = nc.squared_norm(nc.mul(x, w))
+        recorded.append(out.requires_grad)
+        return out
+
+    assert all(r.passed for r in nc.grad_check_params(f_params, [w]).values())
+    assert recorded == [True] + [False] * 6
+    recorded.clear()
+    assert nc.grad_check(f_point, nc.Tensor(np.ones(3))).passed
+    assert recorded == [True] + [False] * 6
+
+
+def test_failing_probe_leaves_parameters_unperturbed():
+    w = nc.Tensor(np.array([0.0, 2.0]), requires_grad=True)
+    with pytest.raises(DomainError):
+        # the -h probe of w[0] divides by zero inside an op
+        nc.grad_check_params(lambda: nc.tsum(nc.div(1.0, nc.add(w, 1e-5))), [w])
+    assert np.array_equal(w.data, [0.0, 2.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuselab import numcore as nc
-from fuselab.exceptions import ContractError
+from fuselab.exceptions import ContractError, DomainError
 
 
 def test_identity_gradient():
@@ -117,5 +117,97 @@ def test_independent_graphs_on_concurrent_threads():
     serial = [build_and_backward(seed) for seed in range(8)]
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(build_and_backward, range(8)))
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+def test_no_graph_nests_and_restores_after_exception():
+    w = nc.Tensor(np.ones(3), requires_grad=True)
+    with nc.no_graph():
+        with nc.no_graph():
+            assert not nc.tanh(w).requires_grad
+        assert not nc.tanh(w).requires_grad
+        with pytest.raises(RuntimeError):
+            with nc.no_graph():
+                raise RuntimeError("inside")
+        assert not nc.tanh(w).requires_grad
+    assert nc.tanh(w).requires_grad
+    with pytest.raises(RuntimeError):
+        with nc.no_graph():
+            raise RuntimeError("outermost")
+    out = nc.tsum(nc.tanh(w))
+    out.backward()
+    assert w.grad is not None
+
+
+def test_no_graph_outputs_are_plain_data():
+    w = nc.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    x = nc.Tensor(np.ones(2))
+    with_graph = nc.squared_norm(nc.linear(x, w))
+    with nc.no_graph():
+        out = nc.squared_norm(nc.linear(x, w))
+        param = nc.Tensor(np.ones(2), requires_grad=True)
+    assert out._parents == () and out._op is None and out._backward is None
+    assert not out.requires_grad
+    assert np.array_equal(out.data, with_graph.data)
+    assert param.requires_grad  # direct construction is unaffected
+
+
+def test_no_graph_still_rejects_non_finite_values():
+    with nc.no_graph():
+        with pytest.raises(DomainError):
+            nc.div(nc.Tensor(1.0), nc.Tensor(0.0))
+
+
+def test_backward_inside_no_graph_is_an_error():
+    w = nc.Tensor(np.ones(3), requires_grad=True)
+    loss = nc.squared_norm(w)
+    with nc.no_graph():
+        with pytest.raises(ContractError):
+            loss.backward()
+    assert w.grad is None
+    loss.backward()
+    assert np.array_equal(w.grad, 2.0 * np.ones(3))
+
+
+def test_no_graph_is_local_to_its_thread():
+    # one thread holds no_graph() open while the others build graphs and
+    # backpropagate; their gradients match the serial ones
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    def build_and_backward(seed):
+        rng = np.random.default_rng(seed)
+        w = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        x = nc.Tensor(rng.normal(size=6))
+        for _ in range(20):
+            nc.zero_grads([w])
+            nc.squared_norm(nc.tanh(nc.linear(x, w))).backward()
+        return w.grad.copy()
+
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_graph():
+        w = nc.Tensor(np.ones(3), requires_grad=True)
+        with nc.no_graph():
+            entered.set()
+            release.wait(timeout=30)
+            return nc.tanh(w).requires_grad
+
+    serial = [build_and_backward(seed) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            holder = pool.submit(hold_no_graph)
+            assert entered.wait(timeout=30)
+            try:
+                threaded = list(pool.map(build_and_backward, range(4), timeout=30))
+            finally:
+                release.set()
+            assert holder.result(timeout=30) is False
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)

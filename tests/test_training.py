@@ -7,6 +7,8 @@ import pytest
 
 from fuselab import numcore as nc
 from fuselab.datakit import (
+    Dataset,
+    LabelSpace,
     Publication,
     SyntheticSpec,
     Vocab,
@@ -23,15 +25,18 @@ from fuselab.exceptions import (
 from fuselab.fusion import GanFusion
 from fuselab.numcore import Tensor
 from fuselab.training import (
+    FusionModel,
     ModelConfig,
     TrainConfig,
     build_model,
     cross_entropy,
     evaluate_model,
     load_model,
+    predict_dataset,
     save_model,
     train,
 )
+from fuselab.training.loop import PREDICT_BATCH
 
 
 def _dataset(n=200, seed=1, task="xor-crossmodal"):
@@ -222,6 +227,24 @@ class TestParameterPartition:
         assert step >= 100
 
 
+class TestGanTerms:
+    def test_report_only_objectives_build_no_graph(self):
+        from fuselab.training.loop import _gan_terms
+
+        ds = _dataset(20)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        batch = ds.publications[:8]
+        latents = model.encode(batch)
+        _, result = model.head(batch, latents, np.random.default_rng(0))
+        reported = _gan_terms(model, result, latents, np.random.default_rng(1), False)
+        trained = _gan_terms(model, result, latents, np.random.default_rng(1), True)
+        for j_rep, j_tr in zip(reported[:2], trained[:2]):
+            assert j_rep._parents == () and not j_rep.requires_grad
+            assert j_tr.requires_grad
+            assert j_rep.item() == j_tr.item()
+        assert reported[2].requires_grad  # the generator term still trains
+
+
 class TestPredict:
     def test_zero_classifier_gives_uniform_distribution(self):
         ds = _dataset(20)
@@ -253,6 +276,72 @@ class TestPredict:
         model = _model(ds, "concat")
         with pytest.raises(InputError):
             model.predict(Publication(id="t", label="0", text="just words"))
+
+
+class TestPredictDataset:
+    """predict_dataset scores in graph-free batches of PREDICT_BATCH and
+    gives the labels predict gives one publication at a time."""
+
+    def _assert_matches_predict(self, model, ds):
+        truths, preds = predict_dataset(model, ds)
+        singles = [model.predict(p) for p in ds]
+        assert truths == [p.label for p in ds]
+        assert preds == [label for _, label in singles]
+        with nc.no_graph():
+            probs, _ = model.forward_batch(ds.publications)
+        assert np.allclose(probs.data, [dist for dist, _ in singles], rtol=0, atol=1e-12)
+        return preds
+
+    def test_gan_model_labels_match_predict(self):
+        ds = _dataset(80)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        train(model, ds, TrainConfig(epochs=1, batch_size=20, seed=2))
+        heldout = Dataset(_dataset(67, seed=9).publications, ds.label_space)
+        # move the class-1 bias to the mean logit gap so both labels occur
+        with nc.no_graph():
+            probs, _ = model.forward_batch(heldout.publications)
+        logits = np.log(probs.data)
+        model.classifier.bias.data[1] -= np.mean(logits[:, 1] - logits[:, 0])
+        preds = self._assert_matches_predict(model, heldout)
+        assert len(preds) == 67 and len(set(preds)) == 2
+
+    def test_text_model_with_entity_tuples_labels_match_predict(self):
+        rng = np.random.default_rng(11)
+        words = ["the", "dog", "chased", "a", "ball", "quickly", "@user", "#tag",
+                 "sooo", "good", "bad", "cat", "saw", "hello", ":)"]
+        space = LabelSpace(("a", "b", "c"))
+        pubs = [Publication(id=f"s{i}", label=space.names[i % 3],
+                            text=" ".join(rng.choice(words, size=int(rng.integers(1, 12)))))
+                for i in range(67)]
+        ds = Dataset(pubs, space)
+        vocab = Vocab.from_texts([p.text for p in ds])
+        model = build_model(
+            ModelConfig(input_modes="text", fusion=None, latent_dim=6,
+                        embed_dim=4, hidden_dim=3, seed=4),
+            space, vocab)
+        assert model.config.wants_entity_tuple
+        assert len({len(p.text.split()) for p in pubs}) > 5
+        preds = self._assert_matches_predict(model, ds)
+        assert len(set(preds)) > 1
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    def test_one_graph_free_forward_per_batch(self, n, monkeypatch):
+        ds = _dataset(n)
+        model = _model(ds, "concat")
+        calls = []
+        forward = FusionModel.forward_batch
+
+        def counted(self, pubs, rng=None):
+            probs, result = forward(self, pubs, rng)
+            calls.append(len(pubs))
+            assert probs._parents == () and not probs.requires_grad
+            return probs, result
+
+        monkeypatch.setattr(FusionModel, "forward_batch", counted)
+        truths, preds = predict_dataset(model, ds)
+        assert len(calls) == math.ceil(n / PREDICT_BATCH)
+        assert max(calls) <= PREDICT_BATCH and sum(calls) == n
+        assert len(truths) == len(preds) == n
 
 
 class TestPersistence:

@@ -1,7 +1,8 @@
 """The gradient verification suite behind `fuselab gradcheck`.
 
 Checks, at tolerance tol against central finite differences:
-  - every tensor primitive at random points,
+  - every tensor primitive at random points, and the fused gated
+    recurrence in both directions,
   - each layer (dense, embedding, recurrent encoder, conv encoder),
   - the fusion losses (reconstruction and adversarial) and cross-entropy,
   - the full end-to-end objective for all three mechanisms on d=4,
@@ -73,6 +74,22 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         point = Tensor(rng.normal(size=shape))
         report = grad_check(f, point, h=h, tol=tol, label=label)
         reports.append(report)
+
+    # the fused recurrence, both directions, batch 2 and length 4; its own
+    # generator leaves the draws of every other check as they were
+    own = np.random.default_rng(19)
+    x = Tensor(own.normal(size=(2, 4, 3)), requires_grad=True, name="x")
+    w = Tensor(own.uniform(-0.6, 0.6, size=(8, 5)), requires_grad=True, name="w")
+    b = Tensor(own.normal(size=8), requires_grad=True, name="b")
+    weights = Tensor(own.normal(size=(2, 4, 4)))
+
+    def recurrence():
+        states = nc.concat([nc.gated_recurrence(x, w, b),
+                            nc.gated_recurrence(x, w, b, reverse=True)], axis=2)
+        return nc.tsum(nc.mul(states, weights))
+
+    reports.append(_summary("op gated_recurrence",
+                            grad_check_params(recurrence, [x, w, b], h, tol)))
     return reports
 
 

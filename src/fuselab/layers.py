@@ -94,8 +94,8 @@ class EmbeddingTable:
                              requires_grad=True, name=f"{name}.matrix")
 
     def lookup(self, ids: Sequence[int]) -> Tensor:
-        mapped = np.array([i if 0 <= i < self.vocab_size else self.oov_index for i in ids],
-                          dtype=np.intp)
+        ids = np.asarray(ids, dtype=np.intp)
+        mapped = np.where((ids >= 0) & (ids < self.vocab_size), ids, self.oov_index)
         return nc.take_rows(self.matrix, mapped)
 
     def parameters(self) -> List[Tensor]:
@@ -106,10 +106,10 @@ class RecurrentTextEncoder:
     """Bidirectional gated recurrence with additive word attention.
 
     Each direction runs a standard input/forget/output/candidate cell over
-    the embedded token sequence; per-step hidden states from the two
-    directions are concatenated, scored against a learned query vector,
-    softmax-normalized, and the attention-weighted sum is projected to the
-    latent dimension d.
+    the embedded token sequence as one fused `gated_recurrence` op; per-step
+    hidden states from the two directions are concatenated, scored against
+    a learned query vector, softmax-normalized, and the attention-weighted
+    sum is projected to the latent dimension d.
     """
 
     def __init__(self, vocab_size: int, embed_dim: int, hidden_dim: int, latent_dim: int,
@@ -153,34 +153,20 @@ class RecurrentTextEncoder:
             params += [self.bwd["w"], self.bwd["b"]]
         return params
 
-    def _run_cell(self, cell: Dict[str, Tensor], embedded: Tensor, length: int,
-                  batch: int) -> List[Tensor]:
-        h = Tensor(np.zeros((batch, self.hidden_dim)))
-        c = Tensor(np.zeros((batch, self.hidden_dim)))
-        hd = self.hidden_dim
-        states = []
-        for t in range(length):
-            x_t = embedded[:, t, :]
-            gates = nc.linear(nc.concat([x_t, h], axis=1), cell["w"], cell["b"])
-            i = nc.sigmoid(gates[:, 0:hd])
-            f = nc.sigmoid(gates[:, hd : 2 * hd])
-            o = nc.sigmoid(gates[:, 2 * hd : 3 * hd])
-            g = nc.tanh(gates[:, 3 * hd : 4 * hd])
-            c = nc.add(nc.mul(f, c), nc.mul(i, g))
-            h = nc.mul(o, nc.tanh(c))
-            states.append(h)
-        return states
-
-    def hidden_states(self, ids_batch: np.ndarray) -> Tuple[List[Tensor], List[Tensor]]:
-        """Per-timestep forward and backward hidden states, for inspection."""
+    def _directions(self, ids_batch: np.ndarray) -> Tuple[Tensor, Tensor]:
+        """Forward and backward hidden states, each (batch, length, h)."""
         batch, length = ids_batch.shape
         flat = self.embedding.lookup(ids_batch.reshape(-1))
         embedded = flat.reshape(batch, length, self.embedding.dim)
-        fwd_states = self._run_cell(self.fwd, embedded, length, batch)
-        rev = embedded[:, ::-1, :] if length > 1 else embedded
-        bwd_states = self._run_cell(self.bwd, rev, length, batch)
-        bwd_states = bwd_states[::-1]
-        return fwd_states, bwd_states
+        fwd = nc.gated_recurrence(embedded, self.fwd["w"], self.fwd["b"])
+        bwd = nc.gated_recurrence(embedded, self.bwd["w"], self.bwd["b"], reverse=True)
+        return fwd, bwd
+
+    def hidden_states(self, ids_batch: np.ndarray) -> Tuple[List[Tensor], List[Tensor]]:
+        """Per-timestep forward and backward hidden states, for inspection."""
+        fwd, bwd = self._directions(ids_batch)
+        steps = range(ids_batch.shape[1])
+        return [fwd[:, t, :] for t in steps], [bwd[:, t, :] for t in steps]
 
     def encode_batch(self, ids_batch: np.ndarray) -> Tuple[Tensor, Tensor]:
         """Encode a (batch, length) id matrix to (batch, d) latents.
@@ -192,10 +178,8 @@ class RecurrentTextEncoder:
             raise InputError(f"encode_batch: need a (batch, length>=1) id matrix, "
                              f"got {ids_batch.shape}")
         batch, length = ids_batch.shape
-        fwd_states, bwd_states = self.hidden_states(ids_batch)
         # (batch, length, 2h) stack of bidirectional states
-        per_step = [nc.concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-        stacked = nc.concat([s.reshape(batch, 1, 2 * self.hidden_dim) for s in per_step], axis=1)
+        stacked = nc.concat(self._directions(ids_batch), axis=2)
         flat = stacked.reshape(batch * length, 2 * self.hidden_dim)
         scores = nc.matmul(flat, self.query).reshape(batch, length)
         weights = nc.softmax(scores, axis=-1)

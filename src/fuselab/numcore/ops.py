@@ -2,8 +2,8 @@
 
 Shape discipline: operand shapes must conform exactly; the only implicit
 broadcast is scalar-with-tensor. Batched variants (linear, conv2d,
-row_scale) treat a leading axis as the batch and say so explicitly --
-there is no silent numpy-style broadcasting anywhere else.
+row_scale, gated_recurrence) treat a leading axis as the batch and say so
+explicitly -- there is no silent numpy-style broadcasting anywhere else.
 
 log clamps its input upward to LOG_EPS = 1e-12 (probabilities saturate
 during adversarial training); strictly negative inputs are a domain
@@ -339,14 +339,16 @@ def tanh(a: Arrayish) -> Tensor:
     return Tensor._from_op(out, "tanh", (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable logistic: 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) for
+    x < 0. Both branches read e = exp(-|x|), which cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Arrayish) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid(a.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -388,6 +390,99 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(out, "clamp", (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+
+
+def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = False) -> Tensor:
+    """Hidden states of a gated recurrent cell run over a batch of sequences.
+
+    x is (batch, T, e); w (4h, e+h) stacks the input, forget, output and
+    candidate gate weights, b (4h,) their biases. From zero states, each
+    step computes gates = [x_t, h] W^T + b, i, f, o = sigmoid and g = tanh
+    of the four gate blocks, c = f c + i g and h = o tanh(c). The result
+    stacks the states to (batch, T, h), indexed by input position also
+    when reverse=True runs time backwards. It is one graph node, and its
+    backward is backpropagation through time.
+
+    Every value, forward and backward, is rounded as in the same cell
+    built from the primitive ops above, so both give the same values.
+    A non-finite gate pre-activation or cell state is a domain error,
+    although sigmoid and tanh would saturate it to a finite state.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 3 or w.ndim != 2 or w.shape[0] < 4 or w.shape[0] % 4:
+        raise ShapeError(f"gated_recurrence: need x (batch, T, e) and w (4h, e+h), "
+                         f"got {x.shape} and {w.shape}")
+    batch, steps, e = x.shape
+    hd = w.shape[0] // 4
+    if w.shape[1] != e + hd or b.shape != (4 * hd,):
+        raise ShapeError(f"gated_recurrence: x {x.shape}, w {w.shape} and b {b.shape} "
+                         f"do not conform")
+    times = range(steps - 1, -1, -1) if reverse else range(steps)
+    xd, wd, bd = x.data, w.data, b.data
+    # per step: the cell input [x_t, h], the gate pre-activations, their
+    # activations i, f, o, g, the cell state and its tanh
+    cats = np.empty((steps, batch, e + hd))
+    seq = np.swapaxes(xd, 0, 1)
+    cats[:, :, :e] = seq[::-1] if reverse else seq
+    gates = np.empty((steps, batch, 4 * hd))
+    acts = np.empty_like(gates)
+    cells = np.empty((steps, batch, hd))
+    tcells = np.empty_like(cells)
+    out = np.empty((batch, steps, hd))
+    zeros = np.zeros((batch, hd))
+    h = c = zeros
+    for s, t in enumerate(times):
+        cat, z, act = cats[s], gates[s], acts[s]
+        cat[:, e:] = h
+        np.matmul(cat, wd.T, out=z)
+        z += bd
+        act[:, : 3 * hd] = _sigmoid(z[:, : 3 * hd])
+        np.tanh(z[:, 3 * hd :], out=act[:, 3 * hd :])
+        i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+        c = np.add(f * c, i * g, out=cells[s])
+        tc = np.tanh(c, out=tcells[s])
+        h = np.multiply(o, tc, out=out[:, t, :])
+    if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
+        raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
+
+    def backward(dout):
+        # sigmoid a passes d on as (d * a) * (1 - a), tanh a as d * (1 - a * a)
+        sig, cand = acts[:, :, : 3 * hd], acts[:, :, 3 * hd :]
+        dsig = 1.0 - sig
+        dtanh_g = 1.0 - cand * cand
+        dtanh_c = 1.0 - tcells * tcells
+        dx = np.zeros_like(xd)
+        dw = np.zeros_like(wd)
+        db = np.zeros_like(bd)
+        dgates = np.empty((batch, 4 * hd))
+        dh_next = dc_next = None  # what step s+1 sends back to h and c of step s
+        for s in range(steps - 1, -1, -1):
+            t = times[s]
+            act = acts[s]
+            i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+            dh = dout[:, t, :] if dh_next is None else dout[:, t, :] + dh_next
+            dc = dh * o * dtanh_c[s]
+            if dc_next is not None:
+                dc += dc_next
+            np.multiply(dc, g, out=dgates[:, :hd])
+            np.multiply(dc, cells[s - 1] if s else zeros, out=dgates[:, hd : 2 * hd])
+            np.multiply(dh, tcells[s], out=dgates[:, 2 * hd : 3 * hd])
+            dgates[:, : 3 * hd] *= sig[s]
+            dgates[:, : 3 * hd] *= dsig[s]
+            np.multiply(dc * i, dtanh_g[s], out=dgates[:, 3 * hd :])
+            dcat = dgates @ wd
+            dw += dgates.T @ cats[s]
+            db += dgates.sum(axis=0)
+            dx[:, t, :] = dcat[:, :e]
+            dh_next = dcat[:, e:]
+            dc_next = dc * f
+        return dx, dw, db
+
+    return Tensor._from_op(out, "gated_recurrence", (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,15 @@ class ModelConfig:
         return cls(**obj)
 
 
+def _in_input_order(chunks: List[Tensor], order: List[int]) -> Tensor:
+    """Stack the rows of per-bucket chunks, whose publications came in
+    `order`, back into input order; no gather when they already are."""
+    stacked = chunks[0] if len(chunks) == 1 else nc.concat(chunks, axis=0)
+    if order == list(range(len(order))):
+        return stacked
+    return nc.take_rows(stacked, np.argsort(order))
+
+
 class FusionModel:
     def __init__(self, config: ModelConfig, label_space: LabelSpace, vocab: Vocab,
                  rng: Optional[np.random.Generator] = None):
@@ -206,9 +215,7 @@ class FusionModel:
             latents, _ = self.text_encoder.encode_batch(ids)
             chunks.append(latents)
             order.extend(idx)
-        stacked = chunks[0] if len(chunks) == 1 else nc.concat(chunks, axis=0)
-        inverse = np.argsort(order)
-        return nc.take_rows(stacked, inverse)
+        return _in_input_order(chunks, order)
 
     def _encode_visuals(self, pubs: Sequence[Publication]) -> Tensor:
         if self.config.visual_feature_dim:
@@ -227,9 +234,7 @@ class FusionModel:
             grids = Tensor(np.stack([pubs[i].visual for i in idx]))
             chunks.append(self.visual_encoder.encode_batch(grids))
             order.extend(idx)
-        stacked = chunks[0] if len(chunks) == 1 else nc.concat(chunks, axis=0)
-        inverse = np.argsort(order)
-        return nc.take_rows(stacked, inverse)
+        return _in_input_order(chunks, order)
 
     def _encode_visual_features(self, pubs: Sequence[Publication]) -> Tensor:
         dim = self.config.visual_feature_dim

@@ -7,6 +7,7 @@ import pytest
 from fuselab.cli import main
 from fuselab.config import load_experiment_config
 from fuselab.exceptions import ConfigError
+from fuselab.training import build_model
 
 GOLDEN_IN = "@fiery_eyes, this is soooo coool borther! ;) #coolforever"
 GOLDEN_OUT = ("[user] fiery_eyes [/user] this is so cool brother! [wink] "
@@ -68,6 +69,22 @@ class TestTrainCommand:
         config = _write_config(tmp_path, body=body)
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "d")])
         assert code == 3
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_recurrent_gates_exit_three(self, tmp_path, capsys, monkeypatch):
+        from fuselab import experiment
+
+        def poisoned_model(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            model.text_encoder.embedding.matrix.data[...] = 1e308
+            model.text_encoder.fwd["w"].data[...] = 1.0
+            return model
+
+        monkeypatch.setattr(experiment, "build_model", poisoned_model)
+        config = _write_config(tmp_path)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "d")])
+        assert code == 3
+        assert "step 0" in capsys.readouterr().err
 
     def test_identical_invocations_identical_outputs(self, tmp_path, capsys):
         config = _write_config(tmp_path)

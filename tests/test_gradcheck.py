@@ -155,3 +155,11 @@ def test_failing_probe_leaves_parameters_unperturbed():
         # the -h probe of w[0] divides by zero inside an op
         nc.grad_check_params(lambda: nc.tsum(nc.div(1.0, nc.add(w, 1e-5))), [w])
     assert np.array_equal(w.data, [0.0, 2.0])
+
+
+def test_suite_checks_the_fused_recurrence_in_both_directions():
+    from fuselab.gradsuite import _primitive_checks
+
+    reports = _primitive_checks(np.random.default_rng(0), h=1e-5, tol=1e-4)
+    (report,) = [r for r in reports if r.label.startswith("op gated_recurrence")]
+    assert report.passed, report

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuselab import numcore as nc
-from fuselab.exceptions import InputError, ShapeError
+from fuselab.exceptions import DomainError, InputError, ShapeError
 from fuselab.layers import (
     ConvVisualEncoder,
     DenseLayer,
@@ -53,6 +53,14 @@ class TestEmbedding:
         assert np.array_equal(out.data[1], table.matrix.data[0])
         assert np.array_equal(out.data[2], table.matrix.data[0])
         assert np.array_equal(out.data[0], table.matrix.data[2])
+
+    def test_negative_and_too_large_ids_hit_the_oov_row(self):
+        table = EmbeddingTable(5, 2, oov_index=3, rng=np.random.default_rng(1))
+        ids = np.array([-7, -1, 0, 4, 5, 12])
+        out = table.lookup(ids)
+        expected = table.matrix.data[[3, 3, 0, 4, 3, 3]]
+        assert np.array_equal(out.data, expected)
+        assert np.array_equal(table.lookup(list(ids)).data, expected)
 
 
 class TestTextEncoder:
@@ -110,6 +118,16 @@ class TestTextEncoder:
         reports = nc.grad_check_params(loss, enc.parameters(), h=1e-5, tol=1e-4)
         bad = {k: r for k, r in reports.items() if not r.passed}
         assert not bad, bad
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gates_raise_although_states_saturate(self):
+        enc = self._encoder(seed=2)
+        enc.embedding.matrix.data[...] = 1e308
+        enc.fwd["w"].data[...] = 1.0
+        with pytest.raises(DomainError, match="gated_recurrence"):
+            enc.encode_batch(np.array([[1, 2, 3]]))
+        with nc.no_graph(), pytest.raises(DomainError, match="gated_recurrence"):
+            enc.encode_batch(np.array([[1, 2, 3]]))
 
     def test_batch_encoding_matches_single(self):
         enc = self._encoder(seed=9)

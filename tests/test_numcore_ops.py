@@ -138,3 +138,86 @@ def test_row_scale():
     m = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
     v = nc.Tensor([2.0, 10.0])
     assert nc.row_scale(m, v).data.tolist() == [[2.0, 4.0], [30.0, 40.0]]
+
+
+def _reference_recurrence(x, w, b, reverse):
+    """The primitive-op cell that gated_recurrence replaced, one graph node
+    per operation and step, stacked to (batch, T, h) by input position."""
+    batch, length, _ = x.shape
+    hd = w.shape[0] // 4
+    seq = x[:, ::-1, :] if reverse and length > 1 else x
+    h = nc.Tensor(np.zeros((batch, hd)))
+    c = nc.Tensor(np.zeros((batch, hd)))
+    states = []
+    for t in range(length):
+        gates = nc.linear(nc.concat([seq[:, t, :], h], axis=1), w, b)
+        i = nc.sigmoid(gates[:, 0:hd])
+        f = nc.sigmoid(gates[:, hd : 2 * hd])
+        o = nc.sigmoid(gates[:, 2 * hd : 3 * hd])
+        g = nc.tanh(gates[:, 3 * hd : 4 * hd])
+        c = nc.add(nc.mul(f, c), nc.mul(i, g))
+        h = nc.mul(o, nc.tanh(c))
+        states.append(h.reshape(batch, 1, hd))
+    if reverse:
+        states = states[::-1]
+    return nc.concat(states, axis=1)
+
+
+def _recurrence_inputs(batch, length, e=3, hd=4, seed=0):
+    rng = np.random.default_rng(seed)
+    x = nc.Tensor(rng.normal(size=(batch, length, e)), requires_grad=True)
+    w = nc.Tensor(rng.uniform(-0.6, 0.6, size=(4 * hd, e + hd)), requires_grad=True)
+    b = nc.Tensor(rng.normal(size=4 * hd), requires_grad=True)
+    weights = nc.Tensor(rng.normal(size=(batch, length, hd)))
+    return x, w, b, weights
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("length", [1, 7])
+def test_gated_recurrence_matches_primitive_graph(reverse, batch, length):
+    x, w, b, weights = _recurrence_inputs(batch, length, seed=batch * 10 + length)
+    grads = []
+    for run in (nc.gated_recurrence, _reference_recurrence):
+        for p in (x, w, b):
+            p.grad = None
+        out = run(x, w, b, reverse=reverse)
+        nc.tsum(nc.mul(out, weights)).backward()
+        grads.append((out.data, x.grad, w.grad, b.grad))
+    fused, reference = grads
+    assert fused[0].shape == (batch, length, 4)
+    assert np.array_equal(fused[0], reference[0])
+    for got, want in zip(fused[1:], reference[1:]):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_gated_recurrence_under_no_graph_is_plain_data():
+    x, w, b, _ = _recurrence_inputs(3, 7)
+    recorded = nc.gated_recurrence(x, w, b, reverse=True)
+    with nc.no_graph():
+        plain = nc.gated_recurrence(x, w, b, reverse=True)
+    assert recorded.requires_grad and recorded._op == "gated_recurrence"
+    assert not plain.requires_grad
+    assert plain._op is None and plain._parents == () and plain._backward is None
+    assert np.array_equal(plain.data, recorded.data)
+
+
+def test_gated_recurrence_shape_contract():
+    x, w, b, _ = _recurrence_inputs(2, 3, e=3, hd=4)
+    with pytest.raises(ShapeError):
+        nc.gated_recurrence(nc.Tensor(x.data[0]), w, b)
+    with pytest.raises(ShapeError):
+        nc.gated_recurrence(x, nc.Tensor(w.data[:, 1:]), b)
+    with pytest.raises(ShapeError):
+        nc.gated_recurrence(x, w, nc.Tensor(b.data[1:]))
+
+
+def test_sigmoid_kernel_matches_masked_two_branch_form():
+    x = np.random.default_rng(3).normal(scale=8.0, size=(50, 41))
+    x[0, :6] = [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0]
+    want = np.empty_like(x)
+    pos = x >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    want[~pos] = ex / (1.0 + ex)
+    assert nc.sigmoid(nc.Tensor(x)).data.tobytes() == want.tobytes()

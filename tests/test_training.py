@@ -147,6 +147,17 @@ class TestTrainLoop:
             train(model, ds, config)
         assert exc.value.step is not None
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_recurrent_gates_diverge_at_their_step(self):
+        # saturated gates keep the states finite; the fused op still reports them
+        ds = _dataset(60)
+        model = _model(ds, "concat")
+        model.text_encoder.embedding.matrix.data[...] = 1e308
+        model.text_encoder.fwd["w"].data[...] = 1.0
+        with pytest.raises(DivergenceError, match="gated_recurrence") as exc:
+            train(model, ds, TrainConfig(epochs=1, batch_size=20, seed=0))
+        assert exc.value.step == 0
+
     def test_label_space_mismatch_rejected(self):
         from fuselab.datakit import Dataset, LabelSpace
 
@@ -342,6 +353,26 @@ class TestPredictDataset:
         assert len(calls) == math.ceil(n / PREDICT_BATCH)
         assert max(calls) <= PREDICT_BATCH and sum(calls) == n
         assert len(truths) == len(preds) == n
+
+
+class TestEncodeOrder:
+    def test_one_bucket_in_input_order_is_not_gathered(self):
+        # xor publications share one text length and one grid shape
+        ds = _dataset(40)
+        latents = _model(ds, "concat").encode(ds.publications[:12])
+        assert latents["text"]._op != "take_rows"
+        assert latents["visual"]._op != "take_rows"
+
+    def test_mixed_lengths_come_back_in_input_order(self):
+        ds = _dataset(40)
+        model = _model(ds, "concat")
+        pubs = [Publication(id=p.id, label=p.label, visual=p.visual,
+                            text=" ".join(p.text.split()[: 1 + k % 4]))
+                for k, p in enumerate(ds.publications[:9])]
+        batch = model.encode(pubs)["text"]
+        assert batch._op == "take_rows"
+        for row, pub in zip(batch.data, pubs):
+            assert np.allclose(row, model.encode([pub])["text"].data[0], atol=1e-12)
 
 
 class TestPersistence:

@@ -246,14 +246,11 @@ class GanFusion:
                 + self.visual_module.discriminator_parameters())
 
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
-                   rng: Optional[np.random.Generator] = None,
-                   noise: Optional[Dict[str, np.ndarray]] = None) -> FusionResult:
+                   rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
         batch = z_v.shape[0]
-        noise = noise or {}
-        # sample only what the caller did not supply, so rng advances only then
-        noise_t = noise["t"] if "t" in noise else self.text_module.sample_noise(batch, rng)
-        noise_v = noise["v"] if "v" in noise else self.visual_module.sample_noise(batch, rng)
+        noise_t = self.text_module.sample_noise(batch, rng)
+        noise_v = self.visual_module.sample_noise(batch, rng)
         z_g_t = self.text_module.generate(z_t, noise_t)
         z_g_v = self.visual_module.generate(z_v, noise_v)
         pieces = [z_g_t, z_g_v]

@@ -5,8 +5,12 @@ Checks, at tolerance tol against central finite differences:
     recurrence in both directions,
   - each layer (dense, embedding, recurrent encoder, conv encoder),
   - the fusion losses (reconstruction and adversarial) and cross-entropy,
-  - the full end-to-end objective for all three mechanisms on d=4,
-    2-class toys.
+  - end to end, for all three mechanisms on d=4, 2-class toys, the
+    objective the main training step minimizes (main_objective at
+    TrainConfig() defaults): J_C, J_C + J_auto, and J_C + the
+    generator-side adversarial term, every parameter included. The
+    stop-gradient that fusion_loss_updates_encoders = false applies has
+    no finite-difference counterpart, so it is not checked.
 
 Random draws are seeded, and toy inputs carry noise so no relu sits
 exactly on its kink (where finite differences are undefined).
@@ -29,8 +33,8 @@ from .fusion import (
 )
 from .layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from .numcore import CheckReport, Tensor, grad_check, grad_check_params
-from .training import ModelConfig, build_model
-from .training.objectives import batch_cross_entropy, cross_entropy, one_hot
+from .training import ModelConfig, TrainConfig, build_model
+from .training.objectives import cross_entropy, main_objective
 
 
 def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckReport]:
@@ -153,6 +157,15 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     return reports
 
 
+def _end_to_end_objective(model, pubs, seed: int = 17) -> Callable[[], Tensor]:
+    """The main training objective of model on pubs at TrainConfig()
+    defaults, with a freshly seeded rng on every evaluation so the GAN
+    noise is the same in every probe."""
+    config = TrainConfig()
+    return lambda: main_objective(model, pubs, model.encode(pubs), config,
+                                  np.random.default_rng(seed)).j
+
+
 def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
     ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=2, seed=11,
                                           noise=0.2))
@@ -164,33 +177,8 @@ def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
                              fusion_out_dim=4 if fusion != "concat" else None,
                              normalize_text=False, seed=13)
         model = build_model(config, ds.label_space, vocab)
-        pubs = ds.publications
-        targets = one_hot([model.label_space.index(p.label) for p in pubs], 2)
-        noise_rng = np.random.default_rng(17)
-        noise = None
-        if fusion == "gan":
-            noise = {"t": noise_rng.standard_normal((2, model.mechanism.noise_dim)),
-                     "v": noise_rng.standard_normal((2, model.mechanism.noise_dim))}
-
-        def objective():
-            latents = model.encode(pubs)
-            z_t, z_v = latents["text"], latents["visual"]
-            if fusion == "gan":
-                result = model.mechanism.fuse_batch(z_v, z_t, noise=noise)
-            else:
-                result = model.mechanism.fuse_batch(z_v, z_t)
-            j = batch_cross_entropy(targets, model.classifier(result.z_fuse))
-            if fusion == "auto":
-                j = nc.add(j, auto_fusion_loss(result.z, result.z_hat))
-            if fusion == "gan":
-                mech = model.mechanism
-                for module, real, z_g in ((mech.text_module, z_v, result.z_g["t"]),
-                                          (mech.visual_module, z_t, result.z_g["v"])):
-                    j = nc.add(j, module.adversarial(real, z_g).j_adv)
-            return j
-
         reports.append(_summary(f"end_to_end {fusion}", grad_check_params(
-            objective, model.parameters(), h, tol)))
+            _end_to_end_objective(model, ds.publications), model.parameters(), h, tol)))
     return reports
 
 

@@ -11,9 +11,10 @@ latents:
               (generator-side adversarial term) touching encoders,
               generators, combiner, and classifier
 
-The reported J_F column is always the fusion objective itself (J_auto,
-or J_adv = text module + visual module); the J column is the quantity
-the main step actually minimized.
+The main step's objective is objectives.main_objective, the one the
+gradient suite checks. The reported J_F column is always the fusion
+objective itself (J_auto, or J_adv = text module + visual module); the J
+column is the quantity the main step actually minimized.
 
 All randomness (batch order, adversarial noise) flows from the single
 configured seed, so identical runs produce bitwise-identical curves.
@@ -21,7 +22,6 @@ configured seed, so identical runs produce bitwise-identical curves.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,11 +30,11 @@ import numpy as np
 from .. import numcore as nc
 from ..datakit import BatchStream, Dataset, Publication
 from ..exceptions import ConfigError, DivergenceError, DomainError, InputError
-from ..fusion import GanFusion, auto_fusion_loss, gan_adv_loss, generator_loss
+from ..fusion import GanFusion, gan_adv_loss
 from ..metrics import MetricsReport, evaluate
 from ..numcore import Tensor, clip_grad_norm, zero_grads
 from .model import FusionModel
-from .objectives import batch_cross_entropy, one_hot
+from .objectives import main_objective
 from .optim import DEFAULT_LR, make_optimizer
 
 # Rows per inference batch: batching amortizes the per-op overhead, and a
@@ -114,14 +114,6 @@ def _finite_or_raise(value: float, step: int, what: str) -> float:
     return value
 
 
-def _targets(model: FusionModel, pubs: Sequence[Publication]) -> np.ndarray:
-    try:
-        idx = [model.label_space.index(p.label) for p in pubs]
-    except Exception as exc:
-        raise ConfigError(f"dataset labels do not match the model label space: {exc}")
-    return one_hot(idx, model.label_space.num_classes)
-
-
 def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
           val_dataset: Optional[Dataset] = None) -> TrainResult:
     """Train in place and return the model with its per-step loss curves."""
@@ -131,18 +123,15 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
         raise ConfigError(f"dataset label space {list(dataset.label_space.names)} "
                           f"does not match model {list(model.label_space.names)}")
 
-    is_gan = isinstance(model.mechanism, GanFusion)
     main_opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr,
                               config.beta1, config.beta2, config.eps)
     disc_opt = None
-    if is_gan:
+    if isinstance(model.mechanism, GanFusion):
         disc_opt = make_optimizer(config.optimizer, model.discriminator_parameters(),
                                   config.disc_lr, config.beta1, config.beta2, config.eps)
 
     rng = np.random.default_rng(config.seed)
     stream = BatchStream(dataset, config.batch_size, seed=config.seed)
-    all_params = model.parameters()
-    recurrent = model.recurrent_parameters()
 
     curves: List[LossReport] = []
     val_reports: List[MetricsReport] = []
@@ -153,12 +142,9 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
 
     for _ in range(config.epochs):
         for batch in stream:
-            targets = _targets(model, batch)
-
             try:
-                curves.append(_train_step(model, batch, targets, config, rng,
-                                          main_opt, disc_opt, is_gan, step,
-                                          all_params, recurrent))
+                curves.append(_train_step(model, batch, config, rng,
+                                          main_opt, disc_opt, step))
             except DomainError as exc:
                 raise DivergenceError(f"non-finite value at step {step}: {exc}",
                                       step=step)
@@ -181,56 +167,31 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
 
 
 def _train_step(model: FusionModel, batch: Sequence[Publication],
-                targets: np.ndarray, config: TrainConfig,
-                rng: np.random.Generator, main_opt, disc_opt, is_gan: bool,
-                step: int, all_params, recurrent) -> LossReport:
+                config: TrainConfig, rng: np.random.Generator, main_opt,
+                disc_opt, step: int) -> LossReport:
+    """One main descent step on main_objective, after the discriminator
+    steps when a discriminator optimizer is given."""
     latents = model.encode(batch)
-    if is_gan:
+    if disc_opt is not None:
         detached = {name: z.detach() for name, z in latents.items()}
         step_discriminator(model, detached, config, disc_opt, rng, step)
 
-    zero_grads(all_params)
-    probs, result = model.head(batch, latents, rng)
-    j_c = batch_cross_entropy(targets, probs, config.class_weights)
-    parts: Dict[str, float] = {}
-    j_f_value = 0.0
-
-    if model.config.input_modes != "multimodal" or result is None:
-        j = j_c
-    elif isinstance(model.mechanism, GanFusion):
-        j_adv_t, j_adv_v, gen_term = _gan_terms(
-            model, result, latents, rng, config.fusion_loss_updates_encoders)
-        j_f_value = float(j_adv_t.data) + float(j_adv_v.data)
-        parts = {"j_adv_t": float(j_adv_t.data), "j_adv_v": float(j_adv_v.data),
-                 "gen_term": float(gen_term.data)}
-        j = nc.add(j_c, nc.mul(config.lam, gen_term)) if config.lam else j_c
-    elif result.z_hat is not None:
-        if config.fusion_loss_updates_encoders:
-            j_auto = auto_fusion_loss(result.z, result.z_hat)
-        else:
-            # reconstruct detached latents; J_auto trains only the fusion
-            # autoencoder
-            mech = model.mechanism
-            z_det = result.z.detach()
-            j_auto = auto_fusion_loss(z_det, mech.decoder(mech.encoder(z_det)))
-        j_f_value = float(j_auto.data)
-        parts = {"j_auto": j_f_value}
-        j = nc.add(j_c, nc.mul(config.lam, j_auto)) if config.lam else j_c
-    else:
-        j = j_c
-
+    zero_grads(model.parameters())
+    objective = main_objective(model, batch, latents, config, rng)
+    j = objective.j
     _finite_or_raise(float(j.data), step, "training objective")
     j.backward()
+    recurrent = model.recurrent_parameters()
     if recurrent and config.clip_norm:
         clip_grad_norm(recurrent, config.clip_norm)
     main_opt.step()
 
     return LossReport(
         step=step,
-        j_c=_finite_or_raise(float(j_c.data), step, "J_C"),
-        j_f=_finite_or_raise(j_f_value, step, "J_F"),
+        j_c=_finite_or_raise(float(objective.j_c.data), step, "J_C"),
+        j_f=_finite_or_raise(objective.j_f, step, "J_F"),
         j=float(j.data),
-        parts=parts,
+        parts=objective.parts,
     )
 
 
@@ -256,28 +217,6 @@ def step_discriminator(model: FusionModel, latents: Dict[str, Tensor],
         disc_opt.step()
     # the backward also wrote grads into the generator parameters
     zero_grads(model.parameters())
-
-
-def _gan_terms(model: FusionModel, result, latents, rng: np.random.Generator,
-               adv_updates_encoders: bool):
-    """The two adversarial objectives (for reporting) and the generator-side
-    term that joins the main objective."""
-    mech: GanFusion = model.mechanism
-    # without encoder updates the two objectives are only reported
-    with nullcontext() if adv_updates_encoders else nc.no_graph():
-        parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
-        parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
-    gen_t, gen_v = parts_t, parts_v
-    if not adv_updates_encoders:
-        # rebuild generator scores from detached latents so the adversarial
-        # term cannot reach the encoders
-        gen_t = gan_adv_loss(mech.text_module, real=latents["visual"].detach(),
-                             source=latents["text"].detach(), rng=rng)
-        gen_v = gan_adv_loss(mech.visual_module, real=latents["text"].detach(),
-                             source=latents["visual"].detach(), rng=rng)
-    gen_term = nc.add(generator_loss(gen_t, mech.saturating),
-                      generator_loss(gen_v, mech.saturating))
-    return parts_t.j_adv, parts_v.j_adv, gen_term
 
 
 def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:

@@ -1,13 +1,24 @@
-"""Classification objective."""
+"""The classification objective and the main training objective.
+
+main_objective is the one definition of what the main descent step
+minimizes; the training loop steps on it and the gradient suite checks
+it against finite differences:
+  concat, unimodal  J = J_C
+  auto              J = J_C + lambda * J_auto
+  gan               J = J_C + lambda * (generator-side adversarial term)
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .. import numcore as nc
-from ..exceptions import ShapeError
+from ..exceptions import ConfigError, ShapeError
+from ..fusion import GanFusion, auto_fusion_loss, gan_adv_loss, generator_loss
 from ..numcore import Tensor
 
 
@@ -44,3 +55,68 @@ def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
     out = np.zeros((len(indices), num_classes))
     out[np.arange(len(indices)), list(indices)] = 1.0
     return out
+
+
+def batch_targets(model, pubs) -> np.ndarray:
+    """One-hot rows of the publications' labels in the model's label space."""
+    try:
+        idx = [model.label_space.index(p.label) for p in pubs]
+    except Exception as exc:
+        raise ConfigError(f"dataset labels do not match the model label space: {exc}")
+    return one_hot(idx, model.label_space.num_classes)
+
+
+@dataclass
+class Objective:
+    j: Tensor                 # what the main step minimizes
+    j_c: Tensor
+    j_f: float = 0.0          # the fusion objective: J_auto, or J_adv_t + J_adv_v
+    parts: Dict[str, float] = field(default_factory=dict)
+
+
+def main_objective(model, pubs, latents: Dict[str, Tensor], config,
+                   rng: Optional[np.random.Generator]) -> Objective:
+    """The main objective of one batch from its encoder latents (model.head
+    draws the adversarial noise from rng).
+
+    config is a TrainConfig: lam weighs the fusion term and class_weights
+    the cross-entropy. With fusion_loss_updates_encoders off, the fusion
+    term reads detached latents, a deliberate stop-gradient that confines
+    it to the fusion module.
+    """
+    probs, result = model.head(pubs, latents, rng)
+    j_c = batch_cross_entropy(batch_targets(model, pubs), probs, config.class_weights)
+    mech = model.mechanism
+    updates_encoders = config.fusion_loss_updates_encoders
+
+    if isinstance(mech, GanFusion):
+        # without encoder updates the two objectives are only reported
+        with nullcontext() if updates_encoders else nc.no_graph():
+            parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
+            parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
+        gen_t, gen_v = parts_t, parts_v
+        if not updates_encoders:
+            # rebuild generator scores from detached latents so the
+            # adversarial term cannot reach the encoders
+            gen_t = gan_adv_loss(mech.text_module, real=latents["visual"].detach(),
+                                 source=latents["text"].detach(), rng=rng)
+            gen_v = gan_adv_loss(mech.visual_module, real=latents["text"].detach(),
+                                 source=latents["visual"].detach(), rng=rng)
+        term = nc.add(generator_loss(gen_t, mech.saturating),
+                      generator_loss(gen_v, mech.saturating))
+        j_adv_t, j_adv_v = float(parts_t.j_adv.data), float(parts_v.j_adv.data)
+        j_f = j_adv_t + j_adv_v
+        parts = {"j_adv_t": j_adv_t, "j_adv_v": j_adv_v, "gen_term": float(term.data)}
+    elif result is not None and result.z_hat is not None:
+        if updates_encoders:
+            term = auto_fusion_loss(result.z, result.z_hat)
+        else:
+            z_det = result.z.detach()
+            term = auto_fusion_loss(z_det, mech.decoder(mech.encoder(z_det)))
+        j_f = float(term.data)
+        parts = {"j_auto": j_f}
+    else:
+        return Objective(j_c, j_c)
+
+    j = nc.add(j_c, nc.mul(config.lam, term)) if config.lam else j_c
+    return Objective(j, j_c, j_f, parts)

@@ -342,7 +342,6 @@ def test_criterion_09_cmd_train_determinism(tmp_path, capsys):
 def test_criterion_10_parameter_partition_100_steps():
     from fuselab.datakit import BatchStream
     from fuselab.training.loop import _train_step, step_discriminator
-    from fuselab.training.objectives import one_hot
     from fuselab.training.optim import make_optimizer
 
     ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=100, seed=5))
@@ -360,7 +359,6 @@ def test_criterion_10_parameter_partition_100_steps():
     disc_opt = make_optimizer(config.optimizer, disc_params, config.disc_lr)
     rng = np.random.default_rng(config.seed)
     stream = BatchStream(ds, config.batch_size, seed=config.seed)
-    recurrent = model.recurrent_parameters()
 
     steps = 0
     for _ in range(config.epochs):
@@ -373,13 +371,10 @@ def test_criterion_10_parameter_partition_100_steps():
                     f"discriminator update moved {p.name} at step {steps}"
 
             disc_before = [p.data.copy() for p in disc_params]
-            targets = one_hot([model.label_space.index(p.label) for p in batch],
-                              model.label_space.num_classes)
-            _train_step(model, batch, targets,
+            _train_step(model, batch,
                         TrainConfig(epochs=1, batch_size=config.batch_size,
                                     seed=config.seed),
-                        rng, main_opt, None, False, steps,
-                        model.parameters(), recurrent)
+                        rng, main_opt, None, steps)
             for before, p in zip(disc_before, disc_params):
                 assert np.array_equal(before, p.data), \
                     f"generator-side update moved {p.name} at step {steps}"

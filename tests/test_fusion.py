@@ -190,15 +190,6 @@ class TestGanFusion:
             for score in (parts.d_real, parts.d_fake):
                 assert 0.0 < score.item() < 1.0
 
-    def test_supplied_noise_draws_nothing_from_rng(self):
-        mech = self._mech(seed=1)
-        z = Tensor(np.ones((2, 3)))
-        noise = {"t": np.zeros((2, mech.noise_dim)), "v": np.ones((2, mech.noise_dim))}
-        rng = np.random.default_rng(4)
-        before = rng.bit_generator.state
-        mech.fuse_batch(z, z, rng=rng, noise=noise)
-        assert rng.bit_generator.state == before
-
     def test_append_raw_latents_widens_combiner(self):
         plain = self._mech()
         wide = self._mech(append_raw_latents=True)

@@ -199,7 +199,6 @@ class TestParameterPartition:
 
         from fuselab.training.loop import step_discriminator, _train_step
         from fuselab.training.optim import make_optimizer
-        from fuselab.training.objectives import one_hot
         from fuselab.datakit import BatchStream
 
         main_params = model.main_parameters()
@@ -208,7 +207,6 @@ class TestParameterPartition:
         disc_opt = make_optimizer(config.optimizer, disc_params, config.disc_lr)
         rng = np.random.default_rng(config.seed)
         stream = BatchStream(ds, config.batch_size, seed=config.seed)
-        recurrent = model.recurrent_parameters()
 
         step = 0
         for _ in range(config.epochs):
@@ -221,14 +219,11 @@ class TestParameterPartition:
                         f"discriminator step moved {p.name} at step {step}"
 
                 disc_before = [p.data.copy() for p in disc_params]
-                targets = one_hot([model.label_space.index(p.label) for p in batch],
-                                  model.label_space.num_classes)
                 # main step only (discriminator already stepped above)
-                _train_step(model, batch, targets,
+                _train_step(model, batch,
                             TrainConfig(epochs=1, batch_size=config.batch_size,
                                         seed=config.seed, disc_steps=1),
-                            rng, main_opt, None, False, step,
-                            model.parameters(), recurrent)
+                            rng, main_opt, None, step)
                 for before, p in zip(disc_before, disc_params):
                     assert np.array_equal(before, p.data), \
                         f"main step moved {p.name} at step {step}"
@@ -240,20 +235,41 @@ class TestParameterPartition:
 
 class TestGanTerms:
     def test_report_only_objectives_build_no_graph(self):
-        from fuselab.training.loop import _gan_terms
+        from fuselab.training.objectives import main_objective
 
         ds = _dataset(20)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:8]
         latents = model.encode(batch)
-        _, result = model.head(batch, latents, np.random.default_rng(0))
-        reported = _gan_terms(model, result, latents, np.random.default_rng(1), False)
-        trained = _gan_terms(model, result, latents, np.random.default_rng(1), True)
-        for j_rep, j_tr in zip(reported[:2], trained[:2]):
-            assert j_rep._parents == () and not j_rep.requires_grad
-            assert j_tr.requires_grad
-            assert j_rep.item() == j_tr.item()
-        assert reported[2].requires_grad  # the generator term still trains
+        reported = main_objective(model, batch, latents,
+                                  TrainConfig(fusion_loss_updates_encoders=False),
+                                  np.random.default_rng(1))
+        trained = main_objective(model, batch, latents, TrainConfig(),
+                                 np.random.default_rng(1))
+        for key in ("j_adv_t", "j_adv_v"):
+            assert reported.parts[key] == trained.parts[key]
+        assert reported.j.requires_grad  # the generator term still trains
+
+
+class TestMainObjective:
+    def test_gradient_suite_checks_the_objective_train_step_reports(self):
+        """With the fusion loss updating the encoders, the objective that
+        `fuselab gradcheck` differentiates end to end is the J the main
+        step minimizes, for the same model, batch and seeded rng."""
+        from fuselab.gradsuite import _end_to_end_objective
+        from fuselab.training.loop import _train_step
+        from fuselab.training.optim import make_optimizer
+
+        ds = _dataset(20, seed=4)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        batch = ds.publications[:6]
+        checked = _end_to_end_objective(model, batch, seed=5)().item()
+        config = TrainConfig(fusion_loss_updates_encoders=True)
+        opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
+        report = _train_step(model, batch, config, np.random.default_rng(5), opt,
+                             None, 0)
+        assert report.j == checked
+        assert report.j != report.j_c + report.j_f  # not J_C + J_adv
 
 
 class TestPredict:
@@ -419,8 +435,8 @@ class TestPersistence:
 
 class TestFullPipelineGradients:
     def test_end_to_end_objective_grad_check_d4(self):
-        """Gradient of the full objective (encoders -> fusion -> classifier,
-        both fusion losses included) on a d=4, 2-class toy.
+        """Gradient of the main training objective (encoders -> fusion ->
+        classifier, the fusion term included) on a d=4, 2-class toy.
 
         Grid noise keeps relu inputs away from the exact kink at zero,
         where finite differences are undefined.
@@ -428,8 +444,7 @@ class TestFullPipelineGradients:
         ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=4,
                                               seed=11, noise=0.2))
         vocab = Vocab.from_texts([p.text for p in ds])
-        from fuselab.training.objectives import batch_cross_entropy, one_hot
-        from fuselab.fusion import auto_fusion_loss
+        from fuselab.training.objectives import main_objective
 
         for fusion in ("concat", "auto", "gan"):
             mc = ModelConfig(input_modes="multimodal", fusion=fusion, latent_dim=4,
@@ -438,32 +453,11 @@ class TestFullPipelineGradients:
                              concat_projection=False, normalize_text=False, seed=13)
             model = build_model(mc, ds.label_space, vocab)
             pubs = ds.publications[:2]
-            targets = one_hot([model.label_space.index(p.label) for p in pubs], 2)
-            frozen_noise = np.random.default_rng(17)
-            noise = {
-                "t": frozen_noise.standard_normal((2, model.mechanism.noise_dim))
-                if fusion == "gan" else None,
-                "v": frozen_noise.standard_normal((2, model.mechanism.noise_dim))
-                if fusion == "gan" else None,
-            }
 
             def objective():
-                z_t = model._encode_texts(pubs)
-                z_v = model._encode_visuals(pubs)
-                if fusion == "gan":
-                    result = model.mechanism.fuse_batch(z_v, z_t, noise=noise)
-                else:
-                    result = model.mechanism.fuse_batch(z_v, z_t)
-                probs = model.classifier(result.z_fuse)
-                j = batch_cross_entropy(targets, probs)
-                if fusion == "auto":
-                    j = nc.add(j, auto_fusion_loss(result.z, result.z_hat))
-                if fusion == "gan":
-                    mech = model.mechanism
-                    j_adv = nc.add(mech.text_module.adversarial(z_v, result.z_g["t"]).j_adv,
-                                   mech.visual_module.adversarial(z_t, result.z_g["v"]).j_adv)
-                    j = nc.add(j, j_adv)
-                return j
+                # a fresh generator per evaluation freezes the GAN noise
+                return main_objective(model, pubs, model.encode(pubs), TrainConfig(),
+                                      np.random.default_rng(17)).j
 
             reports = nc.grad_check_params(objective, model.parameters(),
                                            h=1e-5, tol=1e-4)

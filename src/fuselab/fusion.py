@@ -36,6 +36,7 @@ class FusionResult:
     z: Optional[Tensor] = None        # concatenated input latents (auto)
     z_hat: Optional[Tensor] = None    # reconstruction (auto)
     z_g: Dict[str, Tensor] = field(default_factory=dict)  # generator outputs per modality
+    noise: Dict[str, np.ndarray] = field(default_factory=dict)  # the noise behind z_g
 
 
 def _check_pair(z_v: Tensor, z_t: Tensor, dim: int) -> None:
@@ -257,7 +258,8 @@ class GanFusion:
         if self.append_raw_latents:
             pieces += [z_v, z_t]
         z_fuse = self.combiner(nc.concat(pieces, axis=1))
-        return FusionResult(z_fuse=z_fuse, z_g={"t": z_g_t, "v": z_g_v})
+        return FusionResult(z_fuse=z_fuse, z_g={"t": z_g_t, "v": z_g_v},
+                            noise={"t": noise_t, "v": noise_v})
 
 
 def auto_fusion_loss(z: Tensor, z_hat: Tensor) -> Tensor:

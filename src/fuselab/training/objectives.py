@@ -10,7 +10,6 @@ it against finite differences:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..exceptions import ConfigError, ShapeError
-from ..fusion import GanFusion, auto_fusion_loss, gan_adv_loss, generator_loss
+from ..fusion import GanFusion, auto_fusion_loss, generator_loss
 from ..numcore import Tensor
 
 
@@ -90,23 +89,22 @@ def main_objective(model, pubs, latents: Dict[str, Tensor], config,
     updates_encoders = config.fusion_loss_updates_encoders
 
     if isinstance(mech, GanFusion):
-        # without encoder updates the two objectives are only reported
-        with nullcontext() if updates_encoders else nc.no_graph():
-            parts_t = mech.text_module.adversarial(latents["visual"], result.z_g["t"])
-            parts_v = mech.visual_module.adversarial(latents["text"], result.z_g["v"])
-        gen_t, gen_v = parts_t, parts_v
-        if not updates_encoders:
-            # rebuild generator scores from detached latents so the
-            # adversarial term cannot reach the encoders
-            gen_t = gan_adv_loss(mech.text_module, real=latents["visual"].detach(),
-                                 source=latents["text"].detach(), rng=rng)
-            gen_v = gan_adv_loss(mech.visual_module, real=latents["text"].detach(),
-                                 source=latents["visual"].detach(), rng=rng)
-        term = nc.add(generator_loss(gen_t, mech.saturating),
-                      generator_loss(gen_v, mech.saturating))
-        j_adv_t, j_adv_v = float(parts_t.j_adv.data), float(parts_v.j_adv.data)
-        j_f = j_adv_t + j_adv_v
-        parts = {"j_adv_t": j_adv_t, "j_adv_v": j_adv_v, "gen_term": float(term.data)}
+        # one adversarial pass per module scores the z_g the combiner
+        # consumed; without encoder updates z_g is regenerated from detached
+        # latents with the same noise, so only its gradient path differs
+        parts, gen_terms = {}, []
+        for key, module, real, source in (("t", mech.text_module, "visual", "text"),
+                                          ("v", mech.visual_module, "text", "visual")):
+            if updates_encoders:
+                adv = module.adversarial(latents[real], result.z_g[key])
+            else:
+                z_g = module.generate(latents[source].detach(), result.noise[key])
+                adv = module.adversarial(latents[real].detach(), z_g)
+            parts[f"j_adv_{key}"] = float(adv.j_adv.data)
+            gen_terms.append(generator_loss(adv, mech.saturating))
+        term = nc.add(*gen_terms)
+        j_f = parts["j_adv_t"] + parts["j_adv_v"]
+        parts["gen_term"] = float(term.data)
     elif result is not None and result.z_hat is not None:
         if updates_encoders:
             term = auto_fusion_loss(result.z, result.z_hat)

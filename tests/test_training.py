@@ -234,21 +234,48 @@ class TestParameterPartition:
 
 
 class TestGanTerms:
-    def test_report_only_objectives_build_no_graph(self):
+    def _run(self, model, batch, **overrides):
+        """The main objective at rng seed 1 after its backward pass."""
         from fuselab.training.objectives import main_objective
 
+        nc.zero_grads(model.parameters())
+        objective = main_objective(model, batch, model.encode(batch),
+                                   TrainConfig(**overrides), np.random.default_rng(1))
+        objective.j.backward()
+        return objective
+
+    def test_generator_term_reaches_no_encoder(self):
         ds = _dataset(20)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:8]
-        latents = model.encode(batch)
-        reported = main_objective(model, batch, latents,
-                                  TrainConfig(fusion_loss_updates_encoders=False),
-                                  np.random.default_rng(1))
-        trained = main_objective(model, batch, latents, TrainConfig(),
-                                 np.random.default_rng(1))
-        for key in ("j_adv_t", "j_adv_v"):
-            assert reported.parts[key] == trained.parts[key]
-        assert reported.j.requires_grad  # the generator term still trains
+        encoders = model.text_encoder.parameters() + model.visual_encoder.parameters()
+        generators = model.mechanism.generator_parameters()
+
+        def grads(params, **overrides):
+            self._run(model, batch, **overrides)
+            return [p.grad.copy() for p in params]
+
+        j_c_only = grads(encoders + generators, lam=0.0)
+        stopped = grads(encoders + generators, lam=1.0,
+                        fusion_loss_updates_encoders=False)
+        n = len(encoders)
+        for a, b in zip(j_c_only[:n], stopped[:n]):
+            assert np.array_equal(a, b)
+        assert any(not np.array_equal(a, b) for a, b in zip(j_c_only[n:], stopped[n:]))
+        end_to_end = grads(encoders, lam=1.0, fusion_loss_updates_encoders=True)
+        assert any(not np.array_equal(a, b) for a, b in zip(j_c_only, end_to_end))
+
+    def test_generator_term_scores_the_combiners_z_g(self):
+        """The detached path regenerates z_g with the noise fuse_batch drew,
+        so every reported part equals the end-to-end path's, which scores
+        the combiner's z_g itself."""
+        ds = _dataset(20)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        batch = ds.publications[:8]
+        stopped = self._run(model, batch, fusion_loss_updates_encoders=False)
+        end_to_end = self._run(model, batch, fusion_loss_updates_encoders=True)
+        assert stopped.parts == end_to_end.parts
+        assert stopped.j.item() == end_to_end.j.item()
 
 
 class TestMainObjective:

@@ -27,7 +27,7 @@ from .training import (
     save_model,
     train,
 )
-from .training.model import ModelConfig
+from .training.model import ModelConfig, read_text
 
 
 def prepare_data(config: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
@@ -46,14 +46,7 @@ def build_vocab(train_ds: Dataset, model_config: ModelConfig,
                 max_size: Optional[int] = None) -> Vocab:
     """Vocabulary over the training split, tokenized exactly as the model
     will tokenize at run time."""
-    if model_config.normalize_text:
-        from .textprep import normalize
-
-        texts = []
-        for pub in train_ds:
-            texts.append(" ".join(t.surface for t in normalize(pub.full_text()).tokens))
-    else:
-        texts = [pub.full_text() for pub in train_ds]
+    texts = [read_text(pub.full_text(), model_config.normalize_text)[0] for pub in train_ds]
     return Vocab.from_texts(texts, max_size=max_size)
 
 

@@ -36,7 +36,7 @@ from ..exceptions import ConfigError, FormatError, InputError
 from ..fusion import AutoFusion, ConcatFusion, FusionResult, GanFusion
 from ..layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from ..numcore import Tensor
-from ..textprep import extract_entity_tuple, normalize
+from ..textprep import EntityTuple, extract_entity_tuple, normalize
 
 MAGIC = b"FUSEMODL"
 FORMAT_VERSION = 1
@@ -101,6 +101,16 @@ class ModelConfig:
         obj = dict(obj)
         obj["visual_channels"] = tuple(obj.get("visual_channels", (8, 16)))
         return cls(**obj)
+
+
+def read_text(text: str, normalize_text: bool,
+              entity_tuple: bool = False) -> Tuple[str, Optional[EntityTuple]]:
+    """The text a model's vocabulary splits into tokens (the normalizer's
+    token surfaces joined by spaces, or the raw text) and, when asked for,
+    the entity tuple of the normalized text; normalize runs at most once."""
+    normalized = normalize(text) if normalize_text or entity_tuple else None
+    surfaces = " ".join(t.surface for t in normalized.tokens) if normalize_text else text
+    return surfaces, extract_entity_tuple(normalized) if entity_tuple else None
 
 
 def _in_input_order(chunks: List[Tensor], order: List[int]) -> Tensor:
@@ -196,14 +206,7 @@ class FusionModel:
 
     # -- forward pipeline ---------------------------------------------------
 
-    def tokenize(self, text: str) -> List[int]:
-        if self.config.normalize_text:
-            surfaces = [t.surface for t in normalize(text).tokens]
-            return self.vocab.encode(" ".join(surfaces))
-        return self.vocab.encode(text)
-
-    def _encode_texts(self, pubs: Sequence[Publication]) -> Tensor:
-        sequences = [self.tokenize(p.full_text()) for p in pubs]
+    def _encode_texts(self, sequences: List[List[int]]) -> Tensor:
         by_length: Dict[int, List[int]] = {}
         for i, seq in enumerate(sequences):
             by_length.setdefault(len(seq), []).append(i)
@@ -249,12 +252,11 @@ class FusionModel:
             rows[i] = p.visual_features
         return self.visual_encoder(Tensor(rows))
 
-    def _tuple_vectors(self, pubs: Sequence[Publication]) -> Tensor:
+    def _tuple_vectors(self, tuples: List[EntityTuple]) -> Tensor:
         table = self.text_encoder.embedding
         rows: List[Tensor] = []
-        for p in pubs:
-            tokens = extract_entity_tuple(normalize(p.full_text())).tokens()
-            ids = [self.vocab.index.get(t, self.vocab.oov_id) for t in tokens]
+        for entity_tuple in tuples:
+            ids = [self.vocab.index.get(t, self.vocab.oov_id) for t in entity_tuple.tokens()]
             if ids:
                 rows.append(nc.tmean(table.lookup(ids), axis=0).reshape(1, table.dim))
             else:
@@ -274,7 +276,9 @@ class FusionModel:
 
     def encode(self, pubs: Sequence[Publication]) -> Dict[str, Tensor]:
         """Encoder latents (batch, d) of every modality the model reads,
-        keyed "text" and "visual". Draws no randomness."""
+        keyed "text" and "visual", plus the entity-tuple rows under "tuple"
+        when the model reads them. Each text is normalized once. Draws no
+        randomness."""
         if not pubs:
             raise InputError("encode: empty batch")
         latents: Dict[str, Tensor] = {}
@@ -284,7 +288,12 @@ class FusionModel:
                 if not p.has_text() and mode == "text":
                     raise InputError(f"publication {p.id}: text required by a "
                                      f"text-only model")
-            latents["text"] = self._encode_texts(pubs)
+            wants_tuple = self.config.wants_entity_tuple
+            texts = [read_text(p.full_text(), self.config.normalize_text, wants_tuple)
+                     for p in pubs]
+            latents["text"] = self._encode_texts([self.vocab.encode(t) for t, _ in texts])
+            if wants_tuple:
+                latents["tuple"] = self._tuple_vectors([e for _, e in texts])
         if mode in ("visual", "multimodal"):
             latents["visual"] = self._encode_visuals(pubs)
         return latents
@@ -304,7 +313,7 @@ class FusionModel:
 
         pieces = [base]
         if self.config.wants_entity_tuple:
-            pieces.append(self._tuple_vectors(pubs))
+            pieces.append(latents["tuple"])
         if self.config.entity_feature_dim:
             pieces.append(self._entity_feature_rows(pubs))
         features = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=1)

@@ -132,10 +132,28 @@ class TestEntityTuplePath:
                         embed_dim=4, hidden_dim=3, use_entity_tuple=False,
                         normalize_text=False, seed=7),
             ds.label_space, vocab)
-        batched = model._encode_texts(pubs)
+        batched = model.encode(pubs)["text"]
         for row, pub in zip(batched.data, pubs):
-            single = model._encode_texts([pub])
+            single = model.encode([pub])["text"]
             assert np.allclose(row, single.data[0], atol=1e-12)
+
+    def test_each_text_is_normalized_once_per_forward(self, monkeypatch):
+        import fuselab.training.model as model_module
+
+        pubs = [Publication(id="a", label="Hate", text="the dog chased a ball"),
+                Publication(id="b", label="NoHate", text="hello @bob #sunny")]
+        ds = Dataset(pubs, BINARY_SPACE)
+        model = build_model(
+            ModelConfig(input_modes="text", fusion=None, latent_dim=6,
+                        embed_dim=4, hidden_dim=3, seed=2),
+            ds.label_space, Vocab.from_texts([p.text for p in pubs]))
+        assert model.config.normalize_text and model.config.wants_entity_tuple
+        seen = []
+        normalize = model_module.normalize
+        monkeypatch.setattr(model_module, "normalize",
+                            lambda text: seen.append(text) or normalize(text))
+        model.forward_batch(pubs)
+        assert seen == [p.full_text() for p in pubs]
 
     def test_tuple_path_predicts(self):
         pubs = [Publication(id="a", label="Hate", text="the dog chased a ball quickly"),

@@ -33,19 +33,51 @@ class CheckReport:
         return f"{name}max_rel_err={self.max_rel_err:.3e} [{status}]"
 
 
-def _eval_scalar(f: Callable[[Tensor], Tensor], point: Tensor, coord) -> float:
-    with no_graph():
-        out = f(point)
-    if not isinstance(out, Tensor):
-        raise ContractError("grad_check: function must return a Tensor")
-    if out.size != 1:
-        raise ContractError(f"grad_check: function must be scalar-valued, got {out.shape}")
-    val = float(out.data.reshape(()))
-    if not np.isfinite(val):
-        raise EvaluationError(
-            f"grad_check: non-finite value at coordinate {coord}", coordinate=coord
-        )
-    return val
+def _scalar(out, who: str) -> float:
+    if not isinstance(out, Tensor) or out.size != 1:
+        raise ContractError(f"{who}: function must return a scalar Tensor")
+    return float(out.data.reshape(()))
+
+
+def _compare(evaluate: Callable[[], Tensor], flat: np.ndarray, shape: Tuple[int, ...],
+             analytic: np.ndarray, h: float, tol: float, label: str,
+             who: str) -> CheckReport:
+    """Central differences of evaluate() in each coordinate of flat, a
+    writable view of the values it reads, against the analytic gradient.
+    Each coordinate is restored, also when a probe raises."""
+    numeric = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        try:
+            with no_graph():
+                flat[i] = orig + h
+                fp = _scalar(evaluate(), who)
+                flat[i] = orig - h
+                fm = _scalar(evaluate(), who)
+        finally:
+            flat[i] = orig
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            coord = np.unravel_index(i, shape) if shape else ()
+            where = f" of {label}" if label else ""
+            raise EvaluationError(f"{who}: non-finite value at coordinate {coord}{where}",
+                                  coordinate=coord)
+        numeric[i] = (fp - fm) / (2.0 * h)
+
+    a = analytic.reshape(-1)
+    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
+    rel = np.abs(a - numeric) / denom
+    if rel.size == 0:
+        return CheckReport(0.0, True, label=label)
+    worst = int(np.argmax(rel))
+    err = float(rel[worst])
+    return CheckReport(
+        max_rel_err=err,
+        passed=err < tol,
+        worst_coord=np.unravel_index(worst, shape) if shape else (),
+        analytic_at_worst=float(a[worst]),
+        numeric_at_worst=float(numeric[worst]),
+        label=label,
+    )
 
 
 def grad_check(
@@ -58,42 +90,13 @@ def grad_check(
     """Compare the analytic gradient of f at point against central differences."""
     x = Tensor(np.array(point.data, dtype=np.float64, copy=True), requires_grad=True)
     out = f(x)
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("grad_check: function must return a scalar Tensor")
-    if not np.isfinite(out.data).all():
+    if not np.isfinite(_scalar(out, "grad_check")):
         raise EvaluationError("grad_check: non-finite value at base point", coordinate=None)
     out.backward()
     analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-
     probe = Tensor(x.data.copy())
-    flat = probe.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        coord = np.unravel_index(i, probe.shape) if probe.ndim else ()
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = _eval_scalar(f, probe, coord)
-        flat[i] = orig - h
-        fm = _eval_scalar(f, probe, coord)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-
-    a = analytic.reshape(-1)
-    denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
-    rel = np.abs(a - numeric) / denom
-    if rel.size == 0:
-        return CheckReport(0.0, True, label=label)
-    worst = int(np.argmax(rel))
-    coord = np.unravel_index(worst, probe.shape) if probe.ndim else ()
-    err = float(rel[worst])
-    return CheckReport(
-        max_rel_err=err,
-        passed=err < tol,
-        worst_coord=coord,
-        analytic_at_worst=float(a[worst]),
-        numeric_at_worst=float(numeric[worst]),
-        label=label,
-    )
+    return _compare(lambda: f(probe), probe.data.reshape(-1), probe.shape, analytic,
+                    h, tol, label, "grad_check")
 
 
 def grad_check_params(
@@ -112,8 +115,7 @@ def grad_check_params(
     for p in params:
         p.grad = None
     out = f()
-    if not isinstance(out, Tensor) or out.size != 1:
-        raise ContractError("grad_check_params: function must return a scalar Tensor")
+    _scalar(out, "grad_check_params")
     out.backward()
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
     for p in params:
@@ -122,38 +124,6 @@ def grad_check_params(
     reports: Dict[str, CheckReport] = {}
     for k, p in enumerate(params):
         label = labels[k] if labels else (p.name or f"param{k}")
-        flat = p.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            try:
-                with no_graph():
-                    flat[i] = orig + h
-                    fp = float(f().data.reshape(()))
-                    flat[i] = orig - h
-                    fm = float(f().data.reshape(()))
-            finally:
-                flat[i] = orig
-            if not (np.isfinite(fp) and np.isfinite(fm)):
-                coord = np.unravel_index(i, p.shape) if p.ndim else ()
-                raise EvaluationError(
-                    f"grad_check_params: non-finite value at {label}{coord}", coordinate=coord
-                )
-            numeric[i] = (fp - fm) / (2.0 * h)
-        a = analytic[k].reshape(-1)
-        denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
-        rel = np.abs(a - numeric) / denom
-        if rel.size == 0:
-            reports[label] = CheckReport(0.0, True, label=label)
-            continue
-        worst = int(np.argmax(rel))
-        err = float(rel[worst])
-        reports[label] = CheckReport(
-            max_rel_err=err,
-            passed=err < tol,
-            worst_coord=np.unravel_index(worst, p.shape) if p.ndim else (),
-            analytic_at_worst=float(a[worst]),
-            numeric_at_worst=float(numeric[worst]),
-            label=label,
-        )
+        reports[label] = _compare(f, p.data.reshape(-1), p.shape, analytic[k], h, tol,
+                                  label, "grad_check_params")
     return reports

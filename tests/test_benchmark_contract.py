@@ -1,0 +1,67 @@
+"""The names the benchmark in perfbench/ reaches fuselab by.
+
+perfbench wraps fuselab functions and methods by module and attribute
+name, and a target that is gone fails the run. These tests catch a
+rename here first, and pin how many objective evaluations one
+finite-difference check makes: the gradcheck workload times each one.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fuselab import numcore as nc
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    return tracing
+
+
+def test_every_span_and_probe_target_resolves(tracing):
+    for _, module, path, _ in tracing.SPANS:
+        tracing._resolve(module, path)
+    for module, path in tracing.ProbeClock.TARGETS:
+        tracing._resolve(module, path)
+
+
+def test_step_clock_wraps_evaluate_model_through_the_loop_module(tracing):
+    from hostspeed import Timeline
+
+    from fuselab.training import loop
+
+    original = loop.evaluate_model
+    clock = tracing.StepClock(Timeline())
+    clock.install()
+    try:
+        assert loop.evaluate_model is not original
+    finally:
+        clock.uninstall()
+    assert loop.evaluate_model is original
+
+
+@pytest.mark.parametrize("check", ["grad_check", "grad_check_params"])
+def test_one_check_on_a_three_vector_records_seven_probes(tracing, check):
+    """One analytic pass plus two probes per coordinate: a check that
+    called the other by its public name would record each probe twice."""
+    from hostspeed import Timeline
+
+    clock = tracing.ProbeClock(Timeline())
+    clock.install()
+    try:
+        point = np.array([0.3, -0.2, 0.5])
+        if check == "grad_check":
+            report = nc.grad_check(lambda x: nc.tsum(nc.tanh(x)), nc.Tensor(point))
+        else:
+            w = nc.Tensor(point, requires_grad=True, name="w")
+            (report,) = nc.grad_check_params(lambda: nc.tsum(nc.tanh(w)), [w]).values()
+    finally:
+        clock.uninstall()
+    assert report.passed
+    assert len(clock.probes) == 7

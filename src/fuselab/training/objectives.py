@@ -56,7 +56,7 @@ def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
     return out
 
 
-def batch_targets(model, pubs) -> np.ndarray:
+def _targets(model, pubs) -> np.ndarray:
     """One-hot rows of the publications' labels in the model's label space."""
     try:
         idx = [model.label_space.index(p.label) for p in pubs]
@@ -84,7 +84,7 @@ def main_objective(model, pubs, latents: Dict[str, Tensor], config,
     it to the fusion module.
     """
     probs, result = model.head(pubs, latents, rng)
-    j_c = batch_cross_entropy(batch_targets(model, pubs), probs, config.class_weights)
+    j_c = batch_cross_entropy(_targets(model, pubs), probs, config.class_weights)
     mech = model.mechanism
     updates_encoders = config.fusion_loss_updates_encoders
 

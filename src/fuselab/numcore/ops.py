@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import DomainError, ShapeError
-from .tensor import Arrayish, Tensor, as_tensor
+from .tensor import Arrayish, Tensor, _recording, as_tensor
 
 LOG_EPS = 1e-12
 
@@ -366,10 +366,23 @@ def relu(a: Arrayish) -> Tensor:
     return Tensor._from_op(out, "relu", (a,), backward)
 
 
-def softmax(a: Arrayish, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max subtraction before exp)."""
+def softmax(a: Arrayish, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Stable softmax along one axis (max subtraction before exp).
+
+    With a boolean mask of a's shape, entries where it is False get weight
+    exactly 0 and the others normalize among themselves; every slice along
+    the axis needs one True entry.
+    """
     a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    if mask is None:
+        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    else:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != a.shape or not mask.any(axis=axis).all():
+            raise ShapeError(f"softmax: mask {mask.shape} must match {a.shape} and "
+                             f"keep an entry in every slice")
+        peak = np.max(a.data, axis=axis, keepdims=True, initial=-np.inf, where=mask)
+        shifted = np.where(mask, a.data - peak, -np.inf)
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
 
@@ -396,7 +409,8 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
 # recurrence
 
 
-def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = False) -> Tensor:
+def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = False,
+                     lengths: Optional[np.ndarray] = None) -> Tensor:
     """Hidden states of a gated recurrent cell run over a batch of sequences.
 
     x is (batch, T, e); w (4h, e+h) stacks the input, forget, output and
@@ -407,10 +421,17 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     when reverse=True runs time backwards. It is one graph node, and its
     backward is backpropagation through time.
 
+    lengths (batch,), each in 1..T, gives every row its own length; None
+    means every row is T long. A row keeps its state on the steps past its
+    length and ignores x there, so reverse=True starts it at its own last
+    token. Its states at those padded positions are 0 and carry no
+    gradient, and its dx there is 0.
+
     Every value, forward and backward, is rounded as in the same cell
-    built from the primitive ops above, so both give the same values.
-    A non-finite gate pre-activation or cell state is a domain error,
-    although sigmoid and tanh would saturate it to a finite state.
+    built from the primitive ops above, so both give the same values;
+    when every row is T long the op runs no masking at all. A non-finite
+    gate pre-activation or cell state is a domain error, although sigmoid
+    and tanh would saturate it to a finite state.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 3 or w.ndim != 2 or w.shape[0] < 4 or w.shape[0] % 4:
@@ -423,31 +444,53 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
                          f"do not conform")
     times = range(steps - 1, -1, -1) if reverse else range(steps)
     xd, wd, bd = x.data, w.data, b.data
+    held = None  # (steps, batch, 1): True where step s is past the row's length
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if (lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer)
+                or (batch and (lengths.min() < 1 or lengths.max() > steps))):
+            raise ShapeError(f"gated_recurrence: lengths must be {batch} integers in "
+                             f"1..{steps}, got {lengths!r}")
+        if (lengths != steps).any():
+            held = (np.asarray(times)[:, None] >= lengths[None, :])[:, :, None]
+            xd = np.where((np.arange(steps) < lengths[:, None])[:, :, None], xd, 0.0)
     # per step: the cell input [x_t, h], the gate pre-activations, their
-    # activations i, f, o, g, the cell state and its tanh
-    cats = np.empty((steps, batch, e + hd))
-    seq = np.swapaxes(xd, 0, 1)
-    cats[:, :, :e] = seq[::-1] if reverse else seq
-    gates = np.empty((steps, batch, 4 * hd))
+    # activations i, f, o, g, the cell state and its tanh. The backward
+    # reads every step; a graph-free call keeps one step and checks it.
+    kept = steps if _recording((x, w, b)) else 1
+    cats = np.empty((kept, batch, e + hd))
+    gates = np.empty((kept, batch, 4 * hd))
     acts = np.empty_like(gates)
-    cells = np.empty((steps, batch, hd))
+    cells = np.empty((kept, batch, hd))
     tcells = np.empty_like(cells)
     out = np.empty((batch, steps, hd))
     zeros = np.zeros((batch, hd))
     h = c = zeros
     for s, t in enumerate(times):
-        cat, z, act = cats[s], gates[s], acts[s]
+        k = s % kept
+        cat, z, act = cats[k], gates[k], acts[k]
+        cat[:, :e] = xd[:, t, :]
         cat[:, e:] = h
         np.matmul(cat, wd.T, out=z)
         z += bd
         act[:, : 3 * hd] = _sigmoid(z[:, : 3 * hd])
         np.tanh(z[:, 3 * hd :], out=act[:, 3 * hd :])
         i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
-        c = np.add(f * c, i * g, out=cells[s])
-        tc = np.tanh(c, out=tcells[s])
-        h = np.multiply(o, tc, out=out[:, t, :])
-    if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
-        raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
+        if held is None:
+            c = np.add(f * c, i * g, out=cells[k])
+            tc = np.tanh(c, out=tcells[k])
+            h = np.multiply(o, tc, out=out[:, t, :])
+        else:
+            keep = held[s]
+            cells[k] = np.where(keep, c, f * c + i * g)
+            c = cells[k]
+            tc = np.tanh(c, out=tcells[k])
+            h = np.where(keep, h, o * tc)
+            out[:, t, :] = np.where(keep, 0.0, h)
+        if kept == 1 or s == steps - 1:
+            if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
+                raise DomainError("op 'gated_recurrence' produced a non-finite gate or "
+                                  "cell state")
 
     def backward(dout):
         # sigmoid a passes d on as (d * a) * (1 - a), tanh a as d * (1 - a * a)
@@ -468,6 +511,11 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             dc = dh * o * dtanh_c[s]
             if dc_next is not None:
                 dc += dc_next
+            if held is not None:
+                # a held row's step is constant: its output is 0 and its
+                # state is the zero start or a state no later step reads
+                dh = np.where(held[s], 0.0, dh)
+                dc = np.where(held[s], 0.0, dc)
             np.multiply(dc, g, out=dgates[:, :hd])
             np.multiply(dc, cells[s - 1] if s else zeros, out=dgates[:, hd : 2 * hd])
             np.multiply(dh, tcells[s], out=dgates[:, 2 * hd : 3 * hd])

@@ -58,6 +58,12 @@ def no_graph():
         _mode.building = previous
 
 
+def _recording(parents: Sequence["Tensor"]) -> bool:
+    """Whether an op on these parents records a graph node, and so whether
+    its backward will read what the forward computed."""
+    return _mode.building and any(p.requires_grad for p in parents)
+
+
 class Tensor:
     """A node in the compute graph: value, optional gradient, provenance."""
 
@@ -87,7 +93,7 @@ class Tensor:
         if not np.isfinite(data).all():
             raise DomainError(f"op '{op}' produced a non-finite value")
         out = cls(data)
-        if _mode.building and any(p.requires_grad for p in parents):
+        if _recording(parents):
             out.requires_grad = True
             out._op = op
             out._parents = parents

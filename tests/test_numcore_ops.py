@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuselab import numcore as nc
 from fuselab.exceptions import DomainError, ShapeError
@@ -210,6 +212,79 @@ def test_gated_recurrence_shape_contract():
         nc.gated_recurrence(x, nc.Tensor(w.data[:, 1:]), b)
     with pytest.raises(ShapeError):
         nc.gated_recurrence(x, w, nc.Tensor(b.data[1:]))
+    for lengths in ([3], [3, 0], [4, 1], [2.0, 3.0], [[3, 3]]):
+        with pytest.raises(ShapeError):
+            nc.gated_recurrence(x, w, b, lengths=np.array(lengths))
+
+
+def _masked_against_trimmed(lengths, reverse, seed):
+    """Run the op on a batch padded to the longest of lengths, with large
+    values in the padding, and on each row trimmed to its length: states
+    and the x, w and b gradients agree within 1e-12, and the padded
+    positions have zero states and zero dx."""
+    lengths = np.asarray(lengths)
+    batch, steps = len(lengths), int(lengths.max())
+    x, w, b, weights = _recurrence_inputs(batch, steps, seed=seed)
+    padded = np.arange(steps)[None, :] >= lengths[:, None]
+    x.data[padded] = 1e3 * np.random.default_rng(seed).normal(size=(padded.sum(), 3))
+    out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
+    nc.tsum(nc.mul(out, weights)).backward()
+    assert not out.data[padded].any() and not x.grad[padded].any()
+    dw, db = np.zeros_like(w.data), np.zeros_like(b.data)
+    for r, length in enumerate(lengths):
+        xr = nc.Tensor(x.data[r : r + 1, :length], requires_grad=True)
+        wr = nc.Tensor(w.data, requires_grad=True)
+        br = nc.Tensor(b.data, requires_grad=True)
+        single = nc.gated_recurrence(xr, wr, br, reverse=reverse)
+        nc.tsum(nc.mul(single, nc.Tensor(weights.data[r : r + 1, :length]))).backward()
+        assert np.max(np.abs(out.data[r, :length] - single.data[0])) <= 1e-12
+        assert np.max(np.abs(x.grad[r, :length] - xr.grad[0])) <= 1e-12
+        dw += wr.grad
+        db += br.grad
+    assert np.max(np.abs(w.grad - dw)) <= 1e-12
+    assert np.max(np.abs(b.grad - db)) <= 1e-12
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gated_recurrence_rows_match_their_trimmed_runs(reverse):
+    _masked_against_trimmed([5, 2, 1, 5, 3], reverse, seed=4)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       reverse=st.booleans(), seed=st.integers(0, 1000))
+def test_gated_recurrence_masking_property(lengths, reverse, seed):
+    _masked_against_trimmed(lengths, reverse, seed)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gated_recurrence_full_lengths_are_byte_identical(reverse):
+    x, w, b, weights = _recurrence_inputs(3, 6, seed=8)
+    runs = []
+    for lengths in (None, np.full(3, 6)):
+        for p in (x, w, b):
+            p.grad = None
+        out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
+        nc.tsum(nc.mul(out, weights)).backward()
+        runs.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+    assert runs[0] == runs[1]
+
+
+def test_masked_softmax_weighs_masked_entries_zero():
+    rng = np.random.default_rng(5)
+    a = nc.Tensor(rng.normal(scale=30.0, size=(3, 6)), requires_grad=True)
+    mask = np.arange(6)[None, :] < np.array([[6], [2], [1]])
+    out = nc.softmax(a, axis=-1, mask=mask)
+    assert (out.data[~mask] == 0.0).all()
+    for r, keep in enumerate(mask):
+        want = nc.softmax(nc.Tensor(a.data[r, keep])).data
+        assert np.allclose(out.data[r, keep], want, rtol=0, atol=1e-15)
+    nc.tsum(nc.mul(out, nc.Tensor(rng.normal(size=(3, 6))))).backward()
+    assert (a.grad[~mask] == 0.0).all()
+    assert nc.softmax(a, axis=-1, mask=np.ones((3, 6), bool)).data.tobytes() == \
+        nc.softmax(a, axis=-1).data.tobytes()
+    with pytest.raises(ShapeError):
+        nc.softmax(a, axis=-1, mask=mask & (np.arange(3) != 1)[:, None])
 
 
 def test_sigmoid_kernel_matches_masked_two_branch_form():

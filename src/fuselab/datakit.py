@@ -212,7 +212,7 @@ def load_jsonl(path) -> Dataset:
         raise ConfigError(f"dataset file not found: {path}")
     publications: List[Publication] = []
     label_space: Optional[LabelSpace] = None
-    seen_labels: List[str] = []
+    linenos: List[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -227,7 +227,14 @@ def load_jsonl(path) -> Dataset:
             if "_schema" in rec:
                 if not str(rec["_schema"]).startswith(SCHEMA_NAME):
                     raise SchemaError(f"{path}:{lineno}: unknown schema {rec['_schema']!r}")
-                label_space = LabelSpace.from_json(rec["label_space"])
+                space = rec.get("label_space")
+                if not isinstance(space, dict) or "names" not in space:
+                    raise SchemaError(f"{path}:{lineno}: header needs a 'label_space' "
+                                      f"object with 'names'")
+                try:
+                    label_space = LabelSpace.from_json(space)
+                except (ConfigError, TypeError, ValueError) as exc:
+                    raise SchemaError(f"{path}:{lineno}: bad label space ({exc})")
                 continue
             where = f"{path}:{lineno}"
             for required in ("id", "label"):
@@ -249,17 +256,17 @@ def load_jsonl(path) -> Dataset:
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"{where}: bad record ({exc})")
             publications.append(pub)
-            seen_labels.append(pub.label)
+            linenos.append(lineno)
     if label_space is None:
-        names = tuple(sorted(set(seen_labels)))
+        names = tuple(sorted({pub.label for pub in publications}))
         if not names:
             raise SchemaError(f"{path}: no records and no label-space header")
         mode = "binary" if set(names) == {HATE, NO_HATE} else "multi"
         label_space = LabelSpace(names, mode)
     dataset = Dataset(publications, label_space)
-    for lineno_pub, pub in enumerate(publications):
+    for lineno, pub in zip(linenos, publications):
         if pub.label not in label_space.names:
-            raise SchemaError(f"{path}: unknown label {pub.label!r} "
+            raise SchemaError(f"{path}:{lineno}: unknown label {pub.label!r} "
                               f"(space is {list(label_space.names)})")
     return dataset
 
@@ -399,13 +406,18 @@ class BatchStream:
         self.seed = seed
         self._epoch = 0
 
-    def __iter__(self) -> Iterator[List[Publication]]:
+    def indices(self) -> Iterator[np.ndarray]:
+        """The next epoch's batches as arrays of dataset row indices."""
         rng = np.random.default_rng((self.seed, self._epoch))
         self._epoch += 1
         order = rng.permutation(len(self.dataset))
+        for start in range(0, len(order), self.batch_size):
+            yield order[start : start + self.batch_size]
+
+    def __iter__(self) -> Iterator[List[Publication]]:
         pubs = self.dataset.publications
-        for start in range(0, len(pubs), self.batch_size):
-            yield [pubs[i] for i in order[start : start + self.batch_size]]
+        for idx in self.indices():
+            yield [pubs[i] for i in idx]
 
 
 def split_and_batch(dataset: Dataset, ratios: Sequence[float], batch_size: int,

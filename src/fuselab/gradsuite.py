@@ -79,17 +79,20 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         report = grad_check(f, point, h=h, tol=tol, label=label)
         reports.append(report)
 
-    # the fused recurrence, both directions, batch 2 and length 4; its own
+    # the fused recurrence, both directions, batch 2 with lengths 4 and 2,
+    # so the held steps of the shorter row are checked too; its own
     # generator leaves the draws of every other check as they were
     own = np.random.default_rng(19)
     x = Tensor(own.normal(size=(2, 4, 3)), requires_grad=True, name="x")
     w = Tensor(own.uniform(-0.6, 0.6, size=(8, 5)), requires_grad=True, name="w")
     b = Tensor(own.normal(size=8), requires_grad=True, name="b")
     weights = Tensor(own.normal(size=(2, 4, 4)))
+    lengths = np.array([4, 2])
 
     def recurrence():
-        states = nc.concat([nc.gated_recurrence(x, w, b),
-                            nc.gated_recurrence(x, w, b, reverse=True)], axis=2)
+        states = nc.concat([nc.gated_recurrence(x, w, b, lengths=lengths),
+                            nc.gated_recurrence(x, w, b, reverse=True, lengths=lengths)],
+                           axis=2)
         return nc.tsum(nc.mul(states, weights))
 
     reports.append(_summary("op gated_recurrence",
@@ -160,9 +163,10 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
 def _end_to_end_objective(model, pubs, seed: int = 17) -> Callable[[], Tensor]:
     """The main training objective of model on pubs at TrainConfig()
     defaults, with a freshly seeded rng on every evaluation so the GAN
-    noise is the same in every probe."""
+    noise is the same in every probe. The publications are prepared once."""
     config = TrainConfig()
-    return lambda: main_objective(model, pubs, model.encode(pubs), config,
+    batch = model.prepare(pubs)
+    return lambda: main_objective(model, batch, model.encode(batch), config,
                                   np.random.default_rng(seed)).j
 
 

@@ -153,23 +153,24 @@ class RecurrentTextEncoder:
             params += [self.bwd["w"], self.bwd["b"]]
         return params
 
-    def _directions(self, ids_batch: np.ndarray) -> Tuple[Tensor, Tensor]:
+    def _directions(self, ids_batch: np.ndarray,
+                    lengths: Optional[np.ndarray]) -> Tuple[Tensor, Tensor]:
         """Forward and backward hidden states, each (batch, length, h)."""
         batch, length = ids_batch.shape
         flat = self.embedding.lookup(ids_batch.reshape(-1))
         embedded = flat.reshape(batch, length, self.embedding.dim)
-        fwd = nc.gated_recurrence(embedded, self.fwd["w"], self.fwd["b"])
-        bwd = nc.gated_recurrence(embedded, self.bwd["w"], self.bwd["b"], reverse=True)
+        fwd = nc.gated_recurrence(embedded, self.fwd["w"], self.fwd["b"], lengths=lengths)
+        bwd = nc.gated_recurrence(embedded, self.bwd["w"], self.bwd["b"], reverse=True,
+                                  lengths=lengths)
         return fwd, bwd
 
-    def hidden_states(self, ids_batch: np.ndarray) -> Tuple[List[Tensor], List[Tensor]]:
-        """Per-timestep forward and backward hidden states, for inspection."""
-        fwd, bwd = self._directions(ids_batch)
-        steps = range(ids_batch.shape[1])
-        return [fwd[:, t, :] for t in steps], [bwd[:, t, :] for t in steps]
-
-    def encode_batch(self, ids_batch: np.ndarray) -> Tuple[Tensor, Tensor]:
+    def encode_batch(self, ids_batch: np.ndarray,
+                     lengths: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
         """Encode a (batch, length) id matrix to (batch, d) latents.
+
+        lengths (batch,), each in 1..length, gives every row its own
+        length; the ids past it are padding, which neither direction reads
+        and attention weighs exactly 0. None means every row is full.
 
         Returns (latents, attention weights of shape (batch, length)).
         """
@@ -178,11 +179,14 @@ class RecurrentTextEncoder:
             raise InputError(f"encode_batch: need a (batch, length>=1) id matrix, "
                              f"got {ids_batch.shape}")
         batch, length = ids_batch.shape
-        # (batch, length, 2h) stack of bidirectional states
-        stacked = nc.concat(self._directions(ids_batch), axis=2)
+        # (batch, length, 2h) stack of bidirectional states; the op checks lengths
+        stacked = nc.concat(self._directions(ids_batch, lengths), axis=2)
         flat = stacked.reshape(batch * length, 2 * self.hidden_dim)
         scores = nc.matmul(flat, self.query).reshape(batch, length)
-        weights = nc.softmax(scores, axis=-1)
+        valid = None
+        if lengths is not None and (np.asarray(lengths) != length).any():
+            valid = np.arange(length) < np.asarray(lengths)[:, None]
+        weights = nc.softmax(scores, axis=-1, mask=valid)
         context = nc.tsum(nc.row_scale(flat, weights.reshape(batch * length))
                           .reshape(batch, length, 2 * self.hidden_dim), axis=1)
         latent = self.proj(context)

@@ -12,6 +12,7 @@ from .model import (
     FORMAT_VERSION,
     FusionModel,
     ModelConfig,
+    PreparedBatch,
     build_model,
     load_model,
     save_model,
@@ -25,6 +26,7 @@ __all__ = [
     "FusionModel",
     "LossReport",
     "ModelConfig",
+    "PreparedBatch",
     "SGD",
     "TrainConfig",
     "TrainResult",

@@ -23,17 +23,17 @@ configured seed, so identical runs produce bitwise-identical curves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import numcore as nc
-from ..datakit import BatchStream, Dataset, Publication
+from ..datakit import BatchStream, Dataset
 from ..exceptions import ConfigError, DivergenceError, DomainError, InputError
 from ..fusion import GanFusion, gan_adv_loss
 from ..metrics import MetricsReport, evaluate
 from ..numcore import Tensor, clip_grad_norm, zero_grads
-from .model import FusionModel
+from .model import FusionModel, PreparedBatch
 from .objectives import main_objective
 from .optim import DEFAULT_LR, make_optimizer
 
@@ -131,6 +131,7 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
                                   config.disc_lr, config.beta1, config.beta2, config.eps)
 
     rng = np.random.default_rng(config.seed)
+    prepared = model.prepare(dataset.publications)
     stream = BatchStream(dataset, config.batch_size, seed=config.seed)
 
     curves: List[LossReport] = []
@@ -141,9 +142,9 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
     step = 0
 
     for _ in range(config.epochs):
-        for batch in stream:
+        for idx in stream.indices():
             try:
-                curves.append(_train_step(model, batch, config, rng,
+                curves.append(_train_step(model, prepared.take(idx), config, rng,
                                           main_opt, disc_opt, step))
             except DomainError as exc:
                 raise DivergenceError(f"non-finite value at step {step}: {exc}",
@@ -166,11 +167,11 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
     return TrainResult(model, curves, val_reports, stopped_early)
 
 
-def _train_step(model: FusionModel, batch: Sequence[Publication],
+def _train_step(model: FusionModel, batch: PreparedBatch,
                 config: TrainConfig, rng: np.random.Generator, main_opt,
                 disc_opt, step: int) -> LossReport:
-    """One main descent step on main_objective, after the discriminator
-    steps when a discriminator optimizer is given."""
+    """One main descent step on main_objective over a prepared batch, after
+    the discriminator steps when a discriminator optimizer is given."""
     latents = model.encode(batch)
     if disc_opt is not None:
         detached = {name: z.detach() for name, z in latents.items()}
@@ -225,16 +226,18 @@ def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:
 
 
 def predict_dataset(model: FusionModel, dataset: Dataset) -> Tuple[List[str], List[str]]:
-    """True and predicted labels. Publications are scored in consecutive
-    batches of PREDICT_BATCH without recording a graph; the argmax takes
-    the lowest index on ties, as predict does."""
+    """True and predicted labels. The dataset is prepared once, then
+    scored in consecutive batches of PREDICT_BATCH without recording a
+    graph; the argmax takes the lowest index on ties, as predict does."""
     if len(dataset) < 1:
         raise InputError("evaluate: empty dataset")
     pubs = dataset.publications
+    prepared = model.prepare(pubs)
     names = model.label_space.names
     preds: List[str] = []
     with nc.no_graph():
         for start in range(0, len(pubs), PREDICT_BATCH):
-            probs, _ = model.forward_batch(pubs[start : start + PREDICT_BATCH])
+            rows = np.arange(start, min(start + PREDICT_BATCH, len(pubs)))
+            probs, _ = model.forward_batch(prepared.take(rows))
             preds.extend(names[int(i)] for i in np.argmax(probs.data, axis=1))
     return [p.label for p in pubs], preds

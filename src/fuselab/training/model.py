@@ -6,6 +6,11 @@ modes select which encoders exist: text-only and visual-only models skip
 fusion and classify the single latent directly (the unimodal baselines),
 while multimodal models require both encoders and a mechanism.
 
+The forward pipeline reads prepared batches: FusionModel.prepare
+normalizes each text once and pads token and entity-tuple ids, and
+PreparedBatch.take selects rows of it, so a dataset is read once however
+many epochs or batches use it.
+
 The entity-tuple path embeds the (subject, object, verb, modifier)
 tokens through the text embedding table, averages them, and concatenates
 the result to the classifier input. It is on by default for text-only
@@ -122,6 +127,76 @@ def _in_input_order(chunks: List[Tensor], order: List[int]) -> Tensor:
     return nc.take_rows(stacked, np.argsort(order))
 
 
+def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Id rows as one matrix, padded with id 0 to the longest row (at least
+    one column), and the length of each row."""
+    lengths = np.array([len(row) for row in rows], dtype=np.intp)
+    ids = np.zeros((len(rows), max(1, lengths.max(initial=0))), dtype=np.intp)
+    for i, row in enumerate(rows):
+        ids[i, : len(row)] = row
+    return ids, lengths
+
+
+def _feature_rows(pubs: Sequence[Publication], field: str, dim: int,
+                  required: bool) -> np.ndarray:
+    """The publications' precomputed `field` vectors stacked to (n, dim);
+    a missing optional vector is a row of zeros."""
+    rows = np.zeros((len(pubs), dim))
+    for i, p in enumerate(pubs):
+        value = getattr(p, field)
+        if value is None:
+            if required:
+                raise InputError(f"publication {p.id}: {field} vector required "
+                                 f"by this model")
+            continue
+        if value.shape != (dim,):
+            raise InputError(f"publication {p.id}: {field} {value.shape}, "
+                             f"expected ({dim},)")
+        rows[i] = value
+    return rows
+
+
+@dataclass
+class PreparedBatch:
+    """Publications read into the arrays a model consumes (see
+    FusionModel.prepare). Arrays the model does not read are None.
+
+    ids (n, T) are token ids padded with 0 to the longest row and lengths
+    (n,) their lengths; tuple_ids and tuple_counts are the entity-tuple
+    token ids, padded the same way, and their counts (0 for an empty
+    tuple). Precomputed feature vectors are stacked to (n, dim). The
+    publications stay alongside for labels and visual grids.
+    """
+
+    pubs: List[Publication]
+    ids: Optional[np.ndarray] = None
+    lengths: Optional[np.ndarray] = None
+    tuple_ids: Optional[np.ndarray] = None
+    tuple_counts: Optional[np.ndarray] = None
+    visual_features: Optional[np.ndarray] = None
+    entity_features: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.pubs)
+
+    def take(self, indices) -> "PreparedBatch":
+        """The rows at indices, in that order, with the padded id matrices
+        trimmed to the longest row among them."""
+        idx = np.asarray(indices, dtype=np.intp)
+
+        def trimmed(ids, counts):
+            if ids is None:
+                return None, None
+            counts = counts[idx]
+            return ids[idx, : max(1, counts.max(initial=0))], counts
+
+        rows = lambda a: None if a is None else a[idx]
+        return PreparedBatch([self.pubs[i] for i in idx],
+                             *trimmed(self.ids, self.lengths),
+                             *trimmed(self.tuple_ids, self.tuple_counts),
+                             rows(self.visual_features), rows(self.entity_features))
+
+
 class FusionModel:
     def __init__(self, config: ModelConfig, label_space: LabelSpace, vocab: Vocab,
                  rng: Optional[np.random.Generator] = None):
@@ -206,27 +281,48 @@ class FusionModel:
 
     # -- forward pipeline ---------------------------------------------------
 
-    def _encode_texts(self, sequences: List[List[int]]) -> Tensor:
-        by_length: Dict[int, List[int]] = {}
-        for i, seq in enumerate(sequences):
-            by_length.setdefault(len(seq), []).append(i)
-        chunks: List[Tensor] = []
-        order: List[int] = []
-        for length in sorted(by_length):
-            idx = by_length[length]
-            ids = np.array([sequences[i] for i in idx], dtype=np.intp)
-            latents, _ = self.text_encoder.encode_batch(ids)
-            chunks.append(latents)
-            order.extend(idx)
-        return _in_input_order(chunks, order)
+    def prepare(self, pubs: Sequence[Publication]) -> PreparedBatch:
+        """Read publications once into the arrays encode and head take.
 
-    def _encode_visuals(self, pubs: Sequence[Publication]) -> Tensor:
+        Each text goes through read_text once, and every publication is
+        checked against the inputs the model reads, so a publication that
+        lacks one raises InputError naming its id here. Draws no
+        randomness."""
+        config = self.config
+        mode = config.input_modes
+        batch = PreparedBatch(list(pubs))
+        if mode in ("text", "multimodal"):
+            for p in batch.pubs:
+                if not p.has_text() and mode == "text":
+                    raise InputError(f"publication {p.id}: text required by a "
+                                     f"text-only model")
+            wants_tuple = config.wants_entity_tuple
+            texts = [read_text(p.full_text(), config.normalize_text, wants_tuple)
+                     for p in batch.pubs]
+            batch.ids, batch.lengths = _padded([self.vocab.encode(t) for t, _ in texts])
+            if wants_tuple:
+                index, oov = self.vocab.index, self.vocab.oov_id
+                batch.tuple_ids, batch.tuple_counts = _padded(
+                    [[index.get(t, oov) for t in e.tokens()] for _, e in texts])
+        if mode in ("visual", "multimodal"):
+            if config.visual_feature_dim:
+                batch.visual_features = _feature_rows(batch.pubs, "visual_features",
+                                                      config.visual_feature_dim, True)
+            else:
+                for p in batch.pubs:
+                    if p.visual is None:
+                        raise InputError(f"publication {p.id}: visual grid required "
+                                         f"by a {mode} model")
+        if config.entity_feature_dim:
+            batch.entity_features = _feature_rows(batch.pubs, "entity_features",
+                                                  config.entity_feature_dim, False)
+        return batch
+
+    def _encode_visuals(self, batch: PreparedBatch) -> Tensor:
         if self.config.visual_feature_dim:
-            return self._encode_visual_features(pubs)
-        for p in pubs:
-            if p.visual is None:
-                raise InputError(f"publication {p.id}: visual grid required "
-                                 f"by a {self.config.input_modes} model")
+            return self.visual_encoder(Tensor(batch.visual_features))
+        # grids of different shapes cannot share a batch: one call per shape
+        pubs = batch.pubs
         by_shape: Dict[Tuple[int, ...], List[int]] = {}
         for i, p in enumerate(pubs):
             by_shape.setdefault(p.visual.shape, []).append(i)
@@ -239,66 +335,36 @@ class FusionModel:
             order.extend(idx)
         return _in_input_order(chunks, order)
 
-    def _encode_visual_features(self, pubs: Sequence[Publication]) -> Tensor:
-        dim = self.config.visual_feature_dim
-        rows = np.zeros((len(pubs), dim))
-        for i, p in enumerate(pubs):
-            if p.visual_features is None:
-                raise InputError(f"publication {p.id}: visual feature vector "
-                                 f"required by this model")
-            if p.visual_features.shape != (dim,):
-                raise InputError(f"publication {p.id}: visual features "
-                                 f"{p.visual_features.shape}, expected ({dim},)")
-            rows[i] = p.visual_features
-        return self.visual_encoder(Tensor(rows))
-
-    def _tuple_vectors(self, tuples: List[EntityTuple]) -> Tensor:
+    def _tuple_vectors(self, batch: PreparedBatch) -> Tensor:
+        """The mean embedding of each row's entity-tuple tokens, or zeros
+        for an empty tuple: one padded lookup whose padding is scaled to 0."""
         table = self.text_encoder.embedding
-        rows: List[Tensor] = []
-        for entity_tuple in tuples:
-            ids = [self.vocab.index.get(t, self.vocab.oov_id) for t in entity_tuple.tokens()]
-            if ids:
-                rows.append(nc.tmean(table.lookup(ids), axis=0).reshape(1, table.dim))
-            else:
-                rows.append(Tensor(np.zeros((1, table.dim))))
-        return rows[0] if len(rows) == 1 else nc.concat(rows, axis=0)
+        n, width = batch.tuple_ids.shape
+        present = np.arange(width) < batch.tuple_counts[:, None]
+        rows = nc.row_scale(table.lookup(batch.tuple_ids.reshape(-1)),
+                            present.reshape(-1).astype(np.float64))
+        sums = nc.tsum(rows.reshape(n, width, table.dim), axis=1)
+        counts = np.maximum(batch.tuple_counts, 1).astype(np.float64)
+        return nc.div(sums, Tensor(np.repeat(counts[:, None], table.dim, axis=1)))
 
-    def _entity_feature_rows(self, pubs: Sequence[Publication]) -> Tensor:
-        dim = self.config.entity_feature_dim
-        rows = np.zeros((len(pubs), dim))
-        for i, p in enumerate(pubs):
-            if p.entity_features is not None:
-                if p.entity_features.shape != (dim,):
-                    raise InputError(f"publication {p.id}: entity features "
-                                     f"{p.entity_features.shape}, expected ({dim},)")
-                rows[i] = p.entity_features
-        return Tensor(rows)
-
-    def encode(self, pubs: Sequence[Publication]) -> Dict[str, Tensor]:
+    def encode(self, batch: PreparedBatch) -> Dict[str, Tensor]:
         """Encoder latents (batch, d) of every modality the model reads,
         keyed "text" and "visual", plus the entity-tuple rows under "tuple"
-        when the model reads them. Each text is normalized once. Draws no
-        randomness."""
-        if not pubs:
+        when the model reads them. The texts of a batch, whatever their
+        lengths, take one text-encoder call. Draws no randomness."""
+        if not len(batch):
             raise InputError("encode: empty batch")
         latents: Dict[str, Tensor] = {}
         mode = self.config.input_modes
         if mode in ("text", "multimodal"):
-            for p in pubs:
-                if not p.has_text() and mode == "text":
-                    raise InputError(f"publication {p.id}: text required by a "
-                                     f"text-only model")
-            wants_tuple = self.config.wants_entity_tuple
-            texts = [read_text(p.full_text(), self.config.normalize_text, wants_tuple)
-                     for p in pubs]
-            latents["text"] = self._encode_texts([self.vocab.encode(t) for t, _ in texts])
-            if wants_tuple:
-                latents["tuple"] = self._tuple_vectors([e for _, e in texts])
+            latents["text"], _ = self.text_encoder.encode_batch(batch.ids, batch.lengths)
+            if self.config.wants_entity_tuple:
+                latents["tuple"] = self._tuple_vectors(batch)
         if mode in ("visual", "multimodal"):
-            latents["visual"] = self._encode_visuals(pubs)
+            latents["visual"] = self._encode_visuals(batch)
         return latents
 
-    def head(self, pubs: Sequence[Publication], latents: Dict[str, Tensor],
+    def head(self, batch: PreparedBatch, latents: Dict[str, Tensor],
              rng: Optional[np.random.Generator] = None
              ) -> Tuple[Tensor, Optional[FusionResult]]:
         """Class probabilities (batch, C) from encoded latents, plus the
@@ -315,23 +381,23 @@ class FusionModel:
         if self.config.wants_entity_tuple:
             pieces.append(latents["tuple"])
         if self.config.entity_feature_dim:
-            pieces.append(self._entity_feature_rows(pubs))
+            pieces.append(Tensor(batch.entity_features))
         features = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=1)
         return self.classifier(features), result
 
-    def forward_batch(self, pubs: Sequence[Publication],
+    def forward_batch(self, batch: PreparedBatch,
                       rng: Optional[np.random.Generator] = None
                       ) -> Tuple[Tensor, Optional[FusionResult]]:
-        """Class probabilities and fusion auxiliaries of a batch: encode,
-        then head."""
-        return self.head(pubs, self.encode(pubs), rng)
+        """Class probabilities and fusion auxiliaries of a prepared batch:
+        encode, then head."""
+        return self.head(batch, self.encode(batch), rng)
 
     def predict(self, pub: Publication) -> Tuple[np.ndarray, str]:
         """Label distribution and argmax label (lowest index wins ties).
         Inference is deterministic: adversarial noise is zero. Runs the
-        graph-free batched forward on a batch of one."""
+        graph-free batched forward on a prepared batch of one."""
         with nc.no_graph():
-            probs, _ = self.forward_batch([pub], rng=None)
+            probs, _ = self.forward_batch(self.prepare([pub]), rng=None)
         dist = probs.data[0]
         return dist, self.label_space.names[int(np.argmax(dist))]
 

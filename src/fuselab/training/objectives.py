@@ -73,18 +73,18 @@ class Objective:
     parts: Dict[str, float] = field(default_factory=dict)
 
 
-def main_objective(model, pubs, latents: Dict[str, Tensor], config,
+def main_objective(model, batch, latents: Dict[str, Tensor], config,
                    rng: Optional[np.random.Generator]) -> Objective:
-    """The main objective of one batch from its encoder latents (model.head
-    draws the adversarial noise from rng).
+    """The main objective of one prepared batch (model.prepare) from its
+    encoder latents (model.head draws the adversarial noise from rng).
 
     config is a TrainConfig: lam weighs the fusion term and class_weights
     the cross-entropy. With fusion_loss_updates_encoders off, the fusion
     term reads detached latents, a deliberate stop-gradient that confines
     it to the fusion module.
     """
-    probs, result = model.head(pubs, latents, rng)
-    j_c = batch_cross_entropy(_targets(model, pubs), probs, config.class_weights)
+    probs, result = model.head(batch, latents, rng)
+    j_c = batch_cross_entropy(_targets(model, batch.pubs), probs, config.class_weights)
     mech = model.mechanism
     updates_encoders = config.fusion_loss_updates_encoders
 

@@ -362,7 +362,8 @@ def test_criterion_10_parameter_partition_100_steps():
 
     steps = 0
     for _ in range(config.epochs):
-        for batch in stream:
+        for pubs in stream:
+            batch = model.prepare(pubs)
             main_before = [p.data.copy() for p in main_params]
             latents = {name: z.detach() for name, z in model.encode(batch).items()}
             step_discriminator(model, latents, config, disc_opt, rng, steps)

@@ -60,6 +60,18 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_dataset_header_without_label_space_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "ds.jsonl"
+        rec = {"id": "a", "label": "0", "text": "x"}
+        data.write_text(json.dumps({"_schema": "fuselab/publications@1"}) + "\n"
+                        + json.dumps(rec) + "\n")
+        body = CONFIG_TEMPLATE.format(seed=1).replace(
+            "synthetic_task = xor-crossmodal\nsynthetic_n = 400", f"path = {data}")
+        config = _write_config(tmp_path, body=body)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{data}:1:" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_exits_three(self, tmp_path, capsys):
         body = CONFIG_TEMPLATE.format(seed=1).replace(

@@ -117,9 +117,23 @@ class TestJsonl:
         path = tmp_path / "ds.jsonl"
         header = {"_schema": "fuselab/publications@1",
                   "label_space": {"names": ["Hate", "NoHate"], "mode": "binary"}}
-        rec = {"id": "a", "label": "Spam", "text": "x"}
+        recs = [{"id": "a", "label": "Hate", "text": "x"},
+                {"id": "b", "label": "Spam", "text": "x"}]
+        path.write_text("\n".join(json.dumps(r) for r in [header] + recs) + "\n")
+        with pytest.raises(SchemaError, match=r"ds\.jsonl:3: unknown label 'Spam'"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("header", [
+        {"_schema": "fuselab/publications@1"},
+        {"_schema": "fuselab/publications@1", "label_space": ["Hate", "NoHate"]},
+        {"_schema": "fuselab/publications@1", "label_space": {"mode": "binary"}},
+        {"_schema": "fuselab/publications@1", "label_space": {"names": 5}},
+    ], ids=["no-label-space", "label-space-not-object", "no-names", "names-not-list"])
+    def test_bad_header_is_schema_error_with_line(self, tmp_path, header):
+        path = tmp_path / "ds.jsonl"
+        rec = {"id": "a", "label": "Hate", "text": "x"}
         path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"ds\.jsonl:1: "):
             load_jsonl(path)
 
     def test_large_grid_blob_round_trip(self, tmp_path):

@@ -132,9 +132,9 @@ class TestEntityTuplePath:
                         embed_dim=4, hidden_dim=3, use_entity_tuple=False,
                         normalize_text=False, seed=7),
             ds.label_space, vocab)
-        batched = model.encode(pubs)["text"]
+        batched = model.encode(model.prepare(pubs))["text"]
         for row, pub in zip(batched.data, pubs):
-            single = model.encode([pub])["text"]
+            single = model.encode(model.prepare([pub]))["text"]
             assert np.allclose(row, single.data[0], atol=1e-12)
 
     def test_each_text_is_normalized_once_per_forward(self, monkeypatch):
@@ -152,7 +152,7 @@ class TestEntityTuplePath:
         normalize = model_module.normalize
         monkeypatch.setattr(model_module, "normalize",
                             lambda text: seen.append(text) or normalize(text))
-        model.forward_batch(pubs)
+        model.forward_batch(model.prepare(pubs))
         assert seen == [p.full_text() for p in pubs]
 
     def test_tuple_path_predicts(self):

@@ -210,7 +210,8 @@ class TestParameterPartition:
 
         step = 0
         for _ in range(config.epochs):
-            for batch in stream:
+            for pubs in stream:
+                batch = model.prepare(pubs)
                 main_before = [p.data.copy() for p in main_params]
                 latents = {name: z.detach() for name, z in model.encode(batch).items()}
                 step_discriminator(model, latents, config, disc_opt, rng, step)
@@ -239,6 +240,7 @@ class TestGanTerms:
         from fuselab.training.objectives import main_objective
 
         nc.zero_grads(model.parameters())
+        batch = model.prepare(batch)
         objective = main_objective(model, batch, model.encode(batch),
                                    TrainConfig(**overrides), np.random.default_rng(1))
         objective.j.backward()
@@ -293,8 +295,8 @@ class TestMainObjective:
         checked = _end_to_end_objective(model, batch, seed=5)().item()
         config = TrainConfig(fusion_loss_updates_encoders=True)
         opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
-        report = _train_step(model, batch, config, np.random.default_rng(5), opt,
-                             None, 0)
+        report = _train_step(model, model.prepare(batch), config,
+                             np.random.default_rng(5), opt, None, 0)
         assert report.j == checked
         assert report.j != report.j_c + report.j_f  # not J_C + J_adv
 
@@ -342,7 +344,7 @@ class TestPredictDataset:
         assert truths == [p.label for p in ds]
         assert preds == [label for _, label in singles]
         with nc.no_graph():
-            probs, _ = model.forward_batch(ds.publications)
+            probs, _ = model.forward_batch(model.prepare(ds.publications))
         assert np.allclose(probs.data, [dist for dist, _ in singles], rtol=0, atol=1e-12)
         return preds
 
@@ -353,7 +355,7 @@ class TestPredictDataset:
         heldout = Dataset(_dataset(67, seed=9).publications, ds.label_space)
         # move the class-1 bias to the mean logit gap so both labels occur
         with nc.no_graph():
-            probs, _ = model.forward_batch(heldout.publications)
+            probs, _ = model.forward_batch(model.prepare(heldout.publications))
         logits = np.log(probs.data)
         model.classifier.bias.data[1] -= np.mean(logits[:, 1] - logits[:, 0])
         preds = self._assert_matches_predict(model, heldout)
@@ -402,20 +404,83 @@ class TestEncodeOrder:
     def test_one_bucket_in_input_order_is_not_gathered(self):
         # xor publications share one text length and one grid shape
         ds = _dataset(40)
-        latents = _model(ds, "concat").encode(ds.publications[:12])
+        model = _model(ds, "concat")
+        latents = model.encode(model.prepare(ds.publications[:12]))
         assert latents["text"]._op != "take_rows"
         assert latents["visual"]._op != "take_rows"
 
-    def test_mixed_lengths_come_back_in_input_order(self):
+    def test_mixed_lengths_come_back_in_input_order(self, monkeypatch):
+        """A batch of mixed text lengths is one padded encode_batch call,
+        and each row equals the publication encoded on its own."""
+        from fuselab.layers import RecurrentTextEncoder
+
         ds = _dataset(40)
         model = _model(ds, "concat")
         pubs = [Publication(id=p.id, label=p.label, visual=p.visual,
                             text=" ".join(p.text.split()[: 1 + k % 4]))
                 for k, p in enumerate(ds.publications[:9])]
-        batch = model.encode(pubs)["text"]
-        assert batch._op == "take_rows"
+        calls = []
+        encode_batch = RecurrentTextEncoder.encode_batch
+        monkeypatch.setattr(RecurrentTextEncoder, "encode_batch",
+                            lambda self, ids, lengths=None: calls.append(ids.shape)
+                            or encode_batch(self, ids, lengths))
+        batch = model.encode(model.prepare(pubs))["text"]
+        assert calls == [(9, 4)]
         for row, pub in zip(batch.data, pubs):
-            assert np.allclose(row, model.encode([pub])["text"].data[0], atol=1e-12)
+            single = model.encode(model.prepare([pub]))["text"]
+            assert np.allclose(row, single.data[0], atol=1e-12)
+
+
+class TestPrepare:
+    """FusionModel.prepare reads each publication once; train() and
+    predict_dataset take prepared rows by index."""
+
+    WORDS = ["the", "dog", "chased", "a", "ball", "quickly", "@user", "#tag",
+             "sooo", "good", "cat", "saw"]
+
+    def _text_model(self, n=24):
+        rng = np.random.default_rng(6)
+        space = LabelSpace(("a", "b"))
+        pubs = [Publication(id=f"s{i}", label=space.names[i % 2],
+                            text=" ".join(rng.choice(self.WORDS, size=1 + i % 7)))
+                for i in range(n)]
+        ds = Dataset(pubs, space)
+        model = build_model(ModelConfig(input_modes="text", fusion=None, latent_dim=6,
+                                        embed_dim=4, hidden_dim=3, seed=4),
+                            space, Vocab.from_texts([p.text for p in pubs]))
+        return model, ds
+
+    def test_train_normalizes_each_publication_once(self, monkeypatch):
+        import fuselab.training.model as model_module
+
+        model, ds = self._text_model()
+        assert model.config.normalize_text and model.config.wants_entity_tuple
+        seen = []
+        normalize = model_module.normalize
+        monkeypatch.setattr(model_module, "normalize",
+                            lambda text: seen.append(text) or normalize(text))
+        train(model, ds, TrainConfig(epochs=3, batch_size=5, seed=1))
+        assert sorted(seen) == sorted(p.full_text() for p in ds)
+
+    def test_take_trims_to_its_longest_row(self):
+        model, ds = self._text_model()
+        prepared = model.prepare(ds.publications)
+        assert len(prepared) == len(ds) and prepared.ids.shape[1] == prepared.lengths.max()
+        rows = [8, 0, 2]
+        part = prepared.take(rows)
+        assert len(part) == 3 and [p.id for p in part.pubs] == ["s8", "s0", "s2"]
+        assert part.ids.shape[1] < prepared.ids.shape[1]
+        assert part.lengths.tolist() == prepared.lengths[rows].tolist()
+        assert part.ids.shape == (3, part.lengths.max())
+        assert np.array_equal(part.ids, prepared.ids[rows, : part.lengths.max()])
+        assert part.tuple_ids.shape == (3, max(1, part.tuple_counts.max()))
+
+    def test_invalid_record_fails_at_prepare_with_its_id(self):
+        model, ds = self._text_model(4)
+        pubs = ds.publications + [Publication(id="no-text", label="a",
+                                              visual=np.zeros((12, 12, 1)))]
+        with pytest.raises(InputError, match="no-text"):
+            model.prepare(pubs)
 
 
 class TestPersistence:
@@ -479,11 +544,11 @@ class TestFullPipelineGradients:
                              fusion_out_dim=4 if fusion != "concat" else None,
                              concat_projection=False, normalize_text=False, seed=13)
             model = build_model(mc, ds.label_space, vocab)
-            pubs = ds.publications[:2]
+            batch = model.prepare(ds.publications[:2])
 
             def objective():
                 # a fresh generator per evaluation freezes the GAN noise
-                return main_objective(model, pubs, model.encode(pubs), TrainConfig(),
+                return main_objective(model, batch, model.encode(batch), TrainConfig(),
                                       np.random.default_rng(17)).j
 
             reports = nc.grad_check_params(objective, model.parameters(),

@@ -179,13 +179,15 @@ class RecurrentTextEncoder:
             raise InputError(f"encode_batch: need a (batch, length>=1) id matrix, "
                              f"got {ids_batch.shape}")
         batch, length = ids_batch.shape
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            if lengths.shape == (batch,) and (lengths == length).all():
+                lengths = None
         # (batch, length, 2h) stack of bidirectional states; the op checks lengths
         stacked = nc.concat(self._directions(ids_batch, lengths), axis=2)
         flat = stacked.reshape(batch * length, 2 * self.hidden_dim)
         scores = nc.matmul(flat, self.query).reshape(batch, length)
-        valid = None
-        if lengths is not None and (np.asarray(lengths) != length).any():
-            valid = np.arange(length) < np.asarray(lengths)[:, None]
+        valid = None if lengths is None else np.arange(length) < lengths[:, None]
         weights = nc.softmax(scores, axis=-1, mask=valid)
         context = nc.tsum(nc.row_scale(flat, weights.reshape(batch * length))
                           .reshape(batch, length, 2 * self.hidden_dim), axis=1)

@@ -455,20 +455,21 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             held = (np.asarray(times)[:, None] >= lengths[None, :])[:, :, None]
             xd = np.where((np.arange(steps) < lengths[:, None])[:, :, None], xd, 0.0)
     # per step: the cell input [x_t, h], the gate pre-activations, their
-    # activations i, f, o, g, the cell state and its tanh. The backward
-    # reads every step; a graph-free call keeps one step and checks it.
+    # activations i, f, o, g, the cell state and its tanh. Only the
+    # backward reads the inputs, activations and tanh of past steps, so a
+    # graph-free call keeps one step of those.
     kept = steps if _recording((x, w, b)) else 1
     cats = np.empty((kept, batch, e + hd))
-    gates = np.empty((kept, batch, 4 * hd))
-    acts = np.empty_like(gates)
-    cells = np.empty((kept, batch, hd))
-    tcells = np.empty_like(cells)
+    gates = np.empty((steps, batch, 4 * hd))
+    acts = np.empty((kept, batch, 4 * hd))
+    cells = np.empty((steps, batch, hd))
+    tcells = np.empty((kept, batch, hd))
     out = np.empty((batch, steps, hd))
     zeros = np.zeros((batch, hd))
     h = c = zeros
     for s, t in enumerate(times):
         k = s % kept
-        cat, z, act = cats[k], gates[k], acts[k]
+        cat, z, act = cats[k], gates[s], acts[k]
         cat[:, :e] = xd[:, t, :]
         cat[:, e:] = h
         np.matmul(cat, wd.T, out=z)
@@ -477,20 +478,18 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
         np.tanh(z[:, 3 * hd :], out=act[:, 3 * hd :])
         i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
         if held is None:
-            c = np.add(f * c, i * g, out=cells[k])
+            c = np.add(f * c, i * g, out=cells[s])
             tc = np.tanh(c, out=tcells[k])
             h = np.multiply(o, tc, out=out[:, t, :])
         else:
             keep = held[s]
-            cells[k] = np.where(keep, c, f * c + i * g)
-            c = cells[k]
+            c = np.where(keep, c, np.add(f * c, i * g, out=cells[s]))
+            cells[s] = c
             tc = np.tanh(c, out=tcells[k])
             h = np.where(keep, h, o * tc)
             out[:, t, :] = np.where(keep, 0.0, h)
-        if kept == 1 or s == steps - 1:
-            if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
-                raise DomainError("op 'gated_recurrence' produced a non-finite gate or "
-                                  "cell state")
+    if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
+        raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
 
     def backward(dout):
         # sigmoid a passes d on as (d * a) * (1 - a), tanh a as d * (1 - a * a)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -132,8 +133,8 @@ def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     one column), and the length of each row."""
     lengths = np.array([len(row) for row in rows], dtype=np.intp)
     ids = np.zeros((len(rows), max(1, lengths.max(initial=0))), dtype=np.intp)
-    for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
     return ids, lengths
 
 

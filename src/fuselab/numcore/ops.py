@@ -422,10 +422,11 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     backward is backpropagation through time.
 
     lengths (batch,), each in 1..T, gives every row its own length; None
-    means every row is T long. A row keeps its state on the steps past its
-    length and ignores x there, so reverse=True starts it at its own last
-    token. Its states at those padded positions are 0 and carry no
-    gradient, and its dx there is 0.
+    means every row is T long. A row keeps its cell state on the steps
+    past its length and ignores x there, so reverse=True starts it at its
+    own last token (a zero cell gives a zero hidden state). Its states at
+    those padded positions are 0 and carry no gradient, and its dx there
+    is 0.
 
     Every value, forward and backward, is rounded as in the same cell
     built from the primitive ops above, so both give the same values;
@@ -486,7 +487,7 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             c = np.where(keep, c, np.add(f * c, i * g, out=cells[s]))
             cells[s] = c
             tc = np.tanh(c, out=tcells[k])
-            h = np.where(keep, h, o * tc)
+            h = o * tc
             out[:, t, :] = np.where(keep, 0.0, h)
     if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
         raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")

@@ -457,10 +457,12 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             xd = np.where((np.arange(steps) < lengths[:, None])[:, :, None], xd, 0.0)
     # per step: the cell input [x_t, h], the gate pre-activations, their
     # activations i, f, o, g, the cell state and its tanh. Only the
-    # backward reads the inputs, activations and tanh of past steps, so a
+    # backward reads the activations and tanh of past steps, so a
     # graph-free call keeps one step of those.
     kept = steps if _recording((x, w, b)) else 1
-    cats = np.empty((kept, batch, e + hd))
+    cats = np.empty((steps, batch, e + hd))
+    seq = np.swapaxes(xd, 0, 1)
+    cats[:, :, :e] = seq[::-1] if reverse else seq
     gates = np.empty((steps, batch, 4 * hd))
     acts = np.empty((kept, batch, 4 * hd))
     cells = np.empty((steps, batch, hd))
@@ -470,8 +472,7 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     h = c = zeros
     for s, t in enumerate(times):
         k = s % kept
-        cat, z, act = cats[k], gates[s], acts[k]
-        cat[:, :e] = xd[:, t, :]
+        cat, z, act = cats[s], gates[s], acts[k]
         cat[:, e:] = h
         np.matmul(cat, wd.T, out=z)
         z += bd

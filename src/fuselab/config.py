@@ -22,8 +22,7 @@ from .training import ModelConfig, TrainConfig
 _MODEL_KEYS = {
     "input_modes", "fusion", "latent_dim", "embed_dim", "hidden_dim",
     "visual_channels", "fusion_out_dim", "concat_projection", "noise_dim",
-    "append_raw_latents", "saturating_gan", "use_entity_tuple",
-    "normalize_text", "entity_feature_dim", "visual_feature_dim", "vocab_size",
+    "append_raw_latents", "use_entity_tuple", "normalize_text", "vocab_size",
 }
 _DATA_KEYS = {
     "path", "synthetic_task", "synthetic_n", "synthetic_noise",
@@ -181,11 +180,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         concat_projection=m.bool_("concat_projection", False),
         noise_dim=m.int_("noise_dim"),
         append_raw_latents=m.bool_("append_raw_latents", False),
-        saturating_gan=m.bool_("saturating_gan", False),
         use_entity_tuple=m.bool_("use_entity_tuple"),
         normalize_text=m.bool_("normalize_text", True),
-        entity_feature_dim=m.int_("entity_feature_dim", 0),
-        visual_feature_dim=m.int_("visual_feature_dim", 0),
         seed=seed,
     )
 

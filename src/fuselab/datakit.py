@@ -103,8 +103,6 @@ class Publication:
     text: str = ""
     caption: Optional[str] = None
     visual: Optional[np.ndarray] = None            # (H, W, C) grid
-    visual_features: Optional[np.ndarray] = None   # precomputed vector
-    entity_features: Optional[np.ndarray] = None   # precomputed vector
 
     def __post_init__(self):
         if self.visual is not None:
@@ -114,15 +112,11 @@ class Publication:
                                   f"(H, W, C), got {self.visual.shape}")
             if not np.isfinite(self.visual).all():
                 raise SchemaError(f"publication {self.id}: non-finite visual values")
-        for name in ("visual_features", "entity_features"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, np.asarray(value, dtype=np.float64))
         if not self.has_visual() and not self.has_text():
             raise SchemaError(f"publication {self.id}: needs visual or text")
 
     def has_visual(self) -> bool:
-        return self.visual is not None or self.visual_features is not None
+        return self.visual is not None
 
     def has_text(self) -> bool:
         return bool(self.text)
@@ -153,10 +147,6 @@ class Dataset:
         for pub in self.publications:
             hist[pub.label] += 1
         return hist
-
-    def validate_labels(self) -> None:
-        for pub in self.publications:
-            self.label_space.index(pub.label)
 
     def merged_binary(self) -> "Dataset":
         pubs = [replace(p, label=merge_to_binary(p.label, self.label_space))
@@ -197,10 +187,6 @@ def save_jsonl(dataset: Dataset, path, blob_threshold: int = BLOB_THRESHOLD) -> 
                 rec["caption"] = pub.caption
             if pub.visual is not None:
                 rec["visual"] = _grid_to_json(pub.visual, blob_threshold)
-            if pub.visual_features is not None:
-                rec["visual_features"] = pub.visual_features.tolist()
-            if pub.entity_features is not None:
-                rec["entity_features"] = pub.entity_features.tolist()
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -240,6 +226,10 @@ def load_jsonl(path) -> Dataset:
             for required in ("id", "label"):
                 if required not in rec:
                     raise SchemaError(f"{where}: missing field {required!r}")
+            # no model reads precomputed vectors: fail rather than train without them
+            for removed in ("visual_features", "entity_features"):
+                if removed in rec:
+                    raise SchemaError(f"{where}: field {removed!r} is not supported")
             try:
                 pub = Publication(
                     id=str(rec["id"]),
@@ -248,8 +238,6 @@ def load_jsonl(path) -> Dataset:
                     caption=rec.get("caption"),
                     visual=(_grid_from_json(rec["visual"], where)
                             if "visual" in rec else None),
-                    visual_features=rec.get("visual_features"),
-                    entity_features=rec.get("entity_features"),
                 )
             except SchemaError:
                 raise

@@ -52,21 +52,21 @@ class ConcatFusion:
     """Concatenation baseline, optionally followed by a projection layer.
 
     Without the projection the fused vector is the raw 2d concatenation;
-    with it, a dense layer (relu by default, so the fused code is not a
-    purely linear readout) maps 2d down to out_dim.
+    with it, a relu dense layer (so the fused code is not a purely linear
+    readout) maps 2d down to out_dim.
     """
 
     kind = "concat"
 
     def __init__(self, latent_dim: int, out_dim: Optional[int] = None,
-                 activation: str = "relu", rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
         self.projection = None
         if out_dim is None:
             self.out_dim = 2 * latent_dim
         else:
             self.out_dim = out_dim
-            self.projection = DenseLayer(2 * latent_dim, out_dim, activation,
+            self.projection = DenseLayer(2 * latent_dim, out_dim, "relu",
                                          rng, name="fusion.proj")
 
     def parameters(self) -> List[Tensor]:
@@ -187,8 +187,8 @@ def gan_adv_loss(module: GanFusionModule, real: Tensor, source: Tensor,
     """Adversarial objective of one module over (batch, d) latents: generate
     from source, then score against real (GanFusionModule.adversarial).
 
-    The discriminator ascends this; the generator descends it (or the
-    non-saturating surrogate, see generator_loss).
+    The discriminator ascends this; the generator descends its
+    non-saturating surrogate (generator_loss).
     """
     if real.shape != source.shape:
         raise ShapeError(f"gan_adv_loss: latent shapes {real.shape} and {source.shape} differ")
@@ -197,14 +197,9 @@ def gan_adv_loss(module: GanFusionModule, real: Tensor, source: Tensor,
     return module.adversarial(real, module.generate(source, noise))
 
 
-def generator_loss(parts: GanLossParts, saturating: bool = False) -> Tensor:
-    """Generator-side term to MINIMIZE for one module.
-
-    Default is the non-saturating form -E[log D(z_g)]; the flag restores
-    the original minimax term E[log(1 - D(z_g))].
-    """
-    if saturating:
-        return nc.tmean(nc.tlog(nc.sub(1.0, parts.d_fake)))
+def generator_loss(parts: GanLossParts) -> Tensor:
+    """Generator-side term to MINIMIZE for one module: the non-saturating
+    form -E[log D(z_g)] in place of the minimax term E[log(1 - D(z_g))]."""
     return nc.neg(nc.tmean(nc.tlog(parts.d_fake)))
 
 
@@ -218,13 +213,12 @@ class GanFusion:
     kind = "gan"
 
     def __init__(self, latent_dim: int, out_dim: int, noise_dim: Optional[int] = None,
-                 append_raw_latents: bool = False, saturating: bool = False,
+                 append_raw_latents: bool = False,
                  rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
         self.out_dim = out_dim
         self.noise_dim = noise_dim if noise_dim is not None else max(1, latent_dim // 4)
         self.append_raw_latents = append_raw_latents
-        self.saturating = saturating
         self.text_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_t", rng)
         self.visual_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_v", rng)
         in_dim = 4 * latent_dim if append_raw_latents else 2 * latent_dim

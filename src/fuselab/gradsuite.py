@@ -4,7 +4,8 @@ Checks, at tolerance tol against central finite differences:
   - every tensor primitive at random points, and the fused gated
     recurrence in both directions,
   - each layer (dense, embedding, recurrent encoder, conv encoder),
-  - the fusion losses (reconstruction and adversarial) and cross-entropy,
+  - the fusion losses (reconstruction and adversarial) and the
+    class-weighted batch cross-entropy,
   - end to end, for all three mechanisms on d=4, 2-class toys, the
     objective the main training step minimizes (main_objective at
     TrainConfig() defaults): J_C, J_C + J_auto, and J_C + the
@@ -34,7 +35,7 @@ from .fusion import (
 from .layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from .numcore import CheckReport, Tensor, grad_check, grad_check_params
 from .training import ModelConfig, TrainConfig, build_model
-from .training.objectives import cross_entropy, main_objective
+from .training.objectives import batch_cross_entropy, main_objective, one_hot
 
 
 def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckReport]:
@@ -152,11 +153,11 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
         lambda: generator_loss(gan_adv_loss(module, real, source, noise=noise)),
         module.generator_parameters(), h, tol)))
 
-    target = np.zeros(3)
-    target[1] = 1.0
+    targets = one_hot([1, 2], 3)
     reports.append(grad_check(
-        lambda logits: cross_entropy(Tensor(target), nc.softmax(logits)),
-        Tensor(rng.normal(size=3)), h=h, tol=tol, label="loss cross_entropy"))
+        lambda logits: batch_cross_entropy(targets, nc.softmax(logits),
+                                           class_weights=[0.5, 2.0, 1.5]),
+        Tensor(rng.normal(size=(2, 3))), h=h, tol=tol, label="loss batch_cross_entropy"))
     return reports
 
 

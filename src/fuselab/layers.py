@@ -63,18 +63,14 @@ class DenseLayer:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return dense_forward(x, self)
+        """Apply the layer to a vector (in,) or a batch (n, in)."""
+        if x.shape[-1] != self.in_dim:
+            raise ShapeError(f"{self.name}: input {x.shape} does not match weights "
+                             f"{self.weights.shape}")
+        return _apply_activation(nc.linear(x, self.weights, self.bias), self.activation)
 
     def parameters(self) -> List[Tensor]:
         return [self.weights, self.bias]
-
-
-def dense_forward(x: Tensor, layer: DenseLayer) -> Tensor:
-    """Apply a dense layer to a vector (in,) or a batch (n, in)."""
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(f"dense_forward: input {x.shape} does not match weights "
-                         f"{layer.weights.shape}")
-    return _apply_activation(nc.linear(x, layer.weights, layer.bias), layer.activation)
 
 
 class EmbeddingTable:

@@ -279,20 +279,16 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
-def global_grad_norm(tensors: Iterable[Tensor]) -> float:
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
-    return float(np.sqrt(total))
-
-
 def clip_grad_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
     """Scale gradients in place so their joint L2 norm is at most max_norm.
 
     Returns the pre-clip norm.
     """
-    norm = global_grad_norm(tensors)
+    total = 0.0
+    for t in tensors:
+        if t.grad is not None:
+            total += float(np.sum(t.grad * t.grad))
+    norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for t in tensors:

@@ -17,7 +17,7 @@ from .model import (
     load_model,
     save_model,
 )
-from .objectives import batch_cross_entropy, cross_entropy, one_hot
+from .objectives import batch_cross_entropy, one_hot
 from .optim import Adam, SGD, make_optimizer
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "TrainResult",
     "batch_cross_entropy",
     "build_model",
-    "cross_entropy",
     "evaluate_model",
     "load_model",
     "make_optimizer",

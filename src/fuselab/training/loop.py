@@ -49,9 +49,6 @@ class TrainConfig:
     optimizer: str = "adam"              # "sgd" | "adam"
     lr: Optional[float] = None           # default 1e-2 (sgd) / 1e-3 (adam)
     disc_lr: Optional[float] = None      # default: same as lr
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lam: float = 1.0                     # fusion-loss weight
     disc_steps: int = 1                  # k discriminator steps per main step
     seed: int = 0
@@ -123,12 +120,11 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
         raise ConfigError(f"dataset label space {list(dataset.label_space.names)} "
                           f"does not match model {list(model.label_space.names)}")
 
-    main_opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr,
-                              config.beta1, config.beta2, config.eps)
+    main_opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
     disc_opt = None
     if isinstance(model.mechanism, GanFusion):
         disc_opt = make_optimizer(config.optimizer, model.discriminator_parameters(),
-                                  config.disc_lr, config.beta1, config.beta2, config.eps)
+                                  config.disc_lr)
 
     rng = np.random.default_rng(config.seed)
     prepared = model.prepare(dataset.publications)

@@ -64,11 +64,8 @@ class ModelConfig:
     concat_projection: bool = False       # give the concat baseline a dense layer
     noise_dim: Optional[int] = None       # default: latent_dim // 4
     append_raw_latents: bool = False
-    saturating_gan: bool = False
     use_entity_tuple: Optional[bool] = None  # default: text-only models only
     normalize_text: bool = True
-    entity_feature_dim: int = 0           # precomputed per-publication vector
-    visual_feature_dim: int = 0           # consume precomputed visual vectors
     seed: int = 0
 
     def __post_init__(self):
@@ -138,25 +135,6 @@ def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     return ids, lengths
 
 
-def _feature_rows(pubs: Sequence[Publication], field: str, dim: int,
-                  required: bool) -> np.ndarray:
-    """The publications' precomputed `field` vectors stacked to (n, dim);
-    a missing optional vector is a row of zeros."""
-    rows = np.zeros((len(pubs), dim))
-    for i, p in enumerate(pubs):
-        value = getattr(p, field)
-        if value is None:
-            if required:
-                raise InputError(f"publication {p.id}: {field} vector required "
-                                 f"by this model")
-            continue
-        if value.shape != (dim,):
-            raise InputError(f"publication {p.id}: {field} {value.shape}, "
-                             f"expected ({dim},)")
-        rows[i] = value
-    return rows
-
-
 @dataclass
 class PreparedBatch:
     """Publications read into the arrays a model consumes (see
@@ -165,8 +143,7 @@ class PreparedBatch:
     ids (n, T) are token ids padded with 0 to the longest row and lengths
     (n,) their lengths; tuple_ids and tuple_counts are the entity-tuple
     token ids, padded the same way, and their counts (0 for an empty
-    tuple). Precomputed feature vectors are stacked to (n, dim). The
-    publications stay alongside for labels and visual grids.
+    tuple). The publications stay alongside for labels and visual grids.
     """
 
     pubs: List[Publication]
@@ -174,8 +151,6 @@ class PreparedBatch:
     lengths: Optional[np.ndarray] = None
     tuple_ids: Optional[np.ndarray] = None
     tuple_counts: Optional[np.ndarray] = None
-    visual_features: Optional[np.ndarray] = None
-    entity_features: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.pubs)
@@ -191,11 +166,9 @@ class PreparedBatch:
             counts = counts[idx]
             return ids[idx, : max(1, counts.max(initial=0))], counts
 
-        rows = lambda a: None if a is None else a[idx]
         return PreparedBatch([self.pubs[i] for i in idx],
                              *trimmed(self.ids, self.lengths),
-                             *trimmed(self.tuple_ids, self.tuple_counts),
-                             rows(self.visual_features), rows(self.entity_features))
+                             *trimmed(self.tuple_ids, self.tuple_counts))
 
 
 class FusionModel:
@@ -208,8 +181,7 @@ class FusionModel:
 
         d = config.latent_dim
         self.text_encoder: Optional[RecurrentTextEncoder] = None
-        # conv encoder for grids, or a dense adapter over precomputed vectors
-        self.visual_encoder = None
+        self.visual_encoder: Optional[ConvVisualEncoder] = None
         self.mechanism = None
 
         if config.input_modes in ("text", "multimodal"):
@@ -217,15 +189,9 @@ class FusionModel:
                 vocab_size=len(vocab), embed_dim=config.embed_dim,
                 hidden_dim=config.hidden_dim, latent_dim=d, rng=rng)
         if config.input_modes in ("visual", "multimodal"):
-            if config.visual_feature_dim:
-                # precomputed-feature escape hatch: a dense adapter stands in
-                # for the convolutional encoder
-                self.visual_encoder = DenseLayer(config.visual_feature_dim, d,
-                                                 "tanh", rng, name="visual.adapter")
-            else:
-                self.visual_encoder = ConvVisualEncoder(
-                    in_channels=config.in_channels, latent_dim=d,
-                    channels=config.visual_channels, rng=rng)
+            self.visual_encoder = ConvVisualEncoder(
+                in_channels=config.in_channels, latent_dim=d,
+                channels=config.visual_channels, rng=rng)
 
         if config.input_modes == "multimodal":
             out_dim = config.resolved_fusion_dim()
@@ -239,15 +205,13 @@ class FusionModel:
             else:
                 self.mechanism = GanFusion(
                     d, out_dim, noise_dim=config.noise_dim,
-                    append_raw_latents=config.append_raw_latents,
-                    saturating=config.saturating_gan, rng=rng)
+                    append_raw_latents=config.append_raw_latents, rng=rng)
 
         classifier_in = config.resolved_fusion_dim()
         if self.config.wants_entity_tuple:
             if self.text_encoder is None:
                 raise ConfigError("entity-tuple path needs a text encoder")
             classifier_in += config.embed_dim
-        classifier_in += config.entity_feature_dim
         self.classifier = DenseLayer(classifier_in, label_space.num_classes,
                                      "softmax", rng, name="classifier")
 
@@ -306,22 +270,13 @@ class FusionModel:
                 batch.tuple_ids, batch.tuple_counts = _padded(
                     [[index.get(t, oov) for t in e.tokens()] for _, e in texts])
         if mode in ("visual", "multimodal"):
-            if config.visual_feature_dim:
-                batch.visual_features = _feature_rows(batch.pubs, "visual_features",
-                                                      config.visual_feature_dim, True)
-            else:
-                for p in batch.pubs:
-                    if p.visual is None:
-                        raise InputError(f"publication {p.id}: visual grid required "
-                                         f"by a {mode} model")
-        if config.entity_feature_dim:
-            batch.entity_features = _feature_rows(batch.pubs, "entity_features",
-                                                  config.entity_feature_dim, False)
+            for p in batch.pubs:
+                if p.visual is None:
+                    raise InputError(f"publication {p.id}: visual grid required "
+                                     f"by a {mode} model")
         return batch
 
     def _encode_visuals(self, batch: PreparedBatch) -> Tensor:
-        if self.config.visual_feature_dim:
-            return self.visual_encoder(Tensor(batch.visual_features))
         # grids of different shapes cannot share a batch: one call per shape
         pubs = batch.pubs
         by_shape: Dict[Tuple[int, ...], List[int]] = {}
@@ -365,7 +320,7 @@ class FusionModel:
             latents["visual"] = self._encode_visuals(batch)
         return latents
 
-    def head(self, batch: PreparedBatch, latents: Dict[str, Tensor],
+    def head(self, latents: Dict[str, Tensor],
              rng: Optional[np.random.Generator] = None
              ) -> Tuple[Tensor, Optional[FusionResult]]:
         """Class probabilities (batch, C) from encoded latents, plus the
@@ -378,20 +333,16 @@ class FusionModel:
         else:
             base = latents[mode]
 
-        pieces = [base]
         if self.config.wants_entity_tuple:
-            pieces.append(latents["tuple"])
-        if self.config.entity_feature_dim:
-            pieces.append(Tensor(batch.entity_features))
-        features = pieces[0] if len(pieces) == 1 else nc.concat(pieces, axis=1)
-        return self.classifier(features), result
+            base = nc.concat([base, latents["tuple"]], axis=1)
+        return self.classifier(base), result
 
     def forward_batch(self, batch: PreparedBatch,
                       rng: Optional[np.random.Generator] = None
                       ) -> Tuple[Tensor, Optional[FusionResult]]:
         """Class probabilities and fusion auxiliaries of a prepared batch:
         encode, then head."""
-        return self.head(batch, self.encode(batch), rng)
+        return self.head(self.encode(batch), rng)
 
     def predict(self, pub: Publication) -> Tuple[np.ndarray, str]:
         """Label distribution and argmax label (lowest index wins ties).
@@ -463,6 +414,13 @@ def load_model(path) -> FusionModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad header ({exc})")
     offset += header_len
+    for key in ("config", "label_space", "vocab", "params"):
+        if not isinstance(header, dict) or key not in header:
+            raise FormatError(f"{path}: header has no {key!r}")
+    known = {f.name for f in dataclasses.fields(ModelConfig)}
+    unknown = sorted(set(header["config"]) - known)
+    if unknown:
+        raise FormatError(f"{path}: unsupported model config keys {unknown}")
 
     config = ModelConfig.from_json(header["config"])
     if header.get("config_hash") != _config_hash(config):

@@ -21,24 +21,14 @@ from ..fusion import GanFusion, auto_fusion_loss, generator_loss
 from ..numcore import Tensor
 
 
-def cross_entropy(t: Tensor, y: Tensor) -> Tensor:
-    """-sum_l t(l) log y(l) for one pair of distributions over the labels.
-
-    y passes through the clamped log, so a saturated softmax cannot
-    produce an infinite loss.
-    """
-    if t.shape != y.shape:
-        raise ShapeError(f"cross_entropy: distribution shapes {t.shape} and "
-                         f"{y.shape} differ")
-    return nc.neg(nc.tsum(nc.mul(t, nc.tlog(y))))
-
-
 def batch_cross_entropy(targets: np.ndarray, probs: Tensor,
                         class_weights: Optional[Sequence[float]] = None) -> Tensor:
     """Mean cross-entropy of predicted rows against one-hot target rows.
 
     Optional per-class weights rescale each sample's loss by the weight of
-    its true class (class-imbalance handling, off by default).
+    its true class (class-imbalance handling, off by default). probs pass
+    through the clamped log, so a saturated softmax cannot produce an
+    infinite loss.
     """
     if targets.shape != probs.shape:
         raise ShapeError(f"batch_cross_entropy: targets {targets.shape} vs "
@@ -83,7 +73,7 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     term reads detached latents, a deliberate stop-gradient that confines
     it to the fusion module.
     """
-    probs, result = model.head(batch, latents, rng)
+    probs, result = model.head(latents, rng)
     j_c = batch_cross_entropy(_targets(model, batch.pubs), probs, config.class_weights)
     mech = model.mechanism
     updates_encoders = config.fusion_loss_updates_encoders
@@ -101,7 +91,7 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
                 z_g = module.generate(latents[source].detach(), result.noise[key])
                 adv = module.adversarial(latents[real].detach(), z_g)
             parts[f"j_adv_{key}"] = float(adv.j_adv.data)
-            gen_terms.append(generator_loss(adv, mech.saturating))
+            gen_terms.append(generator_loss(adv))
         term = nc.add(*gen_terms)
         j_f = parts["j_adv_t"] + parts["j_adv_v"]
         parts["gen_term"] = float(term.data)

@@ -30,8 +30,8 @@ from fuselab.numcore import Tensor, zero_grads
 from fuselab.training import (
     ModelConfig,
     TrainConfig,
+    batch_cross_entropy,
     build_model,
-    cross_entropy,
     evaluate_model,
     train,
 )
@@ -86,10 +86,10 @@ def test_criterion_03_loss_oracles_exact():
 
     # J_C = ln C for a uniform prediction against a one-hot target
     for c in (2, 5):
-        target = np.zeros(c)
-        target[c // 2] = 1.0
-        uniform = np.full(c, 1.0 / c)
-        value = cross_entropy(Tensor(target), Tensor(uniform)).item()
+        target = np.zeros((1, c))
+        target[0, c // 2] = 1.0
+        uniform = np.full((1, c), 1.0 / c)
+        value = batch_cross_entropy(target, Tensor(uniform)).item()
         assert abs(value - math.log(c)) < tol, (c, value)
 
     # both adversarial components equal -2 ln 2 at an indifferent discriminator

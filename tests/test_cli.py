@@ -251,10 +251,16 @@ class TestConfigParsing:
             assert config.seed == 1
 
     def test_unknown_key_is_hard_error(self, tmp_path):
-        # [eval] threads is a removed key: a config that still sets it fails
-        for key, extra in (("lerning_rate", "\nlerning_rate = 0.1\n"),
-                           ("threads", "\n[eval]\nthreads = 4\n")):
-            path = _write_config(tmp_path, body=CONFIG_TEMPLATE.format(seed=1) + extra)
+        # [eval] threads and the [model] keys are removed keys: a config
+        # that still sets one fails
+        base = CONFIG_TEMPLATE.format(seed=1)
+        model_key = lambda line: base.replace("[model]\n", f"[model]\n{line}\n")
+        for key, body in (("lerning_rate", base + "\nlerning_rate = 0.1\n"),
+                          ("threads", base + "\n[eval]\nthreads = 4\n"),
+                          ("saturating_gan", model_key("saturating_gan = true")),
+                          ("visual_feature_dim", model_key("visual_feature_dim = 6")),
+                          ("entity_feature_dim", model_key("entity_feature_dim = 2"))):
+            path = _write_config(tmp_path, body=body)
             with pytest.raises(ConfigError) as exc:
                 load_experiment_config(path)
             assert key in str(exc.value)
@@ -302,3 +308,51 @@ class TestConfigParsing:
         path = _write_config(tmp_path, body=body)
         config = load_experiment_config(path)
         assert config.model.fusion == "concat"
+
+    # A valid non-default value for every key a config may set, and the key
+    # each one displaces from the base config below (the data source, or the
+    # fusion a unimodal model may not name).
+    KNOBS = {
+        "model": {"input_modes": "visual", "fusion": "gan", "latent_dim": "16",
+                  "embed_dim": "8", "hidden_dim": "6", "visual_channels": "4,6",
+                  "fusion_out_dim": "12", "concat_projection": "true", "noise_dim": "3",
+                  "append_raw_latents": "true", "use_entity_tuple": "true",
+                  "normalize_text": "false", "vocab_size": "50"},
+        "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
+                 "synthetic_n": "30", "synthetic_noise": "0.1", "synthetic_grid": "14",
+                 "synthetic_seq_len": "7", "split": "0.6,0.2,0.2", "binarize": "true"},
+        "train": {"epochs": "7", "batch_size": "8", "optimizer": "sgd", "lr": "0.05",
+                  "disc_lr": "0.02", "lambda": "0.5", "disc_steps": "2",
+                  "clip_norm": "1.0", "fusion_loss_updates_encoders": "false",
+                  "patience": "3", "class_weights": "1,2"},
+        "eval": {"metrics_path": "metrics.json"},
+    }
+    DISPLACES = {"input_modes": ("model", "fusion"), "path": ("data", "synthetic_task")}
+
+    def test_every_key_reaches_the_config(self, tmp_path):
+        """Each key changes the parsed config: none is parsed and then ignored."""
+        import dataclasses
+
+        from fuselab import config as config_module
+
+        assert {s: set(keys) for s, keys in self.KNOBS.items()} == {
+            "model": config_module._MODEL_KEYS, "data": config_module._DATA_KEYS,
+            "train": config_module._TRAIN_KEYS, "eval": config_module._EVAL_KEYS}
+
+        def parsed(sections):
+            body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items())
+            path = _write_config(tmp_path, body=body)
+            return dataclasses.replace(load_experiment_config(path), source_path=None)
+
+        base = {"experiment": {"seed": "1"}, "model": {"fusion": "concat"},
+                "data": {"synthetic_task": "xor-crossmodal"}, "train": {}, "eval": {}}
+        unset = parsed(base)
+        for section, knobs in self.KNOBS.items():
+            for key, value in knobs.items():
+                sections = {name: dict(keys) for name, keys in base.items()}
+                sections[section][key] = value
+                if key in self.DISPLACES:
+                    other_section, other = self.DISPLACES[key]
+                    del sections[other_section][other]
+                assert parsed(sections) != unset, (section, key)

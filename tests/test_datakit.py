@@ -136,6 +136,15 @@ class TestJsonl:
         with pytest.raises(SchemaError, match=r"ds\.jsonl:1: "):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("field", ["visual_features", "entity_features"])
+    def test_precomputed_vector_field_is_schema_error_with_line(self, tmp_path, field):
+        path = tmp_path / "ds.jsonl"
+        ok = {"id": "a", "label": "Hate", "text": "x"}
+        path.write_text(json.dumps(ok) + "\n"
+                        + json.dumps(dict(ok, id="b", **{field: [0.5, 1.0]})) + "\n")
+        with pytest.raises(SchemaError, match=rf"ds\.jsonl:2: .*{field}"):
+            load_jsonl(path)
+
     def test_large_grid_blob_round_trip(self, tmp_path):
         grid = np.arange(40 * 40).reshape(40, 40, 1).astype(np.float64)
         ds = Dataset([Publication(id="g", label="Hate", visual=grid)], BINARY_SPACE)

@@ -1,110 +1,21 @@
-"""Cross-module surfaces: precomputed-feature escape hatches, lexicon
-directory override, entity-tuple classifier path."""
+"""Cross-module surfaces: lexicon directory override, entity-tuple
+classifier path."""
 
 import shutil
 
 import numpy as np
 import pytest
 
-from fuselab.datakit import (
-    BINARY_SPACE,
-    Dataset,
-    Publication,
-    Vocab,
-    save_jsonl,
-    load_jsonl,
-)
-from fuselab.exceptions import ConfigError, InputError
-from fuselab.training import (
-    ModelConfig,
-    TrainConfig,
-    build_model,
-    evaluate_model,
-    train,
-)
-
-
-def _feature_dataset(n=60, seed=0, dim=6):
-    """Binary labels carried by a precomputed visual feature vector."""
-    rng = np.random.default_rng(seed)
-    pubs = []
-    for i in range(n):
-        label = int(rng.integers(2))
-        features = rng.normal(size=dim) + (2.0 if label else -2.0)
-        pubs.append(Publication(id=f"f{i}", label=("Hate" if label else "NoHate"),
-                                text=f"post number {i % 5}",
-                                visual_features=features))
-    return Dataset(pubs, BINARY_SPACE)
-
-
-class TestVisualFeatureEscapeHatch:
-    def test_model_trains_on_precomputed_vectors(self):
-        ds = _feature_dataset()
-        vocab = Vocab.from_texts([p.text for p in ds])
-        model = build_model(
-            ModelConfig(input_modes="multimodal", fusion="concat", latent_dim=6,
-                        embed_dim=4, hidden_dim=3, concat_projection=True,
-                        fusion_out_dim=8, visual_feature_dim=6,
-                        normalize_text=False, seed=1),
-            ds.label_space, vocab)
-        train(model, ds, TrainConfig(epochs=30, batch_size=20, seed=2))
-        report = evaluate_model(model, ds)
-        assert report.accuracy >= 0.9, report.accuracy
-
-    def test_missing_feature_vector_rejected(self):
-        ds = _feature_dataset(10)
-        vocab = Vocab.from_texts([p.text for p in ds])
-        model = build_model(
-            ModelConfig(input_modes="visual", fusion=None, latent_dim=6,
-                        visual_feature_dim=6, normalize_text=False),
-            ds.label_space, vocab)
-        with pytest.raises(InputError):
-            model.predict(Publication(id="x", label="Hate", text="words only"))
-
-    def test_wrong_feature_dim_rejected(self):
-        ds = _feature_dataset(10, dim=6)
-        vocab = Vocab.from_texts([p.text for p in ds])
-        model = build_model(
-            ModelConfig(input_modes="visual", fusion=None, latent_dim=6,
-                        visual_feature_dim=9, normalize_text=False),
-            ds.label_space, vocab)
-        with pytest.raises(InputError):
-            model.predict(ds[0])
-
-    def test_feature_vectors_round_trip_jsonl(self, tmp_path):
-        ds = _feature_dataset(8)
-        path = tmp_path / "features.jsonl"
-        save_jsonl(ds, path)
-        loaded = load_jsonl(path)
-        for a, b in zip(ds, loaded):
-            assert np.array_equal(a.visual_features, b.visual_features)
-
-
-class TestEntityFeatureField:
-    def test_entity_features_feed_the_classifier(self):
-        rng = np.random.default_rng(4)
-        pubs = []
-        for i in range(40):
-            label = int(rng.integers(2))
-            pubs.append(Publication(
-                id=f"e{i}", label=("Hate" if label else "NoHate"),
-                text=f"neutral text {i % 3}",
-                entity_features=np.array([3.0 if label else -3.0, 0.5])))
-        ds = Dataset(pubs, BINARY_SPACE)
-        vocab = Vocab.from_texts([p.text for p in ds])
-        model = build_model(
-            ModelConfig(input_modes="text", fusion=None, latent_dim=6,
-                        embed_dim=4, hidden_dim=3, use_entity_tuple=False,
-                        entity_feature_dim=2, normalize_text=False, seed=5),
-            ds.label_space, vocab)
-        train(model, ds, TrainConfig(epochs=40, batch_size=20, seed=6, lr=0.01))
-        # the text is uninformative; only the entity features separate classes
-        assert evaluate_model(model, ds).accuracy >= 0.9
+from fuselab.datakit import BINARY_SPACE, Dataset, Publication, Vocab
+from fuselab.exceptions import ConfigError
+from fuselab.training import ModelConfig, build_model
 
 
 class TestEntityTuplePath:
     def test_text_only_default_enables_tuple_and_widens_classifier(self):
-        ds = _feature_dataset(10)
+        pubs = [Publication(id=f"p{i}", label=("Hate" if i % 2 else "NoHate"),
+                            text=f"post number {i % 5}") for i in range(10)]
+        ds = Dataset(pubs, BINARY_SPACE)
         vocab = Vocab.from_texts([p.text for p in ds])
         with_tuple = build_model(
             ModelConfig(input_modes="text", fusion=None, latent_dim=6,

@@ -10,7 +10,6 @@ from fuselab.layers import (
     DenseLayer,
     EmbeddingTable,
     RecurrentTextEncoder,
-    dense_forward,
 )
 from fuselab.numcore import Tensor
 
@@ -26,24 +25,24 @@ class TestDense:
         layer.weights.data[...] = np.eye(3)
         layer.bias.data[...] = 0.0
         x = Tensor([1.0, -2.0, 3.0])
-        assert dense_forward(x, layer).data.tolist() == [1.0, -2.0, 3.0]
+        assert layer(x).data.tolist() == [1.0, -2.0, 3.0]
 
     def test_zero_weights_softmax_is_uniform(self):
         layer = DenseLayer(5, 2, "softmax")
         _zero_params(layer.parameters())
-        out = dense_forward(Tensor(np.ones(5)), layer)
+        out = layer(Tensor(np.ones(5)))
         assert out.data.tolist() == [0.5, 0.5]
 
     def test_hand_arithmetic(self):
         layer = DenseLayer(2, 1, "identity")
         layer.weights.data[...] = [[1.0, 1.0]]
         layer.bias.data[...] = [1.0]
-        assert dense_forward(Tensor([2.0, 3.0]), layer).data.tolist() == [6.0]
+        assert layer(Tensor([2.0, 3.0])).data.tolist() == [6.0]
 
     def test_dim_mismatch(self):
         layer = DenseLayer(2, 1)
         with pytest.raises(ShapeError):
-            dense_forward(Tensor([1.0, 2.0, 3.0]), layer)
+            layer(Tensor([1.0, 2.0, 3.0]))
 
 
 class TestEmbedding:

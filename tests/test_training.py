@@ -1,6 +1,9 @@
 """Objectives, the training loop, prediction, and persistence."""
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -28,8 +31,8 @@ from fuselab.training import (
     FusionModel,
     ModelConfig,
     TrainConfig,
+    batch_cross_entropy,
     build_model,
-    cross_entropy,
     evaluate_model,
     load_model,
     predict_dataset,
@@ -52,28 +55,28 @@ def _model(ds, fusion="concat", seed=3, **extra):
     return build_model(mc, ds.label_space, vocab)
 
 
+def _row_ce(t, y):
+    """batch_cross_entropy of one target row against one prediction row."""
+    return batch_cross_entropy(np.array([t], dtype=np.float64), Tensor([y]))
+
+
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        t = Tensor([0.0, 1.0, 0.0])
-        y = Tensor([0.0, 1.0, 0.0])
-        assert cross_entropy(t, y).item() == 0.0
+        assert _row_ce([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]).item() == 0.0
 
     def test_uniform_prediction_is_log_c(self):
-        t = Tensor([1.0, 0.0])
-        y = Tensor([0.5, 0.5])
-        assert abs(cross_entropy(t, y).item() - math.log(2)) < 1e-12
-        t4 = Tensor([0.0, 0.0, 1.0, 0.0])
-        y4 = Tensor([0.25] * 4)
-        assert abs(cross_entropy(t4, y4).item() - math.log(4)) < 1e-12
+        assert abs(_row_ce([1.0, 0.0], [0.5, 0.5]).item() - math.log(2)) < 1e-12
+        loss4 = _row_ce([0.0, 0.0, 1.0, 0.0], [0.25] * 4)
+        assert abs(loss4.item() - math.log(4)) < 1e-12
 
     def test_hand_value(self):
-        loss = cross_entropy(Tensor([1.0, 0.0]), Tensor([0.8, 0.2]))
+        loss = _row_ce([1.0, 0.0], [0.8, 0.2])
         assert abs(loss.item() - 0.223144) < 1e-6
         assert abs(loss.item() - (-math.log(0.8))) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            cross_entropy(Tensor([1.0, 0.0]), Tensor([1.0, 0.0, 0.0]))
+            _row_ce([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_nonnegative_for_one_hot_targets(self):
         rng = np.random.default_rng(0)
@@ -81,22 +84,20 @@ class TestCrossEntropy:
             y = nc.softmax(Tensor(rng.normal(size=5))).data
             t = np.zeros(5)
             t[rng.integers(5)] = 1.0
-            assert cross_entropy(Tensor(t), Tensor(y)).item() >= 0.0
+            assert _row_ce(t, y).item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
-        t = np.zeros(3)
-        t[1] = 1.0
+        t = np.zeros((1, 3))
+        t[0, 1] = 1.0
 
         def f(logits):
-            return cross_entropy(Tensor(t), nc.softmax(logits))
+            return batch_cross_entropy(t, nc.softmax(logits))
 
-        report = nc.grad_check(f, Tensor(np.random.default_rng(2).normal(size=3)),
+        report = nc.grad_check(f, Tensor(np.random.default_rng(2).normal(size=(1, 3))),
                                h=1e-5, tol=1e-4)
         assert report.passed, report
 
     def test_class_weights_rescale_sample_losses(self):
-        from fuselab.training import batch_cross_entropy
-
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         probs = Tensor(np.array([[0.8, 0.2], [0.4, 0.6]]))
         plain = batch_cross_entropy(targets, probs).item()
@@ -523,6 +524,36 @@ class TestPersistence:
         path.write_bytes(b"not a model at all, sorry")
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("key, mutate", [
+        ("visual_feature_dim", lambda h: h["config"].update(visual_feature_dim=0)),
+        ("'config'", lambda h: h.pop("config")),
+        ("'params'", lambda h: h.pop("params")),
+    ], ids=["unknown-config-key", "no-config", "no-params"])
+    def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
+        from fuselab.cli import main
+        from fuselab.datakit import save_jsonl
+        from fuselab.training.model import MAGIC
+
+        ds = _dataset(10)
+        path = tmp_path / "model.fuse"
+        save_model(_model(ds, "concat"), path)
+        raw = path.read_bytes()
+        start = len(MAGIC) + 4
+        (header_len,) = struct.unpack_from("<Q", raw, start)
+        header = json.loads(raw[start + 8 : start + 8 + header_len])
+        mutate(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = (raw[:start] + struct.pack("<Q", len(blob)) + blob
+                + raw[start + 8 + header_len : -32])
+        path.write_bytes(body + hashlib.sha256(body).digest())  # a valid checksum
+
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value) and key in str(exc.value)
+        data = tmp_path / "ds.jsonl"
+        save_jsonl(ds, data)
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
 
 
 class TestFullPipelineGradients:

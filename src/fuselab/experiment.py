@@ -10,6 +10,7 @@ tables.
 
 from __future__ import annotations
 
+import dataclasses
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,8 +78,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
     for part in (train_ds, val_ds, test_ds):
         for name, count in part.label_histogram().items():
             histogram[name] = histogram.get(name, 0) + count
-    vocab = build_vocab(train_ds, config.model, config.vocab_size)
-    model = build_model(config.model, train_ds.label_space, vocab)
+    model_config = config.model
+    channels = next((pub.visual.shape[-1] for pub in train_ds if pub.visual is not None), None)
+    if channels is not None and model_config.input_modes != "text":
+        # no config key sets the channel count: the training grids do
+        model_config = dataclasses.replace(model_config, in_channels=channels)
+    vocab = build_vocab(train_ds, model_config, config.vocab_size)
+    model = build_model(model_config, train_ds.label_space, vocab)
     result = train(model, train_ds, config.train,
                    val_dataset=val_ds if len(val_ds) else None)
     if len(test_ds) < 1:

@@ -72,9 +72,6 @@ class ConcatFusion:
     def parameters(self) -> List[Tensor]:
         return self.projection.parameters() if self.projection else []
 
-    def discriminator_parameters(self) -> List[Tensor]:
-        return []
-
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
@@ -105,9 +102,6 @@ class AutoFusion:
 
     def parameters(self) -> List[Tensor]:
         return self.encoder.parameters() + self.decoder.parameters()
-
-    def discriminator_parameters(self) -> List[Tensor]:
-        return []
 
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
@@ -226,9 +220,7 @@ class GanFusion:
 
     def parameters(self) -> List[Tensor]:
         """Every fusion parameter, discriminators included."""
-        return (self.generator_parameters()
-                + self.text_module.discriminator_parameters()
-                + self.visual_module.discriminator_parameters())
+        return self.generator_parameters() + self.discriminator_parameters()
 
     def generator_parameters(self) -> List[Tensor]:
         """Parameters updated by the main (generator-side) descent step."""

@@ -68,9 +68,9 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         ("op squared_norm", (5,), lambda: lambda x: nc.squared_norm(x)),
         ("op row_scale", (3, 4), lambda c=const((3,)): lambda x: nc.tsum(
             nc.row_scale(x, c))),
-        ("op conv2d", (6, 6, 1), lambda k=const((3, 3, 1, 2)), b=const((2,)):
+        ("op conv2d", (1, 6, 6, 1), lambda k=const((3, 3, 1, 2)), b=const((2,)):
             lambda x: nc.squared_norm(nc.conv2d(x, k, b))),
-        ("op maxpool2d", (6, 6, 2), lambda: lambda x: nc.squared_norm(
+        ("op maxpool2d", (1, 6, 6, 2), lambda: lambda x: nc.squared_norm(
             nc.maxpool2d(x, 2))),
     ]
     reports = []

@@ -109,7 +109,7 @@ class RecurrentTextEncoder:
     """
 
     def __init__(self, vocab_size: int, embed_dim: int, hidden_dim: int, latent_dim: int,
-                 rng: Optional[np.random.Generator] = None, tied_directions: bool = False):
+                 rng: Optional[np.random.Generator] = None):
         if latent_dim < 1 or hidden_dim < 1:
             raise ConfigError("encoder dims must be positive")
         rng = rng or np.random.default_rng(0)
@@ -117,10 +117,7 @@ class RecurrentTextEncoder:
         self.hidden_dim = hidden_dim
         self.embedding = EmbeddingTable(vocab_size, embed_dim, rng=rng, name="text.embed")
         self.fwd = self._make_cell(embed_dim, hidden_dim, rng, "text.fwd")
-        if tied_directions:
-            self.bwd = self.fwd
-        else:
-            self.bwd = self._make_cell(embed_dim, hidden_dim, rng, "text.bwd")
+        self.bwd = self._make_cell(embed_dim, hidden_dim, rng, "text.bwd")
         self.query = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=2 * hidden_dim),
                             requires_grad=True, name="text.attn_query")
         self.proj = DenseLayer(2 * hidden_dim, latent_dim, "identity", rng, name="text.proj")
@@ -137,17 +134,11 @@ class RecurrentTextEncoder:
         }
 
     def parameters(self) -> List[Tensor]:
-        params = self.embedding.parameters() + [self.fwd["w"], self.fwd["b"]]
-        if self.bwd is not self.fwd:
-            params += [self.bwd["w"], self.bwd["b"]]
-        params += [self.query] + self.proj.parameters()
-        return params
+        return (self.embedding.parameters() + self.recurrent_parameters()
+                + [self.query] + self.proj.parameters())
 
     def recurrent_parameters(self) -> List[Tensor]:
-        params = [self.fwd["w"], self.fwd["b"]]
-        if self.bwd is not self.fwd:
-            params += [self.bwd["w"], self.bwd["b"]]
-        return params
+        return [self.fwd["w"], self.fwd["b"], self.bwd["w"], self.bwd["b"]]
 
     def _directions(self, ids_batch: np.ndarray,
                     lengths: Optional[np.ndarray]) -> Tuple[Tensor, Tensor]:

@@ -1,9 +1,14 @@
 """Differentiable primitives over Tensor.
 
+Each op has one spelling, the function here; Tensor adds only indexing
+and reshape as methods.
+
 Shape discipline: operand shapes must conform exactly; the only implicit
-broadcast is scalar-with-tensor. Batched variants (linear, conv2d,
-row_scale, gated_recurrence) treat a leading axis as the batch and say so
+broadcast is scalar-with-tensor. Batched ops (linear, row_scale,
+gated_recurrence) treat a leading axis as the batch and say so
 explicitly -- there is no silent numpy-style broadcasting anywhere else.
+conv2d and maxpool2d take only (batch, H, W, C) grids. linear and conv2d
+require their bias.
 
 log clamps its input upward to LOG_EPS = 1e-12 (probabilities saturate
 during adversarial training); strictly negative inputs are a domain
@@ -124,38 +129,27 @@ def matmul(a: Arrayish, b: Arrayish) -> Tensor:
     return Tensor._from_op(out, "matmul", (a, b), backward)
 
 
-def linear(x: Arrayish, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def linear(x: Arrayish, w: Tensor, b: Tensor) -> Tensor:
     """Affine map y = x W^T + b for x of shape (in,) or (batch, in).
 
     The bias add over batch rows is part of this op's definition, not an
     implicit broadcast.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
     if x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
-    out = x.data @ w.data.T
-    if b is not None:
-        out = out + b.data
+    out = x.data @ w.data.T + b.data
 
-    if b is None:
-
-        def backward(g):
-            if x.ndim == 1:
-                return g @ w.data, np.outer(g, x.data)
-            return g @ w.data, g.T @ x.data
-
-        return Tensor._from_op(out, "linear", (x, w), backward)
-
-    def backward_b(g):
+    def backward(g):
         if x.ndim == 1:
             return g @ w.data, np.outer(g, x.data), g.copy()
         return g @ w.data, g.T @ x.data, g.sum(axis=0)
 
-    return Tensor._from_op(out, "linear", (x, w, b), backward_b)
+    return Tensor._from_op(out, "linear", (x, w, b), backward)
 
 
 def row_scale(m: Arrayish, v: Arrayish) -> Tensor:
@@ -535,80 +529,68 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# convolution and pooling (batch-aware; stride-1 valid convolution)
+# convolution and pooling over (batch, H, W, C) grids
 
 
-def _as_batched_grid(x: Tensor, op: str) -> Tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x.data[None, ...], True
-    if x.ndim == 4:
-        return x.data, False
-    raise ShapeError(f"{op}: expected (H, W, C) or (batch, H, W, C), got {x.shape}")
-
-
-def conv2d(x: Arrayish, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Valid 2-D convolution of an H x W x C grid with kernel (kh, kw, C, F)."""
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
+def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Stride-1 valid 2-D convolution of (batch, H, W, C) grids with
+    kernel (kh, kw, C, F), plus one bias (F,) per filter."""
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be (kh, kw, cin, cout), got {kernel.shape}")
-    xb, squeeze = _as_batched_grid(x, "conv2d")
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: expected (batch, H, W, C), got {x.shape}")
     kh, kw, cin, cout = kernel.shape
-    b_, h, w, c = xb.shape
+    b_, h, w, c = x.shape
     if c != cin:
         raise ShapeError(f"conv2d: input channels {c} do not match kernel {kernel.shape}")
     if h < kh or w < kw:
         raise ShapeError(f"conv2d: grid {x.shape} smaller than receptive field {(kh, kw)}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape} does not match {cout} filters")
     ho, wo = h - kh + 1, w - kw + 1
+    xd = x.data
     out = np.zeros((b_, ho, wo, cout))
     for p in range(kh):
         for q in range(kw):
-            out += xb[:, p : p + ho, q : q + wo, :] @ kernel.data[p, q]
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d: bias {bias.shape} does not match {cout} filters")
-        out = out + bias.data
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+            out += xd[:, p : p + ho, q : q + wo, :] @ kernel.data[p, q]
+    out = out + bias.data
 
     def backward(g):
-        gb = g if not squeeze else g[None, ...]
-        gx = np.zeros_like(xb)
+        gx = np.zeros_like(xd)
         gk = np.zeros_like(kernel.data)
         for p in range(kh):
             for q in range(kw):
-                patch = xb[:, p : p + ho, q : q + wo, :]
-                gk[p, q] = np.einsum("bhwc,bhwf->cf", patch, gb)
-                gx[:, p : p + ho, q : q + wo, :] += gb @ kernel.data[p, q].T
-        gx = gx[0] if squeeze else gx
-        if bias is None:
-            return gx, gk
-        return gx, gk, gb.sum(axis=(0, 1, 2))
+                patch = xd[:, p : p + ho, q : q + wo, :]
+                gk[p, q] = np.einsum("bhwc,bhwf->cf", patch, g)
+                gx[:, p : p + ho, q : q + wo, :] += g @ kernel.data[p, q].T
+        return gx, gk, g.sum(axis=(0, 1, 2))
 
-    return Tensor._from_op(out[0] if squeeze else out, "conv2d", parents, backward)
+    return Tensor._from_op(out, "conv2d", (x, kernel, bias), backward)
 
 
 def maxpool2d(x: Arrayish, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/cols that do not fill a
-    window are dropped."""
+    """Non-overlapping max pooling of (batch, H, W, C) grids; trailing
+    rows/cols that do not fill a window are dropped."""
     x = as_tensor(x)
-    xb, squeeze = _as_batched_grid(x, "maxpool2d")
-    b_, h, w, c = xb.shape
+    if x.ndim != 4:
+        raise ShapeError(f"maxpool2d: expected (batch, H, W, C), got {x.shape}")
+    b_, h, w, c = x.shape
     ho, wo = h // size, w // size
     if ho < 1 or wo < 1:
         raise ShapeError(f"maxpool2d: grid {x.shape} smaller than pool window {size}")
-    cropped = xb[:, : ho * size, : wo * size, :]
+    cropped = x.data[:, : ho * size, : wo * size, :]
     windows = cropped.reshape(b_, ho, size, wo, size, c).transpose(0, 1, 3, 5, 2, 4)
     flat = windows.reshape(b_, ho, wo, c, size * size)
     arg = np.argmax(flat, axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
     def backward(g):
-        gb = g if not squeeze else g[None, ...]
         gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], gb[..., None], axis=-1)
+        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gwin = gflat.reshape(b_, ho, wo, c, size, size).transpose(0, 1, 4, 2, 5, 3)
-        gx = np.zeros_like(xb)
+        gx = np.zeros_like(x.data)
         gx[:, : ho * size, : wo * size, :] = gwin.reshape(b_, ho * size, wo * size, c)
-        return (gx[0] if squeeze else gx,)
+        return (gx,)
 
-    return Tensor._from_op(out[0] if squeeze else out, "maxpool2d", (x,), backward)
+    return Tensor._from_op(out, "maxpool2d", (x,), backward)

@@ -2,7 +2,10 @@
 
 A Tensor wraps a numpy array. Differentiable operations (see ops.py)
 link their output to the input tensors, so every result carries the
-compute graph that produced it as a DAG of parent references. Calling
+compute graph that produced it as a DAG of parent references. Tensor has
+no operator sugar: arithmetic and reductions are the ops functions
+(nc.add, nc.mul, nc.tsum, ...), values are read through ``data``, and
+only indexing and ``reshape`` are methods. Calling
 ``backward()`` on a scalar result walks that DAG once in reverse
 topological order and accumulates d(result)/d(node) into ``grad`` for
 every node with ``requires_grad``.
@@ -114,21 +117,9 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         """A view of the same values with no graph attached."""
         return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, name=self.name)
-        return t
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}"
@@ -195,54 +186,7 @@ class Tensor:
                     stack.append((p, False))
         return order
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    # -- operator sugar (defined in ops.py, bound below) --------------------
-
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.sub(other, self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from . import ops
-
-        return ops.div(self, other)
-
-    def __rtruediv__(self, other):
-        from . import ops
-
-        return ops.div(other, self)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.neg(self)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
+    # -- indexing and reshaping, which the encoders write as methods ------
 
     def __getitem__(self, key):
         from . import ops
@@ -252,19 +196,7 @@ class Tensor:
     def reshape(self, *shape):
         from . import ops
 
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return ops.reshape(self, shape)
-
-    def sum(self, axis=None):
-        from . import ops
-
-        return ops.tsum(self, axis)
-
-    def mean(self, axis=None):
-        from . import ops
-
-        return ops.tmean(self, axis)
 
 
 def as_tensor(x: Arrayish) -> Tensor:

@@ -274,6 +274,10 @@ class FusionModel:
                 if p.visual is None:
                     raise InputError(f"publication {p.id}: visual grid required "
                                      f"by a {mode} model")
+                if p.visual.shape[-1] != config.in_channels:
+                    raise InputError(f"publication {p.id}: visual grid has "
+                                     f"{p.visual.shape[-1]} channels, the model reads "
+                                     f"{config.in_channels}")
         return batch
 
     def _encode_visuals(self, batch: PreparedBatch) -> Tensor:
@@ -368,6 +372,11 @@ def _config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _manifest(named: List[Tuple[str, Tensor]]) -> List[dict]:
+    """The header's parameter list: each name and shape, in storage order."""
+    return [{"name": name, "shape": list(p.shape)} for name, p in named]
+
+
 def save_model(model: FusionModel, path) -> None:
     named = model.named_parameters()
     header = {
@@ -376,7 +385,7 @@ def save_model(model: FusionModel, path) -> None:
         "config_hash": _config_hash(model.config),
         "label_space": model.label_space.to_json(),
         "vocab": model.vocab.words,
-        "params": [{"name": name, "shape": list(p.shape)} for name, p in named],
+        "params": _manifest(named),
     }
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
@@ -426,20 +435,24 @@ def load_model(path) -> FusionModel:
     if header.get("config_hash") != _config_hash(config):
         raise FormatError(f"{path}: config hash mismatch")
     label_space = LabelSpace.from_json(header["label_space"])
-    vocab = Vocab(header["vocab"][2:])  # constructor re-adds the reserved tokens
-    model = FusionModel(config, label_space, vocab)
+    words = header["vocab"]
+    reserved = Vocab([]).words
+    if (not isinstance(words, list) or words[:2] != reserved
+            or not all(isinstance(w, str) for w in words)):
+        raise FormatError(f"{path}: header 'vocab' is not a list of words "
+                          f"led by {reserved}")
+    model = FusionModel(config, label_space, Vocab(words[2:]))
 
-    params = dict(model.named_parameters())
-    for spec in header["params"]:
-        name, shape = spec["name"], tuple(spec["shape"])
-        if name not in params:
-            raise FormatError(f"{path}: unexpected parameter {name!r}")
-        count = int(np.prod(shape)) if shape else 1
-        block = raw[offset : offset + 8 * count]
-        if len(block) != 8 * count:
+    named = model.named_parameters()
+    if header["params"] != _manifest(named):
+        raise FormatError(f"{path}: header 'params' does not list the names and "
+                          f"shapes of the parameters its config builds")
+    for name, p in named:
+        block = raw[offset : offset + 8 * p.size]
+        if len(block) != 8 * p.size:
             raise FormatError(f"{path}: parameter block {name!r} truncated")
-        params[name].data = np.frombuffer(block, dtype="<f8").reshape(shape).copy()
-        offset += 8 * count
+        p.data = np.frombuffer(block, dtype="<f8").reshape(p.shape).copy()
+        offset += len(block)
     if offset != len(raw) - 32:
         raise FormatError(f"{path}: trailing bytes after parameter blocks")
     return model

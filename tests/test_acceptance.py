@@ -82,14 +82,14 @@ def test_criterion_03_loss_oracles_exact():
 
     # J_auto = 0 at perfect reconstruction
     z = Tensor([[0.3, -1.2, 0.8, 2.0]])
-    assert abs(auto_fusion_loss(z, Tensor(z.data.copy())).item()) < tol
+    assert abs(auto_fusion_loss(z, Tensor(z.data.copy())).data.item()) < tol
 
     # J_C = ln C for a uniform prediction against a one-hot target
     for c in (2, 5):
         target = np.zeros((1, c))
         target[0, c // 2] = 1.0
         uniform = np.full((1, c), 1.0 / c)
-        value = batch_cross_entropy(target, Tensor(uniform)).item()
+        value = batch_cross_entropy(target, Tensor(uniform)).data.item()
         assert abs(value - math.log(c)) < tol, (c, value)
 
     # both adversarial components equal -2 ln 2 at an indifferent discriminator
@@ -102,12 +102,12 @@ def test_criterion_03_loss_oracles_exact():
         parts = gan_adv_loss(module, Tensor(np.ones((4, 3))),
                              Tensor(np.zeros((4, 3))),
                              rng=np.random.default_rng(7))
-        assert abs(parts.j_adv.item() - (-2.0 * math.log(2.0))) < tol
+        assert abs(parts.j_adv.data.item() - (-2.0 * math.log(2.0))) < tol
         components.append(parts.j_adv)
 
     # J_adv is the sum of the two module objectives
-    total = nc.add(*components).item()
-    assert abs(total - (components[0].item() + components[1].item())) < tol
+    total = nc.add(*components).data.item()
+    assert abs(total - (components[0].data.item() + components[1].data.item())) < tol
     assert abs(total - (-4.0 * math.log(2.0))) < tol
     _report(3, "J_auto zero point, J_C = ln C, J_adv components at -2 ln 2, "
                "and their sum all exact to 1e-9")

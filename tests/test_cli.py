@@ -199,6 +199,54 @@ class TestEvalCommand:
         assert via_flag == premerged
 
 
+class TestGridChannels:
+    """No config key sets the grid channel count: training reads it from
+    the training grids, and a grid with another count is an input error
+    that names its publication."""
+
+    @staticmethod
+    def _write(path, channels):
+        """The xor set with each grid repeated to channels(pub id) channels."""
+        from fuselab.datakit import SyntheticSpec, generate_synthetic, save_jsonl
+
+        ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=60, seed=2))
+        for pub in ds:
+            pub.visual = np.repeat(pub.visual, channels(pub.id), axis=2)
+        save_jsonl(ds, path)
+        return ds
+
+    @staticmethod
+    def _train(tmp_path, data, name):
+        body = CONFIG_TEMPLATE.format(seed=1).replace(
+            "synthetic_task = xor-crossmodal\nsynthetic_n = 400", f"path = {data}")
+        config = _write_config(tmp_path, name=f"{name}.ini", body=body)
+        return main(["train", "--config", str(config), "--out", str(tmp_path / name)])
+
+    def test_train_reads_three_channel_grids(self, tmp_path, capsys):
+        from fuselab.training import load_model
+
+        data = tmp_path / "rgb.jsonl"
+        self._write(data, lambda _: 3)
+        assert self._train(tmp_path, data, "rgb") == 0
+        model_path = tmp_path / "rgb" / "model.fuse"
+        assert load_model(model_path).config.in_channels == 3
+        assert main(["eval", "--model", str(model_path), "--data", str(data)]) == 0
+
+    def test_grid_with_another_channel_count_exits_two(self, tmp_path, capsys):
+        rgb = tmp_path / "rgb.jsonl"
+        odd = self._write(rgb, lambda _: 3).publications[5].id
+        assert self._train(tmp_path, rgb, "rgb") == 0
+        mixed = tmp_path / "mixed.jsonl"
+        self._write(mixed, lambda pub_id: 1 if pub_id == odd else 3)
+        capsys.readouterr()
+        model_path = tmp_path / "rgb" / "model.fuse"
+        assert main(["eval", "--model", str(model_path), "--data", str(mixed)]) == 2
+        err = capsys.readouterr().err
+        assert f"publication {odd}: visual grid has 1 channels" in err
+        assert self._train(tmp_path, mixed, "mixed") == 2
+        assert "channels, the model reads" in capsys.readouterr().err
+
+
 class TestNormalizeCommand:
     def test_golden_sentence_through_cli(self, tmp_path, capsys):
         src = tmp_path / "raw.txt"

@@ -1,5 +1,7 @@
 """The finite-difference verifier, and per-primitive gradient coverage."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from fuselab.exceptions import DomainError, EvaluationError
 
 
 def test_square_at_three():
-    report = nc.grad_check(lambda x: x * x, nc.Tensor(3.0), h=1e-5, tol=1e-4)
+    report = nc.grad_check(lambda x: nc.mul(x, x), nc.Tensor(3.0), h=1e-5, tol=1e-4)
     assert report.passed
     assert abs(report.analytic_at_worst - 6.0) < 1e-9 or report.max_rel_err < 1e-6
 
 
 def test_constant_function_passes():
-    report = nc.grad_check(lambda x: nc.Tensor(1.0) * 1.0 + 0.0 * nc.tsum(x), nc.Tensor([1.0, 2.0]))
+    report = nc.grad_check(lambda x: nc.add(nc.mul(nc.Tensor(1.0), 1.0), nc.mul(0.0, nc.tsum(x))),
+                           nc.Tensor([1.0, 2.0]))
     assert report.passed
     assert report.max_rel_err < 1e-12
 
@@ -71,8 +74,8 @@ def _case_factories():
         ("softmax", (2, 4), lambda rng: (lambda x: nc.squared_norm(nc.softmax(x, axis=-1)))),
         ("squared_norm", (5,), lambda rng: (lambda x: nc.squared_norm(x))),
         ("row_scale", (3, 4), lambda rng: (lambda x, c=const(rng, (3,)): nc.tsum(nc.row_scale(x, c)))),
-        ("conv2d", (6, 6, 1), lambda rng: (lambda x, k=const(rng, (3, 3, 1, 2)), b=const(rng, (2,)): nc.squared_norm(nc.conv2d(x, k, b)))),
-        ("maxpool2d", (6, 6, 2), lambda rng: (lambda x: nc.squared_norm(nc.maxpool2d(x, 2)))),
+        ("conv2d", (1, 6, 6, 1), lambda rng: (lambda x, k=const(rng, (3, 3, 1, 2)), b=const(rng, (2,)): nc.squared_norm(nc.conv2d(x, k, b)))),
+        ("maxpool2d", (1, 6, 6, 2), lambda rng: (lambda x: nc.squared_norm(nc.maxpool2d(x, 2)))),
     ]
 
 
@@ -81,7 +84,7 @@ _CASES = _case_factories()
 
 @pytest.mark.parametrize("name,shape,factory", _CASES, ids=[c[0] for c in _CASES])
 def test_primitive_gradients_match_finite_differences(name, shape, factory):
-    rng = np.random.default_rng(abs(hash(name)) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     for _ in range(8):
         f = factory(rng)
         x = nc.Tensor(rng.normal(size=shape))

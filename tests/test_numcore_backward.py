@@ -9,26 +9,26 @@ from fuselab.exceptions import ContractError, DomainError
 
 def test_identity_gradient():
     x = nc.Tensor(2.5, requires_grad=True)
-    loss = x + 0.0
+    loss = nc.add(x, 0.0)
     loss.backward()
     assert x.grad == 1.0
 
 
 def test_square_gradient():
     x = nc.Tensor(3.0, requires_grad=True)
-    (x * x).backward()
+    nc.mul(x, x).backward()
     assert x.grad == 6.0
 
 
 def test_non_scalar_loss_rejected():
     x = nc.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):
-        (x * x).backward()
+        nc.mul(x, x).backward()
 
 
 def test_repeated_backward_accumulates():
     x = nc.Tensor(3.0, requires_grad=True)
-    loss = x * x
+    loss = nc.mul(x, x)
     loss.backward()
     loss.backward()
     assert x.grad == 12.0
@@ -40,8 +40,8 @@ def test_repeated_backward_accumulates():
 
 def test_shared_subexpression_sums_contributions():
     x = nc.Tensor(2.0, requires_grad=True)
-    y = x * x  # d/dx = 2x
-    loss = y + y  # total d/dx = 4x
+    y = nc.mul(x, x)  # d/dx = 2x
+    loss = nc.add(y, y)  # total d/dx = 4x
     loss.backward()
     assert x.grad == 8.0
 
@@ -52,14 +52,14 @@ def test_concat_gradient_splits_exactly():
     b = nc.Tensor(rng.normal(size=3), requires_grad=True)
     w = nc.Tensor(rng.normal(size=7))
     cat = nc.concat([a, b], axis=0)
-    (cat @ w).backward()
+    nc.matmul(cat, w).backward()
     assert np.array_equal(a.grad, w.data[:4])
     assert np.array_equal(b.grad, w.data[4:])
 
 
 def test_detach_blocks_gradient():
     x = nc.Tensor(3.0, requires_grad=True)
-    loss = x.detach() * x
+    loss = nc.mul(x.detach(), x)
     loss.backward()
     assert x.grad == 3.0  # only the non-detached factor contributes
 
@@ -70,12 +70,13 @@ def test_two_layer_network_matches_finite_differences():
     b1 = nc.Tensor(rng.normal(size=4), requires_grad=True, name="b1")
     w2 = nc.Tensor(rng.normal(size=(1, 4)), requires_grad=True, name="w2")
     x = nc.Tensor(rng.normal(size=3))
+    b2 = nc.Tensor(rng.normal(size=1), requires_grad=True, name="b2")
 
     def loss():
         h = nc.tanh(nc.linear(x, w1, b1))
-        return nc.squared_norm(nc.linear(h, w2))
+        return nc.squared_norm(nc.linear(h, w2, b2))
 
-    reports = nc.grad_check_params(loss, [w1, b1, w2], h=1e-5, tol=1e-4)
+    reports = nc.grad_check_params(loss, [w1, b1, w2, b2], h=1e-5, tol=1e-4)
     assert all(r.passed for r in reports.values()), reports
 
 
@@ -84,7 +85,8 @@ def test_backward_bitwise_deterministic():
         rng = np.random.default_rng(11)
         w = nc.Tensor(rng.normal(size=(5, 5)), requires_grad=True)
         x = nc.Tensor(rng.normal(size=5))
-        y = nc.softmax(nc.linear(nc.tanh(nc.linear(x, w)), w))
+        b = nc.Tensor(rng.normal(size=5))
+        y = nc.softmax(nc.linear(nc.tanh(nc.linear(x, w, b)), w, b))
         nc.squared_norm(y).backward()
         return w.grad.copy()
 
@@ -109,9 +111,10 @@ def test_independent_graphs_on_concurrent_threads():
         rng = np.random.default_rng(seed)
         w = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         x = nc.Tensor(rng.normal(size=6))
+        b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
             nc.zero_grads([w])
-            nc.squared_norm(nc.tanh(nc.linear(x, w))).backward()
+            nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward()
         return w.grad.copy()
 
     serial = [build_and_backward(seed) for seed in range(8)]
@@ -143,9 +146,10 @@ def test_no_graph_nests_and_restores_after_exception():
 def test_no_graph_outputs_are_plain_data():
     w = nc.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
     x = nc.Tensor(np.ones(2))
-    with_graph = nc.squared_norm(nc.linear(x, w))
+    b = nc.Tensor(np.ones(2))
+    with_graph = nc.squared_norm(nc.linear(x, w, b))
     with nc.no_graph():
-        out = nc.squared_norm(nc.linear(x, w))
+        out = nc.squared_norm(nc.linear(x, w, b))
         param = nc.Tensor(np.ones(2), requires_grad=True)
     assert out._parents == () and out._op is None and out._backward is None
     assert not out.requires_grad
@@ -181,9 +185,10 @@ def test_no_graph_is_local_to_its_thread():
         rng = np.random.default_rng(seed)
         w = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
         x = nc.Tensor(rng.normal(size=6))
+        b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
             nc.zero_grads([w])
-            nc.squared_norm(nc.tanh(nc.linear(x, w))).backward()
+            nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward()
         return w.grad.copy()
 
     entered, release = threading.Event(), threading.Event()

@@ -37,7 +37,7 @@ def test_concat_definition():
 def test_squared_norm_hand_value():
     # ||(1,2,3) - (1,1,1)||^2 = 0 + 1 + 4
     d = nc.sub(nc.Tensor([1.0, 2.0, 3.0]), nc.Tensor([1.0, 1.0, 1.0]))
-    assert nc.squared_norm(d).item() == 5.0
+    assert nc.squared_norm(d).data.item() == 5.0
 
 
 def test_matmul_inner_dim_mismatch_names_shapes():
@@ -81,15 +81,15 @@ def test_non_finite_result_rejected():
 def test_matmul_value():
     a = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = nc.Tensor([[5.0], [6.0]])
-    assert (a @ b).data.tolist() == [[17.0], [39.0]]
+    assert nc.matmul(a, b).data.tolist() == [[17.0], [39.0]]
 
 
 def test_matmul_vector_cases():
     m = nc.Tensor([[1.0, 2.0], [3.0, 4.0]])
     v = nc.Tensor([1.0, 1.0])
-    assert (m @ v).data.tolist() == [3.0, 7.0]
-    assert (v @ m).data.tolist() == [4.0, 6.0]
-    assert (v @ v).item() == 2.0
+    assert nc.matmul(m, v).data.tolist() == [3.0, 7.0]
+    assert nc.matmul(v, m).data.tolist() == [4.0, 6.0]
+    assert nc.matmul(v, v).data.item() == 2.0
 
 
 def test_linear_matches_manual_affine():
@@ -103,7 +103,7 @@ def test_linear_matches_manual_affine():
 
 def test_mean_and_sum_axes():
     x = nc.Tensor(np.arange(12.0).reshape(3, 4))
-    assert nc.tsum(x).item() == 66.0
+    assert nc.tsum(x).data.item() == 66.0
     assert nc.tmean(x, axis=0).data.tolist() == [4.0, 5.0, 6.0, 7.0]
     assert nc.tsum(x, axis=1).data.tolist() == [6.0, 22.0, 38.0]
 
@@ -116,24 +116,33 @@ def test_slice_and_reshape_round_trip():
 
 
 def test_conv2d_known_kernel():
-    # 3x3 grid of ones, 2x2 sum kernel -> every output is 4
-    x = nc.Tensor(np.ones((3, 3, 1)))
+    # 3x3 grid of ones, 2x2 sum kernel, bias 0.5 -> every output is 4.5
+    x = nc.Tensor(np.ones((1, 3, 3, 1)))
     k = nc.Tensor(np.ones((2, 2, 1, 1)))
-    out = nc.conv2d(x, k)
-    assert out.shape == (2, 2, 1)
-    assert np.allclose(out.data, 4.0)
+    out = nc.conv2d(x, k, nc.Tensor([0.5]))
+    assert out.shape == (1, 2, 2, 1)
+    assert np.allclose(out.data, 4.5)
 
 
 def test_conv2d_grid_smaller_than_kernel():
     with pytest.raises(ShapeError):
-        nc.conv2d(nc.Tensor(np.ones((2, 2, 1))), nc.Tensor(np.ones((3, 3, 1, 1))))
+        nc.conv2d(nc.Tensor(np.ones((1, 2, 2, 1))), nc.Tensor(np.ones((3, 3, 1, 1))),
+                  nc.Tensor(np.zeros(1)))
 
 
 def test_maxpool_picks_window_max():
-    x = nc.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
+    x = nc.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
     out = nc.maxpool2d(x, 2)
-    assert out.shape == (1, 1, 1)
-    assert out.item() == 4.0
+    assert out.shape == (1, 1, 1, 1)
+    assert out.data.item() == 4.0
+
+
+def test_grid_ops_take_only_batched_grids():
+    grid = nc.Tensor(np.ones((3, 3, 1)))
+    with pytest.raises(ShapeError, match="batch, H, W, C"):
+        nc.conv2d(grid, nc.Tensor(np.ones((2, 2, 1, 1))), nc.Tensor(np.zeros(1)))
+    with pytest.raises(ShapeError, match="batch, H, W, C"):
+        nc.maxpool2d(grid, 2)
 
 
 def test_row_scale():

@@ -62,17 +62,17 @@ def _row_ce(t, y):
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        assert _row_ce([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]).item() == 0.0
+        assert _row_ce([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]).data.item() == 0.0
 
     def test_uniform_prediction_is_log_c(self):
-        assert abs(_row_ce([1.0, 0.0], [0.5, 0.5]).item() - math.log(2)) < 1e-12
+        assert abs(_row_ce([1.0, 0.0], [0.5, 0.5]).data.item() - math.log(2)) < 1e-12
         loss4 = _row_ce([0.0, 0.0, 1.0, 0.0], [0.25] * 4)
-        assert abs(loss4.item() - math.log(4)) < 1e-12
+        assert abs(loss4.data.item() - math.log(4)) < 1e-12
 
     def test_hand_value(self):
         loss = _row_ce([1.0, 0.0], [0.8, 0.2])
-        assert abs(loss.item() - 0.223144) < 1e-6
-        assert abs(loss.item() - (-math.log(0.8))) < 1e-12
+        assert abs(loss.data.item() - 0.223144) < 1e-6
+        assert abs(loss.data.item() - (-math.log(0.8))) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -84,7 +84,7 @@ class TestCrossEntropy:
             y = nc.softmax(Tensor(rng.normal(size=5))).data
             t = np.zeros(5)
             t[rng.integers(5)] = 1.0
-            assert _row_ce(t, y).item() >= 0.0
+            assert _row_ce(t, y).data.item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         t = np.zeros((1, 3))
@@ -100,10 +100,10 @@ class TestCrossEntropy:
     def test_class_weights_rescale_sample_losses(self):
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         probs = Tensor(np.array([[0.8, 0.2], [0.4, 0.6]]))
-        plain = batch_cross_entropy(targets, probs).item()
+        plain = batch_cross_entropy(targets, probs).data.item()
         expected = (-math.log(0.8) - math.log(0.6)) / 2
         assert abs(plain - expected) < 1e-12
-        weighted = batch_cross_entropy(targets, probs, class_weights=[2.0, 0.5]).item()
+        weighted = batch_cross_entropy(targets, probs, class_weights=[2.0, 0.5]).data.item()
         expected_w = (2.0 * -math.log(0.8) + 0.5 * -math.log(0.6)) / 2
         assert abs(weighted - expected_w) < 1e-12
 
@@ -278,7 +278,7 @@ class TestGanTerms:
         stopped = self._run(model, batch, fusion_loss_updates_encoders=False)
         end_to_end = self._run(model, batch, fusion_loss_updates_encoders=True)
         assert stopped.parts == end_to_end.parts
-        assert stopped.j.item() == end_to_end.j.item()
+        assert stopped.j.data.item() == end_to_end.j.data.item()
 
 
 class TestMainObjective:
@@ -293,7 +293,7 @@ class TestMainObjective:
         ds = _dataset(20, seed=4)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:6]
-        checked = _end_to_end_objective(model, batch, seed=5)().item()
+        checked = _end_to_end_objective(model, batch, seed=5)().data.item()
         config = TrainConfig(fusion_loss_updates_encoders=True)
         opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
         report = _train_step(model, model.prepare(batch), config,
@@ -529,7 +529,10 @@ class TestPersistence:
         ("visual_feature_dim", lambda h: h["config"].update(visual_feature_dim=0)),
         ("'config'", lambda h: h.pop("config")),
         ("'params'", lambda h: h.pop("params")),
-    ], ids=["unknown-config-key", "no-config", "no-params"])
+        ("'params'", lambda h: h["params"][0].pop("shape")),
+        ("'vocab'", lambda h: h.update(vocab=5)),
+    ], ids=["unknown-config-key", "no-config", "no-params", "param-without-shape",
+            "vocab-not-a-list"])
     def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
         from fuselab.cli import main
         from fuselab.datakit import save_jsonl

@@ -271,7 +271,7 @@ XOR_SPACE = LabelSpace(("0", "1"), "binary")
 @dataclass(frozen=True)
 class SyntheticSpec:
     task: str                      # "xor-crossmodal" | "unimodal-separable"
-    n: int
+    n: int = 1000
     seed: int = 0
     noise: float = 0.0
     grid_size: int = 12
@@ -383,8 +383,8 @@ def split_dataset(dataset: Dataset, ratios: Sequence[float],
 
 
 class BatchStream:
-    """Deterministic epoch-indexed batch iterator; the final partial
-    batch is retained."""
+    """Deterministic epoch-indexed batches of row indices; the final
+    partial batch is retained."""
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int = 0):
         if batch_size < 1:
@@ -401,22 +401,6 @@ class BatchStream:
         order = rng.permutation(len(self.dataset))
         for start in range(0, len(order), self.batch_size):
             yield order[start : start + self.batch_size]
-
-    def __iter__(self) -> Iterator[List[Publication]]:
-        pubs = self.dataset.publications
-        for idx in self.indices():
-            yield [pubs[i] for i in idx]
-
-
-def split_and_batch(dataset: Dataset, ratios: Sequence[float], batch_size: int,
-                    seed: int = 0) -> Tuple[BatchStream, BatchStream, BatchStream]:
-    """Train/val/test batch streams over a disjoint covering split."""
-    if len(ratios) != 3:
-        raise ConfigError("split_and_batch expects three ratios (train, val, test)")
-    train, val, test = split_dataset(dataset, ratios, seed)
-    return (BatchStream(train, batch_size, seed),
-            BatchStream(val, batch_size, seed),
-            BatchStream(test, batch_size, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -74,25 +74,20 @@ class DenseLayer:
 
 
 class EmbeddingTable:
-    """Token-id to vector lookup with an out-of-vocabulary fallback row."""
+    """Token-id to vector lookup; an id outside the table raises ShapeError
+    (Vocab.encode maps unknown words to its own OOV id)."""
 
-    def __init__(self, vocab_size: int, dim: int, oov_index: int = 0,
+    def __init__(self, vocab_size: int, dim: int,
                  rng: Optional[np.random.Generator] = None, name: str = "embed"):
         if vocab_size < 1 or dim < 1:
             raise ConfigError(f"embedding table dims must be positive, got {vocab_size}x{dim}")
-        if not 0 <= oov_index < vocab_size:
-            raise ConfigError(f"oov index {oov_index} outside vocabulary of {vocab_size}")
         rng = rng or np.random.default_rng(0)
-        self.vocab_size = vocab_size
         self.dim = dim
-        self.oov_index = oov_index
         self.matrix = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim)),
                              requires_grad=True, name=f"{name}.matrix")
 
     def lookup(self, ids: Sequence[int]) -> Tensor:
-        ids = np.asarray(ids, dtype=np.intp)
-        mapped = np.where((ids >= 0) & (ids < self.vocab_size), ids, self.oov_index)
-        return nc.take_rows(self.matrix, mapped)
+        return nc.take_rows(self.matrix, ids)
 
     def parameters(self) -> List[Tensor]:
         return [self.matrix]

@@ -11,8 +11,10 @@ topological order and accumulates d(result)/d(node) into ``grad`` for
 every node with ``requires_grad``.
 
 Gradient semantics: repeated ``backward()`` calls without an intervening
-``zero_grads`` SUM into ``grad``. Alternating minimax updates rely on
-this, so it is the documented default rather than a footgun.
+``zero_grads`` SUM into ``grad``. Nothing in fuselab relies on that sum:
+the training steps, discriminator and main alike, call ``zero_grads``
+before every backward, and so must any caller that wants one pass's
+gradient.
 
 Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct

@@ -60,8 +60,8 @@ class ModelConfig:
     hidden_dim: int = 32
     visual_channels: Tuple[int, int] = (8, 16)
     in_channels: int = 1
-    fusion_out_dim: Optional[int] = None  # default: latent_dim (gan/auto), 2d (concat)
-    concat_projection: bool = False       # give the concat baseline a dense layer
+    fusion_out_dim: Optional[int] = None  # default: latent_dim (gan/auto); concat
+                                          # projects to it when set, else stays 2d
     noise_dim: Optional[int] = None       # default: latent_dim // 4
     append_raw_latents: bool = False
     use_entity_tuple: Optional[bool] = None  # default: text-only models only
@@ -90,7 +90,7 @@ class ModelConfig:
             return self.latent_dim
         if self.fusion_out_dim is not None:
             return self.fusion_out_dim
-        if self.fusion == "concat" and not self.concat_projection:
+        if self.fusion == "concat":
             return 2 * self.latent_dim
         return self.latent_dim
 
@@ -196,10 +196,7 @@ class FusionModel:
         if config.input_modes == "multimodal":
             out_dim = config.resolved_fusion_dim()
             if config.fusion == "concat":
-                self.mechanism = ConcatFusion(
-                    d, out_dim if (config.concat_projection
-                                   or config.fusion_out_dim is not None) else None,
-                    rng=rng)
+                self.mechanism = ConcatFusion(d, config.fusion_out_dim, rng=rng)
             elif config.fusion == "auto":
                 self.mechanism = AutoFusion(d, out_dim, rng=rng)
             else:
@@ -431,10 +428,16 @@ def load_model(path) -> FusionModel:
     if unknown:
         raise FormatError(f"{path}: unsupported model config keys {unknown}")
 
-    config = ModelConfig.from_json(header["config"])
+    try:
+        config = ModelConfig.from_json(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: header 'config' does not build a model ({exc})")
     if header.get("config_hash") != _config_hash(config):
         raise FormatError(f"{path}: config hash mismatch")
-    label_space = LabelSpace.from_json(header["label_space"])
+    try:
+        label_space = LabelSpace.from_json(header["label_space"])
+    except (TypeError, KeyError) as exc:
+        raise FormatError(f"{path}: header 'label_space' is malformed ({exc})")
     words = header["vocab"]
     reserved = Vocab([]).words
     if (not isinstance(words, list) or words[:2] != reserved

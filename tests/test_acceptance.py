@@ -173,8 +173,6 @@ def _experiment_model_config(kind: str, seed: int) -> ModelConfig:
     if kind == "visual":
         return ModelConfig(input_modes="visual", fusion=None, **base)
     extra = dict(fusion_out_dim=16)
-    if kind == "concat":
-        extra["concat_projection"] = True
     if kind == "gan":
         extra["append_raw_latents"] = True
     return ModelConfig(input_modes="multimodal", fusion=kind, **extra, **base)
@@ -362,8 +360,8 @@ def test_criterion_10_parameter_partition_100_steps():
 
     steps = 0
     for _ in range(config.epochs):
-        for pubs in stream:
-            batch = model.prepare(pubs)
+        for idx in stream.indices():
+            batch = model.prepare([ds.publications[i] for i in idx])
             main_before = [p.data.copy() for p in main_params]
             latents = {name: z.detach() for name, z in model.encode(batch).items()}
             step_discriminator(model, latents, config, disc_opt, rng, steps)

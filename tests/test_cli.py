@@ -25,7 +25,6 @@ embed_dim = 8
 hidden_dim = 5
 visual_channels = 4,6
 fusion_out_dim = 12
-concat_projection = true
 normalize_text = false
 
 [data]
@@ -76,7 +75,6 @@ class TestTrainCommand:
     def test_divergence_exits_three(self, tmp_path, capsys):
         body = CONFIG_TEMPLATE.format(seed=1).replace(
             "fusion = concat", "fusion = auto").replace(
-            "concat_projection = true", "").replace(
             "[train]", "[train]\noptimizer = sgd\nlr = 1e160\nclip_norm = 0")
         config = _write_config(tmp_path, body=body)
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "d")])
@@ -315,6 +313,36 @@ class TestConfigParsing:
             assert main(["train", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
 
+    def test_synthetic_key_without_task_is_hard_error(self, tmp_path):
+        body = CONFIG_TEMPLATE.format(seed=1).replace(
+            "synthetic_task = xor-crossmodal\n", "path = pubs.jsonl\n")
+        path = _write_config(tmp_path, body=body)
+        with pytest.raises(ConfigError, match=r"\[data\] synthetic_n"):
+            load_experiment_config(path)
+
+    def test_readme_config_block_names_every_key(self):
+        """README's example config names, set or in a comment, every key each
+        section accepts and no other."""
+        import pathlib
+
+        from fuselab import config as config_module
+
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("### Experiment config", 1)[1]
+        block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+        named, section = {}, None
+        for line in block.splitlines():
+            text = line.lstrip("; ").split(";")[0].strip()  # drop the inline comment
+            if text.startswith("["):
+                section = text.strip("[]")
+                named[section] = set()
+            elif "=" in text:
+                named[section].add(text.split("=")[0].strip())
+            elif text:
+                named[section].update(key.strip() for key in text.split(","))
+        assert named == {name: set(keys) for name, keys in config_module._SECTIONS.items()}
+
     def test_unknown_section_is_hard_error(self, tmp_path):
         body = CONFIG_TEMPLATE.format(seed=1) + "\n[modle]\nx = 1\n"
         path = _write_config(tmp_path, body=body)
@@ -363,7 +391,7 @@ class TestConfigParsing:
     KNOBS = {
         "model": {"input_modes": "visual", "fusion": "gan", "latent_dim": "16",
                   "embed_dim": "8", "hidden_dim": "6", "visual_channels": "4,6",
-                  "fusion_out_dim": "12", "concat_projection": "true", "noise_dim": "3",
+                  "fusion_out_dim": "12", "noise_dim": "3",
                   "append_raw_latents": "true", "use_entity_tuple": "true",
                   "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",

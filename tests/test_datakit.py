@@ -20,7 +20,6 @@ from fuselab.datakit import (
     load_jsonl,
     merge_to_binary,
     save_jsonl,
-    split_and_batch,
     split_dataset,
 )
 from fuselab.exceptions import ConfigError, ParseError, SchemaError
@@ -268,24 +267,24 @@ class TestSplits:
     def test_same_seed_same_batches(self):
         ds = generate_synthetic(_spec(n=40))
         def orders(seed):
-            stream = BatchStream(ds, 7, seed=seed)
-            return [[p.id for p in batch] for batch in stream]
+            return [idx.tolist() for idx in BatchStream(ds, 7, seed=seed).indices()]
         assert orders(5) == orders(5)
         assert orders(5) != orders(6)
 
     def test_partial_final_batch_retained(self):
         ds = generate_synthetic(_spec(n=10))
-        batches = list(BatchStream(ds, 4, seed=0))
+        batches = list(BatchStream(ds, 4, seed=0).indices())
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_epochs_reshuffle_deterministically(self):
         ds = generate_synthetic(_spec(n=20))
         stream = BatchStream(ds, 5, seed=1)
-        first = [[p.id for p in b] for b in stream]
-        second = [[p.id for p in b] for b in stream]
+        first = [idx.tolist() for idx in stream.indices()]
+        second = [idx.tolist() for idx in stream.indices()]
         assert first != second  # epoch 0 vs epoch 1
+        assert sorted(sum(first, [])) == list(range(20))
         stream2 = BatchStream(ds, 5, seed=1)
-        assert [[p.id for p in b] for b in stream2] == first
+        assert [idx.tolist() for idx in stream2.indices()] == first
 
     def test_bad_ratios_and_batch_size(self):
         ds = generate_synthetic(_spec(n=10))
@@ -293,13 +292,6 @@ class TestSplits:
             split_dataset(ds, (0.5, 0.2, 0.2))
         with pytest.raises(ConfigError):
             BatchStream(ds, 0)
-
-    def test_split_and_batch_wires_three_streams(self):
-        ds = generate_synthetic(_spec(n=30))
-        train, val, test = split_and_batch(ds, (0.8, 0.1, 0.1), 8, seed=2)
-        assert len(train.dataset) == 24
-        assert len(val.dataset) == 3
-        assert len(test.dataset) == 3
 
 
 class TestVocab:

@@ -211,8 +211,8 @@ class TestParameterPartition:
 
         step = 0
         for _ in range(config.epochs):
-            for pubs in stream:
-                batch = model.prepare(pubs)
+            for idx in stream.indices():
+                batch = model.prepare([ds.publications[i] for i in idx])
                 main_before = [p.data.copy() for p in main_params]
                 latents = {name: z.detach() for name, z in model.encode(batch).items()}
                 step_discriminator(model, latents, config, disc_opt, rng, step)
@@ -484,6 +484,13 @@ class TestPrepare:
             model.prepare(pubs)
 
 
+def _rehashed(header, **config):
+    """Edit the header's model config and recompute its config hash."""
+    header["config"].update(config)
+    blob = json.dumps(header["config"], sort_keys=True).encode("utf-8")
+    header["config_hash"] = hashlib.sha256(blob).hexdigest()
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         ds = _dataset(60)
@@ -531,8 +538,10 @@ class TestPersistence:
         ("'params'", lambda h: h.pop("params")),
         ("'params'", lambda h: h["params"][0].pop("shape")),
         ("'vocab'", lambda h: h.update(vocab=5)),
+        ("'label_space'", lambda h: h.update(label_space=5)),
+        ("'config'", lambda h: _rehashed(h, latent_dim="4")),
     ], ids=["unknown-config-key", "no-config", "no-params", "param-without-shape",
-            "vocab-not-a-list"])
+            "vocab-not-a-list", "label-space-not-a-dict", "config-value-mistyped"])
     def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
         from fuselab.cli import main
         from fuselab.datakit import save_jsonl
@@ -576,7 +585,7 @@ class TestFullPipelineGradients:
             mc = ModelConfig(input_modes="multimodal", fusion=fusion, latent_dim=4,
                              embed_dim=3, hidden_dim=2, visual_channels=(2, 3),
                              fusion_out_dim=4 if fusion != "concat" else None,
-                             concat_projection=False, normalize_text=False, seed=13)
+                             normalize_text=False, seed=13)
             model = build_model(mc, ds.label_space, vocab)
             batch = model.prepare(ds.publications[:2])
 
@@ -601,8 +610,8 @@ class TestDegenerateEquivalence:
 
         concat_cfg = ModelConfig(input_modes="multimodal", fusion="concat",
                                  latent_dim=6, embed_dim=4, hidden_dim=3,
-                                 visual_channels=(2, 3), concat_projection=True,
-                                 fusion_out_dim=6, normalize_text=False, seed=31)
+                                 visual_channels=(2, 3), fusion_out_dim=6,
+                                 normalize_text=False, seed=31)
         gan_cfg = ModelConfig(input_modes="multimodal", fusion="gan",
                               latent_dim=6, embed_dim=4, hidden_dim=3,
                               visual_channels=(2, 3), fusion_out_dim=6,
@@ -649,8 +658,7 @@ class TestFusionBenefitSmoke:
         multi = build_model(
             ModelConfig(input_modes="multimodal", fusion="concat", latent_dim=10,
                         embed_dim=8, hidden_dim=5, visual_channels=(4, 6),
-                        concat_projection=True, fusion_out_dim=12,
-                        normalize_text=False, seed=3),
+                        fusion_out_dim=12, normalize_text=False, seed=3),
             ds.label_space, vocab)
         train(multi, train_ds, TrainConfig(epochs=8, batch_size=32, seed=5))
         multi_acc = evaluate_model(multi, test_ds).accuracy

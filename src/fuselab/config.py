@@ -100,6 +100,15 @@ def _read(kind, text: str, where: str):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {text!r}")
 
 
+def _build(cls, where: str, **fields):
+    """cls(**fields), with a range error its constructor raises prefixed
+    by `where`, the file and section the fields were read from."""
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -124,7 +133,8 @@ def load_experiment_config(path) -> ExperimentConfig:
                                   f"(allowed: {sorted(allowed)})")
             cls, name, kind = allowed[key]
             if text.strip():
-                values[cls][name] = _read(kind, text.strip(), f"[{section}] {key}")
+                values[cls][name] = _read(kind, text.strip(),
+                                          f"{path}: [{section}] {key}")
 
     experiment = values[ExperimentConfig]
     seed = experiment.setdefault("seed", ExperimentConfig.seed)
@@ -132,26 +142,28 @@ def load_experiment_config(path) -> ExperimentConfig:
     m = values[ModelConfig]
     input_modes = m.get("input_modes", ModelConfig.input_modes)
     if input_modes == "multimodal" and "fusion" not in m:
-        raise ConfigError("[model] fusion: required for multimodal models "
+        raise ConfigError(f"{path}: [model] fusion: required for multimodal models "
                           "(concat | auto | gan)")
     if input_modes != "multimodal" and "fusion" in m:
-        raise ConfigError(f"[model] fusion: not applicable to {input_modes}-only "
-                          f"models; remove the key")
-    model = ModelConfig(**{"fusion": None, **m}, seed=seed)
+        raise ConfigError(f"{path}: [model] fusion: not applicable to "
+                          f"{input_modes}-only models; remove the key")
+    model = _build(ModelConfig, f"{path}: [model]", **{"fusion": None, **m}, seed=seed)
 
     spec = values[SyntheticSpec]
     has_path, has_task = "path" in values[DataConfig], "task" in spec
     if not has_path and not has_task:
-        raise ConfigError("[data]: provide either path or synthetic_task")
+        raise ConfigError(f"{path}: [data]: provide either path or synthetic_task")
     if has_path and has_task:
-        raise ConfigError("[data]: path and synthetic_task are mutually exclusive")
+        raise ConfigError(f"{path}: [data]: path and synthetic_task are mutually "
+                          f"exclusive")
     if spec and not has_task:
         key = next(key for key, (cls, name, _) in _SECTIONS["data"].items()
                    if cls is SyntheticSpec and name in spec)
-        raise ConfigError(f"[data] {key}: applies only with synthetic_task")
-    synthetic = SyntheticSpec(**spec, seed=seed) if has_task else None
+        raise ConfigError(f"{path}: [data] {key}: applies only with synthetic_task")
+    synthetic = (_build(SyntheticSpec, f"{path}: [data]", **spec, seed=seed)
+                 if has_task else None)
     data = DataConfig(**values[DataConfig], synthetic=synthetic)
 
-    train = TrainConfig(**values[TrainConfig], seed=seed)
+    train = _build(TrainConfig, f"{path}: [train]", **values[TrainConfig], seed=seed)
     return ExperimentConfig(model=model, data=data, train=train, source_path=path,
                             **experiment)

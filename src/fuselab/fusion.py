@@ -56,8 +56,6 @@ class ConcatFusion:
     readout) maps 2d down to out_dim.
     """
 
-    kind = "concat"
-
     def __init__(self, latent_dim: int, out_dim: Optional[int] = None,
                  rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
@@ -87,8 +85,6 @@ class AutoFusion:
     reconstruction penalty auto_fusion_loss so the code retains as much
     of both latents as it can.
     """
-
-    kind = "auto"
 
     def __init__(self, latent_dim: int, out_dim: int,
                  rng: Optional[np.random.Generator] = None):
@@ -203,8 +199,6 @@ class GanFusion:
     The combiner consumes the two generator outputs ([z_g_text; z_g_visual]);
     set append_raw_latents to also feed it the raw encoder latents.
     """
-
-    kind = "gan"
 
     def __init__(self, latent_dim: int, out_dim: int, noise_dim: Optional[int] = None,
                  append_raw_latents: bool = False,

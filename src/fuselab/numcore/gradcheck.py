@@ -104,7 +104,6 @@ def grad_check_params(
     params: Sequence[Tensor],
     h: float = 1e-5,
     tol: float = 1e-4,
-    labels: Optional[Sequence[str]] = None,
 ) -> Dict[str, CheckReport]:
     """Check d f() / d p for each parameter tensor of a closed-over model.
 
@@ -123,7 +122,7 @@ def grad_check_params(
 
     reports: Dict[str, CheckReport] = {}
     for k, p in enumerate(params):
-        label = labels[k] if labels else (p.name or f"param{k}")
+        label = p.name or f"param{k}"
         reports[label] = _compare(f, p.data.reshape(-1), p.shape, analytic[k], h, tol,
                                   label, "grad_check_params")
     return reports

@@ -58,7 +58,6 @@ class Token:
 @dataclass
 class NormalizedText:
     tokens: List[Token]
-    original: str
 
     def render(self) -> str:
         """Surface string: markers omitted, punctuation attached to the
@@ -98,7 +97,6 @@ _SCANNER = re.compile(
 class _Event:
     kind: str  # bracket | mention | hashtag | word | punct | emoticon
     text: str
-    after_space: bool = False
 
 
 def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
@@ -113,7 +111,7 @@ def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
             for emo in emoticons:
                 end = pos + len(emo)
                 if raw.startswith(emo, pos) and (end >= n or raw[end].isspace()):
-                    events.append(_Event("emoticon", emo, pending_space))
+                    events.append(_Event("emoticon", emo))
                     pos = end
                     pending_space = False
                     matched = True
@@ -122,7 +120,7 @@ def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
             continue
         m = _SCANNER.match(raw, pos)
         if m is None:  # unscannable byte: treat as punctuation
-            events.append(_Event("punct", raw[pos], pending_space))
+            events.append(_Event("punct", raw[pos]))
             pos += 1
             pending_space = False
             continue
@@ -132,7 +130,7 @@ def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
         if kind == "space":
             pending_space = True
             continue
-        events.append(_Event(kind, text, pending_space))
+        events.append(_Event(kind, text))
         pending_space = False
     return events
 
@@ -285,4 +283,4 @@ def normalize(raw: str, lexicons: Optional[Lexicons] = None) -> NormalizedText:
         tokens.append(Token(ev.text, TAG_PUNCT))
         i += 1
 
-    return NormalizedText(tokens=tokens, original=raw)
+    return NormalizedText(tokens=tokens)

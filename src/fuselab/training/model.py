@@ -7,9 +7,10 @@ fusion and classify the single latent directly (the unimodal baselines),
 while multimodal models require both encoders and a mechanism.
 
 The forward pipeline reads prepared batches: FusionModel.prepare
-normalizes each text once and pads token and entity-tuple ids, and
-PreparedBatch.take selects rows of it, so a dataset is read once however
-many epochs or batches use it.
+normalizes each text once, pads token and entity-tuple ids, stacks the
+visual grids and indexes the labels, and PreparedBatch.take selects rows
+of it, so a dataset is read once however many epochs or batches use it
+and nothing after prepare reads a Publication.
 
 The entity-tuple path embeds the (subject, object, verb, modifier)
 tokens through the text embedding table, averages them, and concatenates
@@ -116,15 +117,6 @@ def read_text(text: str, normalize_text: bool,
     return surfaces, extract_entity_tuple(normalized) if entity_tuple else None
 
 
-def _in_input_order(chunks: List[Tensor], order: List[int]) -> Tensor:
-    """Stack the rows of per-bucket chunks, whose publications came in
-    `order`, back into input order; no gather when they already are."""
-    stacked = chunks[0] if len(chunks) == 1 else nc.concat(chunks, axis=0)
-    if order == list(range(len(order))):
-        return stacked
-    return nc.take_rows(stacked, np.argsort(order))
-
-
 def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Id rows as one matrix, padded with id 0 to the longest row (at least
     one column), and the length of each row."""
@@ -140,20 +132,22 @@ class PreparedBatch:
     """Publications read into the arrays a model consumes (see
     FusionModel.prepare). Arrays the model does not read are None.
 
-    ids (n, T) are token ids padded with 0 to the longest row and lengths
-    (n,) their lengths; tuple_ids and tuple_counts are the entity-tuple
-    token ids, padded the same way, and their counts (0 for an empty
-    tuple). The publications stay alongside for labels and visual grids.
+    labels (n,) are class indices in the model's label space, -1 for a
+    label outside it; grids (n, H, W, C) are the visual grids. ids (n, T)
+    are token ids padded with 0 to the longest row and lengths (n,) their
+    lengths; tuple_ids and tuple_counts are the entity-tuple token ids,
+    padded the same way, and their counts (0 for an empty tuple).
     """
 
-    pubs: List[Publication]
+    labels: np.ndarray
+    grids: Optional[np.ndarray] = None
     ids: Optional[np.ndarray] = None
     lengths: Optional[np.ndarray] = None
     tuple_ids: Optional[np.ndarray] = None
     tuple_counts: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.pubs)
+        return len(self.labels)
 
     def take(self, indices) -> "PreparedBatch":
         """The rows at indices, in that order, with the padded id matrices
@@ -166,7 +160,8 @@ class PreparedBatch:
             counts = counts[idx]
             return ids[idx, : max(1, counts.max(initial=0))], counts
 
-        return PreparedBatch([self.pubs[i] for i in idx],
+        grids = None if self.grids is None else self.grids[idx]
+        return PreparedBatch(self.labels[idx], grids,
                              *trimmed(self.ids, self.lengths),
                              *trimmed(self.tuple_ids, self.tuple_counts))
 
@@ -248,26 +243,30 @@ class FusionModel:
 
         Each text goes through read_text once, and every publication is
         checked against the inputs the model reads, so a publication that
-        lacks one raises InputError naming its id here. Draws no
-        randomness."""
+        lacks one, or whose grid differs in shape from the first one's,
+        raises InputError naming its id here. Draws no randomness."""
+        if not pubs:
+            raise InputError("prepare: empty batch")
         config = self.config
         mode = config.input_modes
-        batch = PreparedBatch(list(pubs))
+        classes = {name: i for i, name in enumerate(self.label_space.names)}
+        batch = PreparedBatch(np.array([classes.get(p.label, -1) for p in pubs],
+                                       dtype=np.intp))
         if mode in ("text", "multimodal"):
-            for p in batch.pubs:
+            for p in pubs:
                 if not p.has_text() and mode == "text":
                     raise InputError(f"publication {p.id}: text required by a "
                                      f"text-only model")
             wants_tuple = config.wants_entity_tuple
             texts = [read_text(p.full_text(), config.normalize_text, wants_tuple)
-                     for p in batch.pubs]
+                     for p in pubs]
             batch.ids, batch.lengths = _padded([self.vocab.encode(t) for t, _ in texts])
             if wants_tuple:
                 index, oov = self.vocab.index, self.vocab.oov_id
                 batch.tuple_ids, batch.tuple_counts = _padded(
                     [[index.get(t, oov) for t in e.tokens()] for _, e in texts])
         if mode in ("visual", "multimodal"):
-            for p in batch.pubs:
+            for p in pubs:
                 if p.visual is None:
                     raise InputError(f"publication {p.id}: visual grid required "
                                      f"by a {mode} model")
@@ -275,22 +274,13 @@ class FusionModel:
                     raise InputError(f"publication {p.id}: visual grid has "
                                      f"{p.visual.shape[-1]} channels, the model reads "
                                      f"{config.in_channels}")
+                if p.visual.shape != pubs[0].visual.shape:
+                    raise InputError(f"publication {p.id}: visual grid is "
+                                     f"{p.visual.shape}, publication {pubs[0].id}'s "
+                                     f"is {pubs[0].visual.shape}; a dataset has "
+                                     f"one grid shape")
+            batch.grids = np.stack([p.visual for p in pubs])
         return batch
-
-    def _encode_visuals(self, batch: PreparedBatch) -> Tensor:
-        # grids of different shapes cannot share a batch: one call per shape
-        pubs = batch.pubs
-        by_shape: Dict[Tuple[int, ...], List[int]] = {}
-        for i, p in enumerate(pubs):
-            by_shape.setdefault(p.visual.shape, []).append(i)
-        chunks: List[Tensor] = []
-        order: List[int] = []
-        for shape in sorted(by_shape):
-            idx = by_shape[shape]
-            grids = Tensor(np.stack([pubs[i].visual for i in idx]))
-            chunks.append(self.visual_encoder.encode_batch(grids))
-            order.extend(idx)
-        return _in_input_order(chunks, order)
 
     def _tuple_vectors(self, batch: PreparedBatch) -> Tensor:
         """The mean embedding of each row's entity-tuple tokens, or zeros
@@ -309,8 +299,6 @@ class FusionModel:
         keyed "text" and "visual", plus the entity-tuple rows under "tuple"
         when the model reads them. The texts of a batch, whatever their
         lengths, take one text-encoder call. Draws no randomness."""
-        if not len(batch):
-            raise InputError("encode: empty batch")
         latents: Dict[str, Tensor] = {}
         mode = self.config.input_modes
         if mode in ("text", "multimodal"):
@@ -318,7 +306,7 @@ class FusionModel:
             if self.config.wants_entity_tuple:
                 latents["tuple"] = self._tuple_vectors(batch)
         if mode in ("visual", "multimodal"):
-            latents["visual"] = self._encode_visuals(batch)
+            latents["visual"] = self.visual_encoder.encode_batch(Tensor(batch.grids))
         return latents
 
     def head(self, latents: Dict[str, Tensor],

@@ -46,15 +46,6 @@ def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
     return out
 
 
-def _targets(model, pubs) -> np.ndarray:
-    """One-hot rows of the publications' labels in the model's label space."""
-    try:
-        idx = [model.label_space.index(p.label) for p in pubs]
-    except Exception as exc:
-        raise ConfigError(f"dataset labels do not match the model label space: {exc}")
-    return one_hot(idx, model.label_space.num_classes)
-
-
 @dataclass
 class Objective:
     j: Tensor                 # what the main step minimizes
@@ -73,8 +64,13 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     term reads detached latents, a deliberate stop-gradient that confines
     it to the fusion module.
     """
+    space = model.label_space
+    if (batch.labels < 0).any():
+        raise ConfigError(f"dataset labels do not match the model label space "
+                          f"{list(space.names)}")
     probs, result = model.head(latents, rng)
-    j_c = batch_cross_entropy(_targets(model, batch.pubs), probs, config.class_weights)
+    targets = one_hot(batch.labels, space.num_classes)
+    j_c = batch_cross_entropy(targets, probs, config.class_weights)
     mech = model.mechanism
     updates_encoders = config.fusion_loss_updates_encoders
 

@@ -46,6 +46,23 @@ def test_step_clock_wraps_evaluate_model_through_the_loop_module(tracing):
     assert loop.evaluate_model is original
 
 
+def test_forward_batch_rows_are_prepared_publications(tracing):
+    """The training.forward_batch span counts the rows of its batch
+    argument, a PreparedBatch, with len()."""
+    from fuselab.datakit import SyntheticSpec, Vocab, generate_synthetic
+    from fuselab.training import ModelConfig, build_model
+
+    ((_, _, _, rows_arg),) = [s for s in tracing.SPANS if s[0] == "training.forward_batch"]
+    assert rows_arg == 1
+    ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=5, seed=1))
+    model = build_model(ModelConfig(latent_dim=4, embed_dim=3, hidden_dim=2,
+                                    visual_channels=(2, 3)),
+                        ds.label_space, Vocab.from_texts([p.text for p in ds]))
+    pubs = ds.publications
+    assert tracing._rows(model.prepare(pubs)) == len(pubs)
+    assert tracing._rows(model.prepare(pubs).take([3, 0])) == 2
+
+
 @pytest.mark.parametrize("check", ["grad_check", "grad_check_params"])
 def test_one_check_on_a_three_vector_records_seven_probes(tracing, check):
     """One analytic pass plus two probes per coordinate: a check that

@@ -199,8 +199,9 @@ class TestEvalCommand:
 
 class TestGridChannels:
     """No config key sets the grid channel count: training reads it from
-    the training grids, and a grid with another count is an input error
-    that names its publication."""
+    the training grids, and a grid with another count, or another height
+    or width than the rest of its dataset, is an input error that names
+    its publication."""
 
     @staticmethod
     def _write(path, channels):
@@ -243,6 +244,18 @@ class TestGridChannels:
         assert f"publication {odd}: visual grid has 1 channels" in err
         assert self._train(tmp_path, mixed, "mixed") == 2
         assert "channels, the model reads" in capsys.readouterr().err
+
+    def test_grids_of_two_shapes_exit_two(self, tmp_path, capsys):
+        from fuselab.datakit import save_jsonl
+
+        data = tmp_path / "wide.jsonl"
+        ds = self._write(data, lambda _: 1)
+        wide = ds.publications[5]
+        wide.visual = np.pad(wide.visual, ((0, 2), (0, 2), (0, 0)))
+        save_jsonl(ds, data)
+        assert self._train(tmp_path, data, "wide") == 2
+        err = capsys.readouterr().err
+        assert "visual grid is" in err and f"publication {wide.id}" in err
 
 
 class TestNormalizeCommand:
@@ -342,6 +355,19 @@ class TestConfigParsing:
             elif text:
                 named[section].update(key.strip() for key in text.split(","))
         assert named == {name: set(keys) for name, keys in config_module._SECTIONS.items()}
+
+    @pytest.mark.parametrize("section, line, edited", [
+        ("data", "synthetic_n = 400", "synthetic_n = 400\nsynthetic_grid = 8"),
+        ("train", "epochs = 2", "epochs = 0"),
+    ], ids=["data", "train"])
+    def test_range_error_names_file_and_section(self, tmp_path, section, line, edited):
+        path = _write_config(tmp_path, body=CONFIG_TEMPLATE.format(seed=1).replace(
+            line, edited))
+        with pytest.raises(ConfigError) as exc:
+            load_experiment_config(path)
+        assert str(exc.value).startswith(f"{path}: [{section}] ")
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
 
     def test_unknown_section_is_hard_error(self, tmp_path):
         body = CONFIG_TEMPLATE.format(seed=1) + "\n[modle]\nx = 1\n"

@@ -1,5 +1,6 @@
 """Objectives, the training loop, prediction, and persistence."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -439,15 +440,19 @@ class TestPrepare:
     WORDS = ["the", "dog", "chased", "a", "ball", "quickly", "@user", "#tag",
              "sooo", "good", "cat", "saw"]
 
-    def _text_model(self, n=24):
+    def _text_model(self, n=24, **config):
+        """A text-only model, or the one `config` sets up, over n posts in
+        three classes; post i also carries a 12x12 grid filled with i."""
         rng = np.random.default_rng(6)
-        space = LabelSpace(("a", "b"))
-        pubs = [Publication(id=f"s{i}", label=space.names[i % 2],
-                            text=" ".join(rng.choice(self.WORDS, size=1 + i % 7)))
+        space = LabelSpace(("a", "b", "c"))
+        pubs = [Publication(id=f"s{i}", label=space.names[i % 3],
+                            text=" ".join(rng.choice(self.WORDS, size=1 + i % 7)),
+                            visual=np.full((12, 12, 1), float(i)))
                 for i in range(n)]
         ds = Dataset(pubs, space)
-        model = build_model(ModelConfig(input_modes="text", fusion=None, latent_dim=6,
-                                        embed_dim=4, hidden_dim=3, seed=4),
+        config = {"input_modes": "text", "fusion": None, **config}
+        model = build_model(ModelConfig(latent_dim=6, embed_dim=4, hidden_dim=3, seed=4,
+                                        **config),
                             space, Vocab.from_texts([p.text for p in pubs]))
         return model, ds
 
@@ -464,12 +469,15 @@ class TestPrepare:
         assert sorted(seen) == sorted(p.full_text() for p in ds)
 
     def test_take_trims_to_its_longest_row(self):
-        model, ds = self._text_model()
+        model, ds = self._text_model(input_modes="multimodal", fusion="concat",
+                                     use_entity_tuple=True)
         prepared = model.prepare(ds.publications)
         assert len(prepared) == len(ds) and prepared.ids.shape[1] == prepared.lengths.max()
         rows = [8, 0, 2]
         part = prepared.take(rows)
-        assert len(part) == 3 and [p.id for p in part.pubs] == ["s8", "s0", "s2"]
+        assert len(part) == 3 and part.labels.tolist() == [2, 0, 2]
+        assert part.grids.shape == (3, 12, 12, 1)
+        assert part.grids[:, 0, 0, 0].tolist() == rows
         assert part.ids.shape[1] < prepared.ids.shape[1]
         assert part.lengths.tolist() == prepared.lengths[rows].tolist()
         assert part.ids.shape == (3, part.lengths.max())
@@ -482,6 +490,39 @@ class TestPrepare:
                                               visual=np.zeros((12, 12, 1)))]
         with pytest.raises(InputError, match="no-text"):
             model.prepare(pubs)
+
+    @pytest.mark.parametrize("input_modes", ["text", "visual", "multimodal"])
+    def test_prepared_batches_hold_only_arrays(self, input_modes):
+        """Nothing after prepare reads a Publication: every field of a
+        prepared batch, and of rows taken from it, is an array or None."""
+        fusion = "concat" if input_modes == "multimodal" else None
+        model, ds = self._text_model(8, input_modes=input_modes, fusion=fusion)
+        prepared = model.prepare(ds.publications)
+        for batch in (prepared, prepared.take([5, 1])):
+            for field in dataclasses.fields(batch):
+                value = getattr(batch, field.name)
+                assert value is None or isinstance(value, np.ndarray), field.name
+
+    def test_grids_of_two_shapes_fail_at_prepare_with_both(self):
+        model, ds = self._text_model(4, input_modes="visual")
+        pubs = ds.publications + [Publication(id="wide", label="a",
+                                              visual=np.zeros((14, 14, 1)))]
+        with pytest.raises(InputError, match=r"publication wide: visual grid is "
+                                             r"\(14, 14, 1\), publication s0's is "
+                                             r"\(12, 12, 1\)"):
+            model.prepare(pubs)
+
+    def test_out_of_space_label_fails_the_objective_not_prediction(self):
+        from fuselab.training.objectives import main_objective
+
+        model, ds = self._text_model(4)
+        pubs = ds.publications + [Publication(id="stray", label="z", text="the cat")]
+        batch = model.prepare(pubs)
+        assert batch.labels.tolist() == [0, 1, 2, 0, -1]
+        with pytest.raises(ConfigError, match="label space"):
+            main_objective(model, batch, model.encode(batch), TrainConfig(), None)
+        truths, preds = predict_dataset(model, Dataset(pubs, ds.label_space))
+        assert truths == ["a", "b", "c", "a", "z"] and len(preds) == 5
 
 
 def _rehashed(header, **config):

@@ -87,19 +87,6 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "per_class": {
-                name: {"precision": m.precision, "recall": m.recall,
-                       "f1": m.f1, "support": m.support}
-                for name, m in self.per_class.items()
-            },
-        }
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0

@@ -1,4 +1,4 @@
-"""Social-text normalization, entity tuples, and term features."""
+"""Social-text normalization, hashtag segmentation and entity tuples."""
 
 from .entities import EntityTuple, extract_entity_tuple, pos_tag
 from .lexicons import ENV_VAR, Lexicons, default_lexicons, lexicon_dir, load_lexicons
@@ -21,7 +21,6 @@ from .normalize import (
     normalize,
 )
 from .segment import segment
-from .tfidf import TfidfFeaturizer, tfidf_features
 
 __all__ = [
     "ELONGATED",
@@ -39,7 +38,6 @@ __all__ = [
     "TAG_USER_CLOSE",
     "TAG_USER_OPEN",
     "TAG_WORD",
-    "TfidfFeaturizer",
     "Token",
     "USER_CLOSE",
     "USER_OPEN",
@@ -50,5 +48,4 @@ __all__ = [
     "normalize",
     "pos_tag",
     "segment",
-    "tfidf_features",
 ]

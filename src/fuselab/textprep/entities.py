@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .lexicons import Lexicons, default_lexicons
-from .normalize import TAG_WORD, NormalizedText
+from .normalize import NormalizedText
 
 _VERBISH = {"VERB", "AUX"}
 
@@ -29,9 +29,6 @@ class EntityTuple:
     object: Optional[str] = None
     verb: Optional[str] = None
     modifier: Optional[str] = None
-
-    def is_empty(self) -> bool:
-        return not (self.subject or self.object or self.verb or self.modifier)
 
     def tokens(self) -> List[str]:
         return [t for t in (self.subject, self.object, self.verb, self.modifier) if t]
@@ -60,10 +57,9 @@ def pos_tag(text: NormalizedText, lexicons: Optional[Lexicons] = None) -> List[T
     """Tag the word tokens of a normalized text; markup and punctuation
     are skipped."""
     lex = lexicons or default_lexicons()
-    words = [t.surface for t in text.tokens if t.tag == TAG_WORD]
     tagged: List[Tuple[str, str]] = []
     prev_tag = ""
-    for word in words:
+    for word in text.words():
         lower = word.lower()
         tag = lex.pos.get(lower)
         if tag is None:

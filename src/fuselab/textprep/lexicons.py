@@ -83,9 +83,13 @@ def load_lexicons(directory: Path | None = None) -> Lexicons:
         raise ConfigError(f"words.tsv: non-integer frequency ({exc})")
     if not word_freq:
         raise ConfigError("words.tsv is empty")
+    emoticons = _read_tsv(base / "emoticons.tsv")
+    for emo in emoticons:
+        if emo.split() != [emo]:  # the normalizer matches whole whitespace chunks
+            raise ConfigError(f"emoticons.tsv: emoticon {emo!r} is empty or holds whitespace")
     return Lexicons(
         word_freq=word_freq,
-        emoticons=_read_tsv(base / "emoticons.tsv"),
+        emoticons=emoticons,
         typos=_read_tsv(base / "typos.tsv"),
         pos=_read_tsv(base / "pos.tsv"),
     )

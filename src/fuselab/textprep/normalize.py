@@ -8,6 +8,12 @@ words are collapsed against the lexicon; known typos are fixed from the
 typo map and remaining unknown words get one round of edit-distance-1
 lexicon repair.
 
+Scanning works one whitespace chunk (``str.split()``) at a time. A chunk
+the emoticon lexicon names is one emoticon, so ":)" in "hi :)" is an
+emoticon and in "hi:)" is punctuation. Any other chunk is cut into
+bracket tags, mentions, hashtags, words and punctuation runs; no token
+crosses whitespace.
+
 Elongation rule: collapse every character run of length >= 3 to two
 characters, then to one, and keep the longest lexicon word those
 candidates produce. A collapse that had to shorten some run to a single
@@ -81,15 +87,15 @@ class NormalizedText:
         return self.render()
 
 
-# raw scanner: bracketed tags (for re-normalization), mentions, hashtags,
-# words, punctuation runs; emoticons are matched separately against the map
+# chunk scanner: bracketed tags (for re-normalization), mentions,
+# hashtags, words, punctuation runs. It only sees whitespace-free chunks
+# that are not emoticons, and every character of a chunk matches a group
 _SCANNER = re.compile(
     r"(?P<bracket>\[/?[a-z]+\])"
     r"|(?P<mention>@[A-Za-z0-9_]+)"
     r"|(?P<hashtag>#[A-Za-z0-9_]+)"
     r"|(?P<word>[A-Za-z0-9_']+)"
-    r"|(?P<space>\s+)"
-    r"|(?P<punct>[^\sA-Za-z0-9_'\[\]@#]+|[\[\]@#])"
+    r"|(?P<punct>[^A-Za-z0-9_'\[\]@#]+|[\[\]@#])"
 )
 
 
@@ -100,38 +106,12 @@ class _Event:
 
 
 def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
-    emoticons = sorted(lexicons.emoticons, key=len, reverse=True)
     events: List[_Event] = []
-    pos = 0
-    n = len(raw)
-    pending_space = True
-    while pos < n:
-        matched = False
-        if pending_space:  # emoticons only start at a token boundary
-            for emo in emoticons:
-                end = pos + len(emo)
-                if raw.startswith(emo, pos) and (end >= n or raw[end].isspace()):
-                    events.append(_Event("emoticon", emo))
-                    pos = end
-                    pending_space = False
-                    matched = True
-                    break
-        if matched:
-            continue
-        m = _SCANNER.match(raw, pos)
-        if m is None:  # unscannable byte: treat as punctuation
-            events.append(_Event("punct", raw[pos]))
-            pos += 1
-            pending_space = False
-            continue
-        kind = m.lastgroup
-        text = m.group()
-        pos = m.end()
-        if kind == "space":
-            pending_space = True
-            continue
-        events.append(_Event(kind, text))
-        pending_space = False
+    for chunk in raw.split():
+        if chunk in lexicons.emoticons:
+            events.append(_Event("emoticon", chunk))
+        else:
+            events.extend(_Event(m.lastgroup, m.group()) for m in _SCANNER.finditer(chunk))
     return events
 
 
@@ -266,7 +246,7 @@ def normalize(raw: str, lexicons: Optional[Lexicons] = None) -> NormalizedText:
                 continue
             else:
                 name = text.strip("[]/")
-                if name in set(lex.emoticons.values()):
+                if name in lex.emoticons.values():
                     tokens.append(Token(text, TAG_EMOTICON))
                     i += 1
                     continue

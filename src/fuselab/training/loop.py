@@ -224,7 +224,8 @@ def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:
 def predict_dataset(model: FusionModel, dataset: Dataset) -> Tuple[List[str], List[str]]:
     """True and predicted labels. The dataset is prepared once, then
     scored in consecutive batches of PREDICT_BATCH without recording a
-    graph; the argmax takes the lowest index on ties, as predict does."""
+    graph or drawing noise, so each publication gets the label it gets
+    in a dataset of its own; the argmax takes the lowest index on ties."""
     if len(dataset) < 1:
         raise InputError("evaluate: empty dataset")
     pubs = dataset.publications

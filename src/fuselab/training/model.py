@@ -1,4 +1,4 @@
-"""Model assembly, the forward pipeline, prediction, and persistence.
+"""Model assembly, the forward pipeline, and persistence.
 
 A FusionModel bundles the modality encoders, one fusion mechanism, an
 optional entity-tuple embedding path, and the softmax classifier. Input
@@ -332,15 +332,6 @@ class FusionModel:
         """Class probabilities and fusion auxiliaries of a prepared batch:
         encode, then head."""
         return self.head(self.encode(batch), rng)
-
-    def predict(self, pub: Publication) -> Tuple[np.ndarray, str]:
-        """Label distribution and argmax label (lowest index wins ties).
-        Inference is deterministic: adversarial noise is zero. Runs the
-        graph-free batched forward on a prepared batch of one."""
-        with nc.no_graph():
-            probs, _ = self.forward_batch(self.prepare([pub]), rng=None)
-        dist = probs.data[0]
-        return dist, self.label_space.names[int(np.argmax(dist))]
 
 
 def build_model(config: ModelConfig, label_space: LabelSpace, vocab: Vocab,

@@ -6,9 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from fuselab import numcore as nc
 from fuselab.datakit import BINARY_SPACE, Dataset, Publication, Vocab
 from fuselab.exceptions import ConfigError
-from fuselab.training import ModelConfig, build_model
+from fuselab.training import ModelConfig, build_model, predict_dataset
 
 
 class TestEntityTuplePath:
@@ -75,9 +76,11 @@ class TestEntityTuplePath:
             ModelConfig(input_modes="text", fusion=None, latent_dim=6,
                         embed_dim=4, hidden_dim=3, seed=2),
             ds.label_space, vocab)
-        dist, label = model.predict(pubs[0])
-        assert abs(dist.sum() - 1.0) < 1e-9
-        assert label in BINARY_SPACE.names
+        with nc.no_graph():
+            probs, _ = model.forward_batch(model.prepare(pubs[:1]))
+        assert abs(probs.data.sum() - 1.0) < 1e-9
+        truths, preds = predict_dataset(model, Dataset(pubs[:1], BINARY_SPACE))
+        assert truths == ["Hate"] and preds[0] in BINARY_SPACE.names
 
 
 class TestLexiconOverride:
@@ -103,3 +106,15 @@ class TestLexiconOverride:
 
         with pytest.raises(ConfigError):
             lexicon_dir()
+
+    @pytest.mark.parametrize("emoticon", ["^ ^", "", "　:)"])
+    def test_emoticon_that_is_not_one_chunk_is_config_error(self, tmp_path, emoticon):
+        from fuselab.textprep import lexicons as lex_mod
+        from fuselab.textprep.lexicons import load_lexicons
+
+        for name in ("words.tsv", "typos.tsv", "pos.tsv"):
+            shutil.copyfile(lex_mod._BUNDLED / name, tmp_path / name)
+        (tmp_path / "emoticons.tsv").write_text(f":)\tsmile\n{emoticon}\tjoy\n",
+                                                encoding="utf-8")
+        with pytest.raises(ConfigError, match="emoticons.tsv"):
+            load_lexicons(tmp_path)

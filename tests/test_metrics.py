@@ -148,7 +148,7 @@ class TestOracleEquivalence:
         merged_p = [merge_to_binary(p, HATE_SPEECH_SPACE) for p in preds]
         direct = evaluate(merged_t, merged_p, BINARY_SPACE)
         again = evaluate(list(merged_t), list(merged_p), BINARY_SPACE)
-        assert direct.as_dict() == again.as_dict()
+        assert direct == again
 
 
 class TestFormatting:

@@ -1,12 +1,9 @@
-"""Normalization, segmentation, entity tuples, tf-idf."""
+"""Normalization, segmentation, entity tuples."""
 
 import itertools
-import math
 
 import numpy as np
-import pytest
 
-from fuselab.exceptions import ConfigError
 from fuselab.textprep import (
     EntityTuple,
     TAG_ELONGATED,
@@ -17,7 +14,6 @@ from fuselab.textprep import (
     normalize,
     pos_tag,
     segment,
-    tfidf_features,
 )
 
 GOLDEN_IN = "@fiery_eyes, this is soooo coool borther! ;) #coolforever"
@@ -190,7 +186,7 @@ class TestEntityTuples:
 
     def test_no_verb_gives_empty_tuple(self):
         t = extract_entity_tuple(normalize("hello"))
-        assert t.is_empty()
+        assert t == EntityTuple()
 
     def test_user_span_contents_eligible_as_subject(self):
         t = extract_entity_tuple(normalize("[user] alice [/user] hates broccoli"))
@@ -208,34 +204,3 @@ class TestEntityTuples:
         tags = dict(pos_tag(normalize("she blargged softly")))
         assert tags["blargged"] == "VERB"  # -ed after pronoun
         assert tags["softly"] == "ADV"
-
-
-class TestTfidf:
-    def test_empty_doc_is_zero_vector(self):
-        assert tfidf_features(["a b", "b c"], "") == {}
-
-    def test_uniform_df_gives_identical_idf(self):
-        # term in every doc of an N-doc corpus: idf = ln(1) + 1 for all
-        corpus = ["x y", "x z", "x w"]
-        vec = tfidf_features(corpus, "x")
-        (value,) = vec.values()
-        assert abs(value - (math.log((1 + 3) / (1 + 3)) + 1.0)) < 1e-12
-        assert abs(value - 1.0) < 1e-12
-
-    def test_hand_idf_value(self):
-        # 2-doc corpus, term in exactly one: ln(3/2) + 1
-        vec = tfidf_features(["rare common", "common"], "rare")
-        value = vec[next(iter(vec))]
-        assert abs(value - 1.405465) < 1e-6
-        assert abs(value - (math.log(3 / 2) + 1.0)) < 1e-12
-
-    def test_term_counts_scale_weights(self):
-        corpus = ["a a b", "b"]
-        feats = tfidf_features(corpus, "a a a")
-        assert len(feats) == 1
-        (value,) = feats.values()
-        assert abs(value - 3 * (math.log(3 / 2) + 1.0)) < 1e-12
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ConfigError):
-            tfidf_features([], "x")

@@ -303,51 +303,61 @@ class TestMainObjective:
         assert report.j != report.j_c + report.j_f  # not J_C + J_adv
 
 
+def _probs(model, pubs):
+    """Class probabilities of pubs from one graph-free batched forward."""
+    with nc.no_graph():
+        probs, _ = model.forward_batch(model.prepare(pubs))
+    return probs.data
+
+
+def _label_alone(model, pub):
+    """The label predict_dataset gives pub in a dataset of its own."""
+    _, (label,) = predict_dataset(model, Dataset([pub], model.label_space))
+    return label
+
+
 class TestPredict:
+    """One publication through the graph-free forward."""
+
     def test_zero_classifier_gives_uniform_distribution(self):
         ds = _dataset(20)
         model = _model(ds, "concat")
         model.classifier.weights.data[...] = 0.0
         model.classifier.bias.data[...] = 0.0
-        dist, label = model.predict(ds[0])
-        assert np.allclose(dist, 0.5, atol=0)
-        assert label == model.label_space.names[0]  # lowest-index tie-break
+        assert np.allclose(_probs(model, [ds[0]]), 0.5, atol=0)
+        assert _label_alone(model, ds[0]) == model.label_space.names[0]  # lowest-index tie-break
 
     def test_argmax_invariant_under_constant_logit_shift(self):
         ds = _dataset(20)
         model = _model(ds, "concat")
-        _, label_before = model.predict(ds[0])
+        label_before = _label_alone(model, ds[0])
         model.classifier.bias.data += 7.25  # same shift on every class logit
-        _, label_after = model.predict(ds[0])
-        assert label_before == label_after
+        assert _label_alone(model, ds[0]) == label_before
 
     def test_trained_model_prediction_repeatable(self):
         ds = _dataset(80)
         model = _model(ds, "gan", fusion_out_dim=8)
         train(model, ds, TrainConfig(epochs=1, batch_size=20, seed=2))
-        d1, l1 = model.predict(ds[3])
-        d2, l2 = model.predict(ds[3])
-        assert np.array_equal(d1, d2) and l1 == l2
+        assert np.array_equal(_probs(model, [ds[3]]), _probs(model, [ds[3]]))
+        assert _label_alone(model, ds[3]) == _label_alone(model, ds[3])
 
     def test_missing_modality_rejected(self):
         ds = _dataset(20)
         model = _model(ds, "concat")
         with pytest.raises(InputError):
-            model.predict(Publication(id="t", label="0", text="just words"))
+            _probs(model, [Publication(id="t", label="0", text="just words")])
 
 
 class TestPredictDataset:
     """predict_dataset scores in graph-free batches of PREDICT_BATCH and
-    gives the labels predict gives one publication at a time."""
+    gives each publication the label it gets in a dataset of its own."""
 
-    def _assert_matches_predict(self, model, ds):
+    def _assert_matches_singles(self, model, ds):
         truths, preds = predict_dataset(model, ds)
-        singles = [model.predict(p) for p in ds]
         assert truths == [p.label for p in ds]
-        assert preds == [label for _, label in singles]
-        with nc.no_graph():
-            probs, _ = model.forward_batch(model.prepare(ds.publications))
-        assert np.allclose(probs.data, [dist for dist, _ in singles], rtol=0, atol=1e-12)
+        assert preds == [_label_alone(model, p) for p in ds]
+        singles = [_probs(model, [p])[0] for p in ds]
+        assert np.allclose(_probs(model, ds.publications), singles, rtol=0, atol=1e-12)
         return preds
 
     def test_gan_model_labels_match_predict(self):
@@ -356,11 +366,9 @@ class TestPredictDataset:
         train(model, ds, TrainConfig(epochs=1, batch_size=20, seed=2))
         heldout = Dataset(_dataset(67, seed=9).publications, ds.label_space)
         # move the class-1 bias to the mean logit gap so both labels occur
-        with nc.no_graph():
-            probs, _ = model.forward_batch(model.prepare(heldout.publications))
-        logits = np.log(probs.data)
+        logits = np.log(_probs(model, heldout.publications))
         model.classifier.bias.data[1] -= np.mean(logits[:, 1] - logits[:, 0])
-        preds = self._assert_matches_predict(model, heldout)
+        preds = self._assert_matches_singles(model, heldout)
         assert len(preds) == 67 and len(set(preds)) == 2
 
     def test_text_model_with_entity_tuples_labels_match_predict(self):
@@ -379,7 +387,7 @@ class TestPredictDataset:
             space, vocab)
         assert model.config.wants_entity_tuple
         assert len({len(p.text.split()) for p in pubs}) > 5
-        preds = self._assert_matches_predict(model, ds)
+        preds = self._assert_matches_singles(model, ds)
         assert len(set(preds)) > 1
 
     @pytest.mark.parametrize("n", [1, 64, 65, 130])
@@ -553,9 +561,8 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         for pub in ds.publications[:10]:
-            da, la = model.predict(pub)
-            db, lb = loaded.predict(pub)
-            assert np.array_equal(da, db) and la == lb
+            assert np.array_equal(_probs(model, [pub]), _probs(loaded, [pub]))
+            assert _label_alone(model, pub) == _label_alone(loaded, pub)
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         ds = _dataset(30)

@@ -92,8 +92,9 @@ def grad_check(
     out = f(x)
     if not np.isfinite(_scalar(out, "grad_check")):
         raise EvaluationError("grad_check: non-finite value at base point", coordinate=None)
-    out.backward()
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
+    (analytic,) = out.backward([x])
+    if analytic is None:
+        analytic = np.zeros_like(x.data)
     probe = Tensor(x.data.copy())
     return _compare(lambda: f(probe), probe.data.reshape(-1), probe.shape, analytic,
                     h, tol, label, "grad_check")
@@ -111,14 +112,10 @@ def grad_check_params(
     is perturbed in place for the finite-difference side and restored,
     also when a probe raises.
     """
-    for p in params:
-        p.grad = None
     out = f()
     _scalar(out, "grad_check_params")
-    out.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    for p in params:
-        p.grad = None
+    analytic = [np.zeros_like(p.data) if g is None else g
+                for p, g in zip(params, out.backward(params))]
 
     reports: Dict[str, CheckReport] = {}
     for k, p in enumerate(params):

@@ -5,16 +5,14 @@ link their output to the input tensors, so every result carries the
 compute graph that produced it as a DAG of parent references. Tensor has
 no operator sugar: arithmetic and reductions are the ops functions
 (nc.add, nc.mul, nc.tsum, ...), values are read through ``data``, and
-only indexing and ``reshape`` are methods. Calling
-``backward()`` on a scalar result walks that DAG once in reverse
-topological order and accumulates d(result)/d(node) into ``grad`` for
-every node with ``requires_grad``.
+only indexing and ``reshape`` are methods.
 
-Gradient semantics: repeated ``backward()`` calls without an intervening
-``zero_grads`` SUM into ``grad``. Nothing in fuselab relies on that sum:
-the training steps, discriminator and main alike, call ``zero_grads``
-before every backward, and so must any caller that wants one pass's
-gradient.
+``loss.backward(wrt)`` on a scalar result walks that DAG once in reverse
+topological order and returns d(loss)/d(t) for each tensor t of wrt, in
+order: a fresh array per tensor, leaf or intermediate, or None where the
+loss does not depend on t. It stores nothing on any tensor, so calls are
+independent: a second call returns the same arrays, and a caller may
+scale one returned array in place without touching another.
 
 Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct
@@ -29,14 +27,14 @@ per-thread flag, so a thread inside ``no_graph()`` does not change what
 graphs other threads build; blocks nest and restore the outer mode on
 exit, exceptions included. Tensors constructed directly (parameters,
 inputs) are unaffected, and ``backward()`` inside the block raises
-ContractError instead of silently updating nothing.
+ContractError instead of silently returning no gradient.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,15 +68,14 @@ def _recording(parents: Sequence["Tensor"]) -> bool:
 
 
 class Tensor:
-    """A node in the compute graph: value, optional gradient, provenance."""
+    """A node in the compute graph: value and provenance."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name", "_op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "name", "_op", "_parents", "_backward")
 
     def __init__(self, data: Arrayish, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
         self.name = name
         self._op: Optional[str] = None
         self._parents: Tuple[Tensor, ...] = ()
@@ -133,30 +130,27 @@ class Tensor:
 
     # -- autodiff ----------------------------------------------------------
 
-    def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad.
-
-        The loss must hold a single value. Gradients accumulate across
-        calls; use zero_grads between independent passes.
-        """
+    def backward(self, wrt: Sequence["Tensor"]) -> List[Optional[np.ndarray]]:
+        """d(self)/d(t) for each tensor t of wrt, in order, or None where
+        self does not depend on t. The loss must hold a single value."""
         if not _mode.building:
             raise ContractError("backward() inside no_graph(): no graph was recorded, "
                                 "so no gradient would reach any parameter")
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
-            return
+            return [None] * len(wrt)
 
-        order = self._topo_order()
+        wanted = {id(t) for t in wrt}
+        found: dict = {}
         flows = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        for node in reversed(self._topo_order()):
             g = flows.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+            if id(node) in wanted:
+                # a flow may be shared with another node; the caller gets its own
+                found[id(node)] = 0.0 + g
             if node._backward is None:
                 continue
             parent_grads = node._backward(g)
@@ -168,6 +162,7 @@ class Tensor:
                     flows[key] = flows[key] + pg
                 else:
                     flows[key] = pg
+        return [found.get(id(t)) for t in wrt]
 
     def _topo_order(self) -> list:
         """Iterative post-order DFS; parents always precede children."""
@@ -207,25 +202,17 @@ def as_tensor(x: Arrayish) -> Tensor:
     return Tensor(x)
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    """Reset accumulated gradients before an independent backward pass."""
-    for t in tensors:
-        t.grad = None
-
-
-def clip_grad_norm(tensors: Sequence[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their joint L2 norm is at most max_norm.
-
-    Returns the pre-clip norm.
-    """
+def clip_grad_norm(grads: Sequence[Optional[np.ndarray]], max_norm: float) -> float:
+    """Scale the gradient arrays in place so their joint L2 norm is at most
+    max_norm; None entries are skipped. Returns the pre-clip norm."""
     total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad * t.grad))
+    for g in grads:
+        if g is not None:
+            total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for t in tensors:
-            if t.grad is not None:
-                t.grad *= scale
+        for g in grads:
+            if g is not None:
+                g *= scale
     return norm

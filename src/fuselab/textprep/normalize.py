@@ -98,6 +98,9 @@ _SCANNER = re.compile(
     r"|(?P<punct>[^A-Za-z0-9_'\[\]@#]+|[\[\]@#])"
 )
 
+# a character repeated three or more times: an elongation
+_RUN = re.compile(r"(.)\1{2,}")
+
 
 @dataclass
 class _Event:
@@ -116,7 +119,7 @@ def _scan(raw: str, lexicons: Lexicons) -> List[_Event]:
 
 
 def _collapse_runs(word: str, target: int) -> str:
-    return re.sub(r"(.)\1{2,}", lambda m: m.group(1) * target, word)
+    return _RUN.sub(lambda m: m.group(1) * target, word)
 
 
 def _elongation_candidates(word: str) -> List[Tuple[str, bool]]:
@@ -156,7 +159,7 @@ def _process_word(word: str, lexicons: Lexicons) -> List[Token]:
     word = word.lower()
     tokens: List[Token] = []
     marker = False
-    if re.search(r"(.)\1{2,}", word):
+    if _RUN.search(word):
         chosen = None
         for cand, single in _elongation_candidates(word):
             if cand in lexicons.word_freq:

@@ -32,7 +32,7 @@ from ..datakit import BatchStream, Dataset
 from ..exceptions import ConfigError, DivergenceError, DomainError, InputError
 from ..fusion import GanFusion, gan_adv_loss
 from ..metrics import MetricsReport, evaluate
-from ..numcore import Tensor, clip_grad_norm, zero_grads
+from ..numcore import Tensor, clip_grad_norm
 from .model import FusionModel, PreparedBatch
 from .objectives import main_objective
 from .optim import DEFAULT_LR, make_optimizer
@@ -173,15 +173,15 @@ def _train_step(model: FusionModel, batch: PreparedBatch,
         detached = {name: z.detach() for name, z in latents.items()}
         step_discriminator(model, detached, config, disc_opt, rng, step)
 
-    zero_grads(model.parameters())
     objective = main_objective(model, batch, latents, config, rng)
     j = objective.j
     _finite_or_raise(float(j.data), step, "training objective")
-    j.backward()
+    grads = j.backward(main_opt.params)
     recurrent = model.recurrent_parameters()
     if recurrent and config.clip_norm:
-        clip_grad_norm(recurrent, config.clip_norm)
-    main_opt.step()
+        index = {id(p): i for i, p in enumerate(main_opt.params)}
+        clip_grad_norm([grads[index[id(p)]] for p in recurrent], config.clip_norm)
+    main_opt.step(grads)
 
     return LossReport(
         step=step,
@@ -203,17 +203,13 @@ def step_discriminator(model: FusionModel, latents: Dict[str, Tensor],
     """
     mech: GanFusion = model.mechanism
     for _ in range(config.disc_steps):
-        zero_grads(model.parameters())
         parts_t = gan_adv_loss(mech.text_module, real=latents["visual"],
                                source=latents["text"], rng=rng)
         parts_v = gan_adv_loss(mech.visual_module, real=latents["text"],
                                source=latents["visual"], rng=rng)
         j_adv = nc.add(parts_t.j_adv, parts_v.j_adv)
         _finite_or_raise(float(j_adv.data), step, "J_adv")
-        nc.neg(j_adv).backward()  # ascent on J_adv
-        disc_opt.step()
-    # the backward also wrote grads into the generator parameters
-    zero_grads(model.parameters())
+        disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
 
 
 def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:

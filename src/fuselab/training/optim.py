@@ -2,13 +2,15 @@
 
 Optimizers only ever touch the tensors they were constructed with, which
 is what makes the discriminator/generator parameter partition directly
-assertable during minimax training. Both only descend: a caller that
-ascends an objective backpropagates its negation.
+assertable during minimax training. ``step(grads)`` takes one gradient
+per parameter, in ``params`` order, as ``loss.backward(opt.params)``
+returns them; a None gradient leaves its parameter alone. Both only
+descend: a caller that ascends an objective backpropagates its negation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,10 +25,10 @@ class SGD:
         self.params = list(params)
         self.lr = lr
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
+    def step(self, grads: Sequence[Optional[np.ndarray]]) -> None:
+        for p, g in zip(self.params, grads, strict=True):
+            if g is not None:
+                p.data -= self.lr * g
 
 
 class Adam:
@@ -39,24 +41,21 @@ class Adam:
             raise ConfigError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
-    def step(self) -> None:
+    def step(self, grads: Sequence[Optional[np.ndarray]]) -> None:
         self._t += 1
         b1t = 1.0 - self.BETA1 ** self._t
         b2t = 1.0 - self.BETA2 ** self._t
-        for p in self.params:
-            if p.grad is None:
+        for p, g, m, v in zip(self.params, grads, self._m, self._v, strict=True):
+            if g is None:
                 continue
-            key = id(p)
-            m = self._m.setdefault(key, np.zeros_like(p.data))
-            v = self._v.setdefault(key, np.zeros_like(p.data))
             m *= self.BETA1
-            m += (1.0 - self.BETA1) * p.grad
+            m += (1.0 - self.BETA1) * g
             v *= self.BETA2
-            v += (1.0 - self.BETA2) * (p.grad * p.grad)
+            v += (1.0 - self.BETA2) * (g * g)
             update = (m / b1t) / (np.sqrt(v / b2t) + self.EPS)
             p.data -= self.lr * update
 

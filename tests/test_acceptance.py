@@ -26,7 +26,7 @@ from fuselab.fusion import (
     generator_loss,
 )
 from fuselab.metrics import evaluate
-from fuselab.numcore import Tensor, zero_grads
+from fuselab.numcore import Tensor
 from fuselab.training import (
     ModelConfig,
     TrainConfig,
@@ -245,19 +245,14 @@ def test_criterion_07_gan_dynamics_sanity():
                                  rng=rng, hidden_dim=16)
         d_opt = Adam(module.discriminator_parameters(), lr=1e-3)
         g_opt = Adam(module.generator_parameters(), lr=1e-3)
-        everything = module.generator_parameters() + module.discriminator_parameters()
         for _ in range(800):
             for _ in range(2):  # k = 2 discriminator steps per generator step
                 parts = gan_adv_loss(module, Tensor(rng.standard_normal((128, 1))),
                                      Tensor(rng.standard_normal((128, 1))), rng=rng)
-                zero_grads(everything)
-                nc.neg(parts.j_adv).backward()
-                d_opt.step()
+                d_opt.step(nc.neg(parts.j_adv).backward(d_opt.params))
             parts = gan_adv_loss(module, Tensor(rng.standard_normal((128, 1))),
                                  Tensor(rng.standard_normal((128, 1))), rng=rng)
-            zero_grads(everything)
-            generator_loss(parts).backward()
-            g_opt.step()
+            g_opt.step(generator_loss(parts).backward(g_opt.params))
 
         held_out = np.random.default_rng(seed + 1000)
         real = Tensor(held_out.standard_normal((500, 1)))

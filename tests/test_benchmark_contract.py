@@ -46,6 +46,30 @@ def test_step_clock_wraps_evaluate_model_through_the_loop_module(tracing):
     assert loop.evaluate_model is original
 
 
+def test_step_clock_stamps_each_main_step_of_a_gan_run(tracing):
+    """StepClock's wrapper passes step(grads) through and tells the main
+    optimizer from the discriminator optimizer by opt.params: one stamp
+    per main step, none for the k = 2 discriminator steps before it."""
+    from hostspeed import Timeline
+
+    from fuselab.datakit import SyntheticSpec, Vocab, generate_synthetic
+    from fuselab.training import ModelConfig, TrainConfig, build_model, train
+
+    ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=24, seed=1))
+    model = build_model(ModelConfig(fusion="gan", latent_dim=4, embed_dim=3, hidden_dim=2,
+                                    visual_channels=(2, 3), normalize_text=False),
+                        ds.label_space, Vocab.from_texts([p.text for p in ds]))
+    clock = tracing.StepClock(Timeline())
+    clock.install()
+    try:
+        clock.watch(model)
+        result = train(model, ds, TrainConfig(epochs=1, batch_size=8, disc_steps=2))
+    finally:
+        clock.uninstall()
+    assert len(result.curves) == 3
+    assert len(clock.stamps) == len(result.curves)
+
+
 def test_forward_batch_rows_are_prepared_publications(tracing):
     """The training.forward_batch span counts the rows of its batch
     argument, a PreparedBatch, with len()."""

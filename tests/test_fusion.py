@@ -70,7 +70,6 @@ class TestAutoFusion:
         assert out.z_hat.shape == (1, 8)
 
     def test_training_on_one_repeated_sample_drives_loss_to_zero(self):
-        from fuselab.numcore import zero_grads
         from fuselab.training.optim import Adam
 
         mech = AutoFusion(latent_dim=2, out_dim=3, rng=np.random.default_rng(6))
@@ -80,9 +79,7 @@ class TestAutoFusion:
         for _ in range(400):
             out = mech.fuse_batch(z_v, z_t)
             loss = auto_fusion_loss(out.z, out.z_hat)
-            zero_grads(mech.parameters())
-            loss.backward()
-            opt.step()
+            opt.step(loss.backward(opt.params))
         assert loss.data.item() < 1e-4, loss.data.item()
 
 

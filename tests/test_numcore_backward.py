@@ -1,4 +1,4 @@
-"""Backward-pass semantics: seeding, accumulation, splitting, determinism."""
+"""Backward-pass semantics: seeding, returned gradients, splitting, determinism."""
 
 import numpy as np
 import pytest
@@ -10,40 +10,53 @@ from fuselab.exceptions import ContractError, DomainError
 def test_identity_gradient():
     x = nc.Tensor(2.5, requires_grad=True)
     loss = nc.add(x, 0.0)
-    loss.backward()
-    assert x.grad == 1.0
+    assert loss.backward([x]) == [1.0]
 
 
 def test_square_gradient():
     x = nc.Tensor(3.0, requires_grad=True)
-    nc.mul(x, x).backward()
-    assert x.grad == 6.0
+    assert nc.mul(x, x).backward([x]) == [6.0]
 
 
 def test_non_scalar_loss_rejected():
     x = nc.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ContractError):
-        nc.mul(x, x).backward()
+        nc.mul(x, x).backward([x])
 
 
-def test_repeated_backward_accumulates():
+def test_backward_keeps_no_state():
     x = nc.Tensor(3.0, requires_grad=True)
     loss = nc.mul(x, x)
-    loss.backward()
-    loss.backward()
-    assert x.grad == 12.0
-    nc.zero_grads([x])
-    assert x.grad is None
-    loss.backward()
-    assert x.grad == 6.0
+    first, second = loss.backward([x]), loss.backward([x])
+    assert first == second == [6.0]
+    assert first[0] is not second[0]
+
+    # add hands one flow to both parents; each leaf gets its own array
+    a = nc.Tensor(np.ones(3), requires_grad=True)
+    b = nc.Tensor(np.ones(3), requires_grad=True)
+    ga, gb = nc.tsum(nc.add(a, b)).backward([a, b])
+    ga *= 5.0
+    assert np.array_equal(gb, np.ones(3))
+
+    # an intermediate node gets its gradient too
+    y = nc.mul(x, x)
+    loss = nc.mul(y, 2.0)
+    assert loss.backward([y, x]) == [2.0, 12.0]
+
+
+def test_backward_returns_none_where_the_loss_does_not_depend():
+    x = nc.Tensor(3.0, requires_grad=True)
+    unused = nc.Tensor(1.0, requires_grad=True)
+    constant = nc.Tensor(2.0)
+    assert nc.mul(x, constant).backward([unused, x, constant]) == [None, 2.0, None]
+    assert nc.mul(constant, constant).backward([x]) == [None]
 
 
 def test_shared_subexpression_sums_contributions():
     x = nc.Tensor(2.0, requires_grad=True)
     y = nc.mul(x, x)  # d/dx = 2x
     loss = nc.add(y, y)  # total d/dx = 4x
-    loss.backward()
-    assert x.grad == 8.0
+    assert loss.backward([x]) == [8.0]
 
 
 def test_concat_gradient_splits_exactly():
@@ -52,16 +65,15 @@ def test_concat_gradient_splits_exactly():
     b = nc.Tensor(rng.normal(size=3), requires_grad=True)
     w = nc.Tensor(rng.normal(size=7))
     cat = nc.concat([a, b], axis=0)
-    nc.matmul(cat, w).backward()
-    assert np.array_equal(a.grad, w.data[:4])
-    assert np.array_equal(b.grad, w.data[4:])
+    ga, gb = nc.matmul(cat, w).backward([a, b])
+    assert np.array_equal(ga, w.data[:4])
+    assert np.array_equal(gb, w.data[4:])
 
 
 def test_detach_blocks_gradient():
     x = nc.Tensor(3.0, requires_grad=True)
     loss = nc.mul(x.detach(), x)
-    loss.backward()
-    assert x.grad == 3.0  # only the non-detached factor contributes
+    assert loss.backward([x]) == [3.0]  # only the non-detached factor contributes
 
 
 def test_two_layer_network_matches_finite_differences():
@@ -87,8 +99,8 @@ def test_backward_bitwise_deterministic():
         x = nc.Tensor(rng.normal(size=5))
         b = nc.Tensor(rng.normal(size=5))
         y = nc.softmax(nc.linear(nc.tanh(nc.linear(x, w, b)), w, b))
-        nc.squared_norm(y).backward()
-        return w.grad.copy()
+        (gw,) = nc.squared_norm(y).backward([w])
+        return gw
 
     g1, g2 = run(), run()
     assert np.array_equal(g1, g2)
@@ -97,10 +109,10 @@ def test_backward_bitwise_deterministic():
 def test_take_rows_accumulates_duplicates():
     table = nc.Tensor(np.eye(3), requires_grad=True)
     picked = nc.take_rows(table, np.array([1, 1, 2]))
-    nc.tsum(picked).backward()
-    assert table.grad[0].sum() == 0.0
-    assert table.grad[1].sum() == 6.0  # picked twice, 3 cells each
-    assert table.grad[2].sum() == 3.0
+    (grad,) = nc.tsum(picked).backward([table])
+    assert grad[0].sum() == 0.0
+    assert grad[1].sum() == 6.0  # picked twice, 3 cells each
+    assert grad[2].sum() == 3.0
 
 
 def test_independent_graphs_on_concurrent_threads():
@@ -113,9 +125,8 @@ def test_independent_graphs_on_concurrent_threads():
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
-            nc.zero_grads([w])
-            nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward()
-        return w.grad.copy()
+            (grad,) = nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward([w])
+        return grad
 
     serial = [build_and_backward(seed) for seed in range(8)]
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -139,8 +150,7 @@ def test_no_graph_nests_and_restores_after_exception():
         with nc.no_graph():
             raise RuntimeError("outermost")
     out = nc.tsum(nc.tanh(w))
-    out.backward()
-    assert w.grad is not None
+    assert out.backward([w])[0] is not None
 
 
 def test_no_graph_outputs_are_plain_data():
@@ -168,10 +178,9 @@ def test_backward_inside_no_graph_is_an_error():
     loss = nc.squared_norm(w)
     with nc.no_graph():
         with pytest.raises(ContractError):
-            loss.backward()
-    assert w.grad is None
-    loss.backward()
-    assert np.array_equal(w.grad, 2.0 * np.ones(3))
+            loss.backward([w])
+    (grad,) = loss.backward([w])
+    assert np.array_equal(grad, 2.0 * np.ones(3))
 
 
 def test_no_graph_is_local_to_its_thread():
@@ -187,9 +196,8 @@ def test_no_graph_is_local_to_its_thread():
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
-            nc.zero_grads([w])
-            nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward()
-        return w.grad.copy()
+            (grad,) = nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward([w])
+        return grad
 
     entered, release = threading.Event(), threading.Event()
 

@@ -190,11 +190,8 @@ def test_gated_recurrence_matches_primitive_graph(reverse, batch, length):
     x, w, b, weights = _recurrence_inputs(batch, length, seed=batch * 10 + length)
     grads = []
     for run in (nc.gated_recurrence, _reference_recurrence):
-        for p in (x, w, b):
-            p.grad = None
         out = run(x, w, b, reverse=reverse)
-        nc.tsum(nc.mul(out, weights)).backward()
-        grads.append((out.data, x.grad, w.grad, b.grad))
+        grads.append((out.data, *nc.tsum(nc.mul(out, weights)).backward([x, w, b])))
     fused, reference = grads
     assert fused[0].shape == (batch, length, 4)
     assert np.array_equal(fused[0], reference[0])
@@ -237,21 +234,22 @@ def _masked_against_trimmed(lengths, reverse, seed):
     padded = np.arange(steps)[None, :] >= lengths[:, None]
     x.data[padded] = np.inf
     out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
-    nc.tsum(nc.mul(out, weights)).backward()
-    assert not out.data[padded].any() and not x.grad[padded].any()
+    gx, gw, gb = nc.tsum(nc.mul(out, weights)).backward([x, w, b])
+    assert not out.data[padded].any() and not gx[padded].any()
     dw, db = np.zeros_like(w.data), np.zeros_like(b.data)
     for r, length in enumerate(lengths):
         xr = nc.Tensor(x.data[r : r + 1, :length], requires_grad=True)
         wr = nc.Tensor(w.data, requires_grad=True)
         br = nc.Tensor(b.data, requires_grad=True)
         single = nc.gated_recurrence(xr, wr, br, reverse=reverse)
-        nc.tsum(nc.mul(single, nc.Tensor(weights.data[r : r + 1, :length]))).backward()
+        loss = nc.tsum(nc.mul(single, nc.Tensor(weights.data[r : r + 1, :length])))
+        gxr, gwr, gbr = loss.backward([xr, wr, br])
         assert np.max(np.abs(out.data[r, :length] - single.data[0])) <= 1e-12
-        assert np.max(np.abs(x.grad[r, :length] - xr.grad[0])) <= 1e-12
-        dw += wr.grad
-        db += br.grad
-    assert np.max(np.abs(w.grad - dw)) <= 1e-12
-    assert np.max(np.abs(b.grad - db)) <= 1e-12
+        assert np.max(np.abs(gx[r, :length] - gxr[0])) <= 1e-12
+        dw += gwr
+        db += gbr
+    assert np.max(np.abs(gw - dw)) <= 1e-12
+    assert np.max(np.abs(gb - db)) <= 1e-12
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -271,11 +269,9 @@ def test_gated_recurrence_full_lengths_are_byte_identical(reverse):
     x, w, b, weights = _recurrence_inputs(3, 6, seed=8)
     runs = []
     for lengths in (None, np.full(3, 6)):
-        for p in (x, w, b):
-            p.grad = None
         out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
-        nc.tsum(nc.mul(out, weights)).backward()
-        runs.append([a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+        grads = nc.tsum(nc.mul(out, weights)).backward([x, w, b])
+        runs.append([a.tobytes() for a in (out.data, *grads)])
     assert runs[0] == runs[1]
 
 
@@ -288,8 +284,8 @@ def test_masked_softmax_weighs_masked_entries_zero():
     for r, keep in enumerate(mask):
         want = nc.softmax(nc.Tensor(a.data[r, keep])).data
         assert np.allclose(out.data[r, keep], want, rtol=0, atol=1e-15)
-    nc.tsum(nc.mul(out, nc.Tensor(rng.normal(size=(3, 6))))).backward()
-    assert (a.grad[~mask] == 0.0).all()
+    (grad,) = nc.tsum(nc.mul(out, nc.Tensor(rng.normal(size=(3, 6))))).backward([a])
+    assert (grad[~mask] == 0.0).all()
     assert nc.softmax(a, axis=-1, mask=np.ones((3, 6), bool)).data.tobytes() == \
         nc.softmax(a, axis=-1).data.tobytes()
     with pytest.raises(ShapeError):

@@ -238,15 +238,12 @@ class TestParameterPartition:
 
 class TestGanTerms:
     def _run(self, model, batch, **overrides):
-        """The main objective at rng seed 1 after its backward pass."""
+        """The main objective at rng seed 1."""
         from fuselab.training.objectives import main_objective
 
-        nc.zero_grads(model.parameters())
         batch = model.prepare(batch)
-        objective = main_objective(model, batch, model.encode(batch),
-                                   TrainConfig(**overrides), np.random.default_rng(1))
-        objective.j.backward()
-        return objective
+        return main_objective(model, batch, model.encode(batch),
+                              TrainConfig(**overrides), np.random.default_rng(1))
 
     def test_generator_term_reaches_no_encoder(self):
         ds = _dataset(20)
@@ -256,8 +253,7 @@ class TestGanTerms:
         generators = model.mechanism.generator_parameters()
 
         def grads(params, **overrides):
-            self._run(model, batch, **overrides)
-            return [p.grad.copy() for p in params]
+            return self._run(model, batch, **overrides).j.backward(params)
 
         j_c_only = grads(encoders + generators, lam=0.0)
         stopped = grads(encoders + generators, lam=1.0,

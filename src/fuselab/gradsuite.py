@@ -84,9 +84,9 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
     # so the held steps of the shorter row are checked too; its own
     # generator leaves the draws of every other check as they were
     own = np.random.default_rng(19)
-    x = Tensor(own.normal(size=(2, 4, 3)), requires_grad=True, name="x")
-    w = Tensor(own.uniform(-0.6, 0.6, size=(8, 5)), requires_grad=True, name="w")
-    b = Tensor(own.normal(size=8), requires_grad=True, name="b")
+    x = Tensor(own.normal(size=(2, 4, 3)), name="x")
+    w = Tensor(own.uniform(-0.6, 0.6, size=(8, 5)), name="w")
+    b = Tensor(own.normal(size=8), name="b")
     weights = Tensor(own.normal(size=(2, 4, 4)))
     lengths = np.array([4, 2])
 

@@ -59,8 +59,8 @@ class DenseLayer:
         self.activation = activation
         self.name = name
         self.weights = Tensor(_glorot(rng, (out_dim, in_dim), in_dim, out_dim),
-                              requires_grad=True, name=f"{name}.weights")
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True, name=f"{name}.bias")
+                              name=f"{name}.weights")
+        self.bias = Tensor(np.zeros(out_dim), name=f"{name}.bias")
 
     def __call__(self, x: Tensor) -> Tensor:
         """Apply the layer to a vector (in,) or a batch (n, in)."""
@@ -84,7 +84,7 @@ class EmbeddingTable:
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.matrix = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim)),
-                             requires_grad=True, name=f"{name}.matrix")
+                             name=f"{name}.matrix")
 
     def lookup(self, ids: Sequence[int]) -> Tensor:
         return nc.take_rows(self.matrix, ids)
@@ -114,7 +114,7 @@ class RecurrentTextEncoder:
         self.fwd = self._make_cell(embed_dim, hidden_dim, rng, "text.fwd")
         self.bwd = self._make_cell(embed_dim, hidden_dim, rng, "text.bwd")
         self.query = Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=2 * hidden_dim),
-                            requires_grad=True, name="text.attn_query")
+                            name="text.attn_query")
         self.proj = DenseLayer(2 * hidden_dim, latent_dim, "identity", rng, name="text.proj")
 
     @staticmethod
@@ -124,8 +124,8 @@ class RecurrentTextEncoder:
         b = np.zeros(4 * hidden_dim)
         b[hidden_dim : 2 * hidden_dim] = 1.0
         return {
-            "w": Tensor(w, requires_grad=True, name=f"{name}.w"),
-            "b": Tensor(b, requires_grad=True, name=f"{name}.b"),
+            "w": Tensor(w, name=f"{name}.w"),
+            "b": Tensor(b, name=f"{name}.b"),
         }
 
     def parameters(self) -> List[Tensor]:
@@ -205,11 +205,10 @@ class ConvVisualEncoder:
         fan1 = k * k * in_channels
         fan2 = k * k * c1
         self.kernel1 = Tensor(_glorot(rng, (k, k, in_channels, c1), fan1, c1),
-                              requires_grad=True, name="visual.kernel1")
-        self.bias1 = Tensor(np.zeros(c1), requires_grad=True, name="visual.bias1")
-        self.kernel2 = Tensor(_glorot(rng, (k, k, c1, c2), fan2, c2),
-                              requires_grad=True, name="visual.kernel2")
-        self.bias2 = Tensor(np.zeros(c2), requires_grad=True, name="visual.bias2")
+                              name="visual.kernel1")
+        self.bias1 = Tensor(np.zeros(c1), name="visual.bias1")
+        self.kernel2 = Tensor(_glorot(rng, (k, k, c1, c2), fan2, c2), name="visual.kernel2")
+        self.bias2 = Tensor(np.zeros(c2), name="visual.bias2")
         s = self.SUMMARY_GRID
         self.proj = DenseLayer(s * s * c2, latent_dim, "identity", rng, name="visual.proj")
 

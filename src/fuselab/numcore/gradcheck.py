@@ -88,7 +88,7 @@ def grad_check(
     label: str = "",
 ) -> CheckReport:
     """Compare the analytic gradient of f at point against central differences."""
-    x = Tensor(np.array(point.data, dtype=np.float64, copy=True), requires_grad=True)
+    x = Tensor(np.array(point.data, dtype=np.float64, copy=True))
     out = f(x)
     if not np.isfinite(_scalar(out, "grad_check")):
         raise EvaluationError("grad_check: non-finite value at base point", coordinate=None)

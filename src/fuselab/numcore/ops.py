@@ -453,7 +453,7 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     # activations i, f, o, g, the cell state and its tanh. Only the
     # backward reads the activations and tanh of past steps, so a
     # graph-free call keeps one step of those.
-    kept = steps if _recording((x, w, b)) else 1
+    kept = steps if _recording() else 1
     cats = np.empty((steps, batch, e + hd))
     seq = np.swapaxes(xd, 0, 1)
     cats[:, :, :e] = seq[::-1] if reverse else seq

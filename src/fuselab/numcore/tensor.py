@@ -7,12 +7,15 @@ no operator sugar: arithmetic and reductions are the ops functions
 (nc.add, nc.mul, nc.tsum, ...), values are read through ``data``, and
 only indexing and ``reshape`` are methods.
 
-``loss.backward(wrt)`` on a scalar result walks that DAG once in reverse
-topological order and returns d(loss)/d(t) for each tensor t of wrt, in
-order: a fresh array per tensor, leaf or intermediate, or None where the
-loss does not depend on t. It stores nothing on any tensor, so calls are
-independent: a second call returns the same arrays, and a caller may
-scale one returned array in place without touching another.
+Every op outside ``no_graph()`` records its node; no tensor carries a
+flag for whether it wants a gradient. ``loss.backward(wrt)`` alone
+decides: it runs the backward closures of only the nodes with a tensor
+of wrt at or below them, in reverse topological order, and returns
+d(loss)/d(t) for each tensor t of wrt, in order: a fresh array per
+tensor, leaf or intermediate, or None where the loss does not depend on
+t. It stores nothing on any tensor, so calls are independent: a second
+call returns the same arrays, and a caller may scale one returned array
+in place without touching another. ``detach()`` is the stop-gradient.
 
 Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct
@@ -20,12 +23,11 @@ threads. A Tensor with no graph references is plain data and safe to
 share.
 
 Inside ``with no_graph():`` ops still compute their values and still
-reject non-finite results, but return plain data: no parents, no
-backward closure, ``requires_grad`` False. Inference and the
-finite-difference probes of gradcheck run this way. The mode is a
-per-thread flag, so a thread inside ``no_graph()`` does not change what
-graphs other threads build; blocks nest and restore the outer mode on
-exit, exceptions included. Tensors constructed directly (parameters,
+reject non-finite results, but return plain data: no parents and no
+backward closure. Inference and the finite-difference probes of
+gradcheck run this way. The mode is a per-thread flag, so a thread
+inside ``no_graph()`` does not change what graphs other threads build;
+blocks nest and restore the outer mode on exit, exceptions included. Tensors constructed directly (parameters,
 inputs) are unaffected, and ``backward()`` inside the block raises
 ContractError instead of silently returning no gradient.
 """
@@ -61,21 +63,18 @@ def no_graph():
         _mode.building = previous
 
 
-def _recording(parents: Sequence["Tensor"]) -> bool:
-    """Whether an op on these parents records a graph node, and so whether
-    its backward will read what the forward computed."""
-    return _mode.building and any(p.requires_grad for p in parents)
+def _recording() -> bool:
+    """Whether ops record nodes, so a backward may read what they computed."""
+    return _mode.building
 
 
 class Tensor:
     """A node in the compute graph: value and provenance."""
 
-    __slots__ = ("data", "requires_grad", "name", "_op", "_parents", "_backward")
+    __slots__ = ("data", "name", "_op", "_parents", "_backward")
 
-    def __init__(self, data: Arrayish, requires_grad: bool = False, name: Optional[str] = None):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, data: Arrayish, name: Optional[str] = None):
+        self.data = np.asarray(data, dtype=np.float64)
         self.name = name
         self._op: Optional[str] = None
         self._parents: Tuple[Tensor, ...] = ()
@@ -95,8 +94,7 @@ class Tensor:
         if not np.isfinite(data).all():
             raise DomainError(f"op '{op}' produced a non-finite value")
         out = cls(data)
-        if _recording(parents):
-            out.requires_grad = True
+        if _recording():
             out._op = op
             out._parents = parents
             out._backward = backward
@@ -118,7 +116,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A view of the same values with no graph attached."""
-        return Tensor(self.data, requires_grad=False)
+        return Tensor(self.data)
 
     def __repr__(self) -> str:
         head = f"Tensor(shape={self.shape}"
@@ -138,41 +136,37 @@ class Tensor:
                                 "so no gradient would reach any parameter")
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
-        if not self.requires_grad:
-            return [None] * len(wrt)
-
         wanted = {id(t) for t in wrt}
+        order, live = self._topo_order(wanted)
         found: dict = {}
         flows = {id(self): np.ones_like(self.data)}
-        for node in reversed(self._topo_order()):
-            g = flows.pop(id(node), None)
-            if g is None:
-                continue
+        for node in reversed(order):
+            # every live node below the loss has a live child, which sent it a flow
+            g = flows.pop(id(node))
             if id(node) in wanted:
                 # a flow may be shared with another node; the caller gets its own
                 found[id(node)] = 0.0 + g
             if node._backward is None:
                 continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
+            for parent, pg in zip(node._parents, node._backward(g)):
                 key = id(parent)
-                if key in flows:
-                    flows[key] = flows[key] + pg
-                else:
-                    flows[key] = pg
+                if key in live:
+                    flows[key] = flows[key] + pg if key in flows else pg
         return [found.get(id(t)) for t in wrt]
 
-    def _topo_order(self) -> list:
-        """Iterative post-order DFS; parents always precede children."""
+    def _topo_order(self, wanted: set) -> Tuple[list, set]:
+        """Post-order DFS over the nodes with a wanted id at or below them,
+        and their ids; parents precede children, so are judged first."""
         order: list = []
+        live = set()
         seen = set()
         stack: list = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                order.append(node)
+                if id(node) in wanted or any(id(p) in live for p in node._parents):
+                    live.add(id(node))
+                    order.append(node)
                 continue
             if id(node) in seen:
                 continue
@@ -181,7 +175,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        return order
+        return order, live
 
     # -- indexing and reshaping, which the encoders write as methods ------
 

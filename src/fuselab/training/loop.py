@@ -5,11 +5,14 @@ Per batch, the encoders run once and every step below reuses their
 latents:
   concat      the head, then one descent step on J_C
   auto        the head, then one descent step on J_C + lambda * J_auto
-  gan         k discriminator ascent steps on J_adv over detached copies
-              of the latents (touching only discriminator parameters),
-              then the head and one descent step on J_C + lambda *
-              (generator-side adversarial term) touching encoders,
-              generators, combiner, and classifier
+  gan         k discriminator ascent steps on J_adv (touching only
+              discriminator parameters), then the head and one descent
+              step on J_C + lambda * (generator-side adversarial term)
+              touching encoders, generators, combiner, and classifier
+
+Each backward names the parameters its optimizer updates, and that list
+alone decides what is differentiated: the discriminator steps read the
+latents undetached.
 
 The main step's objective is objectives.main_objective, the one the
 gradient suite checks. The reported J_F column is always the fusion
@@ -170,8 +173,7 @@ def _train_step(model: FusionModel, batch: PreparedBatch,
     the discriminator steps when a discriminator optimizer is given."""
     latents = model.encode(batch)
     if disc_opt is not None:
-        detached = {name: z.detach() for name, z in latents.items()}
-        step_discriminator(model, detached, config, disc_opt, rng, step)
+        step_discriminator(model, latents, config, disc_opt, rng, step)
 
     objective = main_objective(model, batch, latents, config, rng)
     j = objective.j
@@ -197,9 +199,9 @@ def step_discriminator(model: FusionModel, latents: Dict[str, Tensor],
                        step: int) -> None:
     """k ascent updates on J_adv; only discriminator parameters change.
 
-    latents are the batch's encoder outputs, detached by the caller: the
-    discriminator objective must not shape the encoders, and the ascent
-    step only applies to D anyway.
+    latents are the batch's encoder outputs, as the main step reads them:
+    each backward is with respect to disc_opt.params alone, so it skips
+    every encoder and generator node.
     """
     mech: GanFusion = model.mechanism
     for _ in range(config.disc_steps):

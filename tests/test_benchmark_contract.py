@@ -100,7 +100,7 @@ def test_one_check_on_a_three_vector_records_seven_probes(tracing, check):
         if check == "grad_check":
             report = nc.grad_check(lambda x: nc.tsum(nc.tanh(x)), nc.Tensor(point))
         else:
-            w = nc.Tensor(point, requires_grad=True, name="w")
+            w = nc.Tensor(point, name="w")
             (report,) = nc.grad_check_params(lambda: nc.tsum(nc.tanh(w)), [w]).values()
     finally:
         clock.uninstall()

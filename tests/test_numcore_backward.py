@@ -7,33 +7,38 @@ from fuselab import numcore as nc
 from fuselab.exceptions import ContractError, DomainError
 
 
+def _plain(t):
+    """No graph attached: no parents and no backward closure."""
+    return t._parents == () and t._backward is None
+
+
 def test_identity_gradient():
-    x = nc.Tensor(2.5, requires_grad=True)
+    x = nc.Tensor(2.5)
     loss = nc.add(x, 0.0)
     assert loss.backward([x]) == [1.0]
 
 
 def test_square_gradient():
-    x = nc.Tensor(3.0, requires_grad=True)
+    x = nc.Tensor(3.0)
     assert nc.mul(x, x).backward([x]) == [6.0]
 
 
 def test_non_scalar_loss_rejected():
-    x = nc.Tensor([1.0, 2.0], requires_grad=True)
+    x = nc.Tensor([1.0, 2.0])
     with pytest.raises(ContractError):
         nc.mul(x, x).backward([x])
 
 
 def test_backward_keeps_no_state():
-    x = nc.Tensor(3.0, requires_grad=True)
+    x = nc.Tensor(3.0)
     loss = nc.mul(x, x)
     first, second = loss.backward([x]), loss.backward([x])
     assert first == second == [6.0]
     assert first[0] is not second[0]
 
     # add hands one flow to both parents; each leaf gets its own array
-    a = nc.Tensor(np.ones(3), requires_grad=True)
-    b = nc.Tensor(np.ones(3), requires_grad=True)
+    a = nc.Tensor(np.ones(3))
+    b = nc.Tensor(np.ones(3))
     ga, gb = nc.tsum(nc.add(a, b)).backward([a, b])
     ga *= 5.0
     assert np.array_equal(gb, np.ones(3))
@@ -42,18 +47,33 @@ def test_backward_keeps_no_state():
     y = nc.mul(x, x)
     loss = nc.mul(y, 2.0)
     assert loss.backward([y, x]) == [2.0, 12.0]
+    assert loss.backward([y]) == [2.0]
 
 
 def test_backward_returns_none_where_the_loss_does_not_depend():
-    x = nc.Tensor(3.0, requires_grad=True)
-    unused = nc.Tensor(1.0, requires_grad=True)
+    x = nc.Tensor(3.0)
+    unused = nc.Tensor(1.0)
     constant = nc.Tensor(2.0)
-    assert nc.mul(x, constant).backward([unused, x, constant]) == [None, 2.0, None]
+    # wrt alone decides: a tensor named there gets its gradient, however made
+    assert nc.mul(x, constant).backward([unused, x, constant]) == [None, 2.0, 3.0]
     assert nc.mul(constant, constant).backward([x]) == [None]
 
 
+def test_backward_runs_no_closure_with_no_wrt_tensor_beneath():
+    x, w = nc.Tensor(3.0), nc.Tensor(2.0)
+
+    def refuse(g):
+        raise RuntimeError("ran the closure of a node no wrt tensor lies beneath")
+
+    side = nc.Tensor._from_op(np.array(4.0), "refuse", (w,), refuse)
+    loss = nc.add(nc.mul(x, w), side)
+    assert loss.backward([x]) == [2.0]
+    with pytest.raises(RuntimeError):  # w lies beneath it
+        loss.backward([w])
+
+
 def test_shared_subexpression_sums_contributions():
-    x = nc.Tensor(2.0, requires_grad=True)
+    x = nc.Tensor(2.0)
     y = nc.mul(x, x)  # d/dx = 2x
     loss = nc.add(y, y)  # total d/dx = 4x
     assert loss.backward([x]) == [8.0]
@@ -61,8 +81,8 @@ def test_shared_subexpression_sums_contributions():
 
 def test_concat_gradient_splits_exactly():
     rng = np.random.default_rng(3)
-    a = nc.Tensor(rng.normal(size=4), requires_grad=True)
-    b = nc.Tensor(rng.normal(size=3), requires_grad=True)
+    a = nc.Tensor(rng.normal(size=4))
+    b = nc.Tensor(rng.normal(size=3))
     w = nc.Tensor(rng.normal(size=7))
     cat = nc.concat([a, b], axis=0)
     ga, gb = nc.matmul(cat, w).backward([a, b])
@@ -71,18 +91,18 @@ def test_concat_gradient_splits_exactly():
 
 
 def test_detach_blocks_gradient():
-    x = nc.Tensor(3.0, requires_grad=True)
+    x = nc.Tensor(3.0)
     loss = nc.mul(x.detach(), x)
     assert loss.backward([x]) == [3.0]  # only the non-detached factor contributes
 
 
 def test_two_layer_network_matches_finite_differences():
     rng = np.random.default_rng(7)
-    w1 = nc.Tensor(rng.normal(size=(4, 3)), requires_grad=True, name="w1")
-    b1 = nc.Tensor(rng.normal(size=4), requires_grad=True, name="b1")
-    w2 = nc.Tensor(rng.normal(size=(1, 4)), requires_grad=True, name="w2")
+    w1 = nc.Tensor(rng.normal(size=(4, 3)), name="w1")
+    b1 = nc.Tensor(rng.normal(size=4), name="b1")
+    w2 = nc.Tensor(rng.normal(size=(1, 4)), name="w2")
     x = nc.Tensor(rng.normal(size=3))
-    b2 = nc.Tensor(rng.normal(size=1), requires_grad=True, name="b2")
+    b2 = nc.Tensor(rng.normal(size=1), name="b2")
 
     def loss():
         h = nc.tanh(nc.linear(x, w1, b1))
@@ -95,7 +115,7 @@ def test_two_layer_network_matches_finite_differences():
 def test_backward_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(11)
-        w = nc.Tensor(rng.normal(size=(5, 5)), requires_grad=True)
+        w = nc.Tensor(rng.normal(size=(5, 5)))
         x = nc.Tensor(rng.normal(size=5))
         b = nc.Tensor(rng.normal(size=5))
         y = nc.softmax(nc.linear(nc.tanh(nc.linear(x, w, b)), w, b))
@@ -107,7 +127,7 @@ def test_backward_bitwise_deterministic():
 
 
 def test_take_rows_accumulates_duplicates():
-    table = nc.Tensor(np.eye(3), requires_grad=True)
+    table = nc.Tensor(np.eye(3))
     picked = nc.take_rows(table, np.array([1, 1, 2]))
     (grad,) = nc.tsum(picked).backward([table])
     assert grad[0].sum() == 0.0
@@ -121,7 +141,7 @@ def test_independent_graphs_on_concurrent_threads():
 
     def build_and_backward(seed):
         rng = np.random.default_rng(seed)
-        w = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        w = nc.Tensor(rng.normal(size=(6, 6)))
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
@@ -136,16 +156,16 @@ def test_independent_graphs_on_concurrent_threads():
 
 
 def test_no_graph_nests_and_restores_after_exception():
-    w = nc.Tensor(np.ones(3), requires_grad=True)
+    w = nc.Tensor(np.ones(3))
     with nc.no_graph():
         with nc.no_graph():
-            assert not nc.tanh(w).requires_grad
-        assert not nc.tanh(w).requires_grad
+            assert _plain(nc.tanh(w))
+        assert _plain(nc.tanh(w))
         with pytest.raises(RuntimeError):
             with nc.no_graph():
                 raise RuntimeError("inside")
-        assert not nc.tanh(w).requires_grad
-    assert nc.tanh(w).requires_grad
+        assert _plain(nc.tanh(w))
+    assert not _plain(nc.tanh(w))
     with pytest.raises(RuntimeError):
         with nc.no_graph():
             raise RuntimeError("outermost")
@@ -154,17 +174,18 @@ def test_no_graph_nests_and_restores_after_exception():
 
 
 def test_no_graph_outputs_are_plain_data():
-    w = nc.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    w = nc.Tensor(np.arange(4.0).reshape(2, 2))
     x = nc.Tensor(np.ones(2))
     b = nc.Tensor(np.ones(2))
     with_graph = nc.squared_norm(nc.linear(x, w, b))
     with nc.no_graph():
         out = nc.squared_norm(nc.linear(x, w, b))
-        param = nc.Tensor(np.ones(2), requires_grad=True)
-    assert out._parents == () and out._op is None and out._backward is None
-    assert not out.requires_grad
+        param = nc.Tensor(np.ones(2))
+    assert _plain(out) and out._op is None
     assert np.array_equal(out.data, with_graph.data)
-    assert param.requires_grad  # direct construction is unaffected
+    # a tensor constructed inside the block is an ordinary leaf outside it
+    (grad,) = nc.squared_norm(param).backward([param])
+    assert np.array_equal(grad, 2.0 * np.ones(2))
 
 
 def test_no_graph_still_rejects_non_finite_values():
@@ -174,7 +195,7 @@ def test_no_graph_still_rejects_non_finite_values():
 
 
 def test_backward_inside_no_graph_is_an_error():
-    w = nc.Tensor(np.ones(3), requires_grad=True)
+    w = nc.Tensor(np.ones(3))
     loss = nc.squared_norm(w)
     with nc.no_graph():
         with pytest.raises(ContractError):
@@ -192,7 +213,7 @@ def test_no_graph_is_local_to_its_thread():
 
     def build_and_backward(seed):
         rng = np.random.default_rng(seed)
-        w = nc.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        w = nc.Tensor(rng.normal(size=(6, 6)))
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
@@ -202,11 +223,11 @@ def test_no_graph_is_local_to_its_thread():
     entered, release = threading.Event(), threading.Event()
 
     def hold_no_graph():
-        w = nc.Tensor(np.ones(3), requires_grad=True)
+        w = nc.Tensor(np.ones(3))
         with nc.no_graph():
             entered.set()
             release.wait(timeout=30)
-            return nc.tanh(w).requires_grad
+            return not _plain(nc.tanh(w))
 
     serial = [build_and_backward(seed) for seed in range(4)]
     interval = sys.getswitchinterval()

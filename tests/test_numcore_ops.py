@@ -176,9 +176,9 @@ def _reference_recurrence(x, w, b, reverse):
 
 def _recurrence_inputs(batch, length, e=3, hd=4, seed=0):
     rng = np.random.default_rng(seed)
-    x = nc.Tensor(rng.normal(size=(batch, length, e)), requires_grad=True)
-    w = nc.Tensor(rng.uniform(-0.6, 0.6, size=(4 * hd, e + hd)), requires_grad=True)
-    b = nc.Tensor(rng.normal(size=4 * hd), requires_grad=True)
+    x = nc.Tensor(rng.normal(size=(batch, length, e)))
+    w = nc.Tensor(rng.uniform(-0.6, 0.6, size=(4 * hd, e + hd)))
+    b = nc.Tensor(rng.normal(size=4 * hd))
     weights = nc.Tensor(rng.normal(size=(batch, length, hd)))
     return x, w, b, weights
 
@@ -204,8 +204,7 @@ def test_gated_recurrence_under_no_graph_is_plain_data():
     recorded = nc.gated_recurrence(x, w, b, reverse=True)
     with nc.no_graph():
         plain = nc.gated_recurrence(x, w, b, reverse=True)
-    assert recorded.requires_grad and recorded._op == "gated_recurrence"
-    assert not plain.requires_grad
+    assert recorded._backward is not None and recorded._op == "gated_recurrence"
     assert plain._op is None and plain._parents == () and plain._backward is None
     assert np.array_equal(plain.data, recorded.data)
 
@@ -238,9 +237,9 @@ def _masked_against_trimmed(lengths, reverse, seed):
     assert not out.data[padded].any() and not gx[padded].any()
     dw, db = np.zeros_like(w.data), np.zeros_like(b.data)
     for r, length in enumerate(lengths):
-        xr = nc.Tensor(x.data[r : r + 1, :length], requires_grad=True)
-        wr = nc.Tensor(w.data, requires_grad=True)
-        br = nc.Tensor(b.data, requires_grad=True)
+        xr = nc.Tensor(x.data[r : r + 1, :length])
+        wr = nc.Tensor(w.data)
+        br = nc.Tensor(b.data)
         single = nc.gated_recurrence(xr, wr, br, reverse=reverse)
         loss = nc.tsum(nc.mul(single, nc.Tensor(weights.data[r : r + 1, :length])))
         gxr, gwr, gbr = loss.backward([xr, wr, br])
@@ -277,7 +276,7 @@ def test_gated_recurrence_full_lengths_are_byte_identical(reverse):
 
 def test_masked_softmax_weighs_masked_entries_zero():
     rng = np.random.default_rng(5)
-    a = nc.Tensor(rng.normal(scale=30.0, size=(3, 6)), requires_grad=True)
+    a = nc.Tensor(rng.normal(scale=30.0, size=(3, 6)))
     mask = np.arange(6)[None, :] < np.array([[6], [2], [1]])
     out = nc.softmax(a, axis=-1, mask=mask)
     assert (out.data[~mask] == 0.0).all()

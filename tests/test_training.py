@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ class TestParameterPartition:
             for idx in stream.indices():
                 batch = model.prepare([ds.publications[i] for i in idx])
                 main_before = [p.data.copy() for p in main_params]
-                latents = {name: z.detach() for name, z in model.encode(batch).items()}
+                latents = model.encode(batch)  # as _train_step passes them
                 step_discriminator(model, latents, config, disc_opt, rng, step)
                 for before, p in zip(main_before, main_params):
                     assert np.array_equal(before, p.data), \
@@ -234,6 +235,38 @@ class TestParameterPartition:
                 if step >= 100:
                     return
         assert step >= 100
+
+    def test_disc_step_needs_no_detached_latents(self, monkeypatch):
+        """On the xor-gan toy, the discriminator gradients from the latents
+        as encoded are bitwise those from detached copies, and the backward
+        runs no closure of an encoder or generator node to get them."""
+        from fuselab.training.loop import step_discriminator
+
+        ds = _dataset(40, seed=5)
+        batch = _model(ds).prepare(ds.publications[:10])
+        from_op = nc.Tensor._from_op.__func__
+        runs = []
+        for detach in (True, False):
+            model = _model(ds, "gan", fusion_out_dim=8, append_raw_latents=True)
+            called, grads = [], []
+
+            def counted(cls, data, op, parents, backward):
+                return from_op(cls, data, op, parents,
+                               lambda g: called.append(op) or backward(g))
+
+            recorder = SimpleNamespace(params=model.discriminator_parameters(),
+                                       step=grads.append)
+            monkeypatch.setattr(nc.Tensor, "_from_op", classmethod(counted))
+            latents = model.encode(batch)
+            if detach:
+                latents = {name: z.detach() for name, z in latents.items()}
+            step_discriminator(model, latents, TrainConfig(disc_steps=2), recorder,
+                               np.random.default_rng(7), 0)
+            monkeypatch.undo()
+            runs.append(([[g.tobytes() for g in step] for step in grads], called))
+        (detached, detached_called), (encoded, encoded_called) = runs
+        assert len(encoded) == 2 and encoded == detached
+        assert encoded_called == detached_called
 
 
 class TestGanTerms:
@@ -396,7 +429,7 @@ class TestPredictDataset:
         def counted(self, pubs, rng=None):
             probs, result = forward(self, pubs, rng)
             calls.append(len(pubs))
-            assert probs._parents == () and not probs.requires_grad
+            assert probs._parents == () and probs._backward is None
             return probs, result
 
         monkeypatch.setattr(FusionModel, "forward_batch", counted)

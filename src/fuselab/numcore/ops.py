@@ -3,6 +3,13 @@
 Each op has one spelling, the function here; Tensor adds only indexing
 and reshape as methods.
 
+Each op records a backward closure ``backward(g, needs)`` (see tensor.py):
+given d(loss)/d(out) and one bool per parent, it returns one gradient per
+parent and None for each parent not needed. An op with several parents
+computes only the needed gradients, so, for example, conv2d over raw
+grids runs no input-gradient matmuls; a one-parent op ignores needs, as
+backward calls no closure without a needed parent.
+
 Shape discipline: operand shapes must conform exactly; the only implicit
 broadcast is scalar-with-tensor. Batched ops (linear, row_scale,
 gated_recurrence) treat a leading axis as the batch and say so
@@ -51,8 +58,9 @@ def add(a: Arrayish, b: Arrayish) -> Tensor:
     _binary_shapes(a, b, "add")
     out = a.data + b.data
 
-    def backward(g):
-        return _reduce_to(a.shape, g), _reduce_to(b.shape, g)
+    def backward(g, needs):
+        return (_reduce_to(a.shape, g) if needs[0] else None,
+                _reduce_to(b.shape, g) if needs[1] else None)
 
     return Tensor._from_op(out, "add", (a, b), backward)
 
@@ -62,8 +70,9 @@ def sub(a: Arrayish, b: Arrayish) -> Tensor:
     _binary_shapes(a, b, "sub")
     out = a.data - b.data
 
-    def backward(g):
-        return _reduce_to(a.shape, g), _reduce_to(b.shape, -g)
+    def backward(g, needs):
+        return (_reduce_to(a.shape, g) if needs[0] else None,
+                _reduce_to(b.shape, -g) if needs[1] else None)
 
     return Tensor._from_op(out, "sub", (a, b), backward)
 
@@ -73,8 +82,9 @@ def mul(a: Arrayish, b: Arrayish) -> Tensor:
     _binary_shapes(a, b, "mul")
     out = a.data * b.data
 
-    def backward(g):
-        return _reduce_to(a.shape, g * b.data), _reduce_to(b.shape, g * a.data)
+    def backward(g, needs):
+        return (_reduce_to(a.shape, g * b.data) if needs[0] else None,
+                _reduce_to(b.shape, g * a.data) if needs[1] else None)
 
     return Tensor._from_op(out, "mul", (a, b), backward)
 
@@ -86,9 +96,9 @@ def div(a: Arrayish, b: Arrayish) -> Tensor:
         raise DomainError("div: division by zero")
     out = a.data / b.data
 
-    def backward(g):
-        ga = _reduce_to(a.shape, g / b.data)
-        gb = _reduce_to(b.shape, -g * a.data / (b.data * b.data))
+    def backward(g, needs):
+        ga = _reduce_to(a.shape, g / b.data) if needs[0] else None
+        gb = _reduce_to(b.shape, -g * a.data / (b.data * b.data)) if needs[1] else None
         return ga, gb
 
     return Tensor._from_op(out, "div", (a, b), backward)
@@ -97,7 +107,7 @@ def div(a: Arrayish, b: Arrayish) -> Tensor:
 def neg(a: Arrayish) -> Tensor:
     a = as_tensor(a)
 
-    def backward(g):
+    def backward(g, needs):
         return (-g,)
 
     return Tensor._from_op(-a.data, "neg", (a,), backward)
@@ -120,10 +130,10 @@ def matmul(a: Arrayish, b: Arrayish) -> Tensor:
     out_shape = (a.shape[:1] if a.ndim == 2 else ()) + (b.shape[1:] if b.ndim == 2 else ())
     out = out2.reshape(out_shape)
 
-    def backward(g):
+    def backward(g, needs):
         g2 = g.reshape(out2.shape)
-        ga = (g2 @ b2.T).reshape(a.shape)
-        gb = (a2.T @ g2).reshape(b.shape)
+        ga = (g2 @ b2.T).reshape(a.shape) if needs[0] else None
+        gb = (a2.T @ g2).reshape(b.shape) if needs[1] else None
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), backward)
@@ -144,10 +154,16 @@ def linear(x: Arrayish, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
     out = x.data @ w.data.T + b.data
 
-    def backward(g):
+    def backward(g, needs):
+        need_x, need_w, need_b = needs
+        gx = g @ w.data if need_x else None
         if x.ndim == 1:
-            return g @ w.data, np.outer(g, x.data), g.copy()
-        return g @ w.data, g.T @ x.data, g.sum(axis=0)
+            gw = np.outer(g, x.data) if need_w else None
+            gb = g.copy() if need_b else None
+        else:
+            gw = g.T @ x.data if need_w else None
+            gb = g.sum(axis=0) if need_b else None
+        return gx, gw, gb
 
     return Tensor._from_op(out, "linear", (x, w, b), backward)
 
@@ -159,8 +175,9 @@ def row_scale(m: Arrayish, v: Arrayish) -> Tensor:
         raise ShapeError(f"row_scale: shapes {m.shape} and {v.shape} do not conform")
     out = m.data * v.data[:, None]
 
-    def backward(g):
-        return g * v.data[:, None], np.sum(g * m.data, axis=1)
+    def backward(g, needs):
+        return (g * v.data[:, None] if needs[0] else None,
+                np.sum(g * m.data, axis=1) if needs[1] else None)
 
     return Tensor._from_op(out, "row_scale", (m, v), backward)
 
@@ -184,12 +201,12 @@ def concat(tensors: Sequence[Arrayish], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis % t.ndim] for t in ts]
     offsets = np.cumsum([0] + sizes)
 
-    def backward(g):
+    def backward(g, needs):
         grads = []
-        for i, t in enumerate(ts):
+        for i, need in enumerate(needs):
             sl = [slice(None)] * g.ndim
             sl[axis % g.ndim] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(sl)])
+            grads.append(g[tuple(sl)] if need else None)
         return tuple(grads)
 
     return Tensor._from_op(out, "concat", tuple(ts), backward)
@@ -200,7 +217,7 @@ def tslice(a: Arrayish, key) -> Tensor:
     a = as_tensor(a)
     out = a.data[key]
 
-    def backward(g):
+    def backward(g, needs):
         ga = np.zeros_like(a.data)
         ga[key] += g
         return (ga,)
@@ -218,7 +235,7 @@ def take_rows(a: Arrayish, idx: np.ndarray) -> Tensor:
         raise ShapeError(f"take_rows: index out of range for leading axis {a.shape[0]}")
     out = a.data[idx]
 
-    def backward(g):
+    def backward(g, needs):
         ga = np.zeros_like(a.data)
         np.add.at(ga, idx, g)
         return (ga,)
@@ -230,7 +247,7 @@ def reshape(a: Arrayish, shape: Tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     out = a.data.reshape(shape)
 
-    def backward(g):
+    def backward(g, needs):
         return (g.reshape(a.shape),)
 
     return Tensor._from_op(out, "reshape", (a,), backward)
@@ -241,7 +258,7 @@ def transpose(a: Arrayish, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
     out = np.transpose(a.data, axes)
     inv = None if axes is None else tuple(np.argsort(axes))
 
-    def backward(g):
+    def backward(g, needs):
         return (np.transpose(g, inv),)
 
     return Tensor._from_op(out, "transpose", (a,), backward)
@@ -255,7 +272,7 @@ def tsum(a: Arrayish, axis: Axis = None) -> Tensor:
     a = as_tensor(a)
     out = np.sum(a.data, axis=axis)
 
-    def backward(g):
+    def backward(g, needs):
         if axis is None:
             return (np.broadcast_to(g, a.shape).copy(),)
         gx = np.expand_dims(g, axis)
@@ -274,7 +291,7 @@ def tmean(a: Arrayish, axis: Axis = None) -> Tensor:
     else:
         count = a.shape[axis]
 
-    def backward(g):
+    def backward(g, needs):
         if axis is None:
             return (np.broadcast_to(g / count, a.shape).copy(),)
         gx = np.expand_dims(g, axis) / count
@@ -288,7 +305,7 @@ def squared_norm(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     out = np.sum(a.data * a.data)
 
-    def backward(g):
+    def backward(g, needs):
         return (2.0 * g * a.data,)
 
     return Tensor._from_op(np.asarray(out), "squared_norm", (a,), backward)
@@ -303,7 +320,7 @@ def texp(a: Arrayish) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
 
-    def backward(g):
+    def backward(g, needs):
         return (g * out,)
 
     return Tensor._from_op(out, "exp", (a,), backward)
@@ -317,7 +334,7 @@ def tlog(a: Arrayish) -> Tensor:
     clamped = np.maximum(a.data, LOG_EPS)
     out = np.log(clamped)
 
-    def backward(g):
+    def backward(g, needs):
         return (g / clamped,)
 
     return Tensor._from_op(out, "log", (a,), backward)
@@ -327,7 +344,7 @@ def tanh(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
 
-    def backward(g):
+    def backward(g, needs):
         return (g * (1.0 - out * out),)
 
     return Tensor._from_op(out, "tanh", (a,), backward)
@@ -344,7 +361,7 @@ def sigmoid(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     out = _sigmoid(a.data)
 
-    def backward(g):
+    def backward(g, needs):
         return (g * out * (1.0 - out),)
 
     return Tensor._from_op(out, "sigmoid", (a,), backward)
@@ -354,7 +371,7 @@ def relu(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
 
-    def backward(g):
+    def backward(g, needs):
         return (g * (a.data > 0.0),)
 
     return Tensor._from_op(out, "relu", (a,), backward)
@@ -380,7 +397,7 @@ def softmax(a: Arrayish, axis: int = -1, mask: Optional[np.ndarray] = None) -> T
     e = np.exp(shifted)
     out = e / np.sum(e, axis=axis, keepdims=True)
 
-    def backward(g):
+    def backward(g, needs):
         dot = np.sum(g * out, axis=axis, keepdims=True)
         return (out * (g - dot),)
 
@@ -393,7 +410,7 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
     out = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
 
-    def backward(g):
+    def backward(g, needs):
         return (g * mask,)
 
     return Tensor._from_op(out, "clamp", (a,), backward)
@@ -487,15 +504,16 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
         raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
 
-    def backward(dout):
+    def backward(dout, needs):
         # sigmoid a passes d on as (d * a) * (1 - a), tanh a as d * (1 - a * a)
+        need_x, need_w, need_b = needs
         sig, cand = acts[:, :, : 3 * hd], acts[:, :, 3 * hd :]
         dsig = 1.0 - sig
         dtanh_g = 1.0 - cand * cand
         dtanh_c = 1.0 - tcells * tcells
-        dx = np.zeros_like(xd)
-        dw = np.zeros_like(wd)
-        db = np.zeros_like(bd)
+        dx = np.zeros_like(xd) if need_x else None
+        dw = np.zeros_like(wd) if need_w else None
+        db = np.zeros_like(bd) if need_b else None
         dgates = np.empty((batch, 4 * hd))
         dh_next = dc_next = None  # what step s+1 sends back to h and c of step s
         for s in range(steps - 1, -1, -1):
@@ -518,9 +536,12 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             dgates[:, : 3 * hd] *= dsig[s]
             np.multiply(dc * i, dtanh_g[s], out=dgates[:, 3 * hd :])
             dcat = dgates @ wd
-            dw += dgates.T @ cats[s]
-            db += dgates.sum(axis=0)
-            dx[:, t, :] = dcat[:, :e]
+            if need_w:
+                dw += dgates.T @ cats[s]
+            if need_b:
+                db += dgates.sum(axis=0)
+            if need_x:
+                dx[:, t, :] = dcat[:, :e]
             dh_next = dcat[:, e:]
             dc_next = dc * f
         return dx, dw, db
@@ -556,15 +577,19 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
             out += xd[:, p : p + ho, q : q + wo, :] @ kernel.data[p, q]
     out = out + bias.data
 
-    def backward(g):
-        gx = np.zeros_like(xd)
-        gk = np.zeros_like(kernel.data)
+    def backward(g, needs):
+        need_x, need_k, need_b = needs
+        gx = np.zeros_like(xd) if need_x else None
+        gk = np.zeros_like(kernel.data) if need_k else None
         for p in range(kh):
             for q in range(kw):
-                patch = xd[:, p : p + ho, q : q + wo, :]
-                gk[p, q] = np.einsum("bhwc,bhwf->cf", patch, g)
-                gx[:, p : p + ho, q : q + wo, :] += g @ kernel.data[p, q].T
-        return gx, gk, g.sum(axis=(0, 1, 2))
+                if need_k:
+                    patch = xd[:, p : p + ho, q : q + wo, :]
+                    gk[p, q] = np.einsum("bhwc,bhwf->cf", patch, g)
+                if need_x:
+                    gx[:, p : p + ho, q : q + wo, :] += g @ kernel.data[p, q].T
+        gb = g.sum(axis=(0, 1, 2)) if need_b else None
+        return gx, gk, gb
 
     return Tensor._from_op(out, "conv2d", (x, kernel, bias), backward)
 
@@ -585,7 +610,7 @@ def maxpool2d(x: Arrayish, size: int = 2) -> Tensor:
     arg = np.argmax(flat, axis=-1)
     out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
 
-    def backward(g):
+    def backward(g, needs):
         gflat = np.zeros_like(flat)
         np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
         gwin = gflat.reshape(b_, ho, wo, c, size, size).transpose(0, 1, 4, 2, 5, 3)

@@ -9,13 +9,20 @@ only indexing and ``reshape`` are methods.
 
 Every op outside ``no_graph()`` records its node; no tensor carries a
 flag for whether it wants a gradient. ``loss.backward(wrt)`` alone
-decides: it runs the backward closures of only the nodes with a tensor
-of wrt at or below them, in reverse topological order, and returns
-d(loss)/d(t) for each tensor t of wrt, in order: a fresh array per
-tensor, leaf or intermediate, or None where the loss does not depend on
-t. It stores nothing on any tensor, so calls are independent: a second
-call returns the same arrays, and a caller may scale one returned array
-in place without touching another. ``detach()`` is the stop-gradient.
+decides: it runs, in reverse topological order, the backward closures of
+only the nodes with a parent that has a tensor of wrt at or below it,
+and returns d(loss)/d(t) for each tensor t of wrt, in order: a fresh
+array per tensor, leaf or intermediate, or None where the loss does not
+depend on t. It stores nothing on any tensor, so calls are independent:
+a second call returns the same arrays, and a caller may scale one
+returned array in place without touching another. ``detach()`` is the
+stop-gradient.
+
+A node's closure is called as ``closure(g, needs)``: g is d(loss)/d(node)
+and needs holds one bool per parent, True where that parent has a
+tensor of wrt at or below it. It returns one gradient per parent, in
+order, and None for each parent whose entry in needs is False, which it
+need not compute; ``backward`` reads only the needed entries.
 
 Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct
@@ -43,6 +50,7 @@ import numpy as np
 from ..exceptions import ContractError, DomainError
 
 Arrayish = Union["Tensor", np.ndarray, float, int, Sequence]
+Backward = Callable[[np.ndarray, Tuple[bool, ...]], Tuple[Optional[np.ndarray], ...]]
 
 
 class _GraphMode(threading.local):
@@ -78,8 +86,9 @@ class Tensor:
         self.name = name
         self._op: Optional[str] = None
         self._parents: Tuple[Tensor, ...] = ()
-        # Maps the gradient flowing into this node to gradients for each parent.
-        self._backward: Optional[Callable[[np.ndarray], Tuple[np.ndarray, ...]]] = None
+        # Maps the gradient flowing into this node, and which parents need
+        # a gradient, to a gradient (or None) for each parent.
+        self._backward: Optional[Backward] = None
 
     # -- construction used by ops --------------------------------------
 
@@ -89,7 +98,7 @@ class Tensor:
         data: np.ndarray,
         op: str,
         parents: Tuple["Tensor", ...],
-        backward: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+        backward: Backward,
     ) -> "Tensor":
         if not np.isfinite(data).all():
             raise DomainError(f"op '{op}' produced a non-finite value")
@@ -137,26 +146,26 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
         wanted = {id(t) for t in wrt}
-        order, live = self._topo_order(wanted)
         found: dict = {}
         flows = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        for node, needs in reversed(self._topo_order(wanted)):
             # every live node below the loss has a live child, which sent it a flow
             g = flows.pop(id(node))
             if id(node) in wanted:
                 # a flow may be shared with another node; the caller gets its own
                 found[id(node)] = 0.0 + g
-            if node._backward is None:
+            if not any(needs):
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                key = id(parent)
-                if key in live:
+            for parent, need, pg in zip(node._parents, needs, node._backward(g, needs)):
+                if need:
+                    key = id(parent)
                     flows[key] = flows[key] + pg if key in flows else pg
         return [found.get(id(t)) for t in wrt]
 
-    def _topo_order(self, wanted: set) -> Tuple[list, set]:
+    def _topo_order(self, wanted: set) -> List[Tuple["Tensor", Tuple[bool, ...]]]:
         """Post-order DFS over the nodes with a wanted id at or below them,
-        and their ids; parents precede children, so are judged first."""
+        each with its needs: per parent, whether that parent is such a
+        node. Parents precede children, so are judged first."""
         order: list = []
         live = set()
         seen = set()
@@ -164,9 +173,10 @@ class Tensor:
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                if id(node) in wanted or any(id(p) in live for p in node._parents):
+                needs = tuple(id(p) in live for p in node._parents)
+                if id(node) in wanted or any(needs):
                     live.add(id(node))
-                    order.append(node)
+                    order.append((node, needs))
                 continue
             if id(node) in seen:
                 continue
@@ -175,7 +185,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        return order, live
+        return order
 
     # -- indexing and reshaping, which the encoders write as methods ------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict
 
@@ -23,6 +23,7 @@ from ..exceptions import ConfigError
 
 ENV_VAR = "FUSELAB_LEXICON_DIR"
 _BUNDLED = Path(__file__).resolve().parent.parent / "data"
+UNKNOWN_CHAR_PENALTY = math.log(50.0)
 
 
 @dataclass
@@ -34,20 +35,24 @@ class Lexicons:
     total_count: int = 0
     max_word_len: int = 0
     log_total: float = 0.0
+    # log probability of each word with a nonzero count, read by log_prob
+    word_log_prob: Dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.total_count = sum(self.word_freq.values())
         self.max_word_len = max((len(w) for w in self.word_freq), default=0)
         self.log_total = math.log(self.total_count) if self.total_count else 0.0
+        self.word_log_prob = {w: math.log(count) - self.log_total
+                              for w, count in self.word_freq.items() if count}
 
     def log_prob(self, word: str) -> float:
         """Unigram log probability; unknown words pay an exponential
         per-character penalty so multi-character junk never beats a real
         split."""
-        count = self.word_freq.get(word)
-        if count:
-            return math.log(count) - self.log_total
-        return -self.log_total - len(word) * math.log(50.0)
+        known = self.word_log_prob.get(word)
+        if known is not None:
+            return known
+        return -self.log_total - len(word) * UNKNOWN_CHAR_PENALTY
 
 
 def _read_tsv(path: Path) -> Dict[str, str]:
@@ -81,6 +86,9 @@ def load_lexicons(directory: Path | None = None) -> Lexicons:
         word_freq = {w: int(c) for w, c in words_raw.items()}
     except ValueError as exc:
         raise ConfigError(f"words.tsv: non-integer frequency ({exc})")
+    for word, count in word_freq.items():
+        if count < 0:
+            raise ConfigError(f"words.tsv: negative frequency {count} for {word!r}")
     if not word_freq:
         raise ConfigError("words.tsv is empty")
     emoticons = _read_tsv(base / "emoticons.tsv")

@@ -232,7 +232,9 @@ def predict_dataset(model: FusionModel, dataset: Dataset) -> Tuple[List[str], Li
     preds: List[str] = []
     with nc.no_graph():
         for start in range(0, len(pubs), PREDICT_BATCH):
-            rows = np.arange(start, min(start + PREDICT_BATCH, len(pubs)))
-            probs, _ = model.forward_batch(prepared.take(rows))
+            chunk = prepared
+            if len(pubs) > PREDICT_BATCH:
+                chunk = prepared.take(np.arange(start, min(start + PREDICT_BATCH, len(pubs))))
+            probs, _ = model.forward_batch(chunk)
             preds.extend(names[int(i)] for i in np.argmax(probs.data, axis=1))
     return [p.label for p in pubs], preds

@@ -120,6 +120,9 @@ def read_text(text: str, normalize_text: bool,
 def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Id rows as one matrix, padded with id 0 to the longest row (at least
     one column), and the length of each row."""
+    width = len(rows[0]) if rows else 0
+    if width and all(len(row) == width for row in rows):
+        return np.array(rows, dtype=np.intp), np.full(len(rows), width, dtype=np.intp)
     lengths = np.array([len(row) for row in rows], dtype=np.intp)
     ids = np.zeros((len(rows), max(1, lengths.max(initial=0))), dtype=np.intp)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(

@@ -118,3 +118,13 @@ class TestLexiconOverride:
                                                 encoding="utf-8")
         with pytest.raises(ConfigError, match="emoticons.tsv"):
             load_lexicons(tmp_path)
+
+    def test_negative_word_frequency_is_config_error(self, tmp_path):
+        from fuselab.textprep import lexicons as lex_mod
+        from fuselab.textprep.lexicons import load_lexicons
+
+        for name in ("emoticons.tsv", "typos.tsv", "pos.tsv"):
+            shutil.copyfile(lex_mod._BUNDLED / name, tmp_path / name)
+        (tmp_path / "words.tsv").write_text("zorp\t100\nblip\t-3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="words.tsv.*'blip'"):
+            load_lexicons(tmp_path)

@@ -1,5 +1,7 @@
 """Backward-pass semantics: seeding, returned gradients, splitting, determinism."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def test_backward_returns_none_where_the_loss_does_not_depend():
 def test_backward_runs_no_closure_with_no_wrt_tensor_beneath():
     x, w = nc.Tensor(3.0), nc.Tensor(2.0)
 
-    def refuse(g):
+    def refuse(g, needs):
         raise RuntimeError("ran the closure of a node no wrt tensor lies beneath")
 
     side = nc.Tensor._from_op(np.array(4.0), "refuse", (w,), refuse)
@@ -70,6 +72,69 @@ def test_backward_runs_no_closure_with_no_wrt_tensor_beneath():
     assert loss.backward([x]) == [2.0]
     with pytest.raises(RuntimeError):  # w lies beneath it
         loss.backward([w])
+
+
+def test_backward_runs_no_closure_without_a_needed_parent():
+    constant, x = nc.Tensor(2.0), nc.Tensor(3.0)
+
+    def refuse(g, needs):
+        raise RuntimeError("ran the closure of a node with no parent that needs a gradient")
+
+    wanted = nc.Tensor._from_op(np.array(4.0), "refuse", (constant,), refuse)
+    assert nc.mul(wanted, x).backward([wanted, x]) == [3.0, 4.0]
+
+
+def _recorded_ops(rng):
+    """One node of each op with several parents, over drawn values."""
+    def t(*shape):
+        return nc.Tensor(rng.normal(size=shape))
+
+    return [
+        nc.add(t(2, 3), t(2, 3)), nc.sub(t(2, 3), t()), nc.mul(t(), t(2, 3)),
+        nc.div(t(2, 3), nc.Tensor(rng.uniform(1.0, 2.0, size=(2, 3)))),
+        nc.matmul(t(2, 3), t(3, 4)), nc.matmul(t(3), t(3)),
+        nc.linear(t(3), t(2, 3), t(2)), nc.linear(t(4, 3), t(2, 3), t(2)),
+        nc.row_scale(t(4, 3), t(4)), nc.concat([t(2, 1), t(2, 3), t(2, 2)], axis=1),
+        nc.gated_recurrence(t(2, 3, 2), t(8, 4), t(8), lengths=np.array([3, 1])),
+        nc.conv2d(t(2, 5, 4, 3), t(2, 3, 3, 2), t(2)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_closure_computes_exactly_the_needed_gradients(index):
+    """For every mask of needed parents, an op's closure returns None for
+    each parent not needed and, for each needed one, bitwise the array it
+    returns when every parent is needed."""
+    rng = np.random.default_rng(index)
+    out = _recorded_ops(rng)[index]
+    g = rng.normal(size=out.shape)
+    k = len(out._parents)
+    full = out._backward(g, (True,) * k)
+    for needs in itertools.product([False, True], repeat=k):
+        got = out._backward(g, needs)
+        assert len(got) == k
+        for need, a, b in zip(needs, got, full):
+            assert (a is None) if not need else a.tobytes() == b.tobytes()
+
+
+def test_conv2d_over_a_grid_no_backward_asks_for_computes_no_grid_gradient():
+    rng = np.random.default_rng(5)
+    grid = nc.Tensor(rng.normal(size=(2, 5, 5, 3)))
+    kernel, bias = nc.Tensor(rng.normal(size=(3, 3, 3, 4))), nc.Tensor(rng.normal(size=4))
+    out = nc.conv2d(grid, kernel, bias)
+    closure, calls = out._backward, []
+
+    def recorded(g, needs):
+        calls.append((needs, closure(g, needs)))
+        return calls[-1][1]
+
+    out._backward = recorded
+    loss = nc.tsum(nc.mul(out, nc.Tensor(rng.normal(size=out.shape))))
+    gk, gb = loss.backward([kernel, bias])
+    [(needs, (gx, _, _))] = calls
+    assert needs == (False, True, True) and gx is None
+    _, full_gk, full_gb = loss.backward([grid, kernel, bias])
+    assert gk.tobytes() == full_gk.tobytes() and gb.tobytes() == full_gb.tobytes()
 
 
 def test_shared_subexpression_sums_contributions():

@@ -5,8 +5,9 @@ non-whitespace character, and an emoticon is exactly a whitespace chunk
 the lexicon names.
 
 numcore: every smooth op passes grad_check_params at tol 1e-4 over small
-drawn shapes, and a backward with respect to a subset of the leaves
-returns bitwise the same arrays as one with respect to all of them.
+drawn shapes, and a backward with respect to a subset of the leaves,
+over graphs that also read constants, returns bitwise the same arrays
+as one with respect to all of them.
 """
 
 import numpy as np
@@ -125,7 +126,21 @@ def test_smooth_op_passes_grad_check(name, n, m, seed):
 _UNARY = {"tanh": nc.tanh, "sigmoid": nc.sigmoid, "transpose": nc.transpose,
           "softmax": nc.softmax}
 _BINARY = {"add": nc.add, "sub": nc.sub, "mul": nc.mul, "matmul": nc.matmul}
-_steps = st.lists(st.tuples(st.sampled_from(sorted(_UNARY) + sorted(_BINARY)),
+# ops over two (n, n) nodes a and b that also read drawn constants, so
+# their closures are asked for some parents' gradients and not others
+_WITH_CONSTANTS = {
+    "conv2d of a constant grid": lambda a, b, r, n: nc.reshape(nc.conv2d(
+        _t(r, 1, 2, n, n), nc.reshape(nc.concat([a, b], axis=0), (2, 1, n, n)), _t(r, n)),
+        (n, n)),
+    "conv2d with a constant kernel": lambda a, b, r, n: nc.reshape(nc.conv2d(
+        nc.reshape(nc.concat([a, b], axis=0), (1, 2, n, n)), _t(r, 2, 1, n, n), b[0]),
+        (n, n)),
+    "linear of a constant input": lambda a, b, r, n: nc.linear(_t(r, n, n), a, b[0]),
+    "linear with constant weights": lambda a, b, r, n: nc.linear(a, _t(r, n, n), _t(r, n)),
+    "linear with a constant bias": lambda a, b, r, n: nc.linear(a, b, _t(r, n)),
+}
+_steps = st.lists(st.tuples(st.sampled_from(sorted(_UNARY) + sorted(_BINARY)
+                                            + sorted(_WITH_CONSTANTS)),
                             st.integers(0, 99), st.integers(0, 99)),
                   min_size=1, max_size=8)
 
@@ -134,15 +149,21 @@ _steps = st.lists(st.tuples(st.sampled_from(sorted(_UNARY) + sorted(_BINARY)),
 @given(steps=_steps, n=st.integers(1, 3), seed=st.integers(0, 2**16),
        keep=st.lists(st.booleans(), min_size=4, max_size=4))
 def test_backward_over_a_subset_is_bitwise_the_full_backward(steps, n, seed, keep):
-    """Each step applies an op to earlier nodes, so leaves and
-    intermediates are shared and some leaves go unused; pruning the nodes
-    no requested leaf lies beneath never reorders a sum."""
+    """Each step applies an op to earlier nodes, some with constants, so
+    leaves and intermediates are shared and some leaves go unused; pruning
+    the nodes no requested leaf lies beneath, and the gradients no parent
+    needs, never reorders a sum."""
     r = np.random.default_rng(seed)
     leaves = [_t(r, n, n) for _ in range(4)]
     nodes = list(leaves)
     for name, i, j in steps:
         a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
-        nodes.append(_UNARY[name](a) if name in _UNARY else _BINARY[name](a, b))
+        if name in _UNARY:
+            nodes.append(_UNARY[name](a))
+        elif name in _BINARY:
+            nodes.append(_BINARY[name](a, b))
+        else:
+            nodes.append(_WITH_CONSTANTS[name](a, b, r, n))
     loss = nc.tsum(nc.mul(nodes[-1], _t(r, n, n)))
     full = loss.backward(leaves)
     subset = [k for k in range(4) if keep[k]]

@@ -1,6 +1,7 @@
 """Normalization, segmentation, entity tuples."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -177,6 +178,19 @@ class TestSegmentation:
     def test_single_unknown_stays_whole(self):
         lex = default_lexicons()
         assert segment("qzxvw", lex) == ["qzxvw"]
+
+    def test_log_prob_reads_the_formula_bit_for_bit(self):
+        """log_prob reads values computed once per Lexicons, and each is
+        the float the unigram formula gives."""
+        lex = default_lexicons()
+        for word, count in lex.word_freq.items():
+            want = math.log(count) - lex.log_total if count else \
+                -lex.log_total - len(word) * math.log(50.0)
+            assert lex.log_prob(word).hex() == want.hex(), word
+        for word in ["qzxvw", "x", "", "zz" * 20]:
+            assert word not in lex.word_freq
+            want = -lex.log_total - len(word) * math.log(50.0)
+            assert lex.log_prob(word).hex() == want.hex(), word
 
 
 class TestEntityTuples:

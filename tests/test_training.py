@@ -42,6 +42,7 @@ from fuselab.training import (
     train,
 )
 from fuselab.training.loop import PREDICT_BATCH
+from fuselab.training.model import PreparedBatch
 
 
 def _dataset(n=200, seed=1, task="xor-crossmodal"):
@@ -252,7 +253,7 @@ class TestParameterPartition:
 
             def counted(cls, data, op, parents, backward):
                 return from_op(cls, data, op, parents,
-                               lambda g: called.append(op) or backward(g))
+                               lambda g, needs: called.append(op) or backward(g, needs))
 
             recorder = SimpleNamespace(params=model.discriminator_parameters(),
                                        step=grads.append)
@@ -267,6 +268,123 @@ class TestParameterPartition:
         (detached, detached_called), (encoded, encoded_called) = runs
         assert len(encoded) == 2 and encoded == detached
         assert encoded_called == detached_called
+
+    def test_main_step_computes_no_discriminator_gradient(self, monkeypatch):
+        """The main step's backward passes through the discriminator layers
+        but computes no gradient for their weights."""
+        from fuselab.training.loop import _train_step
+        from fuselab.training.optim import make_optimizer
+
+        ds = _dataset(40, seed=5)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        batch = model.prepare(ds.publications[:10])
+        config = TrainConfig(disc_steps=1)
+        main_opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
+        disc = {id(p) for p in model.discriminator_parameters()}
+        from_op = nc.Tensor._from_op.__func__
+        reached, computed = [], []
+
+        def counted(cls, data, op, parents, backward):
+            def closure(g, needs):
+                grads = backward(g, needs)
+                for p, pg in zip(parents, grads):
+                    if id(p) in disc:
+                        reached.append(op)
+                        if pg is not None:
+                            computed.append(op)
+                return grads
+
+            return from_op(cls, data, op, parents, closure)
+
+        monkeypatch.setattr(nc.Tensor, "_from_op", classmethod(counted))
+        _train_step(model, batch, config, np.random.default_rng(7), main_opt, None, 0)
+        monkeypatch.undo()
+        assert reached and not computed, computed
+
+
+def _adam_reference(values, lr, steps):
+    """Parameter values after each step of the per-tensor Adam formula; a
+    None gradient leaves its value and both its moments alone."""
+    from fuselab.training.optim import Adam
+
+    values = [v.copy() for v in values]
+    m = [np.zeros_like(v) for v in values]
+    v2 = [np.zeros_like(v) for v in values]
+    after = []
+    for t, grads in enumerate(steps, start=1):
+        b1t = 1.0 - Adam.BETA1 ** t
+        b2t = 1.0 - Adam.BETA2 ** t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] *= Adam.BETA1
+            m[i] += (1.0 - Adam.BETA1) * g
+            v2[i] *= Adam.BETA2
+            v2[i] += (1.0 - Adam.BETA2) * (g * g)
+            update = (m[i] / b1t) / (np.sqrt(v2[i] / b2t) + Adam.EPS)
+            values[i] -= lr * update
+        after.append([v.copy() for v in values])
+    return after
+
+
+class TestAdam:
+    SHAPES = [(3, 4), (5,), (), (2, 3, 2), (1, 1), (7,)]
+
+    def _run(self, steps, lr=0.01):
+        """The start values, then Adam's values after each step next to the
+        reference's."""
+        from fuselab.training.optim import Adam
+
+        rng = np.random.default_rng(4)
+        start = [rng.normal(size=shape) for shape in self.SHAPES]
+        params = [Tensor(v.copy()) for v in start]
+        opt = Adam(params, lr=lr)
+        got = []
+        for grads in steps:
+            opt.step(grads)
+            got.append([p.data.copy() for p in params])
+        return start, got, _adam_reference(start, lr, steps)
+
+    def _grads(self, rng, missing=()):
+        return [None if i in missing else rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+                for i, shape in enumerate(self.SHAPES)]
+
+    def test_flat_step_is_bitwise_the_per_tensor_formula(self):
+        rng = np.random.default_rng(8)
+        _, got, want = self._run([self._grads(rng) for _ in range(5)])
+        for step_got, step_want in zip(got, want):
+            assert [a.tobytes() for a in step_got] == [b.tobytes() for b in step_want]
+
+    def test_none_gradient_leaves_parameter_and_moments_alone(self):
+        """Each tensor misses a gradient on some step, the first one or a
+        later one, alone or next to others, then takes gradients again:
+        were its moments moved, its next step would differ."""
+        rng = np.random.default_rng(9)
+        missing = [{0}, set(), {1, 2}, {5, 3}, {0, 4}, set(), {2}, set()]
+        start, got, want = self._run([self._grads(rng, gone) for gone in missing])
+        previous = start
+        for t, gone in enumerate(missing):
+            assert [a.tobytes() for a in got[t]] == [b.tobytes() for b in want[t]], t
+            for i in gone:
+                assert got[t][i].tobytes() == previous[i].tobytes(), (t, i)
+            previous = got[t]
+
+    def test_step_allocates_no_array(self):
+        import tracemalloc
+
+        from fuselab.training.optim import Adam
+
+        params = [Tensor(np.ones((64, 64))), Tensor(np.ones(100)), Tensor(np.ones(()))]
+        grads = [np.full(p.shape, 0.5) for p in params]
+        opt = Adam(params)
+        opt.step(grads)
+        tracemalloc.start()
+        try:
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params[0].data.nbytes // 8, peak
 
 
 class TestGanTerms:
@@ -433,10 +551,16 @@ class TestPredictDataset:
             return probs, result
 
         monkeypatch.setattr(FusionModel, "forward_batch", counted)
+        taken = []
+        take = PreparedBatch.take
+        monkeypatch.setattr(PreparedBatch, "take",
+                            lambda self, rows: taken.append(len(rows)) or take(self, rows))
         truths, preds = predict_dataset(model, ds)
         assert len(calls) == math.ceil(n / PREDICT_BATCH)
         assert max(calls) <= PREDICT_BATCH and sum(calls) == n
         assert len(truths) == len(preds) == n
+        # a dataset that fits one batch is scored as prepared, with no take
+        assert taken == ([] if n <= PREDICT_BATCH else calls)
 
 
 class TestEncodeOrder:
@@ -520,6 +644,22 @@ class TestPrepare:
         assert part.ids.shape == (3, part.lengths.max())
         assert np.array_equal(part.ids, prepared.ids[rows, : part.lengths.max()])
         assert part.tuple_ids.shape == (3, max(1, part.tuple_counts.max()))
+
+    @pytest.mark.parametrize("rows", [[[3, 1, 4], [1, 5, 9]], [[2]], [[7, 1], [], [8, 2, 8]],
+                                      [[], []], []])
+    def test_padded_ids_equal_the_general_padding(self, rows):
+        """Equal-length rows take a fast path whose arrays are bitwise
+        the ones the general padding builds."""
+        from fuselab.training.model import _padded
+
+        width = max([1] + [len(row) for row in rows])
+        want_ids = np.zeros((len(rows), width), dtype=np.intp)
+        for i, row in enumerate(rows):
+            want_ids[i, : len(row)] = row
+        want_lengths = np.array([len(row) for row in rows], dtype=np.intp)
+        for got, want in zip(_padded(rows), (want_ids, want_lengths)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
     def test_invalid_record_fails_at_prepare_with_its_id(self):
         model, ds = self._text_model(4)

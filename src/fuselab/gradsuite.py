@@ -80,8 +80,10 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         report = grad_check(f, point, h=h, tol=tol, label=label)
         reports.append(report)
 
-    # the fused recurrence, both directions, batch 2 with lengths 4 and 2,
-    # so the held steps of the shorter row are checked too; its own
+    # the fused recurrence, batch 2 with lengths 4 and 2, so the held
+    # steps of the shorter row are checked too. Both directions read the
+    # same (w, b) here, so w and b each get the sum of the two directions'
+    # gradients; the tests check distinct direction weights. Its own
     # generator leaves the draws of every other check as they were
     own = np.random.default_rng(19)
     x = Tensor(own.normal(size=(2, 4, 3)), name="x")
@@ -91,9 +93,7 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
     lengths = np.array([4, 2])
 
     def recurrence():
-        states = nc.concat([nc.gated_recurrence(x, w, b, lengths=lengths),
-                            nc.gated_recurrence(x, w, b, reverse=True, lengths=lengths)],
-                           axis=2)
+        states = nc.gated_recurrence(x, w, b, w, b, lengths=lengths)
         return nc.tsum(nc.mul(states, weights))
 
     reports.append(_summary("op gated_recurrence",

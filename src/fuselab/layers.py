@@ -96,10 +96,11 @@ class EmbeddingTable:
 class RecurrentTextEncoder:
     """Bidirectional gated recurrence with additive word attention.
 
-    Each direction runs a standard input/forget/output/candidate cell over
-    the embedded token sequence as one fused `gated_recurrence` op; per-step
-    hidden states from the two directions are concatenated, scored against
-    a learned query vector, softmax-normalized, and the attention-weighted
+    Each direction runs a standard input/forget/output/candidate cell, with
+    its own weights, over the embedded token sequence; one fused
+    `gated_recurrence` op runs both and returns each position's forward
+    and backward hidden states side by side. Those are scored against a
+    learned query vector, softmax-normalized, and the attention-weighted
     sum is projected to the latent dimension d.
     """
 
@@ -135,17 +136,6 @@ class RecurrentTextEncoder:
     def recurrent_parameters(self) -> List[Tensor]:
         return [self.fwd["w"], self.fwd["b"], self.bwd["w"], self.bwd["b"]]
 
-    def _directions(self, ids_batch: np.ndarray,
-                    lengths: Optional[np.ndarray]) -> Tuple[Tensor, Tensor]:
-        """Forward and backward hidden states, each (batch, length, h)."""
-        batch, length = ids_batch.shape
-        flat = self.embedding.lookup(ids_batch.reshape(-1))
-        embedded = flat.reshape(batch, length, self.embedding.dim)
-        fwd = nc.gated_recurrence(embedded, self.fwd["w"], self.fwd["b"], lengths=lengths)
-        bwd = nc.gated_recurrence(embedded, self.bwd["w"], self.bwd["b"], reverse=True,
-                                  lengths=lengths)
-        return fwd, bwd
-
     def encode_batch(self, ids_batch: np.ndarray,
                      lengths: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
         """Encode a (batch, length) id matrix to (batch, d) latents.
@@ -165,9 +155,12 @@ class RecurrentTextEncoder:
             lengths = np.asarray(lengths)
             if lengths.shape == (batch,) and (lengths == length).all():
                 lengths = None
-        # (batch, length, 2h) stack of bidirectional states; the op checks lengths
-        stacked = nc.concat(self._directions(ids_batch, lengths), axis=2)
-        flat = stacked.reshape(batch * length, 2 * self.hidden_dim)
+        embedded = self.embedding.lookup(ids_batch.reshape(-1)).reshape(
+            batch, length, self.embedding.dim)
+        # (batch, length, 2h) bidirectional states; the op checks lengths
+        states = nc.gated_recurrence(embedded, self.fwd["w"], self.fwd["b"], self.bwd["w"],
+                                     self.bwd["b"], lengths=lengths)
+        flat = states.reshape(batch * length, 2 * self.hidden_dim)
         scores = nc.matmul(flat, self.query).reshape(batch, length)
         valid = None if lengths is None else np.arange(length) < lengths[:, None]
         weights = nc.softmax(scores, axis=-1, mask=valid)

@@ -420,24 +420,34 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
 # recurrence
 
 
-def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = False,
-                     lengths: Optional[np.ndarray] = None) -> Tensor:
-    """Hidden states of a gated recurrent cell run over a batch of sequences.
+def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Arrayish,
+                     b_bwd: Arrayish, lengths: Optional[np.ndarray] = None) -> Tensor:
+    """Hidden states of a bidirectional gated recurrent cell run over a
+    batch of sequences.
 
-    x is (batch, T, e); w (4h, e+h) stacks the input, forget, output and
-    candidate gate weights, b (4h,) their biases. From zero states, each
-    step computes gates = [x_t, h] W^T + b, i, f, o = sigmoid and g = tanh
-    of the four gate blocks, c = f c + i g and h = o tanh(c). The result
-    stacks the states to (batch, T, h), indexed by input position also
-    when reverse=True runs time backwards. It is one graph node, and its
-    backward is backpropagation through time.
+    x is (batch, T, e). Each direction has its own w (4h, e+h), which
+    stacks the input, forget, output and candidate gate weights, and its
+    own b (4h,), their biases: w_fwd, b_fwd run time forwards, w_bwd,
+    b_bwd backwards. From zero states, each step computes gates =
+    [x_t, h] W^T + b, i, f, o = sigmoid and g = tanh of the four gate
+    blocks, c = f c + i g and h = o tanh(c). The result is (batch, T, 2h):
+    the forward direction's states, then the backward direction's, both
+    indexed by input position. It is one graph node, and its backward is
+    backpropagation through time. Both directions run in one loop over
+    stacked (2, batch, .) arrays, so a step costs one set of numpy calls.
 
     lengths (batch,), each in 1..T, gives every row its own length; None
     means every row is T long. A row keeps its cell state on the steps
-    past its length and ignores x there, so reverse=True starts it at its
-    own last token (a zero cell gives a zero hidden state). Its states at
-    those padded positions are 0 and carry no gradient, and its dx there
-    is 0.
+    past its length and ignores x there, so the backward direction starts
+    it at its own last token (a zero cell gives a zero hidden state). Its
+    states at those padded positions are 0 and carry no gradient, and its
+    dx there is 0.
+
+    A recorded call keeps every step's cell input, gate pre-activations
+    and activations, cell state and its tanh for the backward. A call
+    under no_graph() keeps every step's cell input and hidden state but
+    one step of the rest, and each gate's largest magnitude over the
+    steps for the finiteness check.
 
     Every value, forward and backward, is rounded as in the same cell
     built from the primitive ops above, so both give the same values;
@@ -445,18 +455,18 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
     gate pre-activation or cell state is a domain error, although sigmoid
     and tanh would saturate it to a finite state.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 3 or w.ndim != 2 or w.shape[0] < 4 or w.shape[0] % 4:
+    x, w_fwd, b_fwd, w_bwd, b_bwd = (as_tensor(a) for a in (x, w_fwd, b_fwd, w_bwd, b_bwd))
+    if x.ndim != 3 or w_fwd.ndim != 2 or w_fwd.shape[0] < 4 or w_fwd.shape[0] % 4:
         raise ShapeError(f"gated_recurrence: need x (batch, T, e) and w (4h, e+h), "
-                         f"got {x.shape} and {w.shape}")
+                         f"got {x.shape} and {w_fwd.shape}")
     batch, steps, e = x.shape
-    hd = w.shape[0] // 4
-    if w.shape[1] != e + hd or b.shape != (4 * hd,):
-        raise ShapeError(f"gated_recurrence: x {x.shape}, w {w.shape} and b {b.shape} "
-                         f"do not conform")
-    times = range(steps - 1, -1, -1) if reverse else range(steps)
-    xd, wd, bd = x.data, w.data, b.data
-    held = None  # (steps, batch, 1): True where step s is past the row's length
+    hd = w_fwd.shape[0] // 4
+    if (w_fwd.shape[1] != e + hd or w_bwd.shape != w_fwd.shape
+            or b_fwd.shape != (4 * hd,) or b_bwd.shape != (4 * hd,)):
+        raise ShapeError(f"gated_recurrence: x {x.shape}, w {w_fwd.shape} and {w_bwd.shape}, "
+                         f"b {b_fwd.shape} and {b_bwd.shape} do not conform")
+    xd = x.data
+    held = None  # (steps, 2, batch, 1): True where step s is past the row's length
     if lengths is not None:
         lengths = np.asarray(lengths)
         if (lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer)
@@ -464,63 +474,85 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
             raise ShapeError(f"gated_recurrence: lengths must be {batch} integers in "
                              f"1..{steps}, got {lengths!r}")
         if (lengths != steps).any():
-            held = (np.asarray(times)[:, None] >= lengths[None, :])[:, :, None]
-            xd = np.where((np.arange(steps) < lengths[:, None])[:, :, None], xd, 0.0)
-    # per step: the cell input [x_t, h], the gate pre-activations, their
-    # activations i, f, o, g, the cell state and its tanh. Only the
-    # backward reads the activations and tanh of past steps, so a
-    # graph-free call keeps one step of those.
-    kept = steps if _recording() else 1
-    cats = np.empty((steps, batch, e + hd))
+            times = np.arange(steps)
+            held = (np.stack([times, times[::-1]], axis=1)[:, :, None, None]
+                    >= lengths[:, None])
+            xd = np.where((times < lengths[:, None])[:, :, None], xd, 0.0)
+    wd = np.stack([w_fwd.data, w_bwd.data])
+    wt = wd.transpose(0, 2, 1)
+    bd = np.stack([b_fwd.data, b_bwd.data])[:, None, :]
+    # per step and direction: the cell input [x_t, h], the gate
+    # pre-activations, their activations i, f, o, g, the cell state and
+    # its tanh. Direction 1 reads the sequence reversed, so its step s is
+    # input position T-1-s. Only the backward reads past steps, so a
+    # graph-free call keeps one step of all but the cell inputs. For the
+    # check it keeps the gates' largest magnitudes, which np.maximum
+    # leaves non-finite once one step's were; a non-finite cell state
+    # stays non-finite on every later step, so the last one shows it.
+    recording = _recording()
+    kept = steps if recording else 1
+    peak = None if recording else np.zeros((2, batch, 4 * hd))
+    cats = np.empty((steps, 2, batch, e + hd))
     seq = np.swapaxes(xd, 0, 1)
-    cats[:, :, :e] = seq[::-1] if reverse else seq
-    gates = np.empty((steps, batch, 4 * hd))
-    acts = np.empty((kept, batch, 4 * hd))
-    cells = np.empty((steps, batch, hd))
-    tcells = np.empty((kept, batch, hd))
-    out = np.empty((batch, steps, hd))
-    zeros = np.zeros((batch, hd))
+    cats[:, 0, :, :e] = seq
+    cats[:, 1, :, :e] = seq[::-1]
+    gates = np.empty((kept, 2, batch, 4 * hd))
+    acts = np.empty((kept, 2, batch, 4 * hd))
+    cells = np.empty((kept, 2, batch, hd))
+    tcells = np.empty((kept, 2, batch, hd))
+    states = np.empty((steps, 2, batch, hd))
+    zeros = np.zeros((2, batch, hd))
     h = c = zeros
-    for s, t in enumerate(times):
+    for s in range(steps):
         k = s % kept
-        cat, z, act = cats[s], gates[s], acts[k]
-        cat[:, e:] = h
-        np.matmul(cat, wd.T, out=z)
+        cat, z, act = cats[s], gates[k], acts[k]
+        cat[:, :, e:] = h
+        np.matmul(cat, wt, out=z)
         z += bd
-        act[:, : 3 * hd] = _sigmoid(z[:, : 3 * hd])
-        np.tanh(z[:, 3 * hd :], out=act[:, 3 * hd :])
-        i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+        act[:, :, : 3 * hd] = _sigmoid(z[:, :, : 3 * hd])
+        np.tanh(z[:, :, 3 * hd :], out=act[:, :, 3 * hd :])
+        i, f, o, g = (act[:, :, : hd], act[:, :, hd : 2 * hd], act[:, :, 2 * hd : 3 * hd],
+                      act[:, :, 3 * hd :])
         if held is None:
-            c = np.add(f * c, i * g, out=cells[s])
+            c = np.add(f * c, i * g, out=cells[k])
             tc = np.tanh(c, out=tcells[k])
-            h = np.multiply(o, tc, out=out[:, t, :])
+            h = np.multiply(o, tc, out=states[s])
         else:
             keep = held[s]
-            c = np.where(keep, c, np.add(f * c, i * g, out=cells[s]))
-            cells[s] = c
+            c = np.where(keep, c, f * c + i * g)
+            cells[k] = c
             tc = np.tanh(c, out=tcells[k])
             h = o * tc
-            out[:, t, :] = np.where(keep, 0.0, h)
-    if not (np.isfinite(gates).all() and np.isfinite(cells).all()):
+            states[s] = np.where(keep, 0.0, h)
+        if peak is not None:
+            np.maximum(peak, np.abs(z), out=peak)
+    if not (np.isfinite(gates if peak is None else peak).all() and np.isfinite(cells).all()):
         raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
+    out = np.empty((batch, steps, 2 * hd))
+    out[:, :, :hd] = np.swapaxes(states[:, 0], 0, 1)
+    out[:, :, hd:] = np.swapaxes(states[::-1, 1], 0, 1)
 
     def backward(dout, needs):
         # sigmoid a passes d on as (d * a) * (1 - a), tanh a as d * (1 - a * a)
-        need_x, need_w, need_b = needs
-        sig, cand = acts[:, :, : 3 * hd], acts[:, :, 3 * hd :]
+        need_x, need_wf, need_bf, need_wb, need_bb = needs
+        need_w, need_b = need_wf or need_wb, need_bf or need_bb
+        douts = np.empty((steps, 2, batch, hd))
+        douts[:, 0] = np.swapaxes(dout[:, :, :hd], 0, 1)
+        douts[:, 1] = np.swapaxes(dout[:, ::-1, hd:], 0, 1)
+        sig, cand = acts[..., : 3 * hd], acts[..., 3 * hd :]
         dsig = 1.0 - sig
         dtanh_g = 1.0 - cand * cand
         dtanh_c = 1.0 - tcells * tcells
-        dx = np.zeros_like(xd) if need_x else None
         dw = np.zeros_like(wd) if need_w else None
-        db = np.zeros_like(bd) if need_b else None
-        dgates = np.empty((batch, 4 * hd))
+        db = np.zeros((2, 4 * hd)) if need_b else None
+        dxs = np.empty((steps, 2, batch, e)) if need_x else None
+        dgates = np.empty((2, batch, 4 * hd))
         dh_next = dc_next = None  # what step s+1 sends back to h and c of step s
         for s in range(steps - 1, -1, -1):
-            t = times[s]
             act = acts[s]
-            i, f, o, g = act[:, :hd], act[:, hd : 2 * hd], act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
-            dh = dout[:, t, :] if dh_next is None else dout[:, t, :] + dh_next
+            i, f, o, g = (act[:, :, : hd], act[:, :, hd : 2 * hd], act[:, :, 2 * hd : 3 * hd],
+                          act[:, :, 3 * hd :])
+            dh = douts[s] if dh_next is None else douts[s] + dh_next
             dc = dh * o * dtanh_c[s]
             if dc_next is not None:
                 dc += dc_next
@@ -529,24 +561,29 @@ def gated_recurrence(x: Arrayish, w: Arrayish, b: Arrayish, reverse: bool = Fals
                 # state is the zero start or a state no later step reads
                 dh = np.where(held[s], 0.0, dh)
                 dc = np.where(held[s], 0.0, dc)
-            np.multiply(dc, g, out=dgates[:, :hd])
-            np.multiply(dc, cells[s - 1] if s else zeros, out=dgates[:, hd : 2 * hd])
-            np.multiply(dh, tcells[s], out=dgates[:, 2 * hd : 3 * hd])
-            dgates[:, : 3 * hd] *= sig[s]
-            dgates[:, : 3 * hd] *= dsig[s]
-            np.multiply(dc * i, dtanh_g[s], out=dgates[:, 3 * hd :])
+            np.multiply(dc, g, out=dgates[:, :, :hd])
+            np.multiply(dc, cells[s - 1] if s else zeros, out=dgates[:, :, hd : 2 * hd])
+            np.multiply(dh, tcells[s], out=dgates[:, :, 2 * hd : 3 * hd])
+            dgates[:, :, : 3 * hd] *= sig[s]
+            dgates[:, :, : 3 * hd] *= dsig[s]
+            np.multiply(dc * i, dtanh_g[s], out=dgates[:, :, 3 * hd :])
             dcat = dgates @ wd
             if need_w:
-                dw += dgates.T @ cats[s]
+                dw += dgates.transpose(0, 2, 1) @ cats[s]
             if need_b:
-                db += dgates.sum(axis=0)
+                db += dgates.sum(axis=1)
             if need_x:
-                dx[:, t, :] = dcat[:, :e]
-            dh_next = dcat[:, e:]
+                dxs[s] = dcat[:, :, :e]
+            dh_next = dcat[:, :, e:]
             dc_next = dc * f
-        return dx, dw, db
+        # each position's dx is what the forward direction sent it plus
+        # what the backward one did
+        dx = (np.swapaxes(dxs[:, 0], 0, 1) + np.swapaxes(dxs[::-1, 1], 0, 1)
+              if need_x else None)
+        return (dx, dw[0] if need_wf else None, db[0] if need_bf else None,
+                dw[1] if need_wb else None, db[1] if need_bb else None)
 
-    return Tensor._from_op(out, "gated_recurrence", (x, w, b), backward)
+    return Tensor._from_op(out, "gated_recurrence", (x, w_fwd, b_fwd, w_bwd, b_bwd), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -166,3 +166,21 @@ def test_suite_checks_the_fused_recurrence_in_both_directions():
     reports = _primitive_checks(np.random.default_rng(0), h=1e-5, tol=1e-4)
     (report,) = [r for r in reports if r.label.startswith("op gated_recurrence")]
     assert report.passed, report
+
+
+def test_fused_recurrence_with_distinct_direction_weights_passes_grad_check():
+    """The suite passes one (w, b) to both directions, so a fused op that
+    swapped the two directions' gradients would pass it; here each
+    direction has its own weights, over drawn lengths."""
+    rng = np.random.default_rng(23)
+    x = nc.Tensor(rng.normal(size=(3, 5, 3)), name="x")
+    params = [x]
+    for direction in ("fwd", "bwd"):
+        params.append(nc.Tensor(rng.uniform(-0.6, 0.6, size=(8, 5)), name=f"{direction}.w"))
+        params.append(nc.Tensor(rng.normal(size=8), name=f"{direction}.b"))
+    lengths = np.array([5, 2, 4])
+    weights = nc.Tensor(rng.normal(size=(3, 5, 4)))
+    reports = nc.grad_check_params(
+        lambda: nc.tsum(nc.mul(nc.gated_recurrence(*params, lengths=lengths), weights)),
+        params, h=1e-5, tol=1e-4)
+    assert len(reports) == 5 and all(r.passed for r in reports.values()), reports

@@ -93,8 +93,9 @@ class TestTextEncoder:
             enc.bwd[key].data = enc.fwd[key].data.copy()
         ids = np.array([[2, 5, 9, 5, 2]])
         embedded = enc.embedding.lookup(ids[0]).reshape(1, 5, enc.embedding.dim)
-        fwd = nc.gated_recurrence(embedded, enc.fwd["w"], enc.fwd["b"]).data
-        bwd = nc.gated_recurrence(embedded, enc.bwd["w"], enc.bwd["b"], reverse=True).data
+        states = nc.gated_recurrence(embedded, enc.fwd["w"], enc.fwd["b"], enc.bwd["w"],
+                                     enc.bwd["b"]).data
+        fwd, bwd = states[:, :, : enc.hidden_dim], states[:, :, enc.hidden_dim :]
         for t in range(5):
             assert np.allclose(fwd[:, t], bwd[:, len(ids[0]) - 1 - t], atol=1e-12)
         # and the encoding is invariant under reversal of the palindrome
@@ -124,6 +125,19 @@ class TestTextEncoder:
             enc.encode_batch(np.array([[1, 2, 3]]))
         with nc.no_graph(), pytest.raises(DomainError, match="gated_recurrence"):
             enc.encode_batch(np.array([[1, 2, 3]]))
+
+    def test_one_recurrence_node_runs_both_directions(self):
+        enc = self._encoder(seed=4)
+        latent, _ = enc.encode_batch(np.array([[1, 2, 3], [4, 5, 0]]), np.array([3, 2]))
+        ops, stack, seen = [], [latent], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+        assert ops.count("gated_recurrence") == 1
+        assert "concat" not in ops
 
     def test_batch_encoding_matches_single(self):
         enc = self._encoder(seed=9)

@@ -95,7 +95,7 @@ def _recorded_ops(rng):
         nc.matmul(t(2, 3), t(3, 4)), nc.matmul(t(3), t(3)),
         nc.linear(t(3), t(2, 3), t(2)), nc.linear(t(4, 3), t(2, 3), t(2)),
         nc.row_scale(t(4, 3), t(4)), nc.concat([t(2, 1), t(2, 3), t(2, 2)], axis=1),
-        nc.gated_recurrence(t(2, 3, 2), t(8, 4), t(8), lengths=np.array([3, 1])),
+        nc.gated_recurrence(t(2, 3, 2), t(8, 4), t(8), t(8, 4), t(8), lengths=np.array([3, 1])),
         nc.conv2d(t(2, 5, 4, 3), t(2, 3, 3, 2), t(2)),
     ]
 

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,127 +153,241 @@ def test_row_scale():
     assert nc.row_scale(m, v).data.tolist() == [[2.0, 4.0], [30.0, 40.0]]
 
 
-def _reference_recurrence(x, w, b, reverse):
-    """The primitive-op cell that gated_recurrence replaced, one graph node
-    per operation and step, stacked to (batch, T, h) by input position."""
+def _reference_recurrence(x, w, b, reverse, lengths=None):
+    """The primitive-op cell that gated_recurrence replaced, for one
+    direction: one graph node per operation and step, stacked to
+    (batch, T, h) by input position. With lengths, constant 0/1 masks
+    hold a row's cell state past its length and zero its states there."""
     batch, length, _ = x.shape
     hd = w.shape[0] // 4
     seq = x[:, ::-1, :] if reverse and length > 1 else x
     h = nc.Tensor(np.zeros((batch, hd)))
     c = nc.Tensor(np.zeros((batch, hd)))
     states = []
-    for t in range(length):
-        gates = nc.linear(nc.concat([seq[:, t, :], h], axis=1), w, b)
+    for s in range(length):
+        gates = nc.linear(nc.concat([seq[:, s, :], h], axis=1), w, b)
         i = nc.sigmoid(gates[:, 0:hd])
         f = nc.sigmoid(gates[:, hd : 2 * hd])
         o = nc.sigmoid(gates[:, 2 * hd : 3 * hd])
         g = nc.tanh(gates[:, 3 * hd : 4 * hd])
-        c = nc.add(nc.mul(f, c), nc.mul(i, g))
-        h = nc.mul(o, nc.tanh(c))
-        states.append(h.reshape(batch, 1, hd))
+        fresh = nc.add(nc.mul(f, c), nc.mul(i, g))
+        if lengths is None:
+            c = fresh
+            h = state = nc.mul(o, nc.tanh(c))
+        else:
+            t = length - 1 - s if reverse else s
+            held = nc.Tensor(np.repeat((t >= lengths)[:, None], hd, axis=1).astype(float))
+            kept = nc.sub(1.0, held)
+            c = nc.add(nc.mul(held, c), nc.mul(kept, fresh))
+            h = nc.mul(o, nc.tanh(c))
+            state = nc.mul(kept, h)
+        states.append(state.reshape(batch, 1, hd))
     if reverse:
         states = states[::-1]
     return nc.concat(states, axis=1)
 
 
 def _recurrence_inputs(batch, length, e=3, hd=4, seed=0):
+    """x, then w_fwd, b_fwd, w_bwd, b_bwd (distinct draws), then the
+    weights of a loss over the (batch, length, 2h) states."""
     rng = np.random.default_rng(seed)
     x = nc.Tensor(rng.normal(size=(batch, length, e)))
-    w = nc.Tensor(rng.uniform(-0.6, 0.6, size=(4 * hd, e + hd)))
-    b = nc.Tensor(rng.normal(size=4 * hd))
-    weights = nc.Tensor(rng.normal(size=(batch, length, hd)))
-    return x, w, b, weights
+    params = []
+    for _ in range(2):
+        params.append(nc.Tensor(rng.uniform(-0.6, 0.6, size=(4 * hd, e + hd))))
+        params.append(nc.Tensor(rng.normal(size=4 * hd)))
+    weights = nc.Tensor(rng.normal(size=(batch, length, 2 * hd)))
+    return x, params, weights
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+def _tie(params):
+    """The same (w, b) tensors for both directions, as the gradient suite
+    passes them."""
+    return [params[0], params[1], params[0], params[1]]
+
+
+def _against_reference(x, params, weights, lengths=None):
+    """Each direction's states and the five gradients of the fused op,
+    then of the two directions' primitive-op references."""
+    hd = params[0].shape[0] // 4
+    fused = nc.gated_recurrence(x, *params, lengths=lengths)
+    reference = nc.concat([_reference_recurrence(x, params[0], params[1], False, lengths),
+                           _reference_recurrence(x, params[2], params[3], True, lengths)],
+                          axis=2)
+    runs = []
+    for out in (fused, reference):
+        grads = nc.tsum(nc.mul(out, weights)).backward([x, *params])
+        runs.append([out.data[:, :, :hd], out.data[:, :, hd:], *grads])
+    return runs
+
+
+@pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("length", [1, 7])
-def test_gated_recurrence_matches_primitive_graph(reverse, batch, length):
-    x, w, b, weights = _recurrence_inputs(batch, length, seed=batch * 10 + length)
-    grads = []
-    for run in (nc.gated_recurrence, _reference_recurrence):
-        out = run(x, w, b, reverse=reverse)
-        grads.append((out.data, *nc.tsum(nc.mul(out, weights)).backward([x, w, b])))
-    fused, reference = grads
-    assert fused[0].shape == (batch, length, 4)
-    assert np.array_equal(fused[0], reference[0])
-    for got, want in zip(fused[1:], reference[1:]):
-        assert np.max(np.abs(got - want)) <= 1e-12
+def test_gated_recurrence_matches_primitive_graph(masked, batch, length):
+    """Distinct weights per direction: each half of the states and all
+    five gradients are the reference's bytes. Masked, with drawn lengths
+    and zero padding, the values are equal; a masked reference step may
+    leave -0.0 where the op writes 0.0."""
+    x, params, weights = _recurrence_inputs(batch, length, seed=batch * 10 + length)
+    lengths = None
+    if masked:
+        lengths = np.random.default_rng(length).integers(1, length + 1, size=batch)
+        x.data[np.arange(length)[None, :] >= lengths[:, None]] = 0.0
+    fused, reference = _against_reference(x, params, weights, lengths)
+    assert fused[0].shape == fused[1].shape == (batch, length, 4)
+    for got, want in zip(fused, reference):
+        if masked:
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       e=st.integers(1, 3), hd=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_gated_recurrence_directions_match_reference_property(lengths, e, hd, seed):
+    """Each direction reads its own weights and gets its own gradients:
+    over drawn lengths and distinct direction weights, the fused op equals
+    the per-direction reference, so a swap of the two directions' weights
+    or gradients cannot pass."""
+    lengths = np.asarray(lengths)
+    steps = int(lengths.max())
+    x, params, weights = _recurrence_inputs(len(lengths), steps, e=e, hd=hd, seed=seed)
+    x.data[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+    fused, reference = _against_reference(x, params, weights, lengths)
+    for got, want in zip(fused, reference):
+        assert np.array_equal(got, want)
 
 
 def test_gated_recurrence_under_no_graph_is_plain_data():
-    x, w, b, _ = _recurrence_inputs(3, 7)
-    recorded = nc.gated_recurrence(x, w, b, reverse=True)
+    x, params, _ = _recurrence_inputs(3, 7)
+    lengths = np.array([7, 2, 5])
+    recorded = nc.gated_recurrence(x, *params, lengths=lengths)
     with nc.no_graph():
-        plain = nc.gated_recurrence(x, w, b, reverse=True)
+        plain = nc.gated_recurrence(x, *params, lengths=lengths)
     assert recorded._backward is not None and recorded._op == "gated_recurrence"
     assert plain._op is None and plain._parents == () and plain._backward is None
     assert np.array_equal(plain.data, recorded.data)
 
 
 def test_gated_recurrence_shape_contract():
-    x, w, b, _ = _recurrence_inputs(2, 3, e=3, hd=4)
+    x, (wf, bf, wb, bb), _ = _recurrence_inputs(2, 3, e=3, hd=4)
     with pytest.raises(ShapeError):
-        nc.gated_recurrence(nc.Tensor(x.data[0]), w, b)
+        nc.gated_recurrence(nc.Tensor(x.data[0]), wf, bf, wb, bb)
     with pytest.raises(ShapeError):
-        nc.gated_recurrence(x, nc.Tensor(w.data[:, 1:]), b)
+        nc.gated_recurrence(x, nc.Tensor(wf.data[:, 1:]), bf, wb, bb)
     with pytest.raises(ShapeError):
-        nc.gated_recurrence(x, w, nc.Tensor(b.data[1:]))
+        nc.gated_recurrence(x, wf, nc.Tensor(bf.data[1:]), wb, bb)
+    # the backward direction's shapes must be the forward direction's
+    for bad_wb in (wb.data[:, 1:], wb.data[4:], wb.data[:, :, None]):
+        with pytest.raises(ShapeError):
+            nc.gated_recurrence(x, wf, bf, nc.Tensor(bad_wb), bb)
+    for bad_bb in (bb.data[1:], np.concatenate([bb.data, bb.data]), bb.data[:, None]):
+        with pytest.raises(ShapeError):
+            nc.gated_recurrence(x, wf, bf, wb, nc.Tensor(bad_bb))
     for lengths in ([3], [3, 0], [4, 1], [2.0, 3.0], [[3, 3]]):
         with pytest.raises(ShapeError):
-            nc.gated_recurrence(x, w, b, lengths=np.array(lengths))
+            nc.gated_recurrence(x, wf, bf, wb, bb, lengths=np.array(lengths))
 
 
-def _masked_against_trimmed(lengths, reverse, seed):
+def _masked_against_trimmed(lengths, tied, seed):
     """Run the op on a batch padded to the longest of lengths, with inf in
     the padding, which the op must ignore, and on each row trimmed to its
-    length: states and the x, w and b gradients agree within 1e-12, and
-    the padded positions have zero states and zero dx."""
+    length: states and the five gradients agree within 1e-12, and the
+    padded positions have zero states and zero dx. tied passes one (w, b)
+    pair to both directions."""
     lengths = np.asarray(lengths)
     batch, steps = len(lengths), int(lengths.max())
-    x, w, b, weights = _recurrence_inputs(batch, steps, seed=seed)
+    x, params, weights = _recurrence_inputs(batch, steps, seed=seed)
+    if tied:
+        params = _tie(params)
     padded = np.arange(steps)[None, :] >= lengths[:, None]
     x.data[padded] = np.inf
-    out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
-    gx, gw, gb = nc.tsum(nc.mul(out, weights)).backward([x, w, b])
+    out = nc.gated_recurrence(x, *params, lengths=lengths)
+    gx, *grads = nc.tsum(nc.mul(out, weights)).backward([x, *params])
     assert not out.data[padded].any() and not gx[padded].any()
-    dw, db = np.zeros_like(w.data), np.zeros_like(b.data)
+    sums = [np.zeros_like(p.data) for p in params]
     for r, length in enumerate(lengths):
         xr = nc.Tensor(x.data[r : r + 1, :length])
-        wr = nc.Tensor(w.data)
-        br = nc.Tensor(b.data)
-        single = nc.gated_recurrence(xr, wr, br, reverse=reverse)
+        own = [nc.Tensor(p.data) for p in params[: 2 if tied else 4]]
+        rparams = _tie(own) if tied else own
+        single = nc.gated_recurrence(xr, *rparams)
         loss = nc.tsum(nc.mul(single, nc.Tensor(weights.data[r : r + 1, :length])))
-        gxr, gwr, gbr = loss.backward([xr, wr, br])
+        gxr, *rgrads = loss.backward([xr, *rparams])
         assert np.max(np.abs(out.data[r, :length] - single.data[0])) <= 1e-12
         assert np.max(np.abs(gx[r, :length] - gxr[0])) <= 1e-12
-        dw += gwr
-        db += gbr
-    assert np.max(np.abs(gw - dw)) <= 1e-12
-    assert np.max(np.abs(gb - db)) <= 1e-12
+        for total, g in zip(sums, rgrads):
+            total += g
+    for got, want in zip(grads, sums):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_gated_recurrence_rows_match_their_trimmed_runs(reverse):
-    _masked_against_trimmed([5, 2, 1, 5, 3], reverse, seed=4)
+@pytest.mark.parametrize("tied", [False, True])
+def test_gated_recurrence_rows_match_their_trimmed_runs(tied):
+    _masked_against_trimmed([5, 2, 1, 5, 3], tied, seed=4)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-       reverse=st.booleans(), seed=st.integers(0, 1000))
-def test_gated_recurrence_masking_property(lengths, reverse, seed):
-    _masked_against_trimmed(lengths, reverse, seed)
+       tied=st.booleans(), seed=st.integers(0, 1000))
+def test_gated_recurrence_masking_property(lengths, tied, seed):
+    _masked_against_trimmed(lengths, tied, seed)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_gated_recurrence_full_lengths_are_byte_identical(reverse):
-    x, w, b, weights = _recurrence_inputs(3, 6, seed=8)
+@pytest.mark.parametrize("tied", [False, True])
+def test_gated_recurrence_full_lengths_are_byte_identical(tied):
+    x, params, weights = _recurrence_inputs(3, 6, seed=8)
+    if tied:
+        params = _tie(params)
     runs = []
     for lengths in (None, np.full(3, 6)):
-        out = nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths)
-        grads = nc.tsum(nc.mul(out, weights)).backward([x, w, b])
+        out = nc.gated_recurrence(x, *params, lengths=lengths)
+        grads = nc.tsum(nc.mul(out, weights)).backward([x, *params])
         runs.append([a.tobytes() for a in (out.data, *grads)])
     assert runs[0] == runs[1]
+
+
+def _traced_peak(run):
+    """Bytes numpy allocated at the peak of run(), over what was live
+    before it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak - base
+
+
+def test_gated_recurrence_without_a_graph_holds_one_step_of_gates_and_cells():
+    """A recorded call keeps every step for its backward; a graph-free one
+    keeps one step of the gates, activations and cells, so at batch 64 and
+    T 29 its peak is at most half the recorded one (keeping every step
+    of gates and cells would read about 0.68)."""
+    x, params, _ = _recurrence_inputs(64, 29, e=16, hd=16, seed=2)
+    lengths = np.random.default_rng(2).integers(1, 30, size=64)
+    recorded = _traced_peak(lambda: nc.gated_recurrence(x, *params, lengths=lengths))
+    with nc.no_graph():
+        plain = _traced_peak(lambda: nc.gated_recurrence(x, *params, lengths=lengths))
+    assert plain <= 0.5 * recorded, (plain, recorded)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("direction", [0, 1])
+def test_gated_recurrence_rejects_a_non_finite_gate_in_either_direction(direction):
+    """Only position 1 overflows, which is neither direction's last step;
+    the other direction's gates there stay below 3 * 0.6 * 1e307."""
+    x, params, _ = _recurrence_inputs(2, 4, seed=3)
+    x.data[:, 1] = 1e307
+    params[2 * direction].data[...] = 10.0
+    with pytest.raises(DomainError, match="gated_recurrence"):
+        nc.gated_recurrence(x, *params)
+    with nc.no_graph(), pytest.raises(DomainError, match="gated_recurrence"):
+        nc.gated_recurrence(x, *params)
 
 
 def test_masked_softmax_weighs_masked_entries_zero():

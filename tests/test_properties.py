@@ -69,10 +69,15 @@ def _positive(a):
     return nc.add(nc.mul(a, a), 0.5)
 
 
-def _recurrence(r, n, m, reverse):
+def _recurrence(r, n, m, states):
+    """Distinct weights per direction and drawn lengths; the loss reads
+    states, a slice of the (n, m, 4) output: both directions, or only the
+    backward direction's half, from which the forward weights get 0."""
     lengths = r.integers(1, m + 1, size=n)
-    return (lambda x, w, b: nc.gated_recurrence(x, w, b, reverse=reverse, lengths=lengths),
-            [_t(r, n, m, 2), nc.Tensor(r.uniform(-0.6, 0.6, size=(8, 4))), _t(r, 8)])
+    cells = [nc.Tensor(r.uniform(-0.6, 0.6, size=(8, 4))), _t(r, 8),
+             nc.Tensor(r.uniform(-0.6, 0.6, size=(8, 4))), _t(r, 8)]
+    return (lambda x, *params: nc.gated_recurrence(x, *params, lengths=lengths)[states],
+            [_t(r, n, m, 2)] + cells)
 
 
 # each smooth op (relu, clamp and maxpool2d have kinks) as
@@ -106,8 +111,8 @@ SMOOTH_OPS = {
         nc.softmax(a, mask=mask), [_t(r, n, m)]),
     "conv2d": lambda r, n, m: (nc.conv2d, [_t(r, 1, n + 2, m + 2, 2), _t(r, 3, 3, 2, 2),
                                            _t(r, 2)]),
-    "gated_recurrence": lambda r, n, m: _recurrence(r, n, m, reverse=False),
-    "gated_recurrence reverse": lambda r, n, m: _recurrence(r, n, m, reverse=True),
+    "gated_recurrence": lambda r, n, m: _recurrence(r, n, m, np.s_[:, :, :]),
+    "gated_recurrence reverse": lambda r, n, m: _recurrence(r, n, m, np.s_[:, :, 2:]),
 }
 
 

@@ -7,8 +7,13 @@ Each op records a backward closure ``backward(g, needs)`` (see tensor.py):
 given d(loss)/d(out) and one bool per parent, it returns one gradient per
 parent and None for each parent not needed. An op with several parents
 computes only the needed gradients, so, for example, conv2d over raw
-grids runs no input-gradient matmuls; a one-parent op ignores needs, as
+grids computes no grid gradient; a one-parent op ignores needs, as
 backward calls no closure without a needed parent.
+
+conv2d is one matrix product over im2col columns (each output position's
+window as a row, built from a sliding-window view); its backward builds
+the columns again instead of holding them with the graph, so a recorded
+conv holds its input grid, not the kh*kw times larger columns.
 
 Shape discipline: operand shapes must conform exactly; the only implicit
 broadcast is scalar-with-tensor. Batched ops (linear, row_scale,
@@ -590,9 +595,26 @@ def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Array
 # convolution and pooling over (batch, H, W, C) grids
 
 
+def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The im2col matrix of (batch, H, W, C) grids: one row per output
+    position, holding its (kh, kw, C) window in kernel order."""
+    b_, h, w, c = xd.shape
+    windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        b_ * (h - kh + 1) * (w - kw + 1), kh * kw * c)
+
+
 def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
     """Stride-1 valid 2-D convolution of (batch, H, W, C) grids with
-    kernel (kh, kw, C, F), plus one bias (F,) per filter."""
+    kernel (kh, kw, C, F), plus one bias (F,) per filter.
+
+    Lowered to matrix products over the im2col columns (one row per
+    output position, its (kh, kw, C) window flattened): the output is
+    columns @ kernel, the kernel gradient columns.T @ g and the grid
+    gradient g @ kernel.T, scattered back tap by tap. The backward
+    rebuilds the columns rather than keeping them alive with the graph,
+    and computes no grid gradient for a grid that needs none (the raw
+    input grids)."""
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be (kh, kw, cin, cout), got {kernel.shape}")
@@ -608,23 +630,21 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv2d: bias {bias.shape} does not match {cout} filters")
     ho, wo = h - kh + 1, w - kw + 1
     xd = x.data
-    out = np.zeros((b_, ho, wo, cout))
-    for p in range(kh):
-        for q in range(kw):
-            out += xd[:, p : p + ho, q : q + wo, :] @ kernel.data[p, q]
-    out = out + bias.data
+    km = kernel.data.reshape(kh * kw * c, cout)
+    out = (_columns(xd, kh, kw) @ km).reshape(b_, ho, wo, cout)
+    out += bias.data
 
     def backward(g, needs):
         need_x, need_k, need_b = needs
-        gx = np.zeros_like(xd) if need_x else None
-        gk = np.zeros_like(kernel.data) if need_k else None
-        for p in range(kh):
-            for q in range(kw):
-                if need_k:
-                    patch = xd[:, p : p + ho, q : q + wo, :]
-                    gk[p, q] = np.einsum("bhwc,bhwf->cf", patch, g)
-                if need_x:
-                    gx[:, p : p + ho, q : q + wo, :] += g @ kernel.data[p, q].T
+        g2 = g.reshape(-1, cout)
+        gk = (_columns(xd, kh, kw).T @ g2).reshape(kernel.shape) if need_k else None
+        gx = None
+        if need_x:
+            gcols = (g2 @ km.T).reshape(b_, ho, wo, kh, kw, c)
+            gx = np.zeros_like(xd)
+            for p in range(kh):
+                for q in range(kw):
+                    gx[:, p : p + ho, q : q + wo, :] += gcols[:, :, :, p, q, :]
         gb = g.sum(axis=(0, 1, 2)) if need_b else None
         return gx, gk, gb
 

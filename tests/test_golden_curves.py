@@ -9,6 +9,9 @@ macro-F1, all as `repr` floats, and are compared byte for byte.
 
 A change that reorders float sums on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_golden_curves.py` and states the drift.
+That command prints, before it overwrites a file, the max abs and rel
+drift of each column against the committed file and whether
+`test_macro_f1` changed: the lines to copy into CHANGES.md.
 """
 
 import dataclasses
@@ -59,8 +62,56 @@ def test_first_steps_match_golden(name):
     assert _curve(name) == expected
 
 
+def _columns(text: str) -> dict:
+    """A golden file as column name -> values (None where a part is
+    absent); test_macro_f1 is its own one-value column."""
+    lines = text.splitlines()
+    names = lines[0].split(",")
+    cols = {name: [] for name in names}
+    for line in lines[1:]:
+        if line.startswith("test_macro_f1,"):
+            cols["test_macro_f1"] = [float(line.split(",")[1])]
+            continue
+        for name, cell in zip(names, line.split(",")):
+            cols[name].append(float(cell) if cell else None)
+    return cols
+
+
+def _drift(old: str, new: str) -> str:
+    """One line per column of new: the max abs and rel difference from
+    old over the steps (rel against |old|), or that they cannot be
+    compared."""
+    before, after = _columns(old), _columns(new)
+    out = []
+    for name, values in after.items():
+        if name == "step":
+            continue
+        was = before.get(name)
+        if was is None or [a is None for a in was] != [b is None for b in values]:
+            out.append(f"  {name}: not comparable (the column or its rows changed)")
+            continue
+        pairs = [(a, b) for a, b in zip(was, values) if a is not None]
+        if name == "test_macro_f1":
+            (a, b), = pairs
+            out.append(f"  test_macro_f1: {'unchanged' if a == b else 'changed'}"
+                       f" ({a!r} -> {b!r})")
+        elif pairs:
+            dabs = max(abs(b - a) for a, b in pairs)
+            drel = max(abs(b - a) / abs(a) if a else (0.0 if a == b else float("inf"))
+                       for a, b in pairs)
+            out.append(f"  {name}: max abs {dabs:.2g}, max rel {drel:.2g}")
+    return "\n".join(out)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for run in sorted(RUNS):
-        (GOLDEN_DIR / f"{run}.csv").write_text(_curve(run), encoding="utf-8")
-        print(f"wrote {GOLDEN_DIR / run}.csv")
+        path = GOLDEN_DIR / f"{run}.csv"
+        text = _curve(run)
+        if path.exists():
+            old = path.read_text(encoding="utf-8")
+            print(f"{path.name}: " + ("byte-identical" if old == text
+                                      else "drift against the committed file\n"
+                                      + _drift(old, text)))
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path.relative_to(ROOT)}")

@@ -126,6 +126,16 @@ def test_conv2d_known_kernel():
     assert np.allclose(out.data, 4.5)
 
 
+def test_conv2d_graph_holds_no_columns():
+    """The backward rebuilds the im2col columns (kh*kw times the grid's
+    size), so the recorded node holds no array larger than its grid."""
+    r = np.random.default_rng(0)
+    x = nc.Tensor(r.normal(size=(4, 8, 8, 2)))
+    out = nc.conv2d(x, nc.Tensor(r.normal(size=(3, 3, 2, 5))), nc.Tensor(r.normal(size=5)))
+    held = [cell.cell_contents for cell in out._backward.__closure__]
+    assert max(a.size for a in held if isinstance(a, np.ndarray)) <= x.data.size
+
+
 def test_conv2d_grid_smaller_than_kernel():
     with pytest.raises(ShapeError):
         nc.conv2d(nc.Tensor(np.ones((1, 2, 2, 1))), nc.Tensor(np.ones((3, 3, 1, 1))),

@@ -5,19 +5,26 @@ non-whitespace character, and an emoticon is exactly a whitespace chunk
 the lexicon names.
 
 numcore: every smooth op passes grad_check_params at tol 1e-4 over small
-drawn shapes, and a backward with respect to a subset of the leaves,
-over graphs that also read constants, returns bitwise the same arrays
-as one with respect to all of them.
+drawn shapes, a backward with respect to a subset of the leaves, over
+graphs that also read constants, returns bitwise the same arrays as one
+with respect to all of them, and conv2d agrees with a per-tap reference
+over drawn shapes.
+
+Model files: every single-bit flip and every truncation of a saved model
+is a FormatError.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuselab import numcore as nc
+from fuselab.datakit import LabelSpace, Vocab
+from fuselab.exceptions import FormatError
 from fuselab.textprep import TAG_EMOTICON, default_lexicons, normalize
 from fuselab.textprep.normalize import _scan
+from fuselab.training import ModelConfig, build_model, load_model, save_model
 
 LEX = default_lexicons()
 
@@ -177,3 +184,77 @@ def test_backward_over_a_subset_is_bitwise_the_full_backward(steps, n, seed, kee
     assert [g is None for g in got] == [g is None for g in want]
     assert [g.tobytes() for g in got if g is not None] == \
         [g.tobytes() for g in want if g is not None]
+
+
+def _conv2d_per_tap(x, k, b, g):
+    """conv2d one kernel tap at a time: the output, then the gradients of
+    the grid, kernel and bias for the upstream gradient g."""
+    kh, kw = k.shape[:2]
+    ho, wo = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    out = np.zeros(x.shape[:1] + (ho, wo, k.shape[3]))
+    dx, dk = np.zeros_like(x), np.zeros_like(k)
+    for p in range(kh):
+        for q in range(kw):
+            patch = x[:, p : p + ho, q : q + wo, :]
+            out += patch @ k[p, q]
+            dk[p, q] = np.einsum("bhwc,bhwf->cf", patch, g)
+            dx[:, p : p + ho, q : q + wo, :] += g @ k[p, q].T
+    return out + b, dx, dk, g.sum(axis=(0, 1, 2))
+
+
+CONV_TOL = 1e-12  # rtol and atol: the two sum the same products in other orders
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(batch=st.integers(1, 3), ho=st.integers(1, 4), wo=st.integers(1, 4),
+       kh=st.integers(1, 3), kw=st.integers(1, 3), c=st.integers(1, 3),
+       f=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(batch=1, ho=1, wo=3, kh=3, kw=2, c=1, f=1, seed=0)
+@example(batch=2, ho=4, wo=1, kh=1, kw=3, c=1, f=1, seed=1)
+@example(batch=1, ho=1, wo=1, kh=2, kw=3, c=2, f=3, seed=2)
+def test_conv2d_matches_the_per_tap_reference(batch, ho, wo, kh, kw, c, f, seed):
+    r = np.random.default_rng(seed)
+    x, k, b = _t(r, batch, ho + kh - 1, wo + kw - 1, c), _t(r, kh, kw, c, f), _t(r, f)
+    g = r.normal(size=(batch, ho, wo, f))
+    out = nc.conv2d(x, k, b)
+    got = [out.data] + nc.tsum(nc.mul(out, nc.Tensor(g))).backward([x, k, b])
+    want = _conv2d_per_tap(x.data, k.data, b.data, g)
+    for name, a, e in zip(("out", "dx", "dkernel", "dbias"), got, want):
+        np.testing.assert_allclose(a, e, rtol=CONV_TOL, atol=CONV_TOL, err_msg=name)
+
+
+# -- model files --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    """The bytes of a small saved GAN-fusion model, whose header and
+    parameter blocks hold every part of the format, and a scratch path.
+    The unaltered file loads, so each FormatError below is the edit's."""
+    config = ModelConfig(fusion="gan", latent_dim=2, embed_dim=2, hidden_dim=2,
+                         visual_channels=(1, 1), normalize_text=False, seed=5)
+    path = tmp_path_factory.mktemp("model") / "model.fuse"
+    save_model(build_model(config, LabelSpace(("a", "b")), Vocab(["x", "y"])), path)
+    load_model(path)
+    return path.read_bytes(), path
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_bit_flip_is_a_format_error(saved_model, data):
+    raw, path = saved_model
+    at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    path.write_bytes(bytes(flipped))
+    with pytest.raises(FormatError):
+        load_model(path)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_truncation_is_a_format_error(saved_model, data):
+    raw, path = saved_model
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
+    with pytest.raises(FormatError):
+        load_model(path)

@@ -1,8 +1,8 @@
 """Experiment configuration files.
 
 A config is a single INI-style file with four sections: [experiment],
-[model], [data], [train] (plus optional [eval]). Unknown sections or
-keys are hard errors: a silently ignored typo corrupts an experiment.
+[model], [data] and [train]. Unknown sections or keys are hard errors: a
+silently ignored typo corrupts an experiment.
 
 Every key is a field of a config dataclass (ModelConfig, TrainConfig,
 DataConfig, SyntheticSpec or ExperimentConfig), and `_SECTIONS` maps
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .datakit import SyntheticSpec
+from .datakit import SyntheticSpec, check_split_ratios
 from .exceptions import ConfigError
 from .training import ModelConfig, TrainConfig
 
@@ -36,6 +36,9 @@ class DataConfig:
     split: Tuple[float, float, float] = (0.8, 0.1, 0.1)
     binarize: bool = False
 
+    def __post_init__(self):
+        check_split_ratios(self.split)
+
 
 @dataclass(kw_only=True)
 class ExperimentConfig:
@@ -44,7 +47,6 @@ class ExperimentConfig:
     data: DataConfig
     train: TrainConfig
     vocab_size: Optional[int] = None
-    metrics_path: Optional[Path] = None
     source_path: Optional[Path] = None
 
 
@@ -68,10 +70,9 @@ _SECTIONS = {
              **_keys(SyntheticSpec, "task", "n", "noise", "grid_size", "seq_len",
                      prefix="synthetic_", rename={"grid_size": "grid"})},
     "train": _keys(TrainConfig, skip=("seed",), rename={"lam": "lambda"}),
-    "eval": _keys(ExperimentConfig, "metrics_path"),
 }
-_MODEL_KEYS, _DATA_KEYS, _TRAIN_KEYS, _EVAL_KEYS = (
-    set(_SECTIONS[name]) for name in ("model", "data", "train", "eval"))
+_MODEL_KEYS, _DATA_KEYS, _TRAIN_KEYS = (
+    set(_SECTIONS[name]) for name in ("model", "data", "train"))
 
 
 def _read(kind, text: str, where: str):
@@ -125,7 +126,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     values = defaultdict(dict)
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{section}]")
+            keys = ", ".join(parser[section])
+            raise ConfigError(f"{path}: unknown section [{section}]"
+                              + (f" (setting {keys})" if keys else ""))
         allowed = _SECTIONS[section]
         for key, text in parser[section].items():
             if key not in allowed:
@@ -138,6 +141,8 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     experiment = values[ExperimentConfig]
     seed = experiment.setdefault("seed", ExperimentConfig.seed)
+    if seed < 0:
+        raise ConfigError(f"{path}: [experiment] seed must be >= 0, got {seed}")
 
     m = values[ModelConfig]
     input_modes = m.get("input_modes", ModelConfig.input_modes)
@@ -162,7 +167,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [data] {key}: applies only with synthetic_task")
     synthetic = (_build(SyntheticSpec, f"{path}: [data]", **spec, seed=seed)
                  if has_task else None)
-    data = DataConfig(**values[DataConfig], synthetic=synthetic)
+    data = _build(DataConfig, f"{path}: [data]", **values[DataConfig],
+                  synthetic=synthetic)
 
     train = _build(TrainConfig, f"{path}: [train]", **values[TrainConfig], seed=seed)
     return ExperimentConfig(model=model, data=data, train=train, source_path=path,

@@ -289,7 +289,7 @@ class SyntheticSpec:
             raise ConfigError("vocabulary needs two keywords plus at least one filler")
         if self.seq_len < 1:
             raise ConfigError("seq_len must be at least 1")
-        if self.noise < 0:
+        if not self.noise >= 0:  # NaN included
             raise ConfigError("noise level must be non-negative")
 
 
@@ -356,9 +356,16 @@ def hidden_bits(pub: Publication, spec: SyntheticSpec) -> Tuple[int, int]:
 # splits and batches
 
 
+def check_split_ratios(ratios: Sequence[float]) -> None:
+    """Raise ConfigError unless the ratios are non-negative and sum to 1
+    (NaN is neither)."""
+    if not all(r >= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"split ratios must be non-negative and sum to 1, "
+                          f"got {list(ratios)}")
+
+
 def _split_sizes(n: int, ratios: Sequence[float]) -> List[int]:
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must sum to 1, got {list(ratios)}")
+    check_split_ratios(ratios)
     raw = [n * r for r in ratios]
     sizes = [int(x) for x in raw]
     remainders = sorted(range(len(ratios)), key=lambda i: raw[i] - sizes[i], reverse=True)

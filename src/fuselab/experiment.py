@@ -104,11 +104,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
         save_model(model, model_path)
         loss_path = out_dir / "loss.csv"
         loss_path.write_text(result.loss_csv(), encoding="utf-8")
-        metrics_txt = config.metrics_path or (out_dir / "metrics.txt")
-        Path(metrics_txt).write_text(table_text, encoding="utf-8")
+        metrics_txt = out_dir / "metrics.txt"
+        metrics_txt.write_text(table_text, encoding="utf-8")
         metrics_csv = out_dir / "metrics.csv"
         metrics_csv.write_text(table_csv, encoding="utf-8")
-        artifacts = [model_path, loss_path, Path(metrics_txt), metrics_csv]
+        artifacts = [model_path, loss_path, metrics_txt, metrics_csv]
         if config.source_path is not None and config.source_path.exists():
             echoed = out_dir / "config.ini"
             if config.source_path.resolve() != echoed.resolve():

@@ -200,12 +200,11 @@ class GanFusion:
     set append_raw_latents to also feed it the raw encoder latents.
     """
 
-    def __init__(self, latent_dim: int, out_dim: int, noise_dim: Optional[int] = None,
-                 append_raw_latents: bool = False,
+    def __init__(self, latent_dim: int, out_dim: int, append_raw_latents: bool = False,
                  rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
         self.out_dim = out_dim
-        self.noise_dim = noise_dim if noise_dim is not None else max(1, latent_dim // 4)
+        self.noise_dim = max(1, latent_dim // 4)
         self.append_raw_latents = append_raw_latents
         self.text_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_t", rng)
         self.visual_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_v", rng)

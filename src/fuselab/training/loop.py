@@ -44,42 +44,41 @@ from .optim import DEFAULT_LR, make_optimizer
 # cap keeps peak memory flat however large the dataset.
 PREDICT_BATCH = 64
 
+# The recurrent parameters' gradients are clipped to this joint L2 norm.
+CLIP_NORM = 5.0
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
     optimizer: str = "adam"              # "sgd" | "adam"
-    lr: Optional[float] = None           # default 1e-2 (sgd) / 1e-3 (adam)
-    disc_lr: Optional[float] = None      # default: same as lr
+    lr: Optional[float] = None           # default 1e-2 (sgd) / 1e-3 (adam);
+                                         # the discriminator steps use it too
     lam: float = 1.0                     # fusion-loss weight
     disc_steps: int = 1                  # k discriminator steps per main step
     seed: int = 0
-    clip_norm: float = 5.0               # recurrent-path gradient clip
-    class_weights: Optional[List[float]] = None
     # Let the fusion term (generator-side adversarial loss, or the
     # reconstruction loss) reach the encoders, as in a fully end-to-end
     # objective. Turning this off confines that term to the fusion module's
     # own parameters, which prevents the reconstruction/adversarial pressure
     # from collapsing the latents before the classification signal forms.
     fusion_loss_updates_encoders: bool = True
-    patience: Optional[int] = None       # epochs without val improvement
 
     def __post_init__(self):
         if self.optimizer not in DEFAULT_LR:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.lr is None:
             self.lr = DEFAULT_LR[self.optimizer]
-        if self.disc_lr is None:
-            self.disc_lr = self.lr
-        if self.lr <= 0 or self.disc_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
         if self.disc_steps < 1:
             raise ConfigError("disc_steps (k) must be >= 1")
-        if self.lam < 0:
-            raise ConfigError("fusion-loss weight lambda must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"fusion-loss weight lambda must be finite and >= 0, "
+                              f"got {self.lam}")
 
 
 @dataclass
@@ -101,7 +100,6 @@ class TrainResult:
     model: FusionModel
     curves: List[LossReport]
     val_reports: List[MetricsReport] = field(default_factory=list)
-    stopped_early: bool = False
 
     def loss_csv(self) -> str:
         lines = [LossReport.CSV_HEADER] + [r.csv_row() for r in self.curves]
@@ -127,7 +125,7 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
     disc_opt = None
     if isinstance(model.mechanism, GanFusion):
         disc_opt = make_optimizer(config.optimizer, model.discriminator_parameters(),
-                                  config.disc_lr)
+                                  config.lr)
 
     rng = np.random.default_rng(config.seed)
     prepared = model.prepare(dataset.publications)
@@ -135,9 +133,6 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
 
     curves: List[LossReport] = []
     val_reports: List[MetricsReport] = []
-    best_val = -np.inf
-    stale_epochs = 0
-    stopped_early = False
     step = 0
 
     for _ in range(config.epochs):
@@ -151,19 +146,9 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
             step += 1
 
         if val_dataset is not None and len(val_dataset):
-            report = evaluate_model(model, val_dataset)
-            val_reports.append(report)
-            if config.patience is not None:
-                if report.macro_f1 > best_val + 1e-12:
-                    best_val = report.macro_f1
-                    stale_epochs = 0
-                else:
-                    stale_epochs += 1
-                    if stale_epochs >= config.patience:
-                        stopped_early = True
-                        break
+            val_reports.append(evaluate_model(model, val_dataset))
 
-    return TrainResult(model, curves, val_reports, stopped_early)
+    return TrainResult(model, curves, val_reports)
 
 
 def _train_step(model: FusionModel, batch: PreparedBatch,
@@ -180,9 +165,9 @@ def _train_step(model: FusionModel, batch: PreparedBatch,
     _finite_or_raise(float(j.data), step, "training objective")
     grads = j.backward(main_opt.params)
     recurrent = model.recurrent_parameters()
-    if recurrent and config.clip_norm:
+    if recurrent:
         index = {id(p): i for i, p in enumerate(main_opt.params)}
-        clip_grad_norm([grads[index[id(p)]] for p in recurrent], config.clip_norm)
+        clip_grad_norm([grads[index[id(p)]] for p in recurrent], CLIP_NORM)
     main_opt.step(grads)
 
     return LossReport(

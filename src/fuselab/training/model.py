@@ -1,10 +1,11 @@
 """Model assembly, the forward pipeline, and persistence.
 
-A FusionModel bundles the modality encoders, one fusion mechanism, an
-optional entity-tuple embedding path, and the softmax classifier. Input
-modes select which encoders exist: text-only and visual-only models skip
-fusion and classify the single latent directly (the unimodal baselines),
-while multimodal models require both encoders and a mechanism.
+A FusionModel bundles the modality encoders, one fusion mechanism, the
+entity-tuple embedding path of text-only models, and the softmax
+classifier. Input modes select which encoders exist: text-only and
+visual-only models skip fusion and classify the single latent directly
+(the unimodal baselines), while multimodal models require both encoders
+and a mechanism.
 
 The forward pipeline reads prepared batches: FusionModel.prepare
 normalizes each text once, pads token and entity-tuple ids, stacks the
@@ -14,8 +15,8 @@ and nothing after prepare reads a Publication.
 
 The entity-tuple path embeds the (subject, object, verb, modifier)
 tokens through the text embedding table, averages them, and concatenates
-the result to the classifier input. It is on by default for text-only
-models and configurable elsewhere.
+the result to the classifier input. Text-only models, and only they,
+take it.
 
 Model files are a versioned binary: magic, header JSON (config, vocab,
 label space, parameter manifest), raw little-endian float64 parameter
@@ -63,9 +64,7 @@ class ModelConfig:
     in_channels: int = 1
     fusion_out_dim: Optional[int] = None  # default: latent_dim (gan/auto); concat
                                           # projects to it when set, else stays 2d
-    noise_dim: Optional[int] = None       # default: latent_dim // 4
     append_raw_latents: bool = False
-    use_entity_tuple: Optional[bool] = None  # default: text-only models only
     normalize_text: bool = True
     seed: int = 0
 
@@ -77,14 +76,13 @@ class ModelConfig:
             if self.fusion not in FUSION_KINDS:
                 raise ConfigError(f"multimodal models need a fusion mechanism "
                                   f"from {FUSION_KINDS}, got {self.fusion!r}")
-        if self.latent_dim < 1 or self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("model dimensions must be positive")
+        if min(self.latent_dim, self.embed_dim, self.hidden_dim, *self.visual_channels) < 1:
+            raise ConfigError("model dimensions (latent_dim, embed_dim, hidden_dim, "
+                              "visual_channels) must be positive")
 
     @property
     def wants_entity_tuple(self) -> bool:
-        if self.use_entity_tuple is None:
-            return self.input_modes == "text"
-        return self.use_entity_tuple
+        return self.input_modes == "text"
 
     def resolved_fusion_dim(self) -> int:
         if self.input_modes != "multimodal":
@@ -199,13 +197,10 @@ class FusionModel:
                 self.mechanism = AutoFusion(d, out_dim, rng=rng)
             else:
                 self.mechanism = GanFusion(
-                    d, out_dim, noise_dim=config.noise_dim,
-                    append_raw_latents=config.append_raw_latents, rng=rng)
+                    d, out_dim, append_raw_latents=config.append_raw_latents, rng=rng)
 
         classifier_in = config.resolved_fusion_dim()
-        if self.config.wants_entity_tuple:
-            if self.text_encoder is None:
-                raise ConfigError("entity-tuple path needs a text encoder")
+        if config.wants_entity_tuple:
             classifier_in += config.embed_dim
         self.classifier = DenseLayer(classifier_in, label_space.num_classes,
                                      "softmax", rng, name="classifier")

@@ -26,9 +26,9 @@ def batch_cross_entropy(targets: np.ndarray, probs: Tensor,
     """Mean cross-entropy of predicted rows against one-hot target rows.
 
     Optional per-class weights rescale each sample's loss by the weight of
-    its true class (class-imbalance handling, off by default). probs pass
-    through the clamped log, so a saturated softmax cannot produce an
-    infinite loss.
+    its true class; training never passes them, the gradient suite checks
+    them. probs pass through the clamped log, so a saturated softmax cannot
+    produce an infinite loss.
     """
     if targets.shape != probs.shape:
         raise ShapeError(f"batch_cross_entropy: targets {targets.shape} vs "
@@ -59,10 +59,10 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     """The main objective of one prepared batch (model.prepare) from its
     encoder latents (model.head draws the adversarial noise from rng).
 
-    config is a TrainConfig: lam weighs the fusion term and class_weights
-    the cross-entropy. With fusion_loss_updates_encoders off, the fusion
-    term reads detached latents, a deliberate stop-gradient that confines
-    it to the fusion module.
+    config is a TrainConfig: lam weighs the fusion term. With
+    fusion_loss_updates_encoders off, the fusion term reads detached
+    latents, a deliberate stop-gradient that confines it to the fusion
+    module.
     """
     space = model.label_space
     if (batch.labels < 0).any():
@@ -70,7 +70,7 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
                           f"{list(space.names)}")
     probs, result = model.head(latents, rng)
     targets = one_hot(batch.labels, space.num_classes)
-    j_c = batch_cross_entropy(targets, probs, config.class_weights)
+    j_c = batch_cross_entropy(targets, probs)
     mech = model.mechanism
     updates_encoders = config.fusion_loss_updates_encoders
 

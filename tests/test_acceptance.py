@@ -169,8 +169,7 @@ def _experiment_model_config(kind: str, seed: int) -> ModelConfig:
     base = dict(latent_dim=12, embed_dim=8, hidden_dim=6, visual_channels=(4, 8),
                 normalize_text=False, seed=seed)
     if kind == "text":
-        return ModelConfig(input_modes="text", fusion=None,
-                           use_entity_tuple=False, **base)
+        return ModelConfig(input_modes="text", fusion=None, **base)
     if kind == "visual":
         return ModelConfig(input_modes="visual", fusion=None, **base)
     extra = dict(fusion_out_dim=16)
@@ -350,7 +349,7 @@ def test_criterion_10_parameter_partition_100_steps():
     main_params = model.main_parameters()
     disc_params = model.discriminator_parameters()
     main_opt = make_optimizer(config.optimizer, main_params, config.lr)
-    disc_opt = make_optimizer(config.optimizer, disc_params, config.disc_lr)
+    disc_opt = make_optimizer(config.optimizer, disc_params, config.lr)
     rng = np.random.default_rng(config.seed)
     stream = BatchStream(ds, config.batch_size, seed=config.seed)
 

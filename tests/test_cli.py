@@ -75,7 +75,7 @@ class TestTrainCommand:
     def test_divergence_exits_three(self, tmp_path, capsys):
         body = CONFIG_TEMPLATE.format(seed=1).replace(
             "fusion = concat", "fusion = auto").replace(
-            "[train]", "[train]\noptimizer = sgd\nlr = 1e160\nclip_norm = 0")
+            "[train]", "[train]\noptimizer = sgd\nlr = 1e160")
         config = _write_config(tmp_path, body=body)
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "d")])
         assert code == 3
@@ -184,7 +184,7 @@ class TestEvalCommand:
         vocab = Vocab.from_texts([p.text for p in pubs])
         model = build_model(
             ModelConfig(input_modes="text", fusion=None, latent_dim=6, embed_dim=4,
-                        hidden_dim=3, use_entity_tuple=False, normalize_text=False),
+                        hidden_dim=3, normalize_text=False),
             multi.merged_binary().label_space, vocab)
         model_path = tmp_path / "binary.fuse"
         save_model(model, model_path)
@@ -309,22 +309,67 @@ class TestConfigParsing:
             config = load_experiment_config(path)
             assert config.seed == 1
 
+    # Keys earlier configs could set, by section; README's "Removed keys"
+    # paragraph names each one.
+    REMOVED = {"model": ("saturating_gan = true", "concat_projection = true",
+                         "visual_feature_dim = 6", "entity_feature_dim = 2",
+                         "noise_dim = 3", "use_entity_tuple = true"),
+               "train": ("patience = 3", "disc_lr = 0.02", "clip_norm = 1.0",
+                         "class_weights = 1,2"),
+               "eval": ("metrics_path = metrics.json",)}
+
     def test_unknown_key_is_hard_error(self, tmp_path):
-        # [eval] threads and the [model] keys are removed keys: a config
-        # that still sets one fails
+        """A typo, and each removed key (the [eval] section included), fails
+        parsing with the key's name and exits 2."""
         base = CONFIG_TEMPLATE.format(seed=1)
-        model_key = lambda line: base.replace("[model]\n", f"[model]\n{line}\n")
-        for key, body in (("lerning_rate", base + "\nlerning_rate = 0.1\n"),
-                          ("threads", base + "\n[eval]\nthreads = 4\n"),
-                          ("saturating_gan", model_key("saturating_gan = true")),
-                          ("visual_feature_dim", model_key("visual_feature_dim = 6")),
-                          ("entity_feature_dim", model_key("entity_feature_dim = 2"))):
+        cases = [("lerning_rate", base + "\nlerning_rate = 0.1\n"),
+                 ("threads", base + "\n[eval]\nthreads = 4\n")]
+        for section, lines in self.REMOVED.items():
+            for line in lines:
+                body = (base.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+                        if f"[{section}]" in base else base + f"\n[{section}]\n{line}\n")
+                cases.append((line.split(" = ")[0], body))
+        for key, body in cases:
             path = _write_config(tmp_path, body=body)
             with pytest.raises(ConfigError) as exc:
                 load_experiment_config(path)
             assert key in str(exc.value)
             assert main(["train", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 2
+
+    def test_readme_names_every_removed_key(self):
+        import pathlib
+
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        paragraph = readme.split("**Removed keys.**", 1)[1].split("\n\n", 1)[0]
+        for section, lines in self.REMOVED.items():
+            for line in lines:
+                assert f"`{line.split(' = ')[0]}`" in paragraph, line
+        assert "`[eval]`" in paragraph
+
+    @pytest.mark.parametrize("section, line", [
+        ("experiment", "seed = -1"),
+        ("data", "split = nan,0.1,0.1"),
+        ("data", "split = -1,1,1"),
+        ("model", "visual_channels = 0,0"),
+        ("train", "lr = nan"),
+        ("train", "lr = inf"),
+        ("train", "lambda = nan"),
+    ])
+    def test_out_of_range_value_exits_two_naming_its_key(self, tmp_path, capsys,
+                                                         section, line):
+        """A value that parses but cannot run is a config error naming the
+        file, section and key, not a traceback."""
+        key = line.split(" = ")[0]
+        base = CONFIG_TEMPLATE.format(seed=1)
+        kept = [row for row in base.splitlines() if not row.startswith(f"{key} =")]
+        body = "\n".join(kept).replace(f"[{section}]", f"[{section}]\n{line}") + "\n"
+        path = _write_config(tmp_path, body=body)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: [{section}] " in err and key in err
+        assert "Traceback" not in err
 
     def test_synthetic_key_without_task_is_hard_error(self, tmp_path):
         body = CONFIG_TEMPLATE.format(seed=1).replace(
@@ -417,17 +462,14 @@ class TestConfigParsing:
     KNOBS = {
         "model": {"input_modes": "visual", "fusion": "gan", "latent_dim": "16",
                   "embed_dim": "8", "hidden_dim": "6", "visual_channels": "4,6",
-                  "fusion_out_dim": "12", "noise_dim": "3",
-                  "append_raw_latents": "true", "use_entity_tuple": "true",
+                  "fusion_out_dim": "12", "append_raw_latents": "true",
                   "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
                  "synthetic_n": "30", "synthetic_noise": "0.1", "synthetic_grid": "14",
                  "synthetic_seq_len": "7", "split": "0.6,0.2,0.2", "binarize": "true"},
         "train": {"epochs": "7", "batch_size": "8", "optimizer": "sgd", "lr": "0.05",
-                  "disc_lr": "0.02", "lambda": "0.5", "disc_steps": "2",
-                  "clip_norm": "1.0", "fusion_loss_updates_encoders": "false",
-                  "patience": "3", "class_weights": "1,2"},
-        "eval": {"metrics_path": "metrics.json"},
+                  "lambda": "0.5", "disc_steps": "2",
+                  "fusion_loss_updates_encoders": "false"},
     }
     DISPLACES = {"input_modes": ("model", "fusion"), "path": ("data", "synthetic_task")}
 
@@ -439,7 +481,7 @@ class TestConfigParsing:
 
         assert {s: set(keys) for s, keys in self.KNOBS.items()} == {
             "model": config_module._MODEL_KEYS, "data": config_module._DATA_KEYS,
-            "train": config_module._TRAIN_KEYS, "eval": config_module._EVAL_KEYS}
+            "train": config_module._TRAIN_KEYS}
 
         def parsed(sections):
             body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -448,7 +490,7 @@ class TestConfigParsing:
             return dataclasses.replace(load_experiment_config(path), source_path=None)
 
         base = {"experiment": {"seed": "1"}, "model": {"fusion": "concat"},
-                "data": {"synthetic_task": "xor-crossmodal"}, "train": {}, "eval": {}}
+                "data": {"synthetic_task": "xor-crossmodal"}, "train": {}}
         unset = parsed(base)
         for section, knobs in self.KNOBS.items():
             for key, value in knobs.items():

@@ -14,21 +14,22 @@ from fuselab.training import ModelConfig, build_model, predict_dataset
 
 class TestEntityTuplePath:
     def test_text_only_default_enables_tuple_and_widens_classifier(self):
+        """The tuple path runs exactly for text-only models, and widens
+        their classifier input by one embedding."""
         pubs = [Publication(id=f"p{i}", label=("Hate" if i % 2 else "NoHate"),
                             text=f"post number {i % 5}") for i in range(10)]
         ds = Dataset(pubs, BINARY_SPACE)
         vocab = Vocab.from_texts([p.text for p in ds])
-        with_tuple = build_model(
-            ModelConfig(input_modes="text", fusion=None, latent_dim=6,
-                        embed_dim=4, hidden_dim=3, seed=1),
-            ds.label_space, vocab)
-        without = build_model(
-            ModelConfig(input_modes="text", fusion=None, latent_dim=6,
-                        embed_dim=4, hidden_dim=3, use_entity_tuple=False, seed=1),
-            ds.label_space, vocab)
+        dims = dict(latent_dim=6, embed_dim=4, hidden_dim=3, seed=1)
+        with_tuple = build_model(ModelConfig(input_modes="text", fusion=None, **dims),
+                                 ds.label_space, vocab)
         assert with_tuple.config.wants_entity_tuple
-        assert not without.config.wants_entity_tuple
-        assert with_tuple.classifier.in_dim == without.classifier.in_dim + 4
+        assert with_tuple.classifier.in_dim == 6 + 4
+        for modes, fusion, in_dim in (("visual", None, 6), ("multimodal", "auto", 6),
+                                      ("multimodal", "concat", 12)):
+            without = ModelConfig(input_modes=modes, fusion=fusion, **dims)
+            assert not without.wants_entity_tuple
+            assert build_model(without, ds.label_space, vocab).classifier.in_dim == in_dim
 
     def test_mixed_length_batch_matches_per_sample_encoding(self):
         import fuselab.numcore as nc
@@ -41,8 +42,7 @@ class TestEntityTuplePath:
         vocab = Vocab.from_texts(texts)
         model = build_model(
             ModelConfig(input_modes="text", fusion=None, latent_dim=5,
-                        embed_dim=4, hidden_dim=3, use_entity_tuple=False,
-                        normalize_text=False, seed=7),
+                        embed_dim=4, hidden_dim=3, normalize_text=False, seed=7),
             ds.label_space, vocab)
         batched = model.encode(model.prepare(pubs))["text"]
         for row, pub in zip(batched.data, pubs):

@@ -12,6 +12,9 @@ over drawn shapes.
 
 Model files: every single-bit flip and every truncation of a saved model
 is a FormatError.
+
+Config files: any value of any key either parses or is a ConfigError
+that names the file.
 """
 
 import numpy as np
@@ -20,8 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuselab import numcore as nc
+from fuselab.config import _SECTIONS, load_experiment_config
 from fuselab.datakit import LabelSpace, Vocab
-from fuselab.exceptions import FormatError
+from fuselab.exceptions import ConfigError, FormatError
 from fuselab.textprep import TAG_EMOTICON, default_lexicons, normalize
 from fuselab.textprep.normalize import _scan
 from fuselab.training import ModelConfig, build_model, load_model, save_model
@@ -258,3 +262,31 @@ def test_any_truncation_is_a_format_error(saved_model, data):
     path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
     with pytest.raises(FormatError):
         load_model(path)
+
+
+# a config that parses, and every key a config may set
+BASE_CONFIG = {"experiment": {"seed": "1"}, "model": {"fusion": "concat"},
+               "data": {"synthetic_task": "xor-crossmodal"}, "train": {}}
+CONFIG_KEYS = sorted((section, key) for section, keys in _SECTIONS.items() for key in keys)
+EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", "0,0", "-1,1,1", "nan,0.1,0.1",
+               "1,2", "true", "9" * 40, "text", "gan", "a ; b", "x\ny = 1", "\n[eval]"]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(where=st.sampled_from(CONFIG_KEYS),
+       value=st.one_of(st.sampled_from(EDGE_VALUES), st.text(max_size=12)))
+@example(where=("experiment", "seed"), value="-1")
+@example(where=("data", "split"), value="nan,0.1,0.1")
+@example(where=("model", "visual_channels"), value="0,0")
+@example(where=("train", "lambda"), value="nan")
+def test_any_value_of_any_key_parses_or_names_the_file(tmp_path_factory, where, value):
+    section, key = where
+    sections = {name: dict(keys) for name, keys in BASE_CONFIG.items()}
+    sections[section][key] = value
+    path = tmp_path_factory.getbasetemp() / "drawn.ini"
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for name, keys in sections.items()), encoding="utf-8")
+    try:
+        load_experiment_config(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)

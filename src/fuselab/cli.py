@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, eval, normalize, gradcheck, synth. Exit codes are a
-stable contract for CI: 0 success, 2 usage/config/data error, 3
-numerical divergence (gradcheck failures exit 1).
+stable contract for CI: 0 success, 2 usage/config/data error (a
+request too large for memory included), 3 numerical divergence
+(gradcheck failures exit 1).
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FuselabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

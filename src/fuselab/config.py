@@ -67,8 +67,7 @@ _SECTIONS = {
     "model": {**_keys(ModelConfig, skip=("in_channels", "seed")),
               **_keys(ExperimentConfig, "vocab_size")},
     "data": {**_keys(DataConfig, "path", "split", "binarize"),
-             **_keys(SyntheticSpec, "task", "n", "noise", "grid_size", "seq_len",
-                     prefix="synthetic_", rename={"grid_size": "grid"})},
+             **_keys(SyntheticSpec, "task", "n", prefix="synthetic_")},
     "train": _keys(TrainConfig, skip=("seed",), rename={"lam": "lambda"}),
 }
 _MODEL_KEYS, _DATA_KEYS, _TRAIN_KEYS = (
@@ -143,6 +142,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     seed = experiment.setdefault("seed", ExperimentConfig.seed)
     if seed < 0:
         raise ConfigError(f"{path}: [experiment] seed must be >= 0, got {seed}")
+    if experiment.get("vocab_size", 3) < 3:
+        raise ConfigError(f"{path}: [model] vocab_size must be at least 3, past the "
+                          f"two reserved ids, got {experiment['vocab_size']}")
 
     m = values[ModelConfig]
     input_modes = m.get("input_modes", ModelConfig.input_modes)

@@ -73,8 +73,15 @@ class LabelSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabelSpace":
-        return cls(names=tuple(obj["names"]), mode=obj.get("mode", "multi"),
-                   merge_map=obj.get("merge"))
+        """The label space to_json wrote; ConfigError unless obj holds a
+        list of string names and, if any, a merge object of strings."""
+        obj = obj if isinstance(obj, dict) else {}
+        names, merge = obj.get("names"), obj.get("merge")
+        if not (isinstance(names, list) and isinstance(merge, (dict, type(None)))
+                and all(isinstance(s, str) for s in names + list((merge or {}).values()))):
+            raise ConfigError("label space needs 'names', a list of strings, and may "
+                              "have a 'merge' object of strings")
+        return cls(names=tuple(names), mode=obj.get("mode", "multi"), merge_map=merge)
 
 
 BINARY_SPACE = LabelSpace((HATE, NO_HATE), "binary")
@@ -105,6 +112,10 @@ class Publication:
     visual: Optional[np.ndarray] = None            # (H, W, C) grid
 
     def __post_init__(self):
+        fields = (self.id, self.label, self.text, "" if self.caption is None else self.caption)
+        if not all(isinstance(field, str) for field in fields):
+            raise SchemaError(f"publication {self.id!r}: id, label, text and caption "
+                              f"must be strings, got {fields}")
         if self.visual is not None:
             self.visual = np.asarray(self.visual, dtype=np.float64)
             if self.visual.ndim != 3:
@@ -165,10 +176,10 @@ def _grid_to_json(grid: np.ndarray, threshold: int):
     return grid.tolist()
 
 
-def _grid_from_json(obj, where: str) -> np.ndarray:
+def _grid_from_json(obj) -> np.ndarray:
     if isinstance(obj, dict):
         if "b64" not in obj or "shape" not in obj:
-            raise SchemaError(f"{where}: visual blob needs 'b64' and 'shape'")
+            raise SchemaError("visual blob needs 'b64' and 'shape'")
         raw = base64.b64decode(obj["b64"])
         arr = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         return arr.reshape(obj["shape"])
@@ -213,13 +224,9 @@ def load_jsonl(path) -> Dataset:
             if "_schema" in rec:
                 if not str(rec["_schema"]).startswith(SCHEMA_NAME):
                     raise SchemaError(f"{path}:{lineno}: unknown schema {rec['_schema']!r}")
-                space = rec.get("label_space")
-                if not isinstance(space, dict) or "names" not in space:
-                    raise SchemaError(f"{path}:{lineno}: header needs a 'label_space' "
-                                      f"object with 'names'")
                 try:
-                    label_space = LabelSpace.from_json(space)
-                except (ConfigError, TypeError, ValueError) as exc:
+                    label_space = LabelSpace.from_json(rec.get("label_space"))
+                except ConfigError as exc:
                     raise SchemaError(f"{path}:{lineno}: bad label space ({exc})")
                 continue
             where = f"{path}:{lineno}"
@@ -232,16 +239,15 @@ def load_jsonl(path) -> Dataset:
                     raise SchemaError(f"{where}: field {removed!r} is not supported")
             try:
                 pub = Publication(
-                    id=str(rec["id"]),
-                    label=str(rec["label"]),
-                    text=str(rec.get("text", "")),
+                    id=rec["id"],
+                    label=rec["label"],
+                    text=rec.get("text", ""),
                     caption=rec.get("caption"),
-                    visual=(_grid_from_json(rec["visual"], where)
-                            if "visual" in rec else None),
+                    visual=_grid_from_json(rec["visual"]) if "visual" in rec else None,
                 )
-            except SchemaError:
-                raise
-            except (TypeError, ValueError) as exc:
+            except SchemaError as exc:
+                raise SchemaError(f"{where}: {exc}")
+            except (OverflowError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{where}: bad record ({exc})")
             publications.append(pub)
             linenos.append(lineno)
@@ -262,8 +268,10 @@ def load_jsonl(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # synthetic datasets
 
+# a synthetic text is SEQ_LEN words; DEFAULT_VOCAB[:2] are the keywords
 DEFAULT_VOCAB = ("north", "south", "the", "sky", "is", "wide", "we", "walk",
                  "see", "one", "day", "light")
+SEQ_LEN = 5
 
 XOR_SPACE = LabelSpace(("0", "1"), "binary")
 
@@ -275,8 +283,6 @@ class SyntheticSpec:
     seed: int = 0
     noise: float = 0.0
     grid_size: int = 12
-    vocabulary: Tuple[str, ...] = DEFAULT_VOCAB
-    seq_len: int = 5
 
     def __post_init__(self):
         if self.task not in ("xor-crossmodal", "unimodal-separable"):
@@ -285,10 +291,6 @@ class SyntheticSpec:
             raise ConfigError("synthetic spec needs n >= 1")
         if self.grid_size < 10:
             raise ConfigError("grid_size must be at least 10 (visual receptive field)")
-        if len(self.vocabulary) < 3:
-            raise ConfigError("vocabulary needs two keywords plus at least one filler")
-        if self.seq_len < 1:
-            raise ConfigError("seq_len must be at least 1")
         if not self.noise >= 0:  # NaN included
             raise ConfigError("noise level must be non-negative")
 
@@ -305,13 +307,12 @@ def _render_grid(bit: int, spec: SyntheticSpec, rng: np.random.Generator) -> np.
 
 
 def _render_text(bit: int, spec: SyntheticSpec, rng: np.random.Generator) -> str:
-    keywords = spec.vocabulary[:2]
-    fillers = spec.vocabulary[2:]
-    words = [fillers[rng.integers(len(fillers))] for _ in range(spec.seq_len)]
-    keyword = keywords[bit]
+    fillers = DEFAULT_VOCAB[2:]
+    words = [fillers[rng.integers(len(fillers))] for _ in range(SEQ_LEN)]
+    keyword = DEFAULT_VOCAB[bit]
     if spec.noise > 0 and rng.random() < spec.noise:
         keyword = fillers[rng.integers(len(fillers))]
-    words[rng.integers(spec.seq_len)] = keyword
+    words[rng.integers(SEQ_LEN)] = keyword
     return " ".join(words)
 
 
@@ -346,9 +347,7 @@ def hidden_bits(pub: Publication, spec: SyntheticSpec) -> Tuple[int, int]:
     right = float(pub.visual[:, g // 2 :, 0].sum())
     a = 0 if left > right else 1
     words = set(pub.text.split())
-    b = 1 if spec.vocabulary[1] in words else 0
-    if spec.vocabulary[0] in words and spec.vocabulary[1] not in words:
-        b = 0
+    b = 1 if DEFAULT_VOCAB[1] in words else 0
     return a, b
 
 

@@ -18,7 +18,7 @@ from .model import (
     save_model,
 )
 from .objectives import batch_cross_entropy, one_hot
-from .optim import Adam, SGD, make_optimizer
+from .optim import Adam
 
 __all__ = [
     "Adam",
@@ -27,14 +27,12 @@ __all__ = [
     "LossReport",
     "ModelConfig",
     "PreparedBatch",
-    "SGD",
     "TrainConfig",
     "TrainResult",
     "batch_cross_entropy",
     "build_model",
     "evaluate_model",
     "load_model",
-    "make_optimizer",
     "one_hot",
     "predict_dataset",
     "save_model",

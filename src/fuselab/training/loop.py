@@ -5,14 +5,14 @@ Per batch, the encoders run once and every step below reuses their
 latents:
   concat      the head, then one descent step on J_C
   auto        the head, then one descent step on J_C + lambda * J_auto
-  gan         k discriminator ascent steps on J_adv (touching only
+  gan         one discriminator ascent step on J_adv (touching only
               discriminator parameters), then the head and one descent
               step on J_C + lambda * (generator-side adversarial term)
               touching encoders, generators, combiner, and classifier
 
-Each backward names the parameters its optimizer updates, and that list
-alone decides what is differentiated: the discriminator steps read the
-latents undetached.
+Both steps use Adam at the configured lr. Each backward names the
+parameters its optimizer updates, and that list alone decides what is
+differentiated: the discriminator step reads the latents undetached.
 
 The main step's objective is objectives.main_objective, the one the
 gradient suite checks. The reported J_F column is always the fusion
@@ -38,7 +38,7 @@ from ..metrics import MetricsReport, evaluate
 from ..numcore import Tensor, clip_grad_norm
 from .model import FusionModel, PreparedBatch
 from .objectives import main_objective
-from .optim import DEFAULT_LR, make_optimizer
+from .optim import Adam
 
 # Rows per inference batch: batching amortizes the per-op overhead, and a
 # cap keeps peak memory flat however large the dataset.
@@ -52,11 +52,8 @@ CLIP_NORM = 5.0
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
-    optimizer: str = "adam"              # "sgd" | "adam"
-    lr: Optional[float] = None           # default 1e-2 (sgd) / 1e-3 (adam);
-                                         # the discriminator steps use it too
+    lr: float = 1e-3                     # Adam's, for the discriminator step too
     lam: float = 1.0                     # fusion-loss weight
-    disc_steps: int = 1                  # k discriminator steps per main step
     seed: int = 0
     # Let the fusion term (generator-side adversarial loss, or the
     # reconstruction loss) reach the encoders, as in a fully end-to-end
@@ -66,16 +63,10 @@ class TrainConfig:
     fusion_loss_updates_encoders: bool = True
 
     def __post_init__(self):
-        if self.optimizer not in DEFAULT_LR:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr is None:
-            self.lr = DEFAULT_LR[self.optimizer]
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
-        if self.disc_steps < 1:
-            raise ConfigError("disc_steps (k) must be >= 1")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"fusion-loss weight lambda must be finite and >= 0, "
                               f"got {self.lam}")
@@ -121,11 +112,10 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
         raise ConfigError(f"dataset label space {list(dataset.label_space.names)} "
                           f"does not match model {list(model.label_space.names)}")
 
-    main_opt = make_optimizer(config.optimizer, model.main_parameters(), config.lr)
+    main_opt = Adam(model.main_parameters(), config.lr)
     disc_opt = None
     if isinstance(model.mechanism, GanFusion):
-        disc_opt = make_optimizer(config.optimizer, model.discriminator_parameters(),
-                                  config.lr)
+        disc_opt = Adam(model.discriminator_parameters(), config.lr)
 
     rng = np.random.default_rng(config.seed)
     prepared = model.prepare(dataset.publications)
@@ -155,10 +145,10 @@ def _train_step(model: FusionModel, batch: PreparedBatch,
                 config: TrainConfig, rng: np.random.Generator, main_opt,
                 disc_opt, step: int) -> LossReport:
     """One main descent step on main_objective over a prepared batch, after
-    the discriminator steps when a discriminator optimizer is given."""
+    the discriminator step when a discriminator optimizer is given."""
     latents = model.encode(batch)
     if disc_opt is not None:
-        step_discriminator(model, latents, config, disc_opt, rng, step)
+        step_discriminator(model, latents, disc_opt, rng, step)
 
     objective = main_objective(model, batch, latents, config, rng)
     j = objective.j
@@ -179,24 +169,22 @@ def _train_step(model: FusionModel, batch: PreparedBatch,
     )
 
 
-def step_discriminator(model: FusionModel, latents: Dict[str, Tensor],
-                       config: TrainConfig, disc_opt, rng: np.random.Generator,
-                       step: int) -> None:
-    """k ascent updates on J_adv; only discriminator parameters change.
+def step_discriminator(model: FusionModel, latents: Dict[str, Tensor], disc_opt,
+                       rng: np.random.Generator, step: int) -> None:
+    """One ascent update on J_adv; only discriminator parameters change.
 
     latents are the batch's encoder outputs, as the main step reads them:
-    each backward is with respect to disc_opt.params alone, so it skips
+    the backward is with respect to disc_opt.params alone, so it skips
     every encoder and generator node.
     """
     mech: GanFusion = model.mechanism
-    for _ in range(config.disc_steps):
-        parts_t = gan_adv_loss(mech.text_module, real=latents["visual"],
-                               source=latents["text"], rng=rng)
-        parts_v = gan_adv_loss(mech.visual_module, real=latents["text"],
-                               source=latents["visual"], rng=rng)
-        j_adv = nc.add(parts_t.j_adv, parts_v.j_adv)
-        _finite_or_raise(float(j_adv.data), step, "J_adv")
-        disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
+    parts_t = gan_adv_loss(mech.text_module, real=latents["visual"],
+                           source=latents["text"], rng=rng)
+    parts_v = gan_adv_loss(mech.visual_module, real=latents["text"],
+                           source=latents["visual"], rng=rng)
+    j_adv = nc.add(parts_t.j_adv, parts_v.j_adv)
+    _finite_or_raise(float(j_adv.data), step, "J_adv")
+    disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
 
 
 def evaluate_model(model: FusionModel, dataset: Dataset) -> MetricsReport:

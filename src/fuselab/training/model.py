@@ -21,8 +21,8 @@ take it.
 Model files are a versioned binary: magic, header JSON (config, vocab,
 label space, parameter manifest), raw little-endian float64 parameter
 blocks, and a trailing SHA-256 over everything before it. Loading
-verifies magic, version, and checksum, and round-trips every parameter
-bitwise.
+verifies magic, version, checksum and the type of each header value, and
+round-trips every parameter bitwise.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import hashlib
 import itertools
 import json
 import struct
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,9 +77,11 @@ class ModelConfig:
             if self.fusion not in FUSION_KINDS:
                 raise ConfigError(f"multimodal models need a fusion mechanism "
                                   f"from {FUSION_KINDS}, got {self.fusion!r}")
-        if min(self.latent_dim, self.embed_dim, self.hidden_dim, *self.visual_channels) < 1:
+        out_dim = 1 if self.fusion_out_dim is None else self.fusion_out_dim
+        if min(self.latent_dim, self.embed_dim, self.hidden_dim, *self.visual_channels,
+               out_dim) < 1:
             raise ConfigError("model dimensions (latent_dim, embed_dim, hidden_dim, "
-                              "visual_channels) must be positive")
+                              "visual_channels, fusion_out_dim) must be positive")
 
     @property
     def wants_entity_tuple(self) -> bool:
@@ -100,9 +103,31 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelConfig":
+        """The config to_json wrote; ConfigError unless obj is an object of
+        known fields, each value of its field's type (an int field takes an
+        int, not a float or a bool)."""
+        hints = typing.get_type_hints(cls)
+        if not isinstance(obj, dict):
+            raise ConfigError(f"expected an object, got {obj!r}")
+        bad = {name: value for name, value in obj.items()
+               if name not in hints or not _holds(hints[name], value)}
+        if bad:
+            raise ConfigError(f"unsupported keys or mistyped values {bad}")
         obj = dict(obj)
         obj["visual_channels"] = tuple(obj.get("visual_channels", (8, 16)))
         return cls(**obj)
+
+
+def _holds(kind, value) -> bool:
+    """Whether a JSON value is of the field type kind: bool, int or str,
+    Optional of one, or a fixed-length Tuple, which JSON holds as a list."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Union:  # Optional[arg]
+        return value is None or _holds(args[0], value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_holds, args, value)))
+    return type(value) is kind
 
 
 def read_text(text: str, normalize_text: bool,
@@ -400,28 +425,25 @@ def load_model(path) -> FusionModel:
     for key in ("config", "label_space", "vocab", "params"):
         if not isinstance(header, dict) or key not in header:
             raise FormatError(f"{path}: header has no {key!r}")
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(header["config"]) - known)
-    if unknown:
-        raise FormatError(f"{path}: unsupported model config keys {unknown}")
 
     try:
         config = ModelConfig.from_json(header["config"])
-    except (TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"{path}: header 'config' does not build a model ({exc})")
     if header.get("config_hash") != _config_hash(config):
         raise FormatError(f"{path}: config hash mismatch")
-    try:
-        label_space = LabelSpace.from_json(header["label_space"])
-    except (TypeError, KeyError) as exc:
-        raise FormatError(f"{path}: header 'label_space' is malformed ({exc})")
     words = header["vocab"]
     reserved = Vocab([]).words
     if (not isinstance(words, list) or words[:2] != reserved
             or not all(isinstance(w, str) for w in words)):
         raise FormatError(f"{path}: header 'vocab' is not a list of words "
                           f"led by {reserved}")
-    model = FusionModel(config, label_space, Vocab(words[2:]))
+    try:
+        model = FusionModel(config, LabelSpace.from_json(header["label_space"]),
+                            Vocab(words[2:]))
+    except (ConfigError, MemoryError, OverflowError, ValueError) as exc:
+        raise FormatError(f"{path}: header 'config' and 'label_space' do not build "
+                          f"a model ({exc})")
 
     named = model.named_parameters()
     if header["params"] != _manifest(named):

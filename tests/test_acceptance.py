@@ -335,7 +335,7 @@ def test_criterion_09_cmd_train_determinism(tmp_path, capsys):
 def test_criterion_10_parameter_partition_100_steps():
     from fuselab.datakit import BatchStream
     from fuselab.training.loop import _train_step, step_discriminator
-    from fuselab.training.optim import make_optimizer
+    from fuselab.training.optim import Adam
 
     ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=100, seed=5))
     vocab = Vocab.from_texts([p.text for p in ds])
@@ -345,11 +345,11 @@ def test_criterion_10_parameter_partition_100_steps():
                     fusion_out_dim=8, append_raw_latents=True,
                     normalize_text=False, seed=9),
         ds.label_space, vocab)
-    config = TrainConfig(epochs=10, batch_size=10, seed=2, disc_steps=2)
+    config = TrainConfig(epochs=10, batch_size=10, seed=2)
     main_params = model.main_parameters()
     disc_params = model.discriminator_parameters()
-    main_opt = make_optimizer(config.optimizer, main_params, config.lr)
-    disc_opt = make_optimizer(config.optimizer, disc_params, config.lr)
+    main_opt = Adam(main_params, config.lr)
+    disc_opt = Adam(disc_params, config.lr)
     rng = np.random.default_rng(config.seed)
     stream = BatchStream(ds, config.batch_size, seed=config.seed)
 
@@ -359,7 +359,7 @@ def test_criterion_10_parameter_partition_100_steps():
             batch = model.prepare([ds.publications[i] for i in idx])
             main_before = [p.data.copy() for p in main_params]
             latents = model.encode(batch)  # as _train_step passes them
-            step_discriminator(model, latents, config, disc_opt, rng, steps)
+            step_discriminator(model, latents, disc_opt, rng, steps)
             for before, p in zip(main_before, main_params):
                 assert np.array_equal(before, p.data), \
                     f"discriminator update moved {p.name} at step {steps}"

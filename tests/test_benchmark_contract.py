@@ -49,7 +49,7 @@ def test_step_clock_wraps_evaluate_model_through_the_loop_module(tracing):
 def test_step_clock_stamps_each_main_step_of_a_gan_run(tracing):
     """StepClock's wrapper passes step(grads) through and tells the main
     optimizer from the discriminator optimizer by opt.params: one stamp
-    per main step, none for the k = 2 discriminator steps before it."""
+    per main step, none for the discriminator step before it."""
     from hostspeed import Timeline
 
     from fuselab.datakit import SyntheticSpec, Vocab, generate_synthetic
@@ -63,7 +63,7 @@ def test_step_clock_stamps_each_main_step_of_a_gan_run(tracing):
     clock.install()
     try:
         clock.watch(model)
-        result = train(model, ds, TrainConfig(epochs=1, batch_size=8, disc_steps=2))
+        result = train(model, ds, TrainConfig(epochs=1, batch_size=8))
     finally:
         clock.uninstall()
     assert len(result.curves) == 3

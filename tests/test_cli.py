@@ -75,7 +75,7 @@ class TestTrainCommand:
     def test_divergence_exits_three(self, tmp_path, capsys):
         body = CONFIG_TEMPLATE.format(seed=1).replace(
             "fusion = concat", "fusion = auto").replace(
-            "[train]", "[train]\noptimizer = sgd\nlr = 1e160")
+            "[train]", "[train]\nlr = 1e160")
         config = _write_config(tmp_path, body=body)
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "d")])
         assert code == 3
@@ -288,6 +288,20 @@ class TestSynthCommand:
         assert main(["synth", "--task", "xor-crossmodal", "--n", "0",
                      "--out", str(tmp_path / "x.jsonl")]) == 2
 
+    def test_failed_allocation_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A request larger than memory, such as a huge --grid, is an error
+        line and exit 2, not a traceback."""
+        from fuselab import cli
+
+        def too_large(spec):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(cli, "generate_synthetic", too_large)
+        assert main(["synth", "--task", "xor-crossmodal", "--n", "4", "--grid", "100000",
+                     "--out", str(tmp_path / "x.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 74.5 GiB\n"
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
@@ -314,8 +328,10 @@ class TestConfigParsing:
     REMOVED = {"model": ("saturating_gan = true", "concat_projection = true",
                          "visual_feature_dim = 6", "entity_feature_dim = 2",
                          "noise_dim = 3", "use_entity_tuple = true"),
+               "data": ("synthetic_noise = 0.1", "synthetic_grid = 14",
+                        "synthetic_seq_len = 7"),
                "train": ("patience = 3", "disc_lr = 0.02", "clip_norm = 1.0",
-                         "class_weights = 1,2"),
+                         "class_weights = 1,2", "optimizer = sgd", "disc_steps = 2"),
                "eval": ("metrics_path = metrics.json",)}
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -353,6 +369,8 @@ class TestConfigParsing:
         ("data", "split = nan,0.1,0.1"),
         ("data", "split = -1,1,1"),
         ("model", "visual_channels = 0,0"),
+        ("model", "fusion_out_dim = 0"),
+        ("model", "vocab_size = 2"),
         ("train", "lr = nan"),
         ("train", "lr = inf"),
         ("train", "lambda = nan"),
@@ -402,7 +420,7 @@ class TestConfigParsing:
         assert named == {name: set(keys) for name, keys in config_module._SECTIONS.items()}
 
     @pytest.mark.parametrize("section, line, edited", [
-        ("data", "synthetic_n = 400", "synthetic_n = 400\nsynthetic_grid = 8"),
+        ("data", "synthetic_n = 400", "synthetic_n = 0"),
         ("train", "epochs = 2", "epochs = 0"),
     ], ids=["data", "train"])
     def test_range_error_names_file_and_section(self, tmp_path, section, line, edited):
@@ -465,10 +483,8 @@ class TestConfigParsing:
                   "fusion_out_dim": "12", "append_raw_latents": "true",
                   "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
-                 "synthetic_n": "30", "synthetic_noise": "0.1", "synthetic_grid": "14",
-                 "synthetic_seq_len": "7", "split": "0.6,0.2,0.2", "binarize": "true"},
-        "train": {"epochs": "7", "batch_size": "8", "optimizer": "sgd", "lr": "0.05",
-                  "lambda": "0.5", "disc_steps": "2",
+                 "synthetic_n": "30", "split": "0.6,0.2,0.2", "binarize": "true"},
+        "train": {"epochs": "7", "batch_size": "8", "lr": "0.05", "lambda": "0.5",
                   "fusion_loss_updates_encoders": "false"},
     }
     DISPLACES = {"input_modes": ("model", "fusion"), "path": ("data", "synthetic_task")}

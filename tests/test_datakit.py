@@ -127,7 +127,12 @@ class TestJsonl:
         {"_schema": "fuselab/publications@1", "label_space": ["Hate", "NoHate"]},
         {"_schema": "fuselab/publications@1", "label_space": {"mode": "binary"}},
         {"_schema": "fuselab/publications@1", "label_space": {"names": 5}},
-    ], ids=["no-label-space", "label-space-not-object", "no-names", "names-not-list"])
+        {"_schema": "fuselab/publications@1", "label_space": {"names": "HN"}},
+        {"_schema": "fuselab/publications@1", "label_space": {"names": ["Hate", 0]}},
+        {"_schema": "fuselab/publications@1",
+         "label_space": {"names": ["Hate", "NoHate"], "merge": ["Hate", "NoHate"]}},
+    ], ids=["no-label-space", "label-space-not-object", "no-names", "names-not-list",
+            "names-string", "names-not-strings", "merge-not-object"])
     def test_bad_header_is_schema_error_with_line(self, tmp_path, header):
         path = tmp_path / "ds.jsonl"
         rec = {"id": "a", "label": "Hate", "text": "x"}
@@ -142,6 +147,21 @@ class TestJsonl:
         path.write_text(json.dumps(ok) + "\n"
                         + json.dumps(dict(ok, id="b", **{field: [0.5, 1.0]})) + "\n")
         with pytest.raises(SchemaError, match=rf"ds\.jsonl:2: .*{field}"):
+            load_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 5), ("label", ["Hate"]), ("text", ["a", "b"]), ("caption", 5),
+        ("visual", [[0.0, 1.0]]), ("visual", [[[2**1100]]]),
+        ("visual", {"b64": 5, "shape": [1, 1, 1]}),
+    ], ids=["id-int", "label-list", "text-list", "caption-int", "grid-2d",
+            "grid-int-overflows", "blob-not-text"])
+    def test_mistyped_field_is_schema_error_with_line(self, tmp_path, field, value):
+        path = tmp_path / "ds.jsonl"
+        ok = {"id": "a", "label": "Hate", "text": "x"}
+        bad = dict(ok, id="b")
+        bad[field] = value
+        path.write_text(json.dumps(ok) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(SchemaError, match=r"ds\.jsonl:2: "):
             load_jsonl(path)
 
     def test_large_grid_blob_round_trip(self, tmp_path):
@@ -246,8 +266,6 @@ class TestSynthetic:
             _spec(n=0)
         with pytest.raises(ConfigError):
             _spec(grid_size=4)
-        with pytest.raises(ConfigError):
-            _spec(vocabulary=("a", "b"))
 
 
 class TestSplits:

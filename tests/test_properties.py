@@ -11,11 +11,23 @@ with respect to all of them, and conv2d agrees with a per-tap reference
 over drawn shapes.
 
 Model files: every single-bit flip and every truncation of a saved model
-is a FormatError.
+is a FormatError, and so is a re-checksummed header with any one field
+replaced by a drawn JSON value, unless the file still loads.
+
+Dataset files: any one field of any record, the header included,
+replaced by a drawn JSON value either loads or is a SchemaError naming
+its `path:line`.
 
 Config files: any value of any key either parses or is a ConfigError
 that names the file.
 """
+
+import base64
+import dataclasses
+import hashlib
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -24,11 +36,14 @@ from hypothesis import strategies as st
 
 from fuselab import numcore as nc
 from fuselab.config import _SECTIONS, load_experiment_config
-from fuselab.datakit import LabelSpace, Vocab
-from fuselab.exceptions import ConfigError, FormatError
+from fuselab.datakit import LabelSpace, Vocab, load_jsonl
+from fuselab.exceptions import ConfigError, FormatError, ParseError, SchemaError
 from fuselab.textprep import TAG_EMOTICON, default_lexicons, normalize
 from fuselab.textprep.normalize import _scan
-from fuselab.training import ModelConfig, build_model, load_model, save_model
+from fuselab.training import (
+    FORMAT_VERSION, ModelConfig, build_model, load_model, save_model,
+)
+from fuselab.training.model import MAGIC
 
 LEX = default_lexicons()
 
@@ -262,6 +277,114 @@ def test_any_truncation_is_a_format_error(saved_model, data):
     path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1), label="length")])
     with pytest.raises(FormatError):
         load_model(path)
+
+
+# Any JSON value, plus values near the ones a file holds. Integers are
+# small or beyond any array size: a header that asks for a model of a
+# few GB builds it before the parameter manifest rejects it.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40),
+              st.sampled_from([2**62, 10**20, -2**63, 2**1100]),
+              st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_NEAR = [2.0, [1, 1], [1.0, 1], [1, 1, 1], "gan", "text", "multi", "ab", "01",
+         ["a", "b"], ["b", "a"], ["a", "b", "c"], [0, 1], [["a"], ["b"]], {},
+         {"a": "Hate", "b": "NoHate"}, {"a": 1}, [[0.0, 1.0]], [[[0.0]]],
+         {"b64": "AAAAAAAAgD8=", "shape": [1, 2, 1]}, {"b64": 5, "shape": [1]},
+         {"b64": "AAAAAA==", "shape": [2]}]
+_VALUES = st.one_of(st.sampled_from(_NEAR), _JSON)
+
+
+def _header(raw: bytes):
+    (length,) = struct.unpack_from("<Q", raw, 12)
+    return json.loads(raw[20 : 20 + length]), raw[20 + length : -32]
+
+
+def _model_file(header: dict, blocks: bytes) -> bytes:
+    """A model file of header and parameter blocks, with config_hash and
+    the trailing checksum computed as save_model does."""
+    if isinstance(header.get("config"), dict):
+        header["config_hash"] = hashlib.sha256(
+            json.dumps(header["config"], sort_keys=True).encode()).hexdigest()
+    blob = json.dumps(header, sort_keys=True).encode()
+    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob + blocks
+    return body + hashlib.sha256(body).digest()
+
+
+HEADER_FIELDS = ([(key,) for key in ("format_version", "config", "config_hash",
+                                     "label_space", "vocab", "params")]
+                 + [("config", f.name) for f in dataclasses.fields(ModelConfig)]
+                 + [("label_space", key) for key in ("names", "mode", "merge")])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(where=st.sampled_from(HEADER_FIELDS), value=_VALUES)
+@example(where=("config", "latent_dim"), value=4.0)
+@example(where=("config", "input_modes"), value=3)
+@example(where=("config", "fusion"), value=1)
+@example(where=("label_space", "names"), value="ab")
+@example(where=("label_space", "names"), value=[0, 1])
+@example(where=("label_space", "merge"), value=["a", "b"])
+def test_any_header_value_loads_or_is_a_format_error(saved_model, where, value):
+    """config_hash is recomputed after a config edit, so each edit reaches
+    the checks behind it."""
+    raw, path = saved_model
+    header, blocks = _header(raw)
+    *parents, key = where
+    target = header
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path.write_bytes(_model_file(header, blocks))
+    try:
+        load_model(path)
+    except FormatError as exc:
+        assert str(path) in str(exc)
+
+
+# a dataset whose lines hold every kind of field: a header with a merge
+# map, a record with a caption and a nested grid, and one with a blob
+DATASET = [
+    {"_schema": "fuselab/publications@1",
+     "label_space": {"names": ["a", "b"], "mode": "multi",
+                     "merge": {"a": "Hate", "b": "NoHate"}}},
+    {"id": "p0", "label": "a", "text": "the sky", "caption": "north",
+     "visual": [[[0.0], [1.0]]]},
+    {"id": "p1", "label": "b", "text": "", "caption": None,
+     "visual": {"b64": base64.b64encode(np.array([0.0, 1.0], "<f4").tobytes()).decode(),
+                "shape": [1, 2, 1]}},
+]
+DATASET_FIELDS = ([(0, "_schema"), (0, "label_space")]
+                  + [(0, "label_space", key) for key in DATASET[0]["label_space"]]
+                  + [(line, key) for line in (1, 2) for key in DATASET[line]])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(where=st.sampled_from(DATASET_FIELDS), value=_VALUES)
+@example(where=(1, "text"), value=["a", "b"])
+@example(where=(1, "caption"), value=5)
+@example(where=(0, "label_space", "names"), value="ab")
+@example(where=(1, "visual"), value=[[0.0, 1.0]])
+@example(where=(1, "visual"), value=[[[2**1100]]])
+def test_any_record_value_loads_or_names_its_line(tmp_path_factory, where, value):
+    """An edited record's error names its line; an edited header's names
+    the header or a record it no longer admits."""
+    records = json.loads(json.dumps(DATASET))
+    line, *parents, key = where
+    target = records[line]
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    try:
+        load_jsonl(path)
+    except (ParseError, SchemaError) as exc:
+        named = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
+        assert named, str(exc)
+        assert int(named.group(1)) == line + 1 or line == 0, str(exc)
 
 
 # a config that parses, and every key a config may set

@@ -50,12 +50,11 @@ class ExperimentConfig:
     source_path: Optional[Path] = None
 
 
-def _keys(cls, *names, skip=(), prefix="", rename=None):
+def _keys(cls, *names, skip=(), prefix=""):
     """INI key -> (class, field name, field type) for the fields of `cls`
     listed in `names` (all but `skip` when none are listed)."""
     hints = typing.get_type_hints(cls)
-    rename = rename or {}
-    return {prefix + rename.get(f.name, f.name): (cls, f.name, hints[f.name])
+    return {prefix + f.name: (cls, f.name, hints[f.name])
             for f in dataclasses.fields(cls)
             if (f.name in names if names else f.name not in skip)}
 
@@ -68,7 +67,7 @@ _SECTIONS = {
               **_keys(ExperimentConfig, "vocab_size")},
     "data": {**_keys(DataConfig, "path", "split", "binarize"),
              **_keys(SyntheticSpec, "task", "n", prefix="synthetic_")},
-    "train": _keys(TrainConfig, skip=("seed",), rename={"lam": "lambda"}),
+    "train": _keys(TrainConfig, skip=("seed",)),
 }
 _MODEL_KEYS, _DATA_KEYS, _TRAIN_KEYS = (
     set(_SECTIONS[name]) for name in ("model", "data", "train"))

@@ -24,8 +24,7 @@ import numpy as np
 
 from .exceptions import ConfigError, ParseError, SchemaError
 
-SCHEMA_NAME = "fuselab/publications"
-SCHEMA_VERSION = 1
+SCHEMA = "fuselab/publications@1"  # name@version; load_jsonl reads exactly this one
 BLOB_THRESHOLD = 1024  # grid values; larger grids are written base64/float32
 
 HATE = "Hate"
@@ -189,7 +188,7 @@ def _grid_from_json(obj) -> np.ndarray:
 def save_jsonl(dataset: Dataset, path, blob_threshold: int = BLOB_THRESHOLD) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"_schema": f"{SCHEMA_NAME}@{SCHEMA_VERSION}",
+        header = {"_schema": SCHEMA,
                   "label_space": dataset.label_space.to_json()}
         fh.write(json.dumps(header) + "\n")
         for pub in dataset.publications:
@@ -222,8 +221,9 @@ def load_jsonl(path) -> Dataset:
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}:{lineno}: record must be an object", line=lineno)
             if "_schema" in rec:
-                if not str(rec["_schema"]).startswith(SCHEMA_NAME):
-                    raise SchemaError(f"{path}:{lineno}: unknown schema {rec['_schema']!r}")
+                if rec["_schema"] != SCHEMA:
+                    raise SchemaError(f"{path}:{lineno}: unknown schema {rec['_schema']!r}, "
+                                      f"expected {SCHEMA!r}")
                 try:
                     label_space = LabelSpace.from_json(rec.get("label_space"))
                 except ConfigError as exc:

@@ -206,17 +206,15 @@ def as_tensor(x: Arrayish) -> Tensor:
     return Tensor(x)
 
 
-def clip_grad_norm(grads: Sequence[Optional[np.ndarray]], max_norm: float) -> float:
+def clip_grad_norm(grads: Sequence[np.ndarray], max_norm: float) -> float:
     """Scale the gradient arrays in place so their joint L2 norm is at most
-    max_norm; None entries are skipped. Returns the pre-clip norm."""
+    max_norm. Returns the pre-clip norm."""
     total = 0.0
     for g in grads:
-        if g is not None:
-            total += float(np.sum(g * g))
+        total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for g in grads:
-            if g is not None:
-                g *= scale
+            g *= scale
     return norm

@@ -4,11 +4,11 @@ adversarial mechanism.
 Per batch, the encoders run once and every step below reuses their
 latents:
   concat      the head, then one descent step on J_C
-  auto        the head, then one descent step on J_C + lambda * J_auto
+  auto        the head, then one descent step on J_C + J_auto
   gan         one discriminator ascent step on J_adv (touching only
               discriminator parameters), then the head and one descent
-              step on J_C + lambda * (generator-side adversarial term)
-              touching encoders, generators, combiner, and classifier
+              step on J_C + (generator-side adversarial term) touching
+              encoders, generators, combiner, and classifier
 
 Both steps use Adam at the configured lr. Each backward names the
 parameters its optimizer updates, and that list alone decides what is
@@ -53,7 +53,6 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 32
     lr: float = 1e-3                     # Adam's, for the discriminator step too
-    lam: float = 1.0                     # fusion-loss weight
     seed: int = 0
     # Let the fusion term (generator-side adversarial loss, or the
     # reconstruction loss) reach the encoders, as in a fully end-to-end
@@ -67,9 +66,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be positive")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"fusion-loss weight lambda must be finite and >= 0, "
-                              f"got {self.lam}")
 
 
 @dataclass

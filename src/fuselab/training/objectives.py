@@ -4,8 +4,8 @@ main_objective is the one definition of what the main descent step
 minimizes; the training loop steps on it and the gradient suite checks
 it against finite differences:
   concat, unimodal  J = J_C
-  auto              J = J_C + lambda * J_auto
-  gan               J = J_C + lambda * (generator-side adversarial term)
+  auto              J = J_C + J_auto
+  gan               J = J_C + (generator-side adversarial term)
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     """The main objective of one prepared batch (model.prepare) from its
     encoder latents (model.head draws the adversarial noise from rng).
 
-    config is a TrainConfig: lam weighs the fusion term. With
-    fusion_loss_updates_encoders off, the fusion term reads detached
-    latents, a deliberate stop-gradient that confines it to the fusion
-    module.
+    config is a TrainConfig. With fusion_loss_updates_encoders off, the
+    fusion term reads detached latents, a deliberate stop-gradient that
+    confines it to the fusion module.
     """
     space = model.label_space
     if (batch.labels < 0).any():
@@ -102,5 +101,4 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     else:
         return Objective(j_c, j_c)
 
-    j = nc.add(j_c, nc.mul(config.lam, term)) if config.lam else j_c
-    return Objective(j, j_c, j_f, parts)
+    return Objective(nc.add(j_c, term), j_c, j_f, parts)

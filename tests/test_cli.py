@@ -331,7 +331,8 @@ class TestConfigParsing:
                "data": ("synthetic_noise = 0.1", "synthetic_grid = 14",
                         "synthetic_seq_len = 7"),
                "train": ("patience = 3", "disc_lr = 0.02", "clip_norm = 1.0",
-                         "class_weights = 1,2", "optimizer = sgd", "disc_steps = 2"),
+                         "class_weights = 1,2", "optimizer = sgd", "disc_steps = 2",
+                         "lambda = 0.5"),
                "eval": ("metrics_path = metrics.json",)}
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -373,7 +374,6 @@ class TestConfigParsing:
         ("model", "vocab_size = 2"),
         ("train", "lr = nan"),
         ("train", "lr = inf"),
-        ("train", "lambda = nan"),
     ])
     def test_out_of_range_value_exits_two_naming_its_key(self, tmp_path, capsys,
                                                          section, line):
@@ -484,7 +484,7 @@ class TestConfigParsing:
                   "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
                  "synthetic_n": "30", "split": "0.6,0.2,0.2", "binarize": "true"},
-        "train": {"epochs": "7", "batch_size": "8", "lr": "0.05", "lambda": "0.5",
+        "train": {"epochs": "7", "batch_size": "8", "lr": "0.05",
                   "fusion_loss_updates_encoders": "false"},
     }
     DISPLACES = {"input_modes": ("model", "fusion"), "path": ("data", "synthetic_task")}

@@ -140,6 +140,19 @@ class TestJsonl:
         with pytest.raises(SchemaError, match=r"ds\.jsonl:1: "):
             load_jsonl(path)
 
+    @pytest.mark.parametrize("schema", ["fuselab/publications@7",
+                                        "fuselab/publicationsXYZ"])
+    def test_schema_other_than_this_version_is_schema_error_with_line(self, tmp_path,
+                                                                      schema):
+        path = tmp_path / "ds.jsonl"
+        header = {"_schema": schema,
+                  "label_space": {"names": ["Hate", "NoHate"], "mode": "binary"}}
+        rec = {"id": "a", "label": "Hate", "text": "x"}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(SchemaError, match=r"ds\.jsonl:1: .*expected "
+                                              r"'fuselab/publications@1'"):
+            load_jsonl(path)
+
     @pytest.mark.parametrize("field", ["visual_features", "entity_features"])
     def test_precomputed_vector_field_is_schema_error_with_line(self, tmp_path, field):
         path = tmp_path / "ds.jsonl"

@@ -1,4 +1,5 @@
-"""Golden-curve pin: the first 20 training steps of every shipped config.
+"""Golden-curve pin: the first 20 training steps of every shipped config,
+and the number of graph nodes each of their training steps records.
 
 Each run is a config from `configs/` with a smaller `synthetic_n` (every
 other setting as shipped), plus one GAN run that turns on the branch
@@ -65,6 +66,41 @@ def test_first_steps_match_golden(name):
 def test_every_golden_file_is_a_run():
     """A renamed or deleted run leaves no golden file behind."""
     assert sorted(path.stem for path in GOLDEN_DIR.glob("*.csv")) == sorted(RUNS)
+
+
+# Graph nodes a training step records, per shipped config: every op's
+# Tensor._from_op call in one _train_step, the discriminator step
+# included. A change to the graph's size restates its count here.
+OPS_PER_STEP = {"xor-gan.ini": 135, "xor-auto.ini": 46, "xor-concat.ini": 37,
+                "text-only.ini": 25}
+
+
+@pytest.mark.parametrize("config_file", sorted(OPS_PER_STEP))
+def test_ops_per_training_step_match_budget(monkeypatch, config_file):
+    from fuselab.numcore import Tensor
+    from fuselab.training import loop
+
+    ops, steps = [0], []
+    from_op, train_step = Tensor._from_op.__func__, loop._train_step
+
+    def counted_from_op(cls, *args, **kwargs):
+        ops[0] += 1
+        return from_op(cls, *args, **kwargs)
+
+    def counted_step(*args, **kwargs):  # validation and test inference go uncounted
+        before = ops[0]
+        report = train_step(*args, **kwargs)
+        steps.append(ops[0] - before)
+        return report
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(counted_from_op))
+    monkeypatch.setattr(loop, "_train_step", counted_step)
+    config = load_experiment_config(ROOT / "configs" / config_file)
+    config.data.synthetic = dataclasses.replace(config.data.synthetic, n=80)
+    config.train = dataclasses.replace(config.train, epochs=1)
+    run_experiment(config)
+    assert len(steps) == 2
+    assert steps == [OPS_PER_STEP[config_file]] * len(steps), steps
 
 
 def _columns(text: str) -> dict:

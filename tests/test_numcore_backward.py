@@ -310,3 +310,24 @@ def test_no_graph_is_local_to_its_thread():
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+def test_clip_grad_norm_scales_in_place_only_above_max_norm():
+    rng = np.random.default_rng(6)
+    grads = [rng.normal(size=(3, 4)), rng.normal(size=5), rng.normal(size=())]
+    norm = float(np.sqrt(sum(np.sum(g * g) for g in grads)))
+    arrays = [g.copy() for g in grads]
+    assert nc.clip_grad_norm(arrays, norm / 4) == norm
+    clipped = float(np.sqrt(sum(np.sum(g * g) for g in arrays)))
+    assert clipped == pytest.approx(norm / 4, rel=1e-14, abs=0)
+    for a, g in zip(arrays, grads):
+        assert np.array_equal(a, g * ((norm / 4) / norm))
+
+    for max_norm in (norm, 2 * norm):  # at or below max_norm: untouched
+        arrays = [g.copy() for g in grads]
+        assert nc.clip_grad_norm(arrays, max_norm) == norm
+        assert all(a.tobytes() == g.tobytes() for a, g in zip(arrays, grads))
+
+    zeros = [np.zeros((2, 2)), np.zeros(3)]
+    assert nc.clip_grad_norm(zeros, 0.0) == 0.0
+    assert all(not z.any() for z in zeros)

@@ -401,7 +401,6 @@ EDGE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", "0,0", "-1,1,1", "nan,0
 @example(where=("experiment", "seed"), value="-1")
 @example(where=("data", "split"), value="nan,0.1,0.1")
 @example(where=("model", "visual_channels"), value="0,0")
-@example(where=("train", "lambda"), value="nan")
 def test_any_value_of_any_key_parses_or_names_the_file(tmp_path_factory, where, value):
     section, key = where
     sections = {name: dict(keys) for name, keys in BASE_CONFIG.items()}

@@ -218,3 +218,23 @@ class TestEntityTuples:
         tags = dict(pos_tag(normalize("she blargged softly")))
         assert tags["blargged"] == "VERB"  # -ed after pronoun
         assert tags["softly"] == "ADV"
+
+
+def test_build_lexicons_regenerates_the_bundled_files(tmp_path, monkeypatch):
+    """The tracked TSVs are tools/build_lexicons.py's output, byte for byte."""
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "build_lexicons", root / "tools" / "build_lexicons.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT", tmp_path)
+    tool.main()
+    bundled = root / "src" / "fuselab" / "data"
+    names = sorted(path.name for path in bundled.glob("*.tsv"))
+    assert names == ["emoticons.tsv", "pos.tsv", "typos.tsv", "words.tsv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name

@@ -112,10 +112,10 @@ class TestCrossEntropy:
 
 
 class TestTrainLoop:
-    def test_concat_with_lambda_zero_is_classifier_only(self):
+    def test_concat_objective_is_classifier_only(self):
         ds = _dataset(120)
         model = _model(ds, "concat")
-        res = train(model, ds, TrainConfig(epochs=1, batch_size=30, seed=0, lam=0.0))
+        res = train(model, ds, TrainConfig(epochs=1, batch_size=30, seed=0))
         for rec in res.curves:
             assert rec.j == rec.j_c
             assert rec.j_f == 0.0
@@ -174,10 +174,6 @@ class TestTrainLoop:
             other_space)
         with pytest.raises(ConfigError):
             train(model, relabeled, TrainConfig(epochs=1, batch_size=20))
-
-    def test_lambda_must_be_nonnegative(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(lam=-0.5)
 
 
 class TestParameterPartition:
@@ -288,8 +284,7 @@ class TestParameterPartition:
 
 
 def _adam_reference(values, lr, steps):
-    """Parameter values after each step of the per-tensor Adam formula; a
-    None gradient leaves its value and both its moments alone."""
+    """Parameter values after each step of the per-tensor Adam formula."""
     from fuselab.training.optim import Adam
 
     values = [v.copy() for v in values]
@@ -300,8 +295,6 @@ def _adam_reference(values, lr, steps):
         b1t = 1.0 - Adam.BETA1 ** t
         b2t = 1.0 - Adam.BETA2 ** t
         for i, g in enumerate(grads):
-            if g is None:
-                continue
             m[i] *= Adam.BETA1
             m[i] += (1.0 - Adam.BETA1) * g
             v2[i] *= Adam.BETA2
@@ -315,44 +308,58 @@ def _adam_reference(values, lr, steps):
 class TestAdam:
     SHAPES = [(3, 4), (5,), (), (2, 3, 2), (1, 1), (7,)]
 
-    def _run(self, steps, lr=0.01):
-        """The start values, then Adam's values after each step next to the
-        reference's."""
+    def _run(self, steps, lr=0.01, between=lambda opt: None):
+        """Adam's values after each step next to the reference's;
+        `between(opt)` runs before each step."""
         from fuselab.training.optim import Adam
 
         rng = np.random.default_rng(4)
         start = [rng.normal(size=shape) for shape in self.SHAPES]
-        params = [Tensor(v.copy()) for v in start]
+        params = [Tensor(v.copy(), name=f"p{i}") for i, v in enumerate(start)]
         opt = Adam(params, lr=lr)
         got = []
         for grads in steps:
+            between(opt)
             opt.step(grads)
             got.append([p.data.copy() for p in params])
-        return start, got, _adam_reference(start, lr, steps)
+        return got, _adam_reference(start, lr, steps)
 
-    def _grads(self, rng, missing=()):
-        return [None if i in missing else rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
-                for i, shape in enumerate(self.SHAPES)]
+    def _grads(self, rng):
+        return [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for shape in self.SHAPES]
 
     def test_flat_step_is_bitwise_the_per_tensor_formula(self):
         rng = np.random.default_rng(8)
-        _, got, want = self._run([self._grads(rng) for _ in range(5)])
+        got, want = self._run([self._grads(rng) for _ in range(5)])
         for step_got, step_want in zip(got, want):
             assert [a.tobytes() for a in step_got] == [b.tobytes() for b in step_want]
 
     def test_none_gradient_leaves_parameter_and_moments_alone(self):
-        """Each tensor misses a gradient on some step, the first one or a
-        later one, alone or next to others, then takes gradients again:
-        were its moments moved, its next step would differ."""
+        """Before each full step, six steps that each miss one or more
+        gradients (the first parameter's, the last's, or some between)
+        raise ContractError naming the first missing parameter and change
+        no state: were the step count, a moment or a parameter moved, the
+        next full step would differ from the reference's, which never saw
+        the failed steps."""
+        from fuselab.exceptions import ContractError
+
         rng = np.random.default_rng(9)
-        missing = [{0}, set(), {1, 2}, {5, 3}, {0, 4}, set(), {2}, set()]
-        start, got, want = self._run([self._grads(rng, gone) for gone in missing])
-        previous = start
-        for t, gone in enumerate(missing):
-            assert [a.tobytes() for a in got[t]] == [b.tobytes() for b in want[t]], t
-            for i in gone:
-                assert got[t][i].tobytes() == previous[i].tobytes(), (t, i)
-            previous = got[t]
+        missing = [{0}, {5}, {1, 2}, {5, 3}, {0, 4}, {2}]
+
+        def fail_without(opt):
+            for gone in missing:
+                grads = [None if i in gone else g for i, g in enumerate(self._grads(rng))]
+                t = opt._t
+                before = [a.tobytes() for a in (opt._m, opt._v, opt._g)
+                          + tuple(p.data for p in opt.params)]
+                with pytest.raises(ContractError, match=rf"\bp{min(gone)}\b"):
+                    opt.step(grads)
+                assert opt._t == t
+                assert [a.tobytes() for a in (opt._m, opt._v, opt._g)
+                        + tuple(p.data for p in opt.params)] == before
+
+        got, want = self._run([self._grads(rng) for _ in range(4)], between=fail_without)
+        for step_got, step_want in zip(got, want):
+            assert [a.tobytes() for a in step_got] == [b.tobytes() for b in step_want]
 
     def test_step_allocates_no_array(self):
         import tracemalloc
@@ -391,14 +398,13 @@ class TestGanTerms:
         def grads(params, **overrides):
             return self._run(model, batch, **overrides).j.backward(params)
 
-        j_c_only = grads(encoders + generators, lam=0.0)
-        stopped = grads(encoders + generators, lam=1.0,
-                        fusion_loss_updates_encoders=False)
+        j_c_only = self._run(model, batch).j_c.backward(encoders + generators)
+        stopped = grads(encoders + generators, fusion_loss_updates_encoders=False)
         n = len(encoders)
         for a, b in zip(j_c_only[:n], stopped[:n]):
             assert np.array_equal(a, b)
         assert any(not np.array_equal(a, b) for a, b in zip(j_c_only[n:], stopped[n:]))
-        end_to_end = grads(encoders, lam=1.0, fusion_loss_updates_encoders=True)
+        end_to_end = grads(encoders, fusion_loss_updates_encoders=True)
         assert any(not np.array_equal(a, b) for a, b in zip(j_c_only, end_to_end))
 
     def test_generator_term_scores_the_combiners_z_g(self):
@@ -833,9 +839,12 @@ class TestFullPipelineGradients:
 
 class TestDegenerateEquivalence:
     def test_gan_classifier_path_equals_concat_when_fusion_maps_match(self):
-        """lambda=0, generators forced to zero output, combiner reading only
-        the raw latents: the GAN model's J_C sequence must match a concat
-        model of identical shapes."""
+        """Generators forced to zero output, combiner reading only the raw
+        latents through the concat projection's weights: on every batch of
+        an epoch the GAN model's J_C, and its J_C gradient for every
+        parameter the two models share, match a concat model of identical
+        shapes, and the combiner's raw-latent block takes the projection's
+        gradient."""
         ds = _dataset(120, seed=21)
         vocab = Vocab.from_texts([p.text for p in ds])
 
@@ -852,10 +861,13 @@ class TestDegenerateEquivalence:
 
         # identical shared parameters, matched by name (encoders, classifier)
         concat_params = dict(concat_model.named_parameters())
-        for name, target in gan_model.named_parameters():
-            source = concat_params.get(name)
-            if source is not None and source.shape == target.shape:
-                np.copyto(target.data, source.data)
+        shared = [(concat_params[name], target)
+                  for name, target in gan_model.named_parameters()
+                  if name in concat_params and concat_params[name].shape == target.shape]
+        for source, target in shared:
+            np.copyto(target.data, source.data)
+        projection = concat_model.mechanism.projection
+        assert len(shared) + len(projection.parameters()) == len(concat_params)
 
         # force the fusion forward maps identical: zero generators, combiner
         # reads only the raw-latent block with the concat projection weights
@@ -865,16 +877,30 @@ class TestDegenerateEquivalence:
             layer.weights.data[...] = 0.0
             layer.bias.data[...] = 0.0
         mech.combiner.weights.data[...] = 0.0
-        mech.combiner.weights.data[:, 12:] = concat_model.mechanism.projection.weights.data
-        mech.combiner.bias.data[...] = concat_model.mechanism.projection.bias.data
+        mech.combiner.weights.data[:, 12:] = projection.weights.data
+        mech.combiner.bias.data[...] = projection.bias.data
 
-        config = dict(epochs=2, batch_size=30, lam=0.0, seed=41)
-        res_concat = train(concat_model, ds, TrainConfig(**config))
-        res_gan = train(gan_model, ds, TrainConfig(**config))
-        jc_concat = [r.j_c for r in res_concat.curves]
-        jc_gan = [r.j_c for r in res_gan.curves]
-        assert np.allclose(jc_concat, jc_gan, rtol=0, atol=1e-12), \
-            (jc_concat[:3], jc_gan[:3])
+        from fuselab.datakit import BatchStream
+        from fuselab.training.objectives import main_objective
+
+        concat_wrt = [source for source, _ in shared] + projection.parameters()
+        gan_wrt = [target for _, target in shared] + mech.combiner.parameters()
+        config, rng = TrainConfig(), np.random.default_rng(41)
+        concat_prepared = concat_model.prepare(ds.publications)
+        gan_prepared = gan_model.prepare(ds.publications)
+        for idx in BatchStream(ds, 30, seed=41).indices():
+            batch = concat_prepared.take(idx)
+            want = main_objective(concat_model, batch, concat_model.encode(batch),
+                                  config, None).j_c
+            batch = gan_prepared.take(idx)
+            got = main_objective(gan_model, batch, gan_model.encode(batch), config, rng).j_c
+            assert abs(got.data.item() - want.data.item()) <= 1e-12, (got.data, want.data)
+            *want_shared, want_w, want_b = want.backward(concat_wrt)
+            *got_shared, got_w, got_b = got.backward(gan_wrt)
+            pairs = list(zip(got_shared, want_shared)) + [(got_w[:, 12:], want_w),
+                                                          (got_b, want_b)]
+            for a, b in pairs:
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestFusionBenefitSmoke:

@@ -40,7 +40,10 @@ def prepare_data(config: ExperimentConfig) -> Tuple[Dataset, Dataset, Dataset]:
         dataset = dataset.merged_binary()
     if len(dataset) < 3:
         raise InputError(f"dataset too small to split: {len(dataset)} publications")
-    return split_dataset(dataset, config.data.split, seed=config.seed)
+    train_ds, val_ds, test_ds = split_dataset(dataset, config.data.split, seed=config.seed)
+    if len(test_ds) < 1:
+        raise InputError("test split is empty; adjust [data] split")
+    return train_ds, val_ds, test_ds
 
 
 def build_vocab(train_ds: Dataset, model_config: ModelConfig,
@@ -87,8 +90,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
     model = build_model(model_config, train_ds.label_space, vocab)
     result = train(model, train_ds, config.train,
                    val_dataset=val_ds if len(val_ds) else None)
-    if len(test_ds) < 1:
-        raise InputError("test split is empty; adjust [data] split")
     report = evaluate_model(model, test_ds)
 
     modes, fusion_type = describe_model(config.model)

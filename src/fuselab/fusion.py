@@ -34,9 +34,7 @@ class FusionResult:
 
     z_fuse: Tensor
     z: Optional[Tensor] = None        # concatenated input latents (auto)
-    z_hat: Optional[Tensor] = None    # reconstruction (auto)
-    z_g: Dict[str, Tensor] = field(default_factory=dict)  # generator outputs per modality
-    noise: Dict[str, np.ndarray] = field(default_factory=dict)  # the noise behind z_g
+    noise: Dict[str, np.ndarray] = field(default_factory=dict)  # generator noise (gan)
 
 
 def _check_pair(z_v: Tensor, z_t: Tensor, dim: int) -> None:
@@ -82,8 +80,8 @@ class AutoFusion:
     """Autoencoder over [z_v; z_t]; the bottleneck code is the fused vector.
 
     The bottleneck must compress (out_dim < 2d). Training adds the
-    reconstruction penalty auto_fusion_loss so the code retains as much
-    of both latents as it can.
+    reconstruction penalty auto_fusion_loss, the decoder's one use, so
+    the code retains as much of both latents as it can.
     """
 
     def __init__(self, latent_dim: int, out_dim: int,
@@ -103,9 +101,7 @@ class AutoFusion:
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
         z = nc.concat([z_v, z_t], axis=1)
-        z_fuse = self.encoder(z)
-        z_hat = self.decoder(z_fuse)
-        return FusionResult(z_fuse=z_fuse, z=z, z_hat=z_hat)
+        return FusionResult(z_fuse=self.encoder(z), z=z)
 
 
 class GanFusionModule:
@@ -160,13 +156,12 @@ class GanFusionModule:
         d_real = self.discriminate(real)
         d_fake = self.discriminate(z_g)
         j_adv = nc.add(nc.tmean(nc.tlog(d_real)), nc.tmean(nc.tlog(nc.sub(1.0, d_fake))))
-        return GanLossParts(j_adv=j_adv, z_g=z_g, d_real=d_real, d_fake=d_fake)
+        return GanLossParts(j_adv=j_adv, d_real=d_real, d_fake=d_fake)
 
 
 @dataclass
 class GanLossParts:
     j_adv: Tensor           # log D(real) + log(1 - D(z_g)), minibatch mean
-    z_g: Tensor
     d_real: Tensor
     d_fake: Tensor
 
@@ -237,8 +232,7 @@ class GanFusion:
         if self.append_raw_latents:
             pieces += [z_v, z_t]
         z_fuse = self.combiner(nc.concat(pieces, axis=1))
-        return FusionResult(z_fuse=z_fuse, z_g={"t": z_g_t, "v": z_g_v},
-                            noise={"t": noise_t, "v": noise_v})
+        return FusionResult(z_fuse=z_fuse, noise={"t": noise_t, "v": noise_v})
 
 
 def auto_fusion_loss(z: Tensor, z_hat: Tensor) -> Tensor:

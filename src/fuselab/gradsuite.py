@@ -7,11 +7,10 @@ Checks, at tolerance tol against central finite differences:
   - the fusion losses (reconstruction and adversarial) and the
     class-weighted batch cross-entropy,
   - end to end, for all three mechanisms on d=4, 2-class toys, the
-    objective the main training step minimizes (main_objective at
-    TrainConfig() defaults): J_C, J_C + J_auto, and J_C + the
-    generator-side adversarial term, every parameter included. The
-    stop-gradient that fusion_loss_updates_encoders = false applies has
-    no finite-difference counterpart, so it is not checked.
+    gradient the main training step takes (main_objective): the fusion
+    term stops at the encoders, so the encoder parameters are checked
+    against J_C and every other parameter against J (J_C, J_C + J_auto,
+    or J_C + the generator-side adversarial term).
 
 Random draws are seeded, and toy inputs carry noise so no relu sits
 exactly on its kink (where finite differences are undefined).
@@ -19,7 +18,7 @@ exactly on its kink (where finite differences are undefined).
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -34,8 +33,8 @@ from .fusion import (
 )
 from .layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from .numcore import CheckReport, Tensor, grad_check, grad_check_params
-from .training import ModelConfig, TrainConfig, build_model
-from .training.objectives import batch_cross_entropy, main_objective, one_hot
+from .training import ModelConfig, build_model
+from .training.objectives import Objective, batch_cross_entropy, main_objective, one_hot
 
 
 def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckReport]:
@@ -136,7 +135,7 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
 
     def auto_loss():
         out = mech.fuse_batch(z_v, z_t)
-        return auto_fusion_loss(out.z, out.z_hat)
+        return auto_fusion_loss(out.z, mech.decoder(out.z_fuse))
 
     reports.append(_summary("loss reconstruction",
                             grad_check_params(auto_loss, mech.parameters(), h, tol)))
@@ -161,14 +160,25 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     return reports
 
 
-def _end_to_end_objective(model, pubs, seed: int = 17) -> Callable[[], Tensor]:
-    """The main training objective of model on pubs at TrainConfig()
-    defaults, with a freshly seeded rng on every evaluation so the GAN
-    noise is the same in every probe. The publications are prepared once."""
-    config = TrainConfig()
+def _end_to_end_objective(model, pubs, seed: int = 17) -> Callable[[], Objective]:
+    """The main objective of model on pubs, prepared once; each evaluation
+    seeds a fresh rng, so every probe draws the same GAN noise."""
     batch = model.prepare(pubs)
-    return lambda: main_objective(model, batch, model.encode(batch), config,
-                                  np.random.default_rng(seed)).j
+    return lambda: main_objective(model, batch, model.encode(batch),
+                                  np.random.default_rng(seed))
+
+
+def end_to_end_check(model, pubs, h: float, tol: float) -> Dict[str, CheckReport]:
+    """Per-parameter checks of the main step's gradient on pubs: the
+    encoder parameters against J_C, which alone reaches them, and every
+    other parameter against J. Parameters keep model.parameters() order."""
+    objective = _end_to_end_objective(model, pubs)
+    encoders = [p for encoder in (model.text_encoder, model.visual_encoder)
+                if encoder is not None for p in encoder.parameters()]
+    skip = {id(p) for p in encoders}
+    rest = [p for p in model.parameters() if id(p) not in skip]
+    return {**grad_check_params(lambda: objective().j_c, encoders, h, tol),
+            **grad_check_params(lambda: objective().j, rest, h, tol)}
 
 
 def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
@@ -182,8 +192,8 @@ def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
                              fusion_out_dim=4 if fusion != "concat" else None,
                              normalize_text=False, seed=13)
         model = build_model(config, ds.label_space, vocab)
-        reports.append(_summary(f"end_to_end {fusion}", grad_check_params(
-            _end_to_end_objective(model, ds.publications), model.parameters(), h, tol)))
+        reports.append(_summary(f"end_to_end {fusion}",
+                                end_to_end_check(model, ds.publications, h, tol)))
     return reports
 
 

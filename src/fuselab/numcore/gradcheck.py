@@ -4,7 +4,8 @@ Central differences with step h; per-coordinate relative error is
 |analytic - numeric| / max(1, |analytic|, |numeric|), and a check passes
 when the worst coordinate stays below the tolerance. The analytic pass
 builds the graph; the finite-difference probes run under no_graph(),
-since only their values are read.
+since only their values are read. Both h and tol must be finite and
+positive; anything else is a ConfigError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import ContractError, EvaluationError
+from ..exceptions import ConfigError, ContractError, EvaluationError
 from .tensor import Tensor, no_graph
 
 
@@ -37,6 +38,12 @@ def _scalar(out, who: str) -> float:
     if not isinstance(out, Tensor) or out.size != 1:
         raise ContractError(f"{who}: function must return a scalar Tensor")
     return float(out.data.reshape(()))
+
+
+def _check_settings(h: float, tol: float, who: str) -> None:
+    for name, value in (("step h", h), ("tolerance tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{who}: {name} must be finite and positive, got {value}")
 
 
 def _compare(evaluate: Callable[[], Tensor], flat: np.ndarray, shape: Tuple[int, ...],
@@ -88,6 +95,7 @@ def grad_check(
     label: str = "",
 ) -> CheckReport:
     """Compare the analytic gradient of f at point against central differences."""
+    _check_settings(h, tol, "grad_check")
     x = Tensor(np.array(point.data, dtype=np.float64, copy=True))
     out = f(x)
     if not np.isfinite(_scalar(out, "grad_check")):
@@ -112,6 +120,7 @@ def grad_check_params(
     is perturbed in place for the finite-difference side and restored,
     also when a probe raises.
     """
+    _check_settings(h, tol, "grad_check_params")
     out = f()
     _scalar(out, "grad_check_params")
     analytic = [np.zeros_like(p.data) if g is None else g

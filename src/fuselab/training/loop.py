@@ -15,7 +15,8 @@ parameters its optimizer updates, and that list alone decides what is
 differentiated: the discriminator step reads the latents undetached.
 
 The main step's objective is objectives.main_objective, the one the
-gradient suite checks. The reported J_F column is always the fusion
+gradient suite checks. Its fusion term stops at the encoders, which
+descend J_C alone. The reported J_F column is always the fusion
 objective itself (J_auto, or J_adv = text module + visual module); the J
 column is the quantity the main step actually minimized.
 
@@ -54,12 +55,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3                     # Adam's, for the discriminator step too
     seed: int = 0
-    # Let the fusion term (generator-side adversarial loss, or the
-    # reconstruction loss) reach the encoders, as in a fully end-to-end
-    # objective. Turning this off confines that term to the fusion module's
-    # own parameters, which prevents the reconstruction/adversarial pressure
-    # from collapsing the latents before the classification signal forms.
-    fusion_loss_updates_encoders: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -124,7 +119,7 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
     for _ in range(config.epochs):
         for idx in stream.indices():
             try:
-                curves.append(_train_step(model, prepared.take(idx), config, rng,
+                curves.append(_train_step(model, prepared.take(idx), rng,
                                           main_opt, disc_opt, step))
             except DomainError as exc:
                 raise DivergenceError(f"non-finite value at step {step}: {exc}",
@@ -137,16 +132,15 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
     return TrainResult(model, curves, val_reports)
 
 
-def _train_step(model: FusionModel, batch: PreparedBatch,
-                config: TrainConfig, rng: np.random.Generator, main_opt,
-                disc_opt, step: int) -> LossReport:
+def _train_step(model: FusionModel, batch: PreparedBatch, rng: np.random.Generator,
+                main_opt, disc_opt, step: int) -> LossReport:
     """One main descent step on main_objective over a prepared batch, after
     the discriminator step when a discriminator optimizer is given."""
     latents = model.encode(batch)
     if disc_opt is not None:
         step_discriminator(model, latents, disc_opt, rng, step)
 
-    objective = main_objective(model, batch, latents, config, rng)
+    objective = main_objective(model, batch, latents, rng)
     j = objective.j
     _finite_or_raise(float(j.data), step, "training objective")
     grads = j.backward(main_opt.params)

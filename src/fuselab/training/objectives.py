@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import numcore as nc
 from ..exceptions import ConfigError, ShapeError
-from ..fusion import GanFusion, auto_fusion_loss, generator_loss
+from ..fusion import AutoFusion, GanFusion, auto_fusion_loss, generator_loss
 from ..numcore import Tensor
 
 
@@ -54,14 +54,13 @@ class Objective:
     parts: Dict[str, float] = field(default_factory=dict)
 
 
-def main_objective(model, batch, latents: Dict[str, Tensor], config,
+def main_objective(model, batch, latents: Dict[str, Tensor],
                    rng: Optional[np.random.Generator]) -> Objective:
     """The main objective of one prepared batch (model.prepare) from its
     encoder latents (model.head draws the adversarial noise from rng).
 
-    config is a TrainConfig. With fusion_loss_updates_encoders off, the
-    fusion term reads detached latents, a deliberate stop-gradient that
-    confines it to the fusion module.
+    The fusion term reads detached latents, a deliberate stop-gradient
+    that confines it to the fusion module: J_C alone reaches the encoders.
     """
     space = model.label_space
     if (batch.labels < 0).any():
@@ -71,31 +70,23 @@ def main_objective(model, batch, latents: Dict[str, Tensor], config,
     targets = one_hot(batch.labels, space.num_classes)
     j_c = batch_cross_entropy(targets, probs)
     mech = model.mechanism
-    updates_encoders = config.fusion_loss_updates_encoders
 
     if isinstance(mech, GanFusion):
-        # one adversarial pass per module scores the z_g the combiner
-        # consumed; without encoder updates z_g is regenerated from detached
-        # latents with the same noise, so only its gradient path differs
+        # one adversarial pass per module, on z_g regenerated from detached
+        # latents with the noise fuse_batch drew: the values the combiner read
         parts, gen_terms = {}, []
         for key, module, real, source in (("t", mech.text_module, "visual", "text"),
                                           ("v", mech.visual_module, "text", "visual")):
-            if updates_encoders:
-                adv = module.adversarial(latents[real], result.z_g[key])
-            else:
-                z_g = module.generate(latents[source].detach(), result.noise[key])
-                adv = module.adversarial(latents[real].detach(), z_g)
+            z_g = module.generate(latents[source].detach(), result.noise[key])
+            adv = module.adversarial(latents[real].detach(), z_g)
             parts[f"j_adv_{key}"] = float(adv.j_adv.data)
             gen_terms.append(generator_loss(adv))
         term = nc.add(*gen_terms)
         j_f = parts["j_adv_t"] + parts["j_adv_v"]
         parts["gen_term"] = float(term.data)
-    elif result is not None and result.z_hat is not None:
-        if updates_encoders:
-            term = auto_fusion_loss(result.z, result.z_hat)
-        else:
-            z_det = result.z.detach()
-            term = auto_fusion_loss(z_det, mech.decoder(mech.encoder(z_det)))
+    elif isinstance(mech, AutoFusion):
+        z = result.z.detach()
+        term = auto_fusion_loss(z, mech.decoder(mech.encoder(z)))
         j_f = float(term.data)
         parts = {"j_auto": j_f}
     else:

@@ -192,8 +192,7 @@ def test_criterion_05_fusion_benefit_experiment():
             model = build_model(_experiment_model_config(kind, seed),
                                 ds.label_space, vocab)
             train(model, train_ds,
-                  TrainConfig(epochs=6, batch_size=32, seed=seed,
-                              fusion_loss_updates_encoders=False))
+                  TrainConfig(epochs=6, batch_size=32, seed=seed))
             accs.append(evaluate_model(model, test_ds).accuracy)
             worst_runtime = max(worst_runtime, time.time() - started)
         accuracies[kind] = accs
@@ -302,7 +301,6 @@ synthetic_n = 400
 [train]
 epochs = 2
 batch_size = 32
-fusion_loss_updates_encoders = false
 """
 
 
@@ -365,10 +363,7 @@ def test_criterion_10_parameter_partition_100_steps():
                     f"discriminator update moved {p.name} at step {steps}"
 
             disc_before = [p.data.copy() for p in disc_params]
-            _train_step(model, batch,
-                        TrainConfig(epochs=1, batch_size=config.batch_size,
-                                    seed=config.seed),
-                        rng, main_opt, None, steps)
+            _train_step(model, batch, rng, main_opt, None, steps)
             for before, p in zip(disc_before, disc_params):
                 assert np.array_equal(before, p.data), \
                     f"generator-side update moved {p.name} at step {steps}"

@@ -96,6 +96,19 @@ class TestTrainCommand:
         assert code == 3
         assert "step 0" in capsys.readouterr().err
 
+    def test_empty_test_split_exits_two_before_training(self, tmp_path, capsys,
+                                                        monkeypatch):
+        from fuselab import experiment
+
+        trained = []
+        monkeypatch.setattr(experiment, "train", lambda *args, **kw: trained.append(1))
+        body = CONFIG_TEMPLATE.format(seed=1).replace(
+            "synthetic_n = 400", "synthetic_n = 400\nsplit = 0.9,0.1,0")
+        config = _write_config(tmp_path, body=body)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "test split is empty" in capsys.readouterr().err
+        assert not trained
+
     def test_identical_invocations_identical_outputs(self, tmp_path, capsys):
         config = _write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -312,6 +325,16 @@ class TestGradcheckCommand:
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--tol", "1e-18"]) == 1
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--step", "0", "step h"), ("--step", "-0.001", "step h"),
+        ("--step", "inf", "step h"), ("--tol", "nan", "tolerance tol"),
+        ("--tol", "-1", "tolerance tol"), ("--tol", "0", "tolerance tol")])
+    def test_invalid_step_or_tolerance_exits_two(self, capsys, flag, value, name):
+        assert main(["gradcheck", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and f"{name} must be finite and positive" in err
+
 
 class TestConfigParsing:
     def test_shipped_example_configs_parse(self):
@@ -332,7 +355,7 @@ class TestConfigParsing:
                         "synthetic_seq_len = 7"),
                "train": ("patience = 3", "disc_lr = 0.02", "clip_norm = 1.0",
                          "class_weights = 1,2", "optimizer = sgd", "disc_steps = 2",
-                         "lambda = 0.5"),
+                         "lambda = 0.5", "fusion_loss_updates_encoders = false"),
                "eval": ("metrics_path = metrics.json",)}
 
     def test_unknown_key_is_hard_error(self, tmp_path):
@@ -484,8 +507,7 @@ class TestConfigParsing:
                   "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
                  "synthetic_n": "30", "split": "0.6,0.2,0.2", "binarize": "true"},
-        "train": {"epochs": "7", "batch_size": "8", "lr": "0.05",
-                  "fusion_loss_updates_encoders": "false"},
+        "train": {"epochs": "7", "batch_size": "8", "lr": "0.05"},
     }
     DISPLACES = {"input_modes": ("model", "fusion"), "path": ("data", "synthetic_task")}
 

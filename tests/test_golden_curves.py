@@ -2,9 +2,7 @@
 and the number of graph nodes each of their training steps records.
 
 Each run is a config from `configs/` with a smaller `synthetic_n` (every
-other setting as shipped), plus one GAN run that turns on the branch
-no shipped config reaches: `fusion_loss_updates_encoders = true`. The
-committed files hold the `loss.csv` rows, the adversarial and
+other setting as shipped). The committed files hold the `loss.csv` rows, the adversarial and
 reconstruction parts of each step, and the test macro-F1, all as `repr`
 floats, and are compared byte for byte. Every file in `golden/` is a
 run's.
@@ -13,7 +11,8 @@ A change that reorders float sums on purpose regenerates the files with
 `PYTHONPATH=src python tests/test_golden_curves.py` and states the drift.
 That command prints, before it overwrites a file, the max abs and rel
 drift of each column against the committed file and whether
-`test_macro_f1` changed: the lines to copy into CHANGES.md.
+`test_macro_f1` changed: the lines to copy into CHANGES.md. It also
+deletes, and names, any file in `golden/` whose run has left RUNS.
 """
 
 import dataclasses
@@ -29,22 +28,20 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 STEPS = 20
 PART_KEYS = ("j_adv_t", "j_adv_v", "gen_term", "j_auto")
 
-# run name -> (shipped config, synthetic_n, train overrides); each n
-# gives at least STEPS steps over the config's own epochs
+# run name -> (shipped config, synthetic_n); each n gives at least STEPS
+# steps over the config's own epochs
 RUNS = {
-    "xor-gan": ("xor-gan.ini", 160, {}),
-    "xor-auto": ("xor-auto.ini", 160, {}),
-    "xor-concat": ("xor-concat.ini", 160, {}),
-    "text-only": ("text-only.ini", 200, {}),
-    "xor-gan-e2e": ("xor-gan.ini", 160, {"fusion_loss_updates_encoders": True}),
+    "xor-gan": ("xor-gan.ini", 160),
+    "xor-auto": ("xor-auto.ini", 160),
+    "xor-concat": ("xor-concat.ini", 160),
+    "text-only": ("text-only.ini", 200),
 }
 
 
 def _curve(name: str) -> str:
-    config_file, n, overrides = RUNS[name]
+    config_file, n = RUNS[name]
     config = load_experiment_config(ROOT / "configs" / config_file)
     config.data.synthetic = dataclasses.replace(config.data.synthetic, n=n)
-    config.train = dataclasses.replace(config.train, **overrides)
     result = run_experiment(config)
     curves = result.train_result.curves
     assert len(curves) >= STEPS, (name, len(curves))
@@ -71,7 +68,7 @@ def test_every_golden_file_is_a_run():
 # Graph nodes a training step records, per shipped config: every op's
 # Tensor._from_op call in one _train_step, the discriminator step
 # included. A change to the graph's size restates its count here.
-OPS_PER_STEP = {"xor-gan.ini": 135, "xor-auto.ini": 46, "xor-concat.ini": 37,
+OPS_PER_STEP = {"xor-gan.ini": 135, "xor-auto.ini": 45, "xor-concat.ini": 37,
                 "text-only.ini": 25}
 
 
@@ -146,6 +143,10 @@ def _drift(old: str, new: str) -> str:
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
+    for path in sorted(GOLDEN_DIR.glob("*.csv")):
+        if path.stem not in RUNS:
+            path.unlink()
+            print(f"deleted {path.relative_to(ROOT)}: no run in RUNS")
     for run in sorted(RUNS):
         path = GOLDEN_DIR / f"{run}.csv"
         text = _curve(run)

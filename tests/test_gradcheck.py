@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fuselab import numcore as nc
-from fuselab.exceptions import DomainError, EvaluationError
+from fuselab.exceptions import ConfigError, DomainError, EvaluationError
 
 
 def test_square_at_three():
@@ -129,6 +129,25 @@ def test_non_finite_probe_in_grad_check_params_reports_its_coordinate():
         nc.grad_check_params(f, [w])
     assert exc.value.coordinate == (0, 2)
     assert np.array_equal(w.data, np.zeros((2, 3)))  # the probe was undone
+
+
+@pytest.mark.parametrize("h, tol", [(0.0, 1e-4), (-1e-5, 1e-4), (np.inf, 1e-4),
+                                    (np.nan, 1e-4), (1e-5, 0.0), (1e-5, -1.0),
+                                    (1e-5, np.nan), (1e-5, np.inf)])
+def test_step_and_tolerance_must_be_finite_and_positive(h, tol):
+    """Both entry points refuse the settings before evaluating anything."""
+    calls = []
+    w = nc.Tensor(np.ones(3), name="w")
+
+    def f(*args):
+        calls.append(1)
+        return nc.squared_norm(w)
+
+    with pytest.raises(ConfigError, match="must be finite and positive"):
+        nc.grad_check(f, nc.Tensor(np.ones(3)), h=h, tol=tol)
+    with pytest.raises(ConfigError, match="must be finite and positive"):
+        nc.grad_check_params(f, [w], h=h, tol=tol)
+    assert not calls
 
 
 def test_only_the_analytic_pass_records_a_graph():

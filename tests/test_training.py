@@ -208,7 +208,7 @@ class TestParameterPartition:
 
                 disc_before = [p.data.copy() for p in disc_params]
                 # main step only (discriminator already stepped above)
-                _train_step(model, batch, config, rng, main_opt, None, step)
+                _train_step(model, batch, rng, main_opt, None, step)
                 for before, p in zip(disc_before, disc_params):
                     assert np.array_equal(before, p.data), \
                         f"main step moved {p.name} at step {step}"
@@ -278,7 +278,7 @@ class TestParameterPartition:
             return from_op(cls, data, op, parents, closure)
 
         monkeypatch.setattr(nc.Tensor, "_from_op", classmethod(counted))
-        _train_step(model, batch, config, np.random.default_rng(7), main_opt, None, 0)
+        _train_step(model, batch, np.random.default_rng(7), main_opt, None, 0)
         monkeypatch.undo()
         assert reached and not computed, computed
 
@@ -380,51 +380,64 @@ class TestAdam:
 
 
 class TestGanTerms:
-    def _run(self, model, batch, **overrides):
-        """The main objective at rng seed 1."""
+    def _run(self, model, batch):
+        """The main objective of a prepared batch at rng seed 1."""
         from fuselab.training.objectives import main_objective
 
-        batch = model.prepare(batch)
-        return main_objective(model, batch, model.encode(batch),
-                              TrainConfig(**overrides), np.random.default_rng(1))
+        return main_objective(model, batch, model.encode(batch), np.random.default_rng(1))
 
-    def test_generator_term_reaches_no_encoder(self):
+    @pytest.mark.parametrize("fusion", ["auto", "gan"])
+    def test_fusion_term_reaches_no_encoder(self, fusion):
+        """J's encoder gradients are bitwise J_C's, and every parameter the
+        fusion term trains (the autoencoder, or the generators) gets that
+        term on top of J_C's gradient."""
         ds = _dataset(20)
-        model = _model(ds, "gan", fusion_out_dim=8)
-        batch = ds.publications[:8]
+        model = _model(ds, fusion, fusion_out_dim=8)
+        batch = model.prepare(ds.publications[:8])
+        mech = model.mechanism
         encoders = model.text_encoder.parameters() + model.visual_encoder.parameters()
-        generators = model.mechanism.generator_parameters()
+        trained = (mech.parameters() if fusion == "auto" else
+                   mech.text_module.generator_parameters()
+                   + mech.visual_module.generator_parameters())
 
-        def grads(params, **overrides):
-            return self._run(model, batch, **overrides).j.backward(params)
-
-        j_c_only = self._run(model, batch).j_c.backward(encoders + generators)
-        stopped = grads(encoders + generators, fusion_loss_updates_encoders=False)
+        j_c_only = self._run(model, batch).j_c.backward(encoders + trained)
+        full = self._run(model, batch).j.backward(encoders + trained)
         n = len(encoders)
-        for a, b in zip(j_c_only[:n], stopped[:n]):
-            assert np.array_equal(a, b)
-        assert any(not np.array_equal(a, b) for a, b in zip(j_c_only[n:], stopped[n:]))
-        end_to_end = grads(encoders, fusion_loss_updates_encoders=True)
-        assert any(not np.array_equal(a, b) for a, b in zip(j_c_only, end_to_end))
+        for a, b in zip(j_c_only[:n], full[:n]):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(j_c_only[n:], full[n:]):
+            assert b is not None and (a is None or not np.array_equal(a, b))
 
-    def test_generator_term_scores_the_combiners_z_g(self):
-        """The detached path regenerates z_g with the noise fuse_batch drew,
-        so every reported part equals the end-to-end path's, which scores
-        the combiner's z_g itself."""
+    def test_generator_term_scores_the_combiners_z_g(self, monkeypatch):
+        """Each module's adversarial pass scores a z_g that is bitwise the
+        one the combiner consumed: the generator applied to the live
+        latent with the noise fuse_batch drew."""
+        from fuselab.fusion import GanFusionModule
+
         ds = _dataset(20)
         model = _model(ds, "gan", fusion_out_dim=8)
-        batch = ds.publications[:8]
-        stopped = self._run(model, batch, fusion_loss_updates_encoders=False)
-        end_to_end = self._run(model, batch, fusion_loss_updates_encoders=True)
-        assert stopped.parts == end_to_end.parts
-        assert stopped.j.data.item() == end_to_end.j.data.item()
+        batch = model.prepare(ds.publications[:8])
+        latents = model.encode(batch)
+        _, result = model.head(latents, np.random.default_rng(1))
+        mech = model.mechanism
+        want = {key: module.generate(latents[source], result.noise[key]).data
+                for key, module, source in (("t", mech.text_module, "text"),
+                                            ("v", mech.visual_module, "visual"))}
+
+        scored = []
+        adversarial = GanFusionModule.adversarial
+        monkeypatch.setattr(GanFusionModule, "adversarial",
+                            lambda module, real, z_g: scored.append(z_g.data)
+                            or adversarial(module, real, z_g))
+        self._run(model, batch)
+        assert [z.tobytes() for z in scored] == [want[k].tobytes() for k in ("t", "v")]
 
 
 class TestMainObjective:
     def test_gradient_suite_checks_the_objective_train_step_reports(self):
-        """With the fusion loss updating the encoders, the objective that
-        `fuselab gradcheck` differentiates end to end is the J the main
-        step minimizes, for the same model, batch and seeded rng."""
+        """The objective that `fuselab gradcheck` differentiates end to end
+        is the one the main step minimizes, for the same model, batch and
+        seeded rng."""
         from fuselab.gradsuite import _end_to_end_objective
         from fuselab.training.loop import _train_step
         from fuselab.training.optim import Adam
@@ -432,12 +445,11 @@ class TestMainObjective:
         ds = _dataset(20, seed=4)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:6]
-        checked = _end_to_end_objective(model, batch, seed=5)().data.item()
-        config = TrainConfig(fusion_loss_updates_encoders=True)
-        opt = Adam(model.main_parameters(), config.lr)
-        report = _train_step(model, model.prepare(batch), config,
+        checked = _end_to_end_objective(model, batch, seed=5)()
+        opt = Adam(model.main_parameters(), TrainConfig().lr)
+        report = _train_step(model, model.prepare(batch),
                              np.random.default_rng(5), opt, None, 0)
-        assert report.j == checked
+        assert (report.j, report.j_c) == (checked.j.data.item(), checked.j_c.data.item())
         assert report.j != report.j_c + report.j_f  # not J_C + J_adv
 
 
@@ -705,7 +717,7 @@ class TestPrepare:
         batch = model.prepare(pubs)
         assert batch.labels.tolist() == [0, 1, 2, 0, -1]
         with pytest.raises(ConfigError, match="label space"):
-            main_objective(model, batch, model.encode(batch), TrainConfig(), None)
+            main_objective(model, batch, model.encode(batch), None)
         truths, preds = predict_dataset(model, Dataset(pubs, ds.label_space))
         assert truths == ["a", "b", "c", "a", "z"] and len(preds) == 5
 
@@ -807,32 +819,26 @@ class TestPersistence:
 
 class TestFullPipelineGradients:
     def test_end_to_end_objective_grad_check_d4(self):
-        """Gradient of the main training objective (encoders -> fusion ->
-        classifier, the fusion term included) on a d=4, 2-class toy.
+        """Gradient of the main training step (encoders -> fusion ->
+        classifier) on a d=4, 2-class toy, every parameter included: the
+        encoders against J_C, the rest against J (gradsuite's check).
 
         Grid noise keeps relu inputs away from the exact kink at zero,
         where finite differences are undefined.
         """
+        from fuselab.gradsuite import end_to_end_check
+
         ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=4,
                                               seed=11, noise=0.2))
         vocab = Vocab.from_texts([p.text for p in ds])
-        from fuselab.training.objectives import main_objective
-
         for fusion in ("concat", "auto", "gan"):
             mc = ModelConfig(input_modes="multimodal", fusion=fusion, latent_dim=4,
                              embed_dim=3, hidden_dim=2, visual_channels=(2, 3),
                              fusion_out_dim=4 if fusion != "concat" else None,
                              normalize_text=False, seed=13)
             model = build_model(mc, ds.label_space, vocab)
-            batch = model.prepare(ds.publications[:2])
-
-            def objective():
-                # a fresh generator per evaluation freezes the GAN noise
-                return main_objective(model, batch, model.encode(batch), TrainConfig(),
-                                      np.random.default_rng(17)).j
-
-            reports = nc.grad_check_params(objective, model.parameters(),
-                                           h=1e-5, tol=1e-4)
+            reports = end_to_end_check(model, ds.publications[:2], h=1e-5, tol=1e-4)
+            assert list(reports) == [p.name for p in model.parameters()]
             bad = {k: r for k, r in reports.items() if not r.passed}
             assert not bad, (fusion, bad)
 
@@ -885,15 +891,15 @@ class TestDegenerateEquivalence:
 
         concat_wrt = [source for source, _ in shared] + projection.parameters()
         gan_wrt = [target for _, target in shared] + mech.combiner.parameters()
-        config, rng = TrainConfig(), np.random.default_rng(41)
+        rng = np.random.default_rng(41)
         concat_prepared = concat_model.prepare(ds.publications)
         gan_prepared = gan_model.prepare(ds.publications)
         for idx in BatchStream(ds, 30, seed=41).indices():
             batch = concat_prepared.take(idx)
             want = main_objective(concat_model, batch, concat_model.encode(batch),
-                                  config, None).j_c
+                                  None).j_c
             batch = gan_prepared.take(idx)
-            got = main_objective(gan_model, batch, gan_model.encode(batch), config, rng).j_c
+            got = main_objective(gan_model, batch, gan_model.encode(batch), rng).j_c
             assert abs(got.data.item() - want.data.item()) <= 1e-12, (got.data, want.data)
             *want_shared, want_w, want_b = want.backward(concat_wrt)
             *got_shared, got_w, got_b = got.backward(gan_wrt)

@@ -150,9 +150,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     if input_modes == "multimodal" and "fusion" not in m:
         raise ConfigError(f"{path}: [model] fusion: required for multimodal models "
                           "(concat | auto | gan)")
-    if input_modes != "multimodal" and "fusion" in m:
-        raise ConfigError(f"{path}: [model] fusion: not applicable to "
-                          f"{input_modes}-only models; remove the key")
+    for key in ("fusion", "fusion_out_dim"):
+        if input_modes != "multimodal" and key in m:
+            raise ConfigError(f"{path}: [model] {key}: not applicable to "
+                              f"{input_modes}-only models; remove the key")
     model = _build(ModelConfig, f"{path}: [model]", **{"fusion": None, **m}, seed=seed)
 
     spec = values[SyntheticSpec]

@@ -8,9 +8,9 @@ The adversarial mechanism keeps one generator/discriminator pair per
 modality: the text-side generator maps z_t (plus normal noise) toward
 the visual latent distribution, where z_v carries the true label, and
 the visual-side module mirrors that with the roles swapped. A
-feed-forward combiner turns the two generator outputs into the fused
-vector. Discriminator scores are clamped away from {0, 1} before any
-log so the adversarial objective stays finite.
+feed-forward combiner turns the two generator outputs and the two raw
+latents into the fused vector. Discriminator scores are clamped away
+from {0, 1} before any log so the adversarial objective stays finite.
 """
 
 from __future__ import annotations
@@ -47,33 +47,24 @@ def _check_pair(z_v: Tensor, z_t: Tensor, dim: int) -> None:
 
 
 class ConcatFusion:
-    """Concatenation baseline, optionally followed by a projection layer.
+    """Concatenation baseline: a relu dense layer (so the fused code is not
+    a purely linear readout) projects [z_v; z_t] from 2d to out_dim."""
 
-    Without the projection the fused vector is the raw 2d concatenation;
-    with it, a relu dense layer (so the fused code is not a purely linear
-    readout) maps 2d down to out_dim.
-    """
-
-    def __init__(self, latent_dim: int, out_dim: Optional[int] = None,
+    def __init__(self, latent_dim: int, out_dim: int,
                  rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
-        self.projection = None
-        if out_dim is None:
-            self.out_dim = 2 * latent_dim
-        else:
-            self.out_dim = out_dim
-            self.projection = DenseLayer(2 * latent_dim, out_dim, "relu",
-                                         rng, name="fusion.proj")
+        self.out_dim = out_dim
+        self.projection = DenseLayer(2 * latent_dim, out_dim, "relu",
+                                     rng, name="fusion.proj")
 
     def parameters(self) -> List[Tensor]:
-        return self.projection.parameters() if self.projection else []
+        return self.projection.parameters()
 
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
         z = nc.concat([z_v, z_t], axis=1)
-        z_fuse = self.projection(z) if self.projection else z
-        return FusionResult(z_fuse=z_fuse, z=z)
+        return FusionResult(z_fuse=self.projection(z), z=z)
 
 
 class AutoFusion:
@@ -105,19 +96,18 @@ class AutoFusion:
 
 
 class GanFusionModule:
-    """One adversarial module: a generator G(source + noise) and a
-    discriminator D scoring vectors of the target modality's dimension."""
+    """One adversarial module: a generator G(source + noise), with
+    max(1, latent_dim // 4) noise dimensions, and a discriminator D scoring
+    vectors of the target modality's dimension."""
 
-    def __init__(self, latent_dim: int, noise_dim: int, name: str,
+    def __init__(self, latent_dim: int, name: str,
                  rng: Optional[np.random.Generator] = None,
                  hidden_dim: Optional[int] = None):
-        if noise_dim < 1:
-            raise ConfigError("noise_dim must be positive")
         self.latent_dim = latent_dim
-        self.noise_dim = noise_dim
+        self.noise_dim = max(1, latent_dim // 4)
         self.name = name
         hidden = hidden_dim if hidden_dim is not None else 2 * latent_dim
-        self.gen_hidden = DenseLayer(latent_dim + noise_dim, hidden, "relu", rng,
+        self.gen_hidden = DenseLayer(latent_dim + self.noise_dim, hidden, "relu", rng,
                                      name=f"{name}.gen_hidden")
         self.gen_out = DenseLayer(hidden, latent_dim, "identity", rng, name=f"{name}.gen_out")
         self.disc_hidden = DenseLayer(latent_dim, hidden, "relu", rng,
@@ -189,22 +179,18 @@ def generator_loss(parts: GanLossParts) -> Tensor:
 
 
 class GanFusion:
-    """Both adversarial modules plus the feed-forward combiner.
+    """Both adversarial modules plus the feed-forward combiner, which reads
+    the two generator outputs and the raw encoder latents,
+    [z_g_text; z_g_visual; z_v; z_t]."""
 
-    The combiner consumes the two generator outputs ([z_g_text; z_g_visual]);
-    set append_raw_latents to also feed it the raw encoder latents.
-    """
-
-    def __init__(self, latent_dim: int, out_dim: int, append_raw_latents: bool = False,
+    def __init__(self, latent_dim: int, out_dim: int,
                  rng: Optional[np.random.Generator] = None):
         self.latent_dim = latent_dim
         self.out_dim = out_dim
-        self.noise_dim = max(1, latent_dim // 4)
-        self.append_raw_latents = append_raw_latents
-        self.text_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_t", rng)
-        self.visual_module = GanFusionModule(latent_dim, self.noise_dim, "fusion.gan_v", rng)
-        in_dim = 4 * latent_dim if append_raw_latents else 2 * latent_dim
-        self.combiner = DenseLayer(in_dim, out_dim, "relu", rng, name="fusion.combiner")
+        self.text_module = GanFusionModule(latent_dim, "fusion.gan_t", rng)
+        self.visual_module = GanFusionModule(latent_dim, "fusion.gan_v", rng)
+        self.combiner = DenseLayer(4 * latent_dim, out_dim, "relu", rng,
+                                   name="fusion.combiner")
 
     def parameters(self) -> List[Tensor]:
         """Every fusion parameter, discriminators included."""
@@ -228,10 +214,7 @@ class GanFusion:
         noise_v = self.visual_module.sample_noise(batch, rng)
         z_g_t = self.text_module.generate(z_t, noise_t)
         z_g_v = self.visual_module.generate(z_v, noise_v)
-        pieces = [z_g_t, z_g_v]
-        if self.append_raw_latents:
-            pieces += [z_v, z_t]
-        z_fuse = self.combiner(nc.concat(pieces, axis=1))
+        z_fuse = self.combiner(nc.concat([z_g_t, z_g_v, z_v, z_t], axis=1))
         return FusionResult(z_fuse=z_fuse, noise={"t": noise_t, "v": noise_v})
 
 

@@ -4,13 +4,15 @@ Checks, at tolerance tol against central finite differences:
   - every tensor primitive at random points, and the fused gated
     recurrence in both directions,
   - each layer (dense, embedding, recurrent encoder, conv encoder),
-  - the fusion losses (reconstruction and adversarial) and the
-    class-weighted batch cross-entropy,
+  - the fusion losses (reconstruction and adversarial) and the batch
+    cross-entropy,
   - end to end, for all three mechanisms on d=4, 2-class toys, the
-    gradient the main training step takes (main_objective): the fusion
-    term stops at the encoders, so the encoder parameters are checked
-    against J_C and every other parameter against J (J_C, J_C + J_auto,
-    or J_C + the generator-side adversarial term).
+    gradient the main training step takes (main_objective) through the
+    one head each mechanism has (concat's projection, the GAN combiner
+    over generator outputs and raw latents): the fusion term stops at
+    the encoders, so the encoder parameters are checked against J_C and
+    every other parameter against J (J_C, J_C + J_auto, or J_C + the
+    generator-side adversarial term).
 
 Random draws are seeded, and toy inputs carry noise so no relu sits
 exactly on its kink (where finite differences are undefined).
@@ -54,11 +56,8 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         ("op take_rows", (3, 2), lambda: lambda x: nc.tsum(
             nc.take_rows(x, np.array([0, 2, 2])))),
         ("op reshape", (2, 3), lambda: lambda x: nc.squared_norm(nc.reshape(x, (6,)))),
-        ("op transpose", (2, 3), lambda c=const((3, 2)): lambda x: nc.tsum(
-            nc.mul(nc.transpose(x), c))),
         ("op sum", (3, 4), lambda: lambda x: nc.squared_norm(nc.tsum(x, axis=0))),
         ("op mean", (3, 4), lambda: lambda x: nc.squared_norm(nc.tmean(x, axis=1))),
-        ("op exp", (5,), lambda: lambda x: nc.tsum(nc.texp(x))),
         ("op log", (5,), lambda: lambda x: nc.tsum(nc.tlog(nc.add(nc.mul(x, x), 0.5)))),
         ("op tanh", (5,), lambda: lambda x: nc.tsum(nc.tanh(x))),
         ("op sigmoid", (5,), lambda: lambda x: nc.tsum(nc.sigmoid(x))),
@@ -140,8 +139,7 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     reports.append(_summary("loss reconstruction",
                             grad_check_params(auto_loss, mech.parameters(), h, tol)))
 
-    module = GanFusionModule(latent_dim=4, noise_dim=1, name="gan",
-                             rng=np.random.default_rng(9))
+    module = GanFusionModule(latent_dim=4, name="gan", rng=np.random.default_rng(9))
     real = Tensor(rng.normal(size=(2, 4)))
     source = Tensor(rng.normal(size=(2, 4)))
     noise = rng.standard_normal((2, 1))
@@ -154,8 +152,7 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
 
     targets = one_hot([1, 2], 3)
     reports.append(grad_check(
-        lambda logits: batch_cross_entropy(targets, nc.softmax(logits),
-                                           class_weights=[0.5, 2.0, 1.5]),
+        lambda logits: batch_cross_entropy(targets, nc.softmax(logits)),
         Tensor(rng.normal(size=(2, 3))), h=h, tol=tol, label="loss batch_cross_entropy"))
     return reports
 
@@ -189,7 +186,6 @@ def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:
     for fusion in ("concat", "auto", "gan"):
         config = ModelConfig(input_modes="multimodal", fusion=fusion, latent_dim=4,
                              embed_dim=3, hidden_dim=2, visual_channels=(2, 3),
-                             fusion_out_dim=4 if fusion != "concat" else None,
                              normalize_text=False, seed=13)
         model = build_model(config, ds.label_space, vocab)
         reports.append(_summary(f"end_to_end {fusion}",

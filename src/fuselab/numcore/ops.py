@@ -258,17 +258,6 @@ def reshape(a: Arrayish, shape: Tuple[int, ...]) -> Tensor:
     return Tensor._from_op(out, "reshape", (a,), backward)
 
 
-def transpose(a: Arrayish, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
-    a = as_tensor(a)
-    out = np.transpose(a.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
-
-    def backward(g, needs):
-        return (np.transpose(g, inv),)
-
-    return Tensor._from_op(out, "transpose", (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -318,17 +307,6 @@ def squared_norm(a: Arrayish) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-
-def texp(a: Arrayish) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-
-    def backward(g, needs):
-        return (g * out,)
-
-    return Tensor._from_op(out, "exp", (a,), backward)
 
 
 def tlog(a: Arrayish) -> Tensor:

@@ -51,7 +51,8 @@ MAGIC = b"FUSEMODL"
 FORMAT_VERSION = 1
 
 INPUT_MODES = ("text", "visual", "multimodal")
-FUSION_KINDS = ("concat", "auto", "gan")
+MECHANISMS = {"concat": ConcatFusion, "auto": AutoFusion, "gan": GanFusion}
+FUSION_KINDS = tuple(MECHANISMS)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,7 @@ class ModelConfig:
     hidden_dim: int = 32
     visual_channels: Tuple[int, int] = (8, 16)
     in_channels: int = 1
-    fusion_out_dim: Optional[int] = None  # default: latent_dim (gan/auto); concat
-                                          # projects to it when set, else stays 2d
-    append_raw_latents: bool = False
+    fusion_out_dim: Optional[int] = None  # multimodal only; default: latent_dim
     normalize_text: bool = True
     seed: int = 0
 
@@ -88,13 +87,9 @@ class ModelConfig:
         return self.input_modes == "text"
 
     def resolved_fusion_dim(self) -> int:
-        if self.input_modes != "multimodal":
+        if self.input_modes != "multimodal" or self.fusion_out_dim is None:
             return self.latent_dim
-        if self.fusion_out_dim is not None:
-            return self.fusion_out_dim
-        if self.fusion == "concat":
-            return 2 * self.latent_dim
-        return self.latent_dim
+        return self.fusion_out_dim
 
     def to_json(self) -> dict:
         out = dataclasses.asdict(self)
@@ -215,14 +210,8 @@ class FusionModel:
                 channels=config.visual_channels, rng=rng)
 
         if config.input_modes == "multimodal":
-            out_dim = config.resolved_fusion_dim()
-            if config.fusion == "concat":
-                self.mechanism = ConcatFusion(d, config.fusion_out_dim, rng=rng)
-            elif config.fusion == "auto":
-                self.mechanism = AutoFusion(d, out_dim, rng=rng)
-            else:
-                self.mechanism = GanFusion(
-                    d, out_dim, append_raw_latents=config.append_raw_latents, rng=rng)
+            self.mechanism = MECHANISMS[config.fusion](d, config.resolved_fusion_dim(),
+                                                       rng=rng)
 
         classifier_in = config.resolved_fusion_dim()
         if config.wants_entity_tuple:

@@ -21,22 +21,16 @@ from ..fusion import AutoFusion, GanFusion, auto_fusion_loss, generator_loss
 from ..numcore import Tensor
 
 
-def batch_cross_entropy(targets: np.ndarray, probs: Tensor,
-                        class_weights: Optional[Sequence[float]] = None) -> Tensor:
+def batch_cross_entropy(targets: np.ndarray, probs: Tensor) -> Tensor:
     """Mean cross-entropy of predicted rows against one-hot target rows.
 
-    Optional per-class weights rescale each sample's loss by the weight of
-    its true class; training never passes them, the gradient suite checks
-    them. probs pass through the clamped log, so a saturated softmax cannot
+    probs pass through the clamped log, so a saturated softmax cannot
     produce an infinite loss.
     """
     if targets.shape != probs.shape:
         raise ShapeError(f"batch_cross_entropy: targets {targets.shape} vs "
                          f"predictions {probs.shape}")
     picked = nc.tsum(nc.mul(Tensor(targets), nc.tlog(probs)), axis=1)
-    if class_weights is not None:
-        weights = targets @ np.asarray(class_weights, dtype=np.float64)
-        picked = nc.mul(picked, Tensor(weights))
     return nc.neg(nc.tmean(picked))
 
 

@@ -72,7 +72,7 @@ def test_criterion_02_gradient_suite_via_cli(capsys):
     elapsed = time.time() - start
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "34/34 checks passed at tol 0.0001" in out, out
+    assert "32/32 checks passed at tol 0.0001" in out, out
     assert elapsed < 120.0, f"gradcheck took {elapsed:.1f}s"
     with capsys.disabled():
         _report(2, f"cmd_gradcheck all-pass at tol 1e-4 in {elapsed:.1f}s")
@@ -96,8 +96,7 @@ def test_criterion_03_loss_oracles_exact():
     # both adversarial components equal -2 ln 2 at an indifferent discriminator
     components = []
     for name, seed in (("t", 0), ("v", 1)):
-        module = GanFusionModule(latent_dim=3, noise_dim=1, name=name,
-                                 rng=np.random.default_rng(seed))
+        module = GanFusionModule(latent_dim=3, name=name, rng=np.random.default_rng(seed))
         for p in module.discriminator_parameters():
             p.data[...] = 0.0  # sigmoid(0) = 0.5 for every input
         parts = gan_adv_loss(module, Tensor(np.ones((4, 3))),
@@ -172,10 +171,7 @@ def _experiment_model_config(kind: str, seed: int) -> ModelConfig:
         return ModelConfig(input_modes="text", fusion=None, **base)
     if kind == "visual":
         return ModelConfig(input_modes="visual", fusion=None, **base)
-    extra = dict(fusion_out_dim=16)
-    if kind == "gan":
-        extra["append_raw_latents"] = True
-    return ModelConfig(input_modes="multimodal", fusion=kind, **extra, **base)
+    return ModelConfig(input_modes="multimodal", fusion=kind, fusion_out_dim=16, **base)
 
 
 def test_criterion_05_fusion_benefit_experiment():
@@ -240,8 +236,7 @@ def test_criterion_07_gan_dynamics_sanity():
     accuracies = []
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
-        module = GanFusionModule(latent_dim=1, noise_dim=1, name="toy",
-                                 rng=rng, hidden_dim=16)
+        module = GanFusionModule(latent_dim=1, name="toy", rng=rng, hidden_dim=16)
         d_opt = Adam(module.discriminator_parameters(), lr=1e-3)
         g_opt = Adam(module.generator_parameters(), lr=1e-3)
         for _ in range(800):
@@ -291,7 +286,6 @@ embed_dim = 8
 hidden_dim = 5
 visual_channels = 4,6
 fusion_out_dim = 12
-append_raw_latents = true
 normalize_text = false
 
 [data]
@@ -340,8 +334,7 @@ def test_criterion_10_parameter_partition_100_steps():
     model = build_model(
         ModelConfig(input_modes="multimodal", fusion="gan", latent_dim=8,
                     embed_dim=6, hidden_dim=4, visual_channels=(3, 5),
-                    fusion_out_dim=8, append_raw_latents=True,
-                    normalize_text=False, seed=9),
+                    fusion_out_dim=8, normalize_text=False, seed=9),
         ds.label_space, vocab)
     config = TrainConfig(epochs=10, batch_size=10, seed=2)
     main_params = model.main_parameters()

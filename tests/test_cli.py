@@ -350,7 +350,8 @@ class TestConfigParsing:
     # paragraph names each one.
     REMOVED = {"model": ("saturating_gan = true", "concat_projection = true",
                          "visual_feature_dim = 6", "entity_feature_dim = 2",
-                         "noise_dim = 3", "use_entity_tuple = true"),
+                         "noise_dim = 3", "use_entity_tuple = true",
+                         "append_raw_latents = true"),
                "data": ("synthetic_noise = 0.1", "synthetic_grid = 14",
                         "synthetic_seq_len = 7"),
                "train": ("patience = 3", "disc_lr = 0.02", "clip_norm = 1.0",
@@ -475,6 +476,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_experiment_config(path)
 
+    @pytest.mark.parametrize("modes", ["text", "visual"])
+    def test_fusion_out_dim_rejected_for_unimodal(self, tmp_path, capsys, modes):
+        """A unimodal model has no fusion output, so the key would be parsed
+        and then ignored: it exits 2 naming the key instead."""
+        body = (CONFIG_TEMPLATE.format(seed=1)
+                .replace("input_modes = multimodal", f"input_modes = {modes}")
+                .replace("fusion = concat\n", "")
+                .replace("fusion_out_dim = 12", "fusion_out_dim = 5"))
+        path = _write_config(tmp_path, body=body)
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: [model] fusion_out_dim: not applicable to {modes}-only" in err
+        assert not (tmp_path / "o").exists()
+
     def test_data_source_required(self, tmp_path):
         body = CONFIG_TEMPLATE.format(seed=1).replace(
             "synthetic_task = xor-crossmodal\n", "")
@@ -503,8 +518,7 @@ class TestConfigParsing:
     KNOBS = {
         "model": {"input_modes": "visual", "fusion": "gan", "latent_dim": "16",
                   "embed_dim": "8", "hidden_dim": "6", "visual_channels": "4,6",
-                  "fusion_out_dim": "12", "append_raw_latents": "true",
-                  "normalize_text": "false", "vocab_size": "50"},
+                  "fusion_out_dim": "12", "normalize_text": "false", "vocab_size": "50"},
         "data": {"path": "pubs.jsonl", "synthetic_task": "unimodal-separable",
                  "synthetic_n": "30", "split": "0.6,0.2,0.2", "binarize": "true"},
         "train": {"epochs": "7", "batch_size": "8", "lr": "0.05"},

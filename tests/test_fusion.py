@@ -27,11 +27,12 @@ def _zero_params(params):
 
 
 class TestConcat:
-    def test_plain_concatenation(self):
-        mech = ConcatFusion(latent_dim=1)
+    def test_projection_is_relu_of_concatenation(self):
+        mech = ConcatFusion(latent_dim=1, out_dim=2)
+        mech.projection.weights.data[...] = [[1.0, 0.0], [0.0, -1.0]]
         out = mech.fuse_batch(Tensor([[1.0]]), Tensor([[2.0]]))
-        assert out.z_fuse.data.tolist() == [[1.0, 2.0]]
-        assert out.z_fuse.shape == (1, 2)
+        assert out.z.data.tolist() == [[1.0, 2.0]]
+        assert out.z_fuse.data.tolist() == [[1.0, 0.0]]
 
     def test_projection_controls_output_dim(self):
         mech = ConcatFusion(latent_dim=3, out_dim=5, rng=np.random.default_rng(0))
@@ -39,7 +40,7 @@ class TestConcat:
         assert out.z_fuse.shape == (1, 5)
 
     def test_latent_dim_mismatch(self):
-        mech = ConcatFusion(latent_dim=2)
+        mech = ConcatFusion(latent_dim=2, out_dim=2)
         with pytest.raises(ShapeError):
             mech.fuse_batch(Tensor([[1.0, 2.0]]), Tensor([[1.0]]))
         with pytest.raises(ShapeError):  # a single latent is a batch of one
@@ -108,8 +109,7 @@ class TestAutoFusionLoss:
 
 class TestGanLoss:
     def _module(self, d=2, seed=0):
-        return GanFusionModule(latent_dim=d, noise_dim=1, name="m",
-                               rng=np.random.default_rng(seed))
+        return GanFusionModule(latent_dim=d, name="m", rng=np.random.default_rng(seed))
 
     def test_indifferent_discriminator_value(self):
         module = self._module()
@@ -188,14 +188,16 @@ class TestGanFusion:
             for score in (parts.d_real, parts.d_fake):
                 assert 0.0 < score.data.item() < 1.0
 
-    def test_append_raw_latents_widens_combiner(self):
-        plain = self._mech()
-        wide = self._mech(append_raw_latents=True)
-        assert plain.combiner.in_dim == 6
-        assert wide.combiner.in_dim == 12
-        out = wide.fuse_batch(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))),
+    def test_combiner_reads_generator_outputs_and_raw_latents(self):
+        """The combiner reads [z_g_t; z_g_v; z_v; z_t]: with its weights
+        zero but on the raw-latent block, the fused vector is relu(z_v - z_t)."""
+        mech = self._mech()
+        assert mech.combiner.in_dim == 12
+        mech.combiner.weights.data[...] = 0.0
+        mech.combiner.weights.data[:, 6:] = np.eye(3, 6) - np.eye(3, 6, 3)
+        out = mech.fuse_batch(Tensor([[1.0, -2.0, 3.0]]), Tensor([[0.5, 0.5, -4.0]]),
                               rng=np.random.default_rng(0))
-        assert out.z_fuse.shape == (1, 3)
+        assert out.z_fuse.data.tolist() == [[0.5, 0.0, 7.0]]
 
     def test_parameter_partition_is_disjoint_and_covering(self):
         mech = self._mech()
@@ -228,8 +230,7 @@ class TestFusionGradients:
         assert all(r.passed for r in reports.values()), reports
 
     def test_gan_adv_loss_gradients(self):
-        module = GanFusionModule(latent_dim=4, noise_dim=1, name="m",
-                                 rng=np.random.default_rng(8))
+        module = GanFusionModule(latent_dim=4, name="m", rng=np.random.default_rng(8))
         real = Tensor(np.random.default_rng(9).normal(size=(1, 4)))
         source = Tensor(np.random.default_rng(10).normal(size=(1, 4)))
         noise = np.random.default_rng(11).standard_normal((1, 1))
@@ -242,8 +243,7 @@ class TestFusionGradients:
         assert all(r.passed for r in reports.values()), reports
 
     def test_generator_loss_gradients(self):
-        module = GanFusionModule(latent_dim=4, noise_dim=1, name="m",
-                                 rng=np.random.default_rng(12))
+        module = GanFusionModule(latent_dim=4, name="m", rng=np.random.default_rng(12))
         real = Tensor(np.random.default_rng(13).normal(size=(1, 4)))
         source = Tensor(np.random.default_rng(14).normal(size=(1, 4)))
         noise = np.random.default_rng(15).standard_normal((1, 1))

@@ -26,7 +26,7 @@ class TestEntityTuplePath:
         assert with_tuple.config.wants_entity_tuple
         assert with_tuple.classifier.in_dim == 6 + 4
         for modes, fusion, in_dim in (("visual", None, 6), ("multimodal", "auto", 6),
-                                      ("multimodal", "concat", 12)):
+                                      ("multimodal", "concat", 6)):
             without = ModelConfig(input_modes=modes, fusion=fusion, **dims)
             assert not without.wants_entity_tuple
             assert build_model(without, ds.label_space, vocab).classifier.in_dim == in_dim

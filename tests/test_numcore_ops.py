@@ -75,9 +75,10 @@ def test_div_by_zero_is_domain_error():
         nc.div(nc.Tensor([1.0]), nc.Tensor([0.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_result_rejected():
     with pytest.raises(DomainError):
-        nc.texp(nc.Tensor([1e6]))
+        nc.mul(nc.Tensor([1e200]), nc.Tensor([1e200]))
 
 
 def test_matmul_value():

@@ -123,11 +123,9 @@ SMOOTH_OPS = {
     "take_rows": lambda r, n, m: (lambda a, idx=r.integers(0, n, size=n + 2):
                                   nc.take_rows(a, idx), [_t(r, n, m)]),
     "reshape": lambda r, n, m: (lambda a: nc.reshape(a, (m, n)), [_t(r, n, m)]),
-    "transpose": lambda r, n, m: (nc.transpose, [_t(r, n, m)]),
     "sum": lambda r, n, m: (lambda a: nc.tsum(a, axis=0), [_t(r, n, m)]),
     "mean": lambda r, n, m: (lambda a: nc.tmean(a, axis=1), [_t(r, n, m)]),
     "squared_norm": lambda r, n, m: (nc.squared_norm, [_t(r, n, m)]),
-    "exp": lambda r, n, m: (nc.texp, [_t(r, n, m)]),
     "log": lambda r, n, m: (lambda a: nc.tlog(_positive(a)), [_t(r, n, m)]),
     "tanh": lambda r, n, m: (nc.tanh, [_t(r, n, m)]),
     "sigmoid": lambda r, n, m: (nc.sigmoid, [_t(r, n, m)]),
@@ -154,8 +152,7 @@ def test_smooth_op_passes_grad_check(name, n, m, seed):
     assert all(report.passed for report in reports.values()), reports
 
 
-_UNARY = {"tanh": nc.tanh, "sigmoid": nc.sigmoid, "transpose": nc.transpose,
-          "softmax": nc.softmax}
+_UNARY = {"tanh": nc.tanh, "sigmoid": nc.sigmoid, "softmax": nc.softmax}
 _BINARY = {"add": nc.add, "sub": nc.sub, "mul": nc.mul, "matmul": nc.matmul}
 # ops over two (n, n) nodes a and b that also read drawn constants, so
 # their closures are asked for some parents' gradients and not others

@@ -100,15 +100,12 @@ class TestCrossEntropy:
                                h=1e-5, tol=1e-4)
         assert report.passed, report
 
-    def test_class_weights_rescale_sample_losses(self):
+    def test_batch_loss_is_mean_of_sample_losses(self):
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         probs = Tensor(np.array([[0.8, 0.2], [0.4, 0.6]]))
         plain = batch_cross_entropy(targets, probs).data.item()
         expected = (-math.log(0.8) - math.log(0.6)) / 2
         assert abs(plain - expected) < 1e-12
-        weighted = batch_cross_entropy(targets, probs, class_weights=[2.0, 0.5]).data.item()
-        expected_w = (2.0 * -math.log(0.8) + 0.5 * -math.log(0.6)) / 2
-        assert abs(weighted - expected_w) < 1e-12
 
 
 class TestTrainLoop:
@@ -228,7 +225,7 @@ class TestParameterPartition:
         from_op = nc.Tensor._from_op.__func__
         runs = []
         for detach in (True, False):
-            model = _model(ds, "gan", fusion_out_dim=8, append_raw_latents=True)
+            model = _model(ds, "gan", fusion_out_dim=8)
             called, grads = [], []
 
             def counted(cls, data, op, parents, backward):
@@ -783,14 +780,15 @@ class TestPersistence:
         ("input_modes", lambda h: _rehashed(h, input_modes=3)),
         ("fusion", lambda h: _rehashed(h, fusion=1)),
         ("fusion_out_dim", lambda h: _rehashed(h, fusion_out_dim=0)),
+        ("append_raw_latents", lambda h: _rehashed(h, append_raw_latents=True)),
         ("'label_space'", lambda h: h["label_space"].update(names="01")),
         ("'label_space'", lambda h: h["label_space"].update(names=[0, 1])),
         ("'label_space'", lambda h: h["label_space"].update(merge=["0", "1"])),
     ], ids=["unknown-config-key", "no-config", "no-params", "param-without-shape",
             "vocab-not-a-list", "label-space-not-a-dict", "config-value-mistyped",
             "int-field-float", "bool-field-int", "tuple-item-float", "mode-int",
-            "fusion-int", "fusion-out-dim-zero", "names-string", "names-ints",
-            "merge-list"])
+            "fusion-int", "fusion-out-dim-zero", "removed-append-raw-latents",
+            "names-string", "names-ints", "merge-list"])
     def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
         from fuselab.cli import main
         from fuselab.datakit import save_jsonl
@@ -861,7 +859,7 @@ class TestDegenerateEquivalence:
         gan_cfg = ModelConfig(input_modes="multimodal", fusion="gan",
                               latent_dim=6, embed_dim=4, hidden_dim=3,
                               visual_channels=(2, 3), fusion_out_dim=6,
-                              append_raw_latents=True, normalize_text=False, seed=31)
+                              normalize_text=False, seed=31)
         concat_model = build_model(concat_cfg, ds.label_space, vocab)
         gan_model = build_model(gan_cfg, ds.label_space, vocab)
 

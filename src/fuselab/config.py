@@ -145,16 +145,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: [model] vocab_size must be at least 3, past the "
                           f"two reserved ids, got {experiment['vocab_size']}")
 
-    m = values[ModelConfig]
-    input_modes = m.get("input_modes", ModelConfig.input_modes)
-    if input_modes == "multimodal" and "fusion" not in m:
-        raise ConfigError(f"{path}: [model] fusion: required for multimodal models "
-                          "(concat | auto | gan)")
-    for key in ("fusion", "fusion_out_dim"):
-        if input_modes != "multimodal" and key in m:
-            raise ConfigError(f"{path}: [model] {key}: not applicable to "
-                              f"{input_modes}-only models; remove the key")
-    model = _build(ModelConfig, f"{path}: [model]", **{"fusion": None, **m}, seed=seed)
+    model = _build(ModelConfig, f"{path}: [model]", **values[ModelConfig], seed=seed)
 
     spec = values[SyntheticSpec]
     has_path, has_task = "path" in values[DataConfig], "task" in spec

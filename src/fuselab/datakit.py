@@ -168,8 +168,8 @@ class Dataset:
 # JSON Lines IO
 
 
-def _grid_to_json(grid: np.ndarray, threshold: int):
-    if grid.size > threshold:
+def _grid_to_json(grid: np.ndarray):
+    if grid.size > BLOB_THRESHOLD:
         blob = base64.b64encode(np.asarray(grid, dtype="<f4").tobytes()).decode("ascii")
         return {"b64": blob, "shape": list(grid.shape)}
     return grid.tolist()
@@ -185,7 +185,7 @@ def _grid_from_json(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
-def save_jsonl(dataset: Dataset, path, blob_threshold: int = BLOB_THRESHOLD) -> None:
+def save_jsonl(dataset: Dataset, path) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         header = {"_schema": SCHEMA,
@@ -196,7 +196,7 @@ def save_jsonl(dataset: Dataset, path, blob_threshold: int = BLOB_THRESHOLD) -> 
             if pub.caption is not None:
                 rec["caption"] = pub.caption
             if pub.visual is not None:
-                rec["visual"] = _grid_to_json(pub.visual, blob_threshold)
+                rec["visual"] = _grid_to_json(pub.visual)
             fh.write(json.dumps(rec) + "\n")
 
 

@@ -1,7 +1,7 @@
 """Social-text normalization, hashtag segmentation and entity tuples."""
 
 from .entities import EntityTuple, extract_entity_tuple, pos_tag
-from .lexicons import ENV_VAR, Lexicons, default_lexicons, lexicon_dir, load_lexicons
+from .lexicons import Lexicons, default_lexicons, load_lexicons
 from .normalize import (
     ELONGATED,
     HASHTAG_CLOSE,
@@ -24,7 +24,6 @@ from .segment import segment
 
 __all__ = [
     "ELONGATED",
-    "ENV_VAR",
     "EntityTuple",
     "HASHTAG_CLOSE",
     "HASHTAG_OPEN",
@@ -43,7 +42,6 @@ __all__ = [
     "USER_OPEN",
     "default_lexicons",
     "extract_entity_tuple",
-    "lexicon_dir",
     "load_lexicons",
     "normalize",
     "pos_tag",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .lexicons import Lexicons, default_lexicons
+from .lexicons import default_lexicons
 from .normalize import NormalizedText
 
 _VERBISH = {"VERB", "AUX"}
@@ -53,10 +53,10 @@ def _verb_stems(word: str) -> List[str]:
     return stems
 
 
-def pos_tag(text: NormalizedText, lexicons: Optional[Lexicons] = None) -> List[Tuple[str, str]]:
+def pos_tag(text: NormalizedText) -> List[Tuple[str, str]]:
     """Tag the word tokens of a normalized text; markup and punctuation
     are skipped."""
-    lex = lexicons or default_lexicons()
+    lex = default_lexicons()
     tagged: List[Tuple[str, str]] = []
     prev_tag = ""
     for word in text.words():
@@ -78,9 +78,8 @@ def pos_tag(text: NormalizedText, lexicons: Optional[Lexicons] = None) -> List[T
     return tagged
 
 
-def extract_entity_tuple(text: NormalizedText,
-                         lexicons: Optional[Lexicons] = None) -> EntityTuple:
-    tagged = pos_tag(text, lexicons)
+def extract_entity_tuple(text: NormalizedText) -> EntityTuple:
+    tagged = pos_tag(text)
     verb_idx = next((i for i, (_, tag) in enumerate(tagged) if tag in _VERBISH), None)
     if verb_idx is None:
         return EntityTuple()

@@ -1,27 +1,27 @@
 """Lexicon loading.
 
-Files are UTF-8 TSV, one entry per line:
+The normalizer reads the four UTF-8 TSV files bundled under
+fuselab/data, one entry per line:
 
     words.tsv      word<TAB>frequency
     emoticons.tsv  emoticon<TAB>name
     typos.tsv      typo<TAB>correction
     pos.tsv        word<TAB>tag
 
-The bundled copies under fuselab/data are used unless FUSELAB_LEXICON_DIR
-points somewhere else.
+They are the only lexicons: a model file does not record them, so the
+tokens a saved model sees depend on these files alone.
+tools/build_lexicons.py writes them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict
 
 from ..exceptions import ConfigError
 
-ENV_VAR = "FUSELAB_LEXICON_DIR"
 _BUNDLED = Path(__file__).resolve().parent.parent / "data"
 UNKNOWN_CHAR_PENALTY = math.log(50.0)
 
@@ -32,9 +32,9 @@ class Lexicons:
     emoticons: Dict[str, str]
     typos: Dict[str, str]
     pos: Dict[str, str]
-    total_count: int = 0
-    max_word_len: int = 0
-    log_total: float = 0.0
+    total_count: int = field(init=False)
+    max_word_len: int = field(init=False)
+    log_total: float = field(init=False)
     # log probability of each word with a nonzero count, read by log_prob
     word_log_prob: Dict[str, float] = field(init=False, repr=False)
 
@@ -69,19 +69,9 @@ def _read_tsv(path: Path) -> Dict[str, str]:
     return table
 
 
-def lexicon_dir() -> Path:
-    override = os.environ.get(ENV_VAR)
-    if override:
-        path = Path(override)
-        if not path.is_dir():
-            raise ConfigError(f"{ENV_VAR} points to missing directory {path}")
-        return path
-    return _BUNDLED
-
-
-def load_lexicons(directory: Path | None = None) -> Lexicons:
-    base = Path(directory) if directory else lexicon_dir()
-    words_raw = _read_tsv(base / "words.tsv")
+def load_lexicons() -> Lexicons:
+    """Read the bundled lexicons, checking the content of each file."""
+    words_raw = _read_tsv(_BUNDLED / "words.tsv")
     try:
         word_freq = {w: int(c) for w, c in words_raw.items()}
     except ValueError as exc:
@@ -91,15 +81,15 @@ def load_lexicons(directory: Path | None = None) -> Lexicons:
             raise ConfigError(f"words.tsv: negative frequency {count} for {word!r}")
     if not word_freq:
         raise ConfigError("words.tsv is empty")
-    emoticons = _read_tsv(base / "emoticons.tsv")
+    emoticons = _read_tsv(_BUNDLED / "emoticons.tsv")
     for emo in emoticons:
         if emo.split() != [emo]:  # the normalizer matches whole whitespace chunks
             raise ConfigError(f"emoticons.tsv: emoticon {emo!r} is empty or holds whitespace")
     return Lexicons(
         word_freq=word_freq,
         emoticons=emoticons,
-        typos=_read_tsv(base / "typos.tsv"),
-        pos=_read_tsv(base / "pos.tsv"),
+        typos=_read_tsv(_BUNDLED / "typos.tsv"),
+        pos=_read_tsv(_BUNDLED / "pos.tsv"),
     )
 
 

@@ -188,10 +188,10 @@ def _find_span_close(events: List[_Event], start: int, close: str) -> int:
     return -1
 
 
-def normalize(raw: str, lexicons: Optional[Lexicons] = None) -> NormalizedText:
-    """Normalize one string. Total: unknown constructs pass through as
-    word or punctuation tokens."""
-    lex = lexicons or default_lexicons()
+def normalize(raw: str) -> NormalizedText:
+    """Normalize one string against the bundled lexicons. Total: unknown
+    constructs pass through as word or punctuation tokens."""
+    lex = default_lexicons()
     events = _scan(raw, lex)
     tokens: List[Token] = []
     drop_next_punct = False
@@ -214,7 +214,7 @@ def normalize(raw: str, lexicons: Optional[Lexicons] = None) -> NormalizedText:
 
         if ev.kind == "hashtag":
             tokens.append(Token(HASHTAG_OPEN, TAG_HASHTAG_OPEN))
-            for piece in segment(ev.text[1:].lower(), lex):
+            for piece in segment(ev.text[1:].lower()):
                 tokens.append(Token(piece, TAG_WORD))
             tokens.append(Token(HASHTAG_CLOSE, TAG_HASHTAG_CLOSE))
             i += 1

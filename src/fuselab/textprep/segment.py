@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from typing import List
 
-from .lexicons import Lexicons
+from .lexicons import default_lexicons
 
 # unknown chunks longer than this are never proposed as single segments,
 # except for the whole-string fallback
 _MAX_UNKNOWN = 24
 
 
-def segment(text: str, lexicons: Lexicons) -> List[str]:
+def segment(text: str) -> List[str]:
     if not text:
         return []
+    lexicons = default_lexicons()
     n = len(text)
     max_len = max(lexicons.max_word_len, min(n, _MAX_UNKNOWN))
     best: List[float] = [0.0] + [float("-inf")] * n

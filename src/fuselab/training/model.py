@@ -58,7 +58,7 @@ FUSION_KINDS = tuple(MECHANISMS)
 @dataclass(frozen=True)
 class ModelConfig:
     input_modes: str = "multimodal"
-    fusion: Optional[str] = "concat"     # None for unimodal models
+    fusion: Optional[str] = None         # multimodal only: concat | auto | gan
     latent_dim: int = 64
     embed_dim: int = 32
     hidden_dim: int = 32
@@ -74,11 +74,15 @@ class ModelConfig:
                               f"got {self.input_modes!r}")
         if self.input_modes == "multimodal":
             if self.fusion not in FUSION_KINDS:
-                raise ConfigError(f"multimodal models need a fusion mechanism "
-                                  f"from {FUSION_KINDS}, got {self.fusion!r}")
-        out_dim = 1 if self.fusion_out_dim is None else self.fusion_out_dim
+                raise ConfigError("fusion: required for multimodal models "
+                                  f"({' | '.join(FUSION_KINDS)}), got {self.fusion!r}")
+        else:
+            for key in ("fusion", "fusion_out_dim"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"{key}: not applicable to "
+                                      f"{self.input_modes}-only models")
         if min(self.latent_dim, self.embed_dim, self.hidden_dim, *self.visual_channels,
-               out_dim) < 1:
+               self.resolved_fusion_dim()) < 1:
             raise ConfigError("model dimensions (latent_dim, embed_dim, hidden_dim, "
                               "visual_channels, fusion_out_dim) must be positive")
 
@@ -87,9 +91,7 @@ class ModelConfig:
         return self.input_modes == "text"
 
     def resolved_fusion_dim(self) -> int:
-        if self.input_modes != "multimodal" or self.fusion_out_dim is None:
-            return self.latent_dim
-        return self.fusion_out_dim
+        return self.latent_dim if self.fusion_out_dim is None else self.fusion_out_dim
 
     def to_json(self) -> dict:
         out = dataclasses.asdict(self)

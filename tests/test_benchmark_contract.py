@@ -4,6 +4,7 @@ perfbench wraps fuselab functions and methods by module and attribute
 name, and a target that is gone fails the run. These tests catch a
 rename here first, and pin how many objective evaluations one
 finite-difference check makes: the gradcheck workload times each one.
+socialgen, which writes the text workload's posts, is built here too.
 """
 
 from pathlib import Path
@@ -22,6 +23,19 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+def test_social_post_generator_reaches_the_library_api(monkeypatch):
+    """perfbench/socialgen.py builds the train-text-social posts from
+    load_lexicons and the datakit types; no other test imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import socialgen
+
+    from fuselab.datakit import BINARY_SPACE
+
+    ds = socialgen.SocialPostGenerator(0).dataset(20)
+    assert len(ds) == 20 and ds.label_space == BINARY_SPACE
+    assert {p.label for p in ds} <= set(BINARY_SPACE.names)
 
 
 def test_every_span_and_probe_target_resolves(tracing):
@@ -79,8 +93,8 @@ def test_forward_batch_rows_are_prepared_publications(tracing):
     ((_, _, _, rows_arg),) = [s for s in tracing.SPANS if s[0] == "training.forward_batch"]
     assert rows_arg == 1
     ds = generate_synthetic(SyntheticSpec(task="xor-crossmodal", n=5, seed=1))
-    model = build_model(ModelConfig(latent_dim=4, embed_dim=3, hidden_dim=2,
-                                    visual_channels=(2, 3)),
+    model = build_model(ModelConfig(fusion="concat", latent_dim=4, embed_dim=3,
+                                    hidden_dim=2, visual_channels=(2, 3)),
                         ds.label_space, Vocab.from_texts([p.text for p in ds]))
     pubs = ds.publications
     assert tracing._rows(model.prepare(pubs)) == len(pubs)

@@ -181,7 +181,7 @@ class TestJsonl:
         grid = np.arange(40 * 40).reshape(40, 40, 1).astype(np.float64)
         ds = Dataset([Publication(id="g", label="Hate", visual=grid)], BINARY_SPACE)
         path = tmp_path / "blob.jsonl"
-        save_jsonl(ds, path, blob_threshold=100)
+        save_jsonl(ds, path)
         raw = path.read_text().splitlines()[1]
         assert "b64" in raw
         loaded = load_jsonl(path)

@@ -1,5 +1,5 @@
-"""Cross-module surfaces: lexicon directory override, entity-tuple
-classifier path."""
+"""Cross-module surfaces: bundled lexicons, entity-tuple classifier
+path."""
 
 import shutil
 
@@ -84,47 +84,51 @@ class TestEntityTuplePath:
 
 
 class TestLexiconOverride:
-    def test_env_var_redirects_lexicon_loading(self, tmp_path, monkeypatch):
-        from fuselab.textprep import lexicons as lex_mod
-        from fuselab.textprep.lexicons import load_lexicons, lexicon_dir
+    """Nothing overrides the bundled TSVs; load_lexicons still checks
+    their content, since a developer edits them by hand."""
 
-        custom = tmp_path / "lex"
-        custom.mkdir()
-        shutil.copyfile(lex_mod._BUNDLED / "emoticons.tsv", custom / "emoticons.tsv")
-        shutil.copyfile(lex_mod._BUNDLED / "typos.tsv", custom / "typos.tsv")
-        shutil.copyfile(lex_mod._BUNDLED / "pos.tsv", custom / "pos.tsv")
-        (custom / "words.tsv").write_text("zorp\t100\n", encoding="utf-8")
-
-        monkeypatch.setenv("FUSELAB_LEXICON_DIR", str(custom))
-        assert lexicon_dir() == custom
-        loaded = load_lexicons()
-        assert loaded.word_freq == {"zorp": 100}
-
-    def test_env_var_to_missing_dir_is_config_error(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("FUSELAB_LEXICON_DIR", str(tmp_path / "missing"))
-        from fuselab.textprep.lexicons import lexicon_dir
-
-        with pytest.raises(ConfigError):
-            lexicon_dir()
+    POST = "sooo happpy #lovewins @bob !"
 
     @pytest.mark.parametrize("emoticon", ["^ ^", "", "　:)"])
-    def test_emoticon_that_is_not_one_chunk_is_config_error(self, tmp_path, emoticon):
+    def test_emoticon_that_is_not_one_chunk_is_config_error(self, tmp_path, monkeypatch,
+                                                           emoticon):
         from fuselab.textprep import lexicons as lex_mod
-        from fuselab.textprep.lexicons import load_lexicons
 
         for name in ("words.tsv", "typos.tsv", "pos.tsv"):
             shutil.copyfile(lex_mod._BUNDLED / name, tmp_path / name)
         (tmp_path / "emoticons.tsv").write_text(f":)\tsmile\n{emoticon}\tjoy\n",
                                                 encoding="utf-8")
+        monkeypatch.setattr(lex_mod, "_BUNDLED", tmp_path)
         with pytest.raises(ConfigError, match="emoticons.tsv"):
-            load_lexicons(tmp_path)
+            lex_mod.load_lexicons()
 
-    def test_negative_word_frequency_is_config_error(self, tmp_path):
+    def test_negative_word_frequency_is_config_error(self, tmp_path, monkeypatch):
         from fuselab.textprep import lexicons as lex_mod
-        from fuselab.textprep.lexicons import load_lexicons
 
         for name in ("emoticons.tsv", "typos.tsv", "pos.tsv"):
             shutil.copyfile(lex_mod._BUNDLED / name, tmp_path / name)
         (tmp_path / "words.tsv").write_text("zorp\t100\nblip\t-3\n", encoding="utf-8")
+        monkeypatch.setattr(lex_mod, "_BUNDLED", tmp_path)
         with pytest.raises(ConfigError, match="words.tsv.*'blip'"):
-            load_lexicons(tmp_path)
+            lex_mod.load_lexicons()
+
+    def test_lexicon_dir_variable_is_inert(self, tmp_path, monkeypatch):
+        """FUSELAB_LEXICON_DIR no longer picks the lexicons: neither a
+        missing directory nor a one-word words.tsv changes the tokens."""
+        from fuselab.textprep import lexicons as lex_mod
+        from fuselab.textprep import normalize
+
+        monkeypatch.delenv("FUSELAB_LEXICON_DIR", raising=False)
+        monkeypatch.setattr(lex_mod, "_default", None)
+        want = normalize(self.POST).render()
+        assert want == "so happy [hashtag] love win s [/hashtag] [user] bob [/user]"
+
+        custom = tmp_path / "lex"
+        custom.mkdir()
+        for name in ("emoticons.tsv", "typos.tsv", "pos.tsv"):
+            shutil.copyfile(lex_mod._BUNDLED / name, custom / name)
+        (custom / "words.tsv").write_text("zorp\t100\n", encoding="utf-8")
+        for directory in (tmp_path / "missing", custom):
+            monkeypatch.setenv("FUSELAB_LEXICON_DIR", str(directory))
+            monkeypatch.setattr(lex_mod, "_default", None)
+            assert normalize(self.POST).render() == want, directory

@@ -163,7 +163,7 @@ class TestSegmentation:
             text = w1 + w2
             if len(text) > 11:
                 continue
-            got = segment(text, lex)
+            got = segment(text)
             best_score, best_split = self._brute_force(text, lex)
             got_score = sum(lex.log_prob(w) for w in got)
             assert abs(got_score - best_score) < 1e-9, (text, got, best_split)
@@ -171,13 +171,11 @@ class TestSegmentation:
                 assert got == [w1, w2], (text, got)
 
     def test_recovers_high_frequency_pair(self):
-        lex = default_lexicons()
-        assert segment("coolforever", lex) == ["cool", "forever"]
-        assert segment("thedog", lex) == ["the", "dog"]
+        assert segment("coolforever") == ["cool", "forever"]
+        assert segment("thedog") == ["the", "dog"]
 
     def test_single_unknown_stays_whole(self):
-        lex = default_lexicons()
-        assert segment("qzxvw", lex) == ["qzxvw"]
+        assert segment("qzxvw") == ["qzxvw"]
 
     def test_log_prob_reads_the_formula_bit_for_bit(self):
         """log_prob reads values computed once per Lexicons, and each is

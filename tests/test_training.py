@@ -611,7 +611,7 @@ class TestPrepare:
                             visual=np.full((12, 12, 1), float(i)))
                 for i in range(n)]
         ds = Dataset(pubs, space)
-        config = {"input_modes": "text", "fusion": None, **config}
+        config = {"input_modes": "text", **config}
         model = build_model(ModelConfig(latent_dim=6, embed_dim=4, hidden_dim=3, seed=4,
                                         **config),
                             space, Vocab.from_texts([p.text for p in pubs]))
@@ -781,6 +781,11 @@ class TestPersistence:
         ("fusion", lambda h: _rehashed(h, fusion=1)),
         ("fusion_out_dim", lambda h: _rehashed(h, fusion_out_dim=0)),
         ("append_raw_latents", lambda h: _rehashed(h, append_raw_latents=True)),
+        ("fusion: not applicable to text-only",
+         lambda h: _rehashed(h, input_modes="text", fusion="gan")),
+        ("fusion_out_dim: not applicable to visual-only",
+         lambda h: _rehashed(h, input_modes="visual", fusion=None, fusion_out_dim=5)),
+        ("fusion: required for multimodal", lambda h: _rehashed(h, fusion=None)),
         ("'label_space'", lambda h: h["label_space"].update(names="01")),
         ("'label_space'", lambda h: h["label_space"].update(names=[0, 1])),
         ("'label_space'", lambda h: h["label_space"].update(merge=["0", "1"])),
@@ -788,6 +793,8 @@ class TestPersistence:
             "vocab-not-a-list", "label-space-not-a-dict", "config-value-mistyped",
             "int-field-float", "bool-field-int", "tuple-item-float", "mode-int",
             "fusion-int", "fusion-out-dim-zero", "removed-append-raw-latents",
+            "text-only-with-fusion", "visual-only-with-fusion-out-dim",
+            "multimodal-without-fusion",
             "names-string", "names-ints", "merge-list"])
     def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
         from fuselab.cli import main
@@ -813,6 +820,18 @@ class TestPersistence:
         data = tmp_path / "ds.jsonl"
         save_jsonl(ds, data)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(input_modes="text", fusion="gan"), "fusion: not applicable to text-only"),
+        (dict(input_modes="visual", fusion_out_dim=5),
+         "fusion_out_dim: not applicable to visual-only"),
+        (dict(input_modes="multimodal"), "fusion: required for multimodal models"),
+    ], ids=["text-fusion", "visual-fusion-out-dim", "multimodal-no-fusion"])
+    def test_fusion_keys_follow_the_input_modes(self, fields, message):
+        """A unimodal model has no fusion mechanism, so it takes neither
+        fusion key; a multimodal one needs a mechanism."""
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(latent_dim=4, embed_dim=3, hidden_dim=2, **fields)
 
 
 class TestFullPipelineGradients:

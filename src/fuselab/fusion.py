@@ -11,18 +11,25 @@ the visual-side module mirrors that with the roles swapped. A
 feed-forward combiner turns the two generator outputs and the two raw
 latents into the fused vector. Discriminator scores are clamped away
 from {0, 1} before any log so the adversarial objective stays finite.
+
+The two modules run as one GanStack: their inputs are stacked into
+(2, batch, .) arrays and each layer of both is one stacked dense node
+over the modules' own parameters, so generating, discriminating and the
+adversarial objective take one node per layer for both. Module k's
+values are the ones it would compute alone, bit for bit; a stack of one
+runs a single module (the gradient suite's adversarial checks do).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numcore as nc
 from .exceptions import ConfigError, ShapeError
-from .layers import DenseLayer
+from .layers import DenseLayer, stacked
 from .numcore import Tensor
 
 D_CLAMP = 1e-7  # discriminator outputs live in [D_CLAMP, 1 - D_CLAMP]
@@ -34,7 +41,7 @@ class FusionResult:
 
     z_fuse: Tensor
     z: Optional[Tensor] = None        # concatenated input latents (auto)
-    noise: Dict[str, np.ndarray] = field(default_factory=dict)  # generator noise (gan)
+    noise: Optional[np.ndarray] = None  # (2, batch, noise) generator noise (gan)
 
 
 def _check_pair(z_v: Tensor, z_t: Tensor, dim: int) -> None:
@@ -98,7 +105,8 @@ class AutoFusion:
 class GanFusionModule:
     """One adversarial module: a generator G(source + noise), with
     max(1, latent_dim // 4) noise dimensions, and a discriminator D scoring
-    vectors of the target modality's dimension."""
+    vectors of the target modality's dimension. A GanStack runs one or more
+    modules."""
 
     def __init__(self, latent_dim: int, name: str,
                  rng: Optional[np.random.Generator] = None,
@@ -120,68 +128,93 @@ class GanFusionModule:
     def discriminator_parameters(self) -> List[Tensor]:
         return self.disc_hidden.parameters() + self.disc_out.parameters()
 
-    def sample_noise(self, batch: int, rng: Optional[np.random.Generator]) -> np.ndarray:
-        """Standard normal noise; zeros when no generator is supplied
-        (deterministic inference)."""
-        if rng is None:
-            return np.zeros((batch, self.noise_dim))
-        return rng.standard_normal((batch, self.noise_dim))
 
-    def generate(self, source: Tensor, noise: np.ndarray) -> Tensor:
-        if noise.shape != (source.shape[0], self.noise_dim):
+class GanStack:
+    """K adversarial modules of one shape run side by side over (K, batch,
+    .) stacks, slab k being module k's: each layer of all K modules is one
+    stacked dense node over their own parameters, so a stack computes for
+    each module the values that module would compute alone. A stack of one
+    runs a single module."""
+
+    def __init__(self, modules: Sequence[GanFusionModule]):
+        self.modules = tuple(modules)
+        self.noise_dim = self.modules[0].noise_dim
+        self.gen_hidden = [m.gen_hidden for m in self.modules]
+        self.gen_out = [m.gen_out for m in self.modules]
+        self.disc_hidden = [m.disc_hidden for m in self.modules]
+        self.disc_out = [m.disc_out for m in self.modules]
+
+    def sample_noise(self, batch: int, rng: Optional[np.random.Generator]) -> np.ndarray:
+        """(K, batch, noise_dim) standard normal noise, drawn module by
+        module; zeros when no generator is supplied (deterministic
+        inference)."""
+        if rng is None:
+            return np.zeros((len(self.modules), batch, self.noise_dim))
+        return np.stack([rng.standard_normal((batch, self.noise_dim)) for _ in self.modules])
+
+    def generate(self, sources: Tensor, noise: np.ndarray) -> Tensor:
+        """(K, batch, d) generator outputs from (K, batch, d) sources and
+        their noise."""
+        if noise.shape != sources.shape[:2] + (self.noise_dim,):
             raise ShapeError(f"generate: noise {noise.shape} does not match "
-                             f"({source.shape[0]}, {self.noise_dim})")
-        g_in = nc.concat([source, Tensor(noise)], axis=1)
-        return self.gen_out(self.gen_hidden(g_in))
+                             f"{sources.shape[:2] + (self.noise_dim,)}")
+        g_in = nc.concat([sources, Tensor(noise)], axis=2)
+        return stacked(self.gen_out, stacked(self.gen_hidden, g_in))
 
     def discriminate(self, z_d: Tensor) -> Tensor:
-        """Probability that z_d came from the real target distribution,
-        clamped into [D_CLAMP, 1 - D_CLAMP]."""
-        score = self.disc_out(self.disc_hidden(z_d))
+        """(K, batch, 1) probabilities that each slab's rows came from its
+        module's real target distribution, clamped into [D_CLAMP, 1 - D_CLAMP]."""
+        score = stacked(self.disc_out, stacked(self.disc_hidden, z_d))
         return nc.clamp(score, D_CLAMP, 1.0 - D_CLAMP)
 
     def adversarial(self, real: Tensor, z_g: Tensor) -> GanLossParts:
-        """J_adv = E[log D(real)] + E[log(1 - D(z_g))] over the minibatch,
-        the objective this module's discriminator ascends."""
+        """J_adv = E[log D(real)] + E[log(1 - D(z_g))] over each module's
+        minibatch, the objective each discriminator ascends: (K,) values."""
         d_real = self.discriminate(real)
         d_fake = self.discriminate(z_g)
-        j_adv = nc.add(nc.tmean(nc.tlog(d_real)), nc.tmean(nc.tlog(nc.sub(1.0, d_fake))))
+        j_adv = nc.add(nc.tmean(nc.tlog(d_real), axis=(1, 2)),
+                       nc.tmean(nc.tlog(nc.sub(1.0, d_fake)), axis=(1, 2)))
         return GanLossParts(j_adv=j_adv, d_real=d_real, d_fake=d_fake)
 
 
 @dataclass
 class GanLossParts:
-    j_adv: Tensor           # log D(real) + log(1 - D(z_g)), minibatch mean
-    d_real: Tensor
+    j_adv: Tensor           # (K,): log D(real) + log(1 - D(z_g)), minibatch means
+    d_real: Tensor          # (K, batch, 1)
     d_fake: Tensor
 
 
-def gan_adv_loss(module: GanFusionModule, real: Tensor, source: Tensor,
+def gan_adv_loss(stack: GanStack, real: Tensor, source: Tensor,
                  rng: Optional[np.random.Generator] = None,
                  noise: Optional[np.ndarray] = None) -> GanLossParts:
-    """Adversarial objective of one module over (batch, d) latents: generate
-    from source, then score against real (GanFusionModule.adversarial).
+    """Adversarial objective of each module of stack over (K, batch, d)
+    latents: generate from source (with noise, or noise drawn from rng),
+    then score against real (GanStack.adversarial).
 
-    The discriminator ascends this; the generator descends its
+    The discriminators ascend this; the generators descend its
     non-saturating surrogate (generator_loss).
     """
-    if real.shape != source.shape:
-        raise ShapeError(f"gan_adv_loss: latent shapes {real.shape} and {source.shape} differ")
+    if real.ndim != 3 or real.shape != source.shape or real.shape[0] != len(stack.modules):
+        raise ShapeError(f"gan_adv_loss: need real and source stacks of "
+                         f"{len(stack.modules)} modules' (batch, d) latents, got "
+                         f"{real.shape} and {source.shape}")
     if noise is None:
-        noise = module.sample_noise(source.shape[0], rng)
-    return module.adversarial(real, module.generate(source, noise))
+        noise = stack.sample_noise(source.shape[1], rng)
+    return stack.adversarial(real, stack.generate(source, noise))
 
 
 def generator_loss(parts: GanLossParts) -> Tensor:
-    """Generator-side term to MINIMIZE for one module: the non-saturating
-    form -E[log D(z_g)] in place of the minimax term E[log(1 - D(z_g))]."""
-    return nc.neg(nc.tmean(nc.tlog(parts.d_fake)))
+    """Generator-side term to MINIMIZE, summed over the modules: each one's
+    non-saturating form -E[log D(z_g)] in place of the minimax term
+    E[log(1 - D(z_g))]."""
+    return nc.tsum(nc.neg(nc.tmean(nc.tlog(parts.d_fake), axis=(1, 2))))
 
 
 class GanFusion:
     """Both adversarial modules plus the feed-forward combiner, which reads
     the two generator outputs and the raw encoder latents,
-    [z_g_text; z_g_visual; z_v; z_t]."""
+    [z_g_text; z_g_visual; z_v; z_t]. The modules run as one GanStack,
+    text module first."""
 
     def __init__(self, latent_dim: int, out_dim: int,
                  rng: Optional[np.random.Generator] = None):
@@ -189,6 +222,7 @@ class GanFusion:
         self.out_dim = out_dim
         self.text_module = GanFusionModule(latent_dim, "fusion.gan_t", rng)
         self.visual_module = GanFusionModule(latent_dim, "fusion.gan_v", rng)
+        self.modules = GanStack([self.text_module, self.visual_module])
         self.combiner = DenseLayer(4 * latent_dim, out_dim, "relu", rng,
                                    name="fusion.combiner")
 
@@ -206,16 +240,21 @@ class GanFusion:
         return (self.text_module.discriminator_parameters()
                 + self.visual_module.discriminator_parameters())
 
+    @staticmethod
+    def adversarial_inputs(z_v: Tensor, z_t: Tensor) -> Tuple[Tensor, Tensor]:
+        """The (2, batch, d) real and source stacks of the modules'
+        adversarial pass, as values with no graph: the text module
+        generates from z_t toward z_v, the visual module from z_v toward z_t."""
+        return (Tensor(np.stack([z_v.data, z_t.data])),
+                Tensor(np.stack([z_t.data, z_v.data])))
+
     def fuse_batch(self, z_v: Tensor, z_t: Tensor,
                    rng: Optional[np.random.Generator] = None) -> FusionResult:
         _check_pair(z_v, z_t, self.latent_dim)
-        batch = z_v.shape[0]
-        noise_t = self.text_module.sample_noise(batch, rng)
-        noise_v = self.visual_module.sample_noise(batch, rng)
-        z_g_t = self.text_module.generate(z_t, noise_t)
-        z_g_v = self.visual_module.generate(z_v, noise_v)
-        z_fuse = self.combiner(nc.concat([z_g_t, z_g_v, z_v, z_t], axis=1))
-        return FusionResult(z_fuse=z_fuse, noise={"t": noise_t, "v": noise_v})
+        noise = self.modules.sample_noise(z_v.shape[0], rng)
+        z_g = self.modules.generate(nc.stack([z_t, z_v]), noise)
+        z_fuse = self.combiner(nc.concat([nc.side_by_side(z_g), z_v, z_t], axis=1))
+        return FusionResult(z_fuse=z_fuse, noise=noise)
 
 
 def auto_fusion_loss(z: Tensor, z_hat: Tensor) -> Tensor:

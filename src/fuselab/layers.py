@@ -21,8 +21,6 @@ from .numcore import Tensor
 
 INIT_SCALE = 0.08  # uniform init half-width for the recurrent gates
 
-ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu", "softmax")
-
 
 def _glorot(rng: np.random.Generator, shape: Tuple[int, ...],
             fan_in: int, fan_out: int) -> np.ndarray:
@@ -30,29 +28,16 @@ def _glorot(rng: np.random.Generator, shape: Tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _apply_activation(x: Tensor, activation: str) -> Tensor:
-    if activation == "identity":
-        return x
-    if activation == "sigmoid":
-        return nc.sigmoid(x)
-    if activation == "tanh":
-        return nc.tanh(x)
-    if activation == "relu":
-        return nc.relu(x)
-    if activation == "softmax":
-        return nc.softmax(x, axis=-1)
-    raise ConfigError(f"unknown activation '{activation}', expected one of {ACTIVATIONS}")
-
-
 class DenseLayer:
-    """Fully connected layer y = activation(W x + b)."""
+    """Fully connected layer y = activation(W x + b), one dense node."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
                  rng: Optional[np.random.Generator] = None, name: str = "dense"):
         if out_dim < 1 or in_dim < 1:
             raise ConfigError(f"dense layer dims must be positive, got {in_dim}x{out_dim}")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation '{activation}'")
+        if activation not in nc.ACTIVATIONS:
+            raise ConfigError(f"unknown activation '{activation}', expected one of "
+                              f"{nc.ACTIVATIONS}")
         rng = rng or np.random.default_rng(0)
         self.in_dim = in_dim
         self.out_dim = out_dim
@@ -67,10 +52,20 @@ class DenseLayer:
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"{self.name}: input {x.shape} does not match weights "
                              f"{self.weights.shape}")
-        return _apply_activation(nc.linear(x, self.weights, self.bias), self.activation)
+        return nc.dense(x, self.weights, self.bias, self.activation)
 
     def parameters(self) -> List[Tensor]:
         return [self.weights, self.bias]
+
+
+def stacked(layers: Sequence[DenseLayer], x: Tensor) -> Tensor:
+    """K dense layers of one shape and activation run side by side over a
+    (K, batch, in) stack, slab k through layers[k], as one node."""
+    if len({(layer.in_dim, layer.out_dim, layer.activation) for layer in layers}) != 1:
+        raise ShapeError(f"stacked: layers {[layer.name for layer in layers]} differ in "
+                         f"shape or activation")
+    return nc.dense(x, [layer.weights for layer in layers], [layer.bias for layer in layers],
+                    layers[0].activation)
 
 
 class EmbeddingTable:
@@ -208,31 +203,14 @@ class ConvVisualEncoder:
     def parameters(self) -> List[Tensor]:
         return [self.kernel1, self.bias1, self.kernel2, self.bias2] + self.proj.parameters()
 
-    def _summary_cells(self, h: Tensor) -> Tensor:
-        """Average-pool (batch, H, W, C) onto the fixed summary grid and
-        flatten to (batch, grid*grid*C)."""
-        _, height, width, _ = h.shape
-        s = self.SUMMARY_GRID
-        if height < s or width < s:
-            raise ShapeError(f"visual encoder: feature map {h.shape} smaller than "
-                             f"the {s}x{s} summary grid (input grid too small)")
-        h_cuts = [round(i * height / s) for i in range(s + 1)]
-        w_cuts = [round(j * width / s) for j in range(s + 1)]
-        cells = []
-        for i in range(s):
-            for j in range(s):
-                cell = h[:, h_cuts[i] : h_cuts[i + 1], w_cuts[j] : w_cuts[j + 1], :]
-                cells.append(nc.tmean(cell, axis=(1, 2)))
-        return nc.concat(cells, axis=1)
-
     def encode_batch(self, grids: Tensor) -> Tensor:
         """Encode (batch, H, W, C) grids to (batch, d) latents."""
         if grids.ndim != 4:
             raise ShapeError(f"encode_batch: need (batch, H, W, C), got {grids.shape}")
-        h = nc.relu(nc.conv2d(grids, self.kernel1, self.bias1))
+        h = nc.conv2d(grids, self.kernel1, self.bias1, relu=True)
         h = nc.maxpool2d(h, self.POOL)
-        h = nc.relu(nc.conv2d(h, self.kernel2, self.bias2))
-        latent = self.proj(self._summary_cells(h))
+        h = nc.conv2d(h, self.kernel2, self.bias2, relu=True)
+        latent = self.proj(nc.cell_means(h, self.SUMMARY_GRID))
         if latent.shape[-1] != self.latent_dim:
             raise ShapeError(f"visual encoder emitted {latent.shape}")
         return latent

@@ -1,7 +1,7 @@
 """Differentiable primitives over Tensor.
 
-Each op has one spelling, the function here; Tensor adds only indexing
-and reshape as methods.
+Each op has one spelling, the function here; Tensor adds only reshape
+as a method.
 
 Each op records a backward closure ``backward(g, needs)`` (see tensor.py):
 given d(loss)/d(out) and one bool per parent, it returns one gradient per
@@ -10,17 +10,26 @@ computes only the needed gradients, so, for example, conv2d over raw
 grids computes no grid gradient; a one-parent op ignores needs, as
 backward calls no closure without a needed parent.
 
+A layer is one node: dense is a linear map and its activation, conv2d
+may carry its relu, cell_means is the visual summary grid and
+cross_entropy the classifier's loss. Each runs the numpy expressions of
+the primitive chain it stands for, in the same order, so it computes the
+same values, forward and backward, bit for bit. dense also runs K layers
+of one shape side by side over a (K, batch, in) stack, each slab through
+its own weight and bias tensors; stack and side_by_side move tensors in
+and out of such stacks.
+
 conv2d is one matrix product over im2col columns (each output position's
-window as a row, built from a sliding-window view); its backward builds
-the columns again instead of holding them with the graph, so a recorded
-conv holds its input grid, not the kh*kw times larger columns.
+window as a row, built from a strided view); its backward builds the
+columns again instead of holding them with the graph, so a recorded conv
+holds its input grid, not the kh*kw times larger columns.
 
 Shape discipline: operand shapes must conform exactly; the only implicit
 broadcast is scalar-with-tensor. Batched ops (linear, row_scale,
 gated_recurrence) treat a leading axis as the batch and say so
 explicitly -- there is no silent numpy-style broadcasting anywhere else.
-conv2d and maxpool2d take only (batch, H, W, C) grids. linear and conv2d
-require their bias.
+conv2d, maxpool2d and cell_means take only (batch, H, W, C) grids.
+linear, dense and conv2d require their bias.
 
 log clamps its input upward to LOG_EPS = 1e-12 (probabilities saturate
 during adversarial training); strictly negative inputs are a domain
@@ -29,11 +38,11 @@ error, as is division by zero.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import DomainError, ShapeError
+from ..exceptions import ContractError, DomainError, ShapeError
 from .tensor import Arrayish, Tensor, _recording, as_tensor
 
 LOG_EPS = 1e-12
@@ -217,17 +226,32 @@ def concat(tensors: Sequence[Arrayish], axis: int = 0) -> Tensor:
     return Tensor._from_op(out, "concat", tuple(ts), backward)
 
 
-def tslice(a: Arrayish, key) -> Tensor:
-    """Basic indexing (ints and slices); gradient scatters into zeros."""
-    a = as_tensor(a)
-    out = a.data[key]
+def stack(tensors: Sequence[Arrayish]) -> Tensor:
+    """K tensors of one shape as one (K, ...) stack, slab k being tensors[k]."""
+    ts = [as_tensor(t) for t in tensors]
+    if not ts or any(t.shape != ts[0].shape for t in ts):
+        raise ShapeError(f"stack: need tensors of one shape, got {[t.shape for t in ts]}")
+    out = np.stack([t.data for t in ts])
 
     def backward(g, needs):
-        ga = np.zeros_like(a.data)
-        ga[key] += g
-        return (ga,)
+        return tuple(g[k] if need else None for k, need in enumerate(needs))
 
-    return Tensor._from_op(np.array(out, dtype=np.float64), "slice", (a,), backward)
+    return Tensor._from_op(out, "stack", tuple(ts), backward)
+
+
+def side_by_side(x: Arrayish) -> Tensor:
+    """The slabs of a (K, batch, n) stack laid side by side as one (batch,
+    K*n) array: slab k fills columns k*n to (k+1)*n."""
+    x = as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError(f"side_by_side: need a (K, batch, n) stack, got {x.shape}")
+    k, batch, n = x.shape
+    out = np.concatenate(list(x.data), axis=1)
+
+    def backward(g, needs):
+        return (np.ascontiguousarray(g.reshape(batch, k, n).transpose(1, 0, 2)),)
+
+    return Tensor._from_op(out, "side_by_side", (x,), backward)
 
 
 def take_rows(a: Arrayish, idx: np.ndarray) -> Tensor:
@@ -323,6 +347,27 @@ def tlog(a: Arrayish) -> Tensor:
     return Tensor._from_op(out, "log", (a,), backward)
 
 
+def cross_entropy(targets: np.ndarray, probs: Arrayish) -> Tensor:
+    """Mean over rows of -sum(targets * log(probs)) for (n, C) rows, as one
+    node: log's clamp, then the values the log, mul, sum, mean and neg ops
+    give. Its backward is ((-g / n) * targets) / clamped, their chain's."""
+    p = as_tensor(probs)
+    targets = np.asarray(targets, dtype=np.float64)
+    if p.ndim != 2 or targets.shape != p.shape:
+        raise ShapeError(f"cross_entropy: targets {targets.shape} and predictions "
+                         f"{p.shape} must be the same (n, C)")
+    if np.any(p.data < 0.0):
+        raise DomainError("log: negative argument")
+    clamped = np.maximum(p.data, LOG_EPS)
+    out = -np.mean(np.sum(targets * np.log(clamped), axis=1))
+    n = p.shape[0]
+
+    def backward(g, needs):
+        return ((-g / n) * targets / clamped,)
+
+    return Tensor._from_op(np.asarray(out), "cross_entropy", (p,), backward)
+
+
 def tanh(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
@@ -360,6 +405,16 @@ def relu(a: Arrayish) -> Tensor:
     return Tensor._from_op(out, "relu", (a,), backward)
 
 
+def _softmax(z: np.ndarray, axis: int, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    if mask is None:
+        shifted = z - np.max(z, axis=axis, keepdims=True)
+    else:
+        peak = np.max(z, axis=axis, keepdims=True, initial=-np.inf, where=mask)
+        shifted = np.where(mask, z - peak, -np.inf)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
 def softmax(a: Arrayish, axis: int = -1, mask: Optional[np.ndarray] = None) -> Tensor:
     """Stable softmax along one axis (max subtraction before exp).
 
@@ -368,17 +423,12 @@ def softmax(a: Arrayish, axis: int = -1, mask: Optional[np.ndarray] = None) -> T
     the axis needs one True entry.
     """
     a = as_tensor(a)
-    if mask is None:
-        shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != a.shape or not mask.any(axis=axis).all():
             raise ShapeError(f"softmax: mask {mask.shape} must match {a.shape} and "
                              f"keep an entry in every slice")
-        peak = np.max(a.data, axis=axis, keepdims=True, initial=-np.inf, where=mask)
-        shifted = np.where(mask, a.data - peak, -np.inf)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = _softmax(a.data, axis, mask)
 
     def backward(g, needs):
         dot = np.sum(g * out, axis=axis, keepdims=True)
@@ -397,6 +447,116 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
         return (g * mask,)
 
     return Tensor._from_op(out, "clamp", (a,), backward)
+
+
+# ---------------------------------------------------------------------------
+# dense layers, one node each
+
+
+ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu", "softmax")
+
+
+def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+    """The activation's op applied to z, which it may overwrite."""
+    if activation == "identity":
+        return z
+    if activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    if activation == "sigmoid":
+        return _sigmoid(z)
+    if activation == "tanh":
+        return np.tanh(z, out=z)
+    return _softmax(z, -1)
+
+
+def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
+    """d(loss)/d(pre-activation) from g = d(loss)/d(out), read from out alone
+    by the expression of the activation op's backward."""
+    if activation == "identity":
+        return g
+    if activation == "relu":
+        return g * (out > 0.0)
+    if activation == "sigmoid":
+        return g * out * (1.0 - out)
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    dot = np.sum(g * out, axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def dense(x: Arrayish, w, b, activation: str = "identity") -> Tensor:
+    """activation(x W^T + b) as one node: linear, then relu, sigmoid, tanh
+    or softmax over the last axis (or identity), with the values those ops
+    give.
+
+    x is (in,) or (batch, in), with w (out, in) and b (out,) Tensors. The
+    stacked form runs K layers of one shape side by side: x is (K, batch,
+    in) and w and b are sequences of K weights and K biases, slab k going
+    through w[k] and b[k]. Those 2K tensors are the parents, so each layer
+    keeps its own parameters; the forward is one batched matmul against
+    the weights stacked inside the op, and the backward forms g W, g^T x
+    and the row sums once for all K slabs, handing slab k to w[k] and
+    b[k]. A batched matmul computes each slab as the 2-D product would.
+    """
+    x = as_tensor(x)
+    if activation not in ACTIVATIONS:
+        raise ContractError(f"dense: unknown activation {activation!r}, "
+                            f"expected one of {ACTIVATIONS}")
+    if x.ndim == 3:
+        return _stacked_dense(x, [as_tensor(t) for t in w], [as_tensor(t) for t in b],
+                              activation)
+    w, b = as_tensor(w), as_tensor(b)
+    if w.ndim != 2:
+        raise ShapeError(f"dense: weight must be 2-D, got {w.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"dense: input {x.shape} does not match weight {w.shape}")
+    if b.shape != (w.shape[0],):
+        raise ShapeError(f"dense: bias {b.shape} does not match weight {w.shape}")
+    out = _activate(x.data @ w.data.T + b.data, activation)
+
+    def backward(g, needs):
+        need_x, need_w, need_b = needs
+        g = _activation_grad(g, out, activation)
+        gx = g @ w.data if need_x else None
+        if x.ndim == 1:
+            gw = np.outer(g, x.data) if need_w else None
+            gb = g.copy() if need_b else None
+        else:
+            gw = g.T @ x.data if need_w else None
+            gb = g.sum(axis=0) if need_b else None
+        return gx, gw, gb
+
+    return Tensor._from_op(out, "dense", (x, w, b), backward)
+
+
+def _stacked_dense(x: Tensor, ws: List[Tensor], bs: List[Tensor],
+                   activation: str) -> Tensor:
+    k = x.shape[0]
+    if len(ws) != k or len(bs) != k:
+        raise ShapeError(f"dense: a stack of {k} needs {k} weights and {k} biases, "
+                         f"got {len(ws)} and {len(bs)}")
+    shape = ws[0].shape
+    if len(shape) != 2 or x.shape[2] != shape[1]:
+        raise ShapeError(f"dense: input {x.shape} does not match weight {shape}")
+    for wk, bk in zip(ws, bs):
+        if wk.shape != shape or bk.shape != (shape[0],):
+            raise ShapeError(f"dense: stacked weights and biases must all be {shape} "
+                             f"and ({shape[0]},), got {wk.shape} and {bk.shape}")
+    wd = np.stack([t.data for t in ws])
+    out = np.matmul(x.data, wd.transpose(0, 2, 1))
+    out += np.stack([t.data for t in bs])[:, None, :]
+    out = _activate(out, activation)
+
+    def backward(g, needs):
+        need_x, need_w, need_b = needs[0], needs[1 : k + 1], needs[k + 1 :]
+        g = _activation_grad(g, out, activation)
+        gx = np.matmul(g, wd) if need_x else None
+        gw = np.matmul(g.transpose(0, 2, 1), x.data) if any(need_w) else None
+        gb = g.sum(axis=1) if any(need_b) else None
+        return ((gx,) + tuple(gw[i] if need else None for i, need in enumerate(need_w))
+                + tuple(gb[i] if need else None for i, need in enumerate(need_b)))
+
+    return Tensor._from_op(out, "dense", (x, *ws, *bs), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +737,18 @@ def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """The im2col matrix of (batch, H, W, C) grids: one row per output
     position, holding its (kh, kw, C) window in kernel order."""
     b_, h, w, c = xd.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xd, (kh, kw), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-        b_ * (h - kh + 1) * (w - kw + 1), kh * kw * c)
+    ho, wo = h - kh + 1, w - kw + 1
+    s0, s1, s2, s3 = xd.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xd, shape=(b_, ho, wo, kh, kw, c), strides=(s0, s1, s2, s1, s2, s3),
+        writeable=False)
+    return windows.reshape(b_ * ho * wo, kh * kw * c)
 
 
-def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Stride-1 valid 2-D convolution of (batch, H, W, C) grids with
-    kernel (kh, kw, C, F), plus one bias (F,) per filter.
+    kernel (kh, kw, C, F), plus one bias (F,) per filter, and with relu
+    True its relu, in the same node.
 
     Lowered to matrix products over the im2col columns (one row per
     output position, its (kh, kw, C) window flattened): the output is
@@ -592,7 +756,9 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
     gradient g @ kernel.T, scattered back tap by tap. The backward
     rebuilds the columns rather than keeping them alive with the graph,
     and computes no grid gradient for a grid that needs none (the raw
-    input grids)."""
+    input grids). The relu's mask is read from the node's own output, so
+    a conv without relu holds nothing larger than its grid, and one with
+    relu nothing larger than its output."""
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be (kh, kw, cin, cout), got {kernel.shape}")
@@ -611,9 +777,12 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
     km = kernel.data.reshape(kh * kw * c, cout)
     out = (_columns(xd, kh, kw) @ km).reshape(b_, ho, wo, cout)
     out += bias.data
+    rectified = np.maximum(out, 0.0, out=out) if relu else None
 
     def backward(g, needs):
         need_x, need_k, need_b = needs
+        if rectified is not None:
+            g = g * (rectified > 0.0)
         g2 = g.reshape(-1, cout)
         gk = (_columns(xd, kh, kw).T @ g2).reshape(kernel.shape) if need_k else None
         gx = None
@@ -631,7 +800,12 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor) -> Tensor:
 
 def maxpool2d(x: Arrayish, size: int = 2) -> Tensor:
     """Non-overlapping max pooling of (batch, H, W, C) grids; trailing
-    rows/cols that do not fill a window are dropped."""
+    rows/cols that do not fill a window are dropped.
+
+    The forward is one np.maximum per window tap over strided views. The
+    backward sends each window's gradient to its first maximal tap in
+    row-major window order, as argmax picks it, so ties (the zeros a relu
+    leaves) send it to one tap only."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"maxpool2d: expected (batch, H, W, C), got {x.shape}")
@@ -639,18 +813,52 @@ def maxpool2d(x: Arrayish, size: int = 2) -> Tensor:
     ho, wo = h // size, w // size
     if ho < 1 or wo < 1:
         raise ShapeError(f"maxpool2d: grid {x.shape} smaller than pool window {size}")
-    cropped = x.data[:, : ho * size, : wo * size, :]
-    windows = cropped.reshape(b_, ho, size, wo, size, c).transpose(0, 1, 3, 5, 2, 4)
-    flat = windows.reshape(b_, ho, wo, c, size * size)
-    arg = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    xd = x.data
+    taps = [(np.s_[:, p : ho * size : size, q : wo * size : size, :])
+            for p in range(size) for q in range(size)]
+    out = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, xd[tap], out=out)
 
     def backward(g, needs):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, arg[..., None], g[..., None], axis=-1)
-        gwin = gflat.reshape(b_, ho, wo, c, size, size).transpose(0, 1, 4, 2, 5, 3)
-        gx = np.zeros_like(x.data)
-        gx[:, : ho * size, : wo * size, :] = gwin.reshape(b_, ho * size, wo * size, c)
+        gx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not found yet
+        for tap in taps:
+            first = (xd[tap] == out) & free
+            gx[tap] = np.where(first, g, 0.0)
+            free &= ~first
         return (gx,)
 
     return Tensor._from_op(out, "maxpool2d", (x,), backward)
+
+
+def cell_means(x: Arrayish, grid: int) -> Tensor:
+    """Average-pool (batch, H, W, C) grids onto a grid x grid summary grid
+    as one node, flattened to (batch, grid*grid*C): cell (i, j) covers
+    rows round(i*H/grid) to round((i+1)*H/grid) and the columns cut
+    likewise, and the cells' channel means follow in row-major order.
+    Each cell is one np.mean, so the values are those of a slice, mean
+    and concat chain; uneven cells (odd H or W) are averaged as such."""
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"cell_means: expected (batch, H, W, C), got {x.shape}")
+    b_, h, w, c = x.shape
+    if grid < 1 or h < grid or w < grid:
+        raise ShapeError(f"cell_means: grid {x.shape} smaller than the {grid}x{grid} "
+                         f"summary grid")
+    h_cuts = [round(i * h / grid) for i in range(grid + 1)]
+    w_cuts = [round(j * w / grid) for j in range(grid + 1)]
+    cells = [np.s_[:, h_cuts[i] : h_cuts[i + 1], w_cuts[j] : w_cuts[j + 1], :]
+             for i in range(grid) for j in range(grid)]
+    xd = x.data
+    out = np.concatenate([np.mean(xd[cell], axis=(1, 2)) for cell in cells], axis=1)
+
+    def backward(g, needs):
+        gx = np.zeros_like(xd)
+        for k, cell in enumerate(cells):
+            _, rows, cols, _ = cell
+            count = (rows.stop - rows.start) * (cols.stop - cols.start)
+            gx[cell] += np.expand_dims(g[:, k * c : (k + 1) * c], (1, 2)) / count
+        return (gx,)
+
+    return Tensor._from_op(out, "cell_means", (x,), backward)

@@ -5,7 +5,7 @@ link their output to the input tensors, so every result carries the
 compute graph that produced it as a DAG of parent references. Tensor has
 no operator sugar: arithmetic and reductions are the ops functions
 (nc.add, nc.mul, nc.tsum, ...), values are read through ``data``, and
-only indexing and ``reshape`` are methods.
+only ``reshape`` is a method.
 
 Every op outside ``no_graph()`` records its node; no tensor carries a
 flag for whether it wants a gradient. ``loss.backward(wrt)`` alone
@@ -187,12 +187,7 @@ class Tensor:
                     stack.append((p, False))
         return order
 
-    # -- indexing and reshaping, which the encoders write as methods ------
-
-    def __getitem__(self, key):
-        from . import ops
-
-        return ops.tslice(self, key)
+    # -- reshaping, which the encoders write as a method -------------------
 
     def reshape(self, *shape):
         from . import ops

@@ -12,7 +12,9 @@ latents:
 
 Both steps use Adam at the configured lr. Each backward names the
 parameters its optimizer updates, and that list alone decides what is
-differentiated: the discriminator step reads the latents undetached.
+differentiated. The discriminator step reads the latents' values, not
+their graph, and runs both adversarial modules as one stacked pass, one
+node per layer (fusion.GanStack).
 
 The main step's objective is objectives.main_objective, the one the
 gradient suite checks. Its fusion term stops at the encoders, which
@@ -161,18 +163,17 @@ def _train_step(model: FusionModel, batch: PreparedBatch, rng: np.random.Generat
 
 def step_discriminator(model: FusionModel, latents: Dict[str, Tensor], disc_opt,
                        rng: np.random.Generator, step: int) -> None:
-    """One ascent update on J_adv; only discriminator parameters change.
+    """One ascent update on J_adv, the sum of both modules' objectives,
+    from one stacked pass; only discriminator parameters change.
 
-    latents are the batch's encoder outputs, as the main step reads them:
-    the backward is with respect to disc_opt.params alone, so it skips
-    every encoder and generator node.
+    latents are the batch's encoder outputs, as the main step reads them.
+    The step reads their values only: its backward is with respect to
+    disc_opt.params alone, so the encoder graph would be walked for
+    nothing.
     """
     mech: GanFusion = model.mechanism
-    parts_t = gan_adv_loss(mech.text_module, real=latents["visual"],
-                           source=latents["text"], rng=rng)
-    parts_v = gan_adv_loss(mech.visual_module, real=latents["text"],
-                           source=latents["visual"], rng=rng)
-    j_adv = nc.add(parts_t.j_adv, parts_v.j_adv)
+    real, source = mech.adversarial_inputs(latents["visual"], latents["text"])
+    j_adv = nc.tsum(gan_adv_loss(mech.modules, real, source, rng=rng).j_adv)
     _finite_or_raise(float(j_adv.data), step, "J_adv")
     disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
 

@@ -22,7 +22,10 @@ Model files are a versioned binary: magic, header JSON (config, vocab,
 label space, parameter manifest), raw little-endian float64 parameter
 blocks, and a trailing SHA-256 over everything before it. Loading
 verifies magic, version, checksum and the type of each header value, and
-round-trips every parameter bitwise.
+round-trips every parameter bitwise. Before it builds a model it checks
+that the blocks hold exactly the floats the manifest lists and that no
+config dimension exceeds that count, so a small file cannot make it
+allocate a large model.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import struct
 import typing
 from dataclasses import dataclass
@@ -367,6 +371,21 @@ def _manifest(named: List[Tuple[str, Tensor]]) -> List[dict]:
     return [{"name": name, "shape": list(p.shape)} for name, p in named]
 
 
+def _manifest_floats(manifest) -> Optional[int]:
+    """The number of floats a header parameter list names, or None unless
+    it is a list of {"name": str, "shape": [int >= 0, ...]} entries."""
+    if not isinstance(manifest, list):
+        return None
+    total = 0
+    for entry in manifest:
+        if not (isinstance(entry, dict) and entry.keys() == {"name", "shape"}
+                and isinstance(entry["name"], str) and isinstance(entry["shape"], list)
+                and all(type(n) is int and n >= 0 for n in entry["shape"])):
+            return None
+        total += math.prod(entry["shape"])
+    return total
+
+
 def save_model(model: FusionModel, path) -> None:
     named = model.named_parameters()
     header = {
@@ -416,6 +435,15 @@ def load_model(path) -> FusionModel:
     for key in ("config", "label_space", "vocab", "params"):
         if not isinstance(header, dict) or key not in header:
             raise FormatError(f"{path}: header has no {key!r}")
+    # the blocks must hold exactly the floats the manifest lists, so the
+    # file's size bounds what the manifest can ask for
+    floats = _manifest_floats(header["params"])
+    if floats is None:
+        raise FormatError(f"{path}: header 'params' is not a list of parameter names "
+                          f"and shapes")
+    if 8 * floats != len(raw) - 32 - offset:
+        raise FormatError(f"{path}: header 'params' lists {floats} floats, but "
+                          f"{len(raw) - 32 - offset} bytes of parameter blocks follow")
 
     try:
         config = ModelConfig.from_json(header["config"])
@@ -423,6 +451,13 @@ def load_model(path) -> FusionModel:
         raise FormatError(f"{path}: header 'config' does not build a model ({exc})")
     if header.get("config_hash") != _config_hash(config):
         raise FormatError(f"{path}: config hash mismatch")
+    # every dimension is an axis of some parameter, so none can exceed the
+    # float count; checked before the build allocates by the config
+    dims = (config.latent_dim, config.embed_dim, config.hidden_dim, *config.visual_channels,
+            config.in_channels, config.resolved_fusion_dim())
+    if max(dims) > floats:
+        raise FormatError(f"{path}: header 'config' names a dimension of {max(dims)}, "
+                          f"more than the {floats} floats the file holds")
     words = header["vocab"]
     reserved = Vocab([]).words
     if (not isinstance(words, list) or words[:2] != reserved
@@ -440,12 +475,8 @@ def load_model(path) -> FusionModel:
     if header["params"] != _manifest(named):
         raise FormatError(f"{path}: header 'params' does not list the names and "
                           f"shapes of the parameters its config builds")
-    for name, p in named:
+    for _, p in named:  # the manifest check above fixed their total size
         block = raw[offset : offset + 8 * p.size]
-        if len(block) != 8 * p.size:
-            raise FormatError(f"{path}: parameter block {name!r} truncated")
         p.data = np.frombuffer(block, dtype="<f8").reshape(p.shape).copy()
         offset += len(block)
-    if offset != len(raw) - 32:
-        raise FormatError(f"{path}: trailing bytes after parameter blocks")
     return model

@@ -17,12 +17,13 @@ import numpy as np
 
 from .. import numcore as nc
 from ..exceptions import ConfigError, ShapeError
-from ..fusion import AutoFusion, GanFusion, auto_fusion_loss, generator_loss
+from ..fusion import AutoFusion, GanFusion, auto_fusion_loss, gan_adv_loss, generator_loss
 from ..numcore import Tensor
 
 
 def batch_cross_entropy(targets: np.ndarray, probs: Tensor) -> Tensor:
-    """Mean cross-entropy of predicted rows against one-hot target rows.
+    """Mean cross-entropy of predicted rows against one-hot target rows, one
+    nc.cross_entropy node.
 
     probs pass through the clamped log, so a saturated softmax cannot
     produce an infinite loss.
@@ -30,8 +31,7 @@ def batch_cross_entropy(targets: np.ndarray, probs: Tensor) -> Tensor:
     if targets.shape != probs.shape:
         raise ShapeError(f"batch_cross_entropy: targets {targets.shape} vs "
                          f"predictions {probs.shape}")
-    picked = nc.tsum(nc.mul(Tensor(targets), nc.tlog(probs)), axis=1)
-    return nc.neg(nc.tmean(picked))
+    return nc.cross_entropy(targets, probs)
 
 
 def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
@@ -55,6 +55,8 @@ def main_objective(model, batch, latents: Dict[str, Tensor],
 
     The fusion term reads detached latents, a deliberate stop-gradient
     that confines it to the fusion module: J_C alone reaches the encoders.
+    The GAN term therefore regenerates z_g from the latents' values (3
+    nodes for both modules) rather than reading fuse_batch's live z_g.
     """
     space = model.label_space
     if (batch.labels < 0).any():
@@ -66,18 +68,15 @@ def main_objective(model, batch, latents: Dict[str, Tensor],
     mech = model.mechanism
 
     if isinstance(mech, GanFusion):
-        # one adversarial pass per module, on z_g regenerated from detached
-        # latents with the noise fuse_batch drew: the values the combiner read
-        parts, gen_terms = {}, []
-        for key, module, real, source in (("t", mech.text_module, "visual", "text"),
-                                          ("v", mech.visual_module, "text", "visual")):
-            z_g = module.generate(latents[source].detach(), result.noise[key])
-            adv = module.adversarial(latents[real].detach(), z_g)
-            parts[f"j_adv_{key}"] = float(adv.j_adv.data)
-            gen_terms.append(generator_loss(adv))
-        term = nc.add(*gen_terms)
-        j_f = parts["j_adv_t"] + parts["j_adv_v"]
-        parts["gen_term"] = float(term.data)
+        # one stacked adversarial pass for both modules, on z_g regenerated
+        # from the latents' values with the noise fuse_batch drew: the
+        # values the combiner read, with no path back to the encoders
+        real, source = mech.adversarial_inputs(latents["visual"], latents["text"])
+        adv = gan_adv_loss(mech.modules, real, source, noise=result.noise)
+        term = generator_loss(adv)
+        j_adv_t, j_adv_v = (float(v) for v in adv.j_adv.data)
+        parts = {"j_adv_t": j_adv_t, "j_adv_v": j_adv_v, "gen_term": float(term.data)}
+        j_f = j_adv_t + j_adv_v
     elif isinstance(mech, AutoFusion):
         z = result.z.detach()
         term = auto_fusion_loss(z, mech.decoder(mech.encoder(z)))

@@ -21,6 +21,7 @@ from fuselab.datakit import (
 )
 from fuselab.fusion import (
     GanFusionModule,
+    GanStack,
     auto_fusion_loss,
     gan_adv_loss,
     generator_loss,
@@ -72,7 +73,7 @@ def test_criterion_02_gradient_suite_via_cli(capsys):
     elapsed = time.time() - start
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "32/32 checks passed at tol 0.0001" in out, out
+    assert "34/34 checks passed at tol 0.0001" in out, out
     assert elapsed < 120.0, f"gradcheck took {elapsed:.1f}s"
     with capsys.disabled():
         _report(2, f"cmd_gradcheck all-pass at tol 1e-4 in {elapsed:.1f}s")
@@ -99,8 +100,8 @@ def test_criterion_03_loss_oracles_exact():
         module = GanFusionModule(latent_dim=3, name=name, rng=np.random.default_rng(seed))
         for p in module.discriminator_parameters():
             p.data[...] = 0.0  # sigmoid(0) = 0.5 for every input
-        parts = gan_adv_loss(module, Tensor(np.ones((4, 3))),
-                             Tensor(np.zeros((4, 3))),
+        parts = gan_adv_loss(GanStack([module]), Tensor(np.ones((1, 4, 3))),
+                             Tensor(np.zeros((1, 4, 3))),
                              rng=np.random.default_rng(7))
         assert abs(parts.j_adv.data.item() - (-2.0 * math.log(2.0))) < tol
         components.append(parts.j_adv)
@@ -237,23 +238,24 @@ def test_criterion_07_gan_dynamics_sanity():
     for seed in (1, 2, 3):
         rng = np.random.default_rng(seed)
         module = GanFusionModule(latent_dim=1, name="toy", rng=rng, hidden_dim=16)
+        stack = GanStack([module])  # the one module, run as training runs two
         d_opt = Adam(module.discriminator_parameters(), lr=1e-3)
         g_opt = Adam(module.generator_parameters(), lr=1e-3)
         for _ in range(800):
             for _ in range(2):  # k = 2 discriminator steps per generator step
-                parts = gan_adv_loss(module, Tensor(rng.standard_normal((128, 1))),
-                                     Tensor(rng.standard_normal((128, 1))), rng=rng)
+                parts = gan_adv_loss(stack, Tensor(rng.standard_normal((1, 128, 1))),
+                                     Tensor(rng.standard_normal((1, 128, 1))), rng=rng)
                 d_opt.step(nc.neg(parts.j_adv).backward(d_opt.params))
-            parts = gan_adv_loss(module, Tensor(rng.standard_normal((128, 1))),
-                                 Tensor(rng.standard_normal((128, 1))), rng=rng)
+            parts = gan_adv_loss(stack, Tensor(rng.standard_normal((1, 128, 1))),
+                                 Tensor(rng.standard_normal((1, 128, 1))), rng=rng)
             g_opt.step(generator_loss(parts).backward(g_opt.params))
 
         held_out = np.random.default_rng(seed + 1000)
-        real = Tensor(held_out.standard_normal((500, 1)))
-        z_g = module.generate(Tensor(held_out.standard_normal((500, 1))),
-                              held_out.standard_normal((500, 1)))
-        d_real = module.discriminate(real).data.ravel()
-        d_fake = module.discriminate(z_g).data.ravel()
+        real = Tensor(held_out.standard_normal((1, 500, 1)))
+        z_g = stack.generate(Tensor(held_out.standard_normal((1, 500, 1))),
+                             held_out.standard_normal((1, 500, 1)))
+        d_real = stack.discriminate(real).data.ravel()
+        d_fake = stack.discriminate(z_g).data.ravel()
         acc = (np.sum(d_real > 0.5) + np.sum(d_fake <= 0.5)) / 1000.0
         assert 0.4 <= acc <= 0.6, (seed, acc)
         accuracies.append(acc)

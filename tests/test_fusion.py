@@ -12,6 +12,7 @@ from fuselab.fusion import (
     ConcatFusion,
     GanFusion,
     GanFusionModule,
+    GanStack,
     auto_fusion_loss,
     gan_adv_loss,
     generator_loss,
@@ -114,8 +115,8 @@ class TestGanLoss:
     def test_indifferent_discriminator_value(self):
         module = self._module()
         _zero_params(module.discriminator_parameters())  # sigmoid(0) = 0.5
-        parts = gan_adv_loss(module, Tensor([[0.2, 0.3]]), Tensor([[1.0, -1.0]]),
-                             rng=np.random.default_rng(0))
+        parts = gan_adv_loss(GanStack([module]), Tensor([[[0.2, 0.3]]]),
+                             Tensor([[[1.0, -1.0]]]), rng=np.random.default_rng(0))
         assert abs(parts.j_adv.data.item() - (-TWO_LN_2)) < 1e-9
         assert abs(parts.j_adv.data.item() - (math.log(0.5) + math.log(0.5))) < 1e-9
 
@@ -129,9 +130,9 @@ class TestGanLoss:
         module.disc_out.weights.data[...] = 0.0
         module.disc_out.weights.data[0, 0] = 100.0
         module.disc_out.bias.data[...] = -50.0
-        real = Tensor([[10.0, 0.0]])
-        parts = gan_adv_loss(module, real, Tensor([[0.0, 0.0]]),
-                             noise=np.zeros((1, 1)))
+        real = Tensor([[[10.0, 0.0]]])
+        parts = gan_adv_loss(GanStack([module]), real, Tensor([[[0.0, 0.0]]]),
+                             noise=np.zeros((1, 1, 1)))
         # generator with small init emits near-zero vectors -> D(fake) ~ 0
         assert parts.d_real.data.item() > 0.99
         assert parts.d_fake.data.item() < 0.01
@@ -157,10 +158,10 @@ class TestGanLoss:
         assert nc.add(Tensor(0.0), Tensor(-1.5)).data.item() == -1.5
 
     def test_seeded_components_recompute_identically(self):
-        module = self._module(seed=4)
-        args = (Tensor([[0.2, 0.3]]), Tensor([[1.0, -1.0]]))
-        a = gan_adv_loss(module, *args, rng=np.random.default_rng(9)).j_adv.data.item()
-        b = gan_adv_loss(module, *args, rng=np.random.default_rng(9)).j_adv.data.item()
+        stack = GanStack([self._module(seed=4)])
+        args = (Tensor([[[0.2, 0.3]]]), Tensor([[[1.0, -1.0]]]))
+        a = gan_adv_loss(stack, *args, rng=np.random.default_rng(9)).j_adv.data.item()
+        b = gan_adv_loss(stack, *args, rng=np.random.default_rng(9)).j_adv.data.item()
         assert a == b
 
 
@@ -180,13 +181,15 @@ class TestGanFusion:
         z_v, z_t = Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3)))
         out = mech.fuse_batch(z_v, z_t, rng=np.random.default_rng(0))
         assert out.z_fuse.shape == (1, 3)
-        for key, module, real, source in (("t", mech.text_module, z_v, z_t),
-                                          ("v", mech.visual_module, z_t, z_v)):
-            z_g = module.generate(source, out.noise[key])
-            assert z_g.shape == (1, 3)
-            parts = module.adversarial(real, z_g)
-            for score in (parts.d_real, parts.d_fake):
-                assert 0.0 < score.data.item() < 1.0
+        assert out.noise.shape == (2, 1, 1)
+        real, source = mech.adversarial_inputs(z_v, z_t)
+        z_g = mech.modules.generate(source, out.noise)
+        assert z_g.shape == (2, 1, 3)
+        parts = mech.modules.adversarial(real, z_g)
+        assert parts.j_adv.shape == (2,)
+        for score in (parts.d_real, parts.d_fake):
+            assert score.shape == (2, 1, 1)
+            assert ((0.0 < score.data) & (score.data < 1.0)).all()
 
     def test_combiner_reads_generator_outputs_and_raw_latents(self):
         """The combiner reads [z_g_t; z_g_v; z_v; z_t]: with its weights
@@ -231,12 +234,12 @@ class TestFusionGradients:
 
     def test_gan_adv_loss_gradients(self):
         module = GanFusionModule(latent_dim=4, name="m", rng=np.random.default_rng(8))
-        real = Tensor(np.random.default_rng(9).normal(size=(1, 4)))
-        source = Tensor(np.random.default_rng(10).normal(size=(1, 4)))
-        noise = np.random.default_rng(11).standard_normal((1, 1))
+        real = Tensor(np.random.default_rng(9).normal(size=(1, 1, 4)))
+        source = Tensor(np.random.default_rng(10).normal(size=(1, 1, 4)))
+        noise = np.random.default_rng(11).standard_normal((1, 1, 1))
 
         def loss():
-            return gan_adv_loss(module, real, source, noise=noise).j_adv
+            return gan_adv_loss(GanStack([module]), real, source, noise=noise).j_adv
 
         params = module.generator_parameters() + module.discriminator_parameters()
         reports = nc.grad_check_params(loss, params, h=1e-5, tol=1e-4)
@@ -244,12 +247,12 @@ class TestFusionGradients:
 
     def test_generator_loss_gradients(self):
         module = GanFusionModule(latent_dim=4, name="m", rng=np.random.default_rng(12))
-        real = Tensor(np.random.default_rng(13).normal(size=(1, 4)))
-        source = Tensor(np.random.default_rng(14).normal(size=(1, 4)))
-        noise = np.random.default_rng(15).standard_normal((1, 1))
+        real = Tensor(np.random.default_rng(13).normal(size=(1, 1, 4)))
+        source = Tensor(np.random.default_rng(14).normal(size=(1, 1, 4)))
+        noise = np.random.default_rng(15).standard_normal((1, 1, 1))
 
         def loss():
-            return generator_loss(gan_adv_loss(module, real, source, noise=noise))
+            return generator_loss(gan_adv_loss(GanStack([module]), real, source, noise=noise))
 
         reports = nc.grad_check_params(loss, module.generator_parameters(),
                                        h=1e-5, tol=1e-4)

@@ -68,8 +68,8 @@ def test_every_golden_file_is_a_run():
 # Graph nodes a training step records, per shipped config: every op's
 # Tensor._from_op call in one _train_step, the discriminator step
 # included. A change to the graph's size restates its count here.
-OPS_PER_STEP = {"xor-gan.ini": 135, "xor-auto.ini": 45, "xor-concat.ini": 37,
-                "text-only.ini": 25}
+OPS_PER_STEP = {"xor-gan.ini": 63, "xor-auto.ini": 28, "xor-concat.ini": 21,
+                "text-only.ini": 20}
 
 
 @pytest.mark.parametrize("config_file", sorted(OPS_PER_STEP))

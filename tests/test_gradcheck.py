@@ -60,7 +60,6 @@ def _case_factories():
         ("matmul", (2, 4), lambda rng: (lambda x, c=const(rng, (4, 3)): nc.tsum(nc.matmul(x, c)))),
         ("linear", (2, 4), lambda rng: (lambda x, w=const(rng, (3, 4)), b=const(rng, (3,)): nc.tsum(nc.linear(x, w, b)))),
         ("concat", (4,), lambda rng: (lambda x, c=const(rng, (3,)): nc.squared_norm(nc.concat([x, c], axis=0)))),
-        ("slice", (3, 3), lambda rng: (lambda x: nc.tsum(x[1:, :2]))),
         ("take_rows", (3, 2), lambda rng: (lambda x: nc.tsum(nc.take_rows(x, np.array([0, 2, 2]))))),
         ("reshape", (2, 3), lambda rng: (lambda x: nc.squared_norm(nc.reshape(x, (6,))))),
         ("sum_axis", (3, 4), lambda rng: (lambda x: nc.squared_norm(nc.tsum(x, axis=0)))),
@@ -74,6 +73,13 @@ def _case_factories():
         ("row_scale", (3, 4), lambda rng: (lambda x, c=const(rng, (3,)): nc.tsum(nc.row_scale(x, c)))),
         ("conv2d", (1, 6, 6, 1), lambda rng: (lambda x, k=const(rng, (3, 3, 1, 2)), b=const(rng, (2,)): nc.squared_norm(nc.conv2d(x, k, b)))),
         ("maxpool2d", (1, 6, 6, 2), lambda rng: (lambda x: nc.squared_norm(nc.maxpool2d(x, 2)))),
+        ("dense", (2, 4), lambda rng: (lambda x, w=const(rng, (3, 4)), b=const(rng, (3,)): nc.squared_norm(nc.dense(x, w, b, "tanh")))),
+        ("dense_stacked", (2, 3, 4), lambda rng: (lambda x, w=[const(rng, (3, 4)), const(rng, (3, 4))], b=[const(rng, (3,)), const(rng, (3,))]: nc.squared_norm(nc.dense(x, w, b, "sigmoid")))),
+        ("conv2d_relu", (1, 6, 6, 1), lambda rng: (lambda x, k=const(rng, (3, 3, 1, 2)), b=const(rng, (2,)): nc.squared_norm(nc.conv2d(x, k, b, relu=True)))),
+        ("cell_means", (2, 5, 5, 2), lambda rng: (lambda x: nc.squared_norm(nc.cell_means(x, 2)))),
+        ("cross_entropy", (2, 3), lambda rng: (lambda x, t=rng.uniform(size=(2, 3)): nc.cross_entropy(t, nc.softmax(x)))),
+        ("stack", (2, 3), lambda rng: (lambda x, c=const(rng, (2, 3)): nc.squared_norm(nc.stack([x, c, x])))),
+        ("side_by_side", (2, 2, 3), lambda rng: (lambda x: nc.squared_norm(nc.side_by_side(x)))),
     ]
 
 

@@ -28,6 +28,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,8 @@ from fuselab.training import (
     FORMAT_VERSION, ModelConfig, build_model, load_model, save_model,
 )
 from fuselab.training.model import MAGIC
+
+from reference_ops import tslice
 
 LEX = default_lexicons()
 
@@ -102,7 +105,7 @@ def _recurrence(r, n, m, states):
     lengths = r.integers(1, m + 1, size=n)
     cells = [nc.Tensor(r.uniform(-0.6, 0.6, size=(8, 4))), _t(r, 8),
              nc.Tensor(r.uniform(-0.6, 0.6, size=(8, 4))), _t(r, 8)]
-    return (lambda x, *params: nc.gated_recurrence(x, *params, lengths=lengths)[states],
+    return (lambda x, *params: tslice(nc.gated_recurrence(x, *params, lengths=lengths), states),
             [_t(r, n, m, 2)] + cells)
 
 
@@ -119,7 +122,6 @@ SMOOTH_OPS = {
     "row_scale": lambda r, n, m: (nc.row_scale, [_t(r, n, m), _t(r, n)]),
     "concat": lambda r, n, m: (lambda a, b: nc.concat([a, b], axis=1),
                                [_t(r, n, m), _t(r, n, 2)]),
-    "slice": lambda r, n, m: (lambda a: a[n // 2 :, ::2], [_t(r, n, m)]),
     "take_rows": lambda r, n, m: (lambda a, idx=r.integers(0, n, size=n + 2):
                                   nc.take_rows(a, idx), [_t(r, n, m)]),
     "reshape": lambda r, n, m: (lambda a: nc.reshape(a, (m, n)), [_t(r, n, m)]),
@@ -135,6 +137,16 @@ SMOOTH_OPS = {
         nc.softmax(a, mask=mask), [_t(r, n, m)]),
     "conv2d": lambda r, n, m: (nc.conv2d, [_t(r, 1, n + 2, m + 2, 2), _t(r, 3, 3, 2, 2),
                                            _t(r, 2)]),
+    "dense": lambda r, n, m: (lambda x, w, b: nc.dense(x, w, b, "tanh"),
+                              [_t(r, n, m), _t(r, 3, m), _t(r, 3)]),
+    "dense stacked": lambda r, n, m: (lambda x, *wb: nc.dense(x, wb[:2], wb[2:], "sigmoid"),
+                                      [_t(r, 2, n, m), _t(r, 3, m), _t(r, 3, m), _t(r, 3),
+                                       _t(r, 3)]),
+    "cell_means": lambda r, n, m: (lambda x: nc.cell_means(x, 2), [_t(r, 2, n + 1, m + 1, 2)]),
+    "cross_entropy": lambda r, n, m: (lambda p, t=r.uniform(size=(n, m)): nc.cross_entropy(
+        t, _positive(p)), [_t(r, n, m)]),
+    "stack": lambda r, n, m: (lambda a, b: nc.stack([a, b]), [_t(r, n, m), _t(r, n, m)]),
+    "side_by_side": lambda r, n, m: (nc.side_by_side, [_t(r, 2, n, m)]),
     "gated_recurrence": lambda r, n, m: _recurrence(r, n, m, np.s_[:, :, :]),
     "gated_recurrence reverse": lambda r, n, m: _recurrence(r, n, m, np.s_[:, :, 2:]),
 }
@@ -161,9 +173,9 @@ _WITH_CONSTANTS = {
         _t(r, 1, 2, n, n), nc.reshape(nc.concat([a, b], axis=0), (2, 1, n, n)), _t(r, n)),
         (n, n)),
     "conv2d with a constant kernel": lambda a, b, r, n: nc.reshape(nc.conv2d(
-        nc.reshape(nc.concat([a, b], axis=0), (1, 2, n, n)), _t(r, 2, 1, n, n), b[0]),
+        nc.reshape(nc.concat([a, b], axis=0), (1, 2, n, n)), _t(r, 2, 1, n, n), tslice(b, 0)),
         (n, n)),
-    "linear of a constant input": lambda a, b, r, n: nc.linear(_t(r, n, n), a, b[0]),
+    "linear of a constant input": lambda a, b, r, n: nc.linear(_t(r, n, n), a, tslice(b, 0)),
     "linear with constant weights": lambda a, b, r, n: nc.linear(a, _t(r, n, n), _t(r, n)),
     "linear with a constant bias": lambda a, b, r, n: nc.linear(a, b, _t(r, n)),
 }
@@ -317,7 +329,7 @@ HEADER_FIELDS = ([(key,) for key in ("format_version", "config", "config_hash",
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(where=st.sampled_from(HEADER_FIELDS), value=_VALUES)
+@given(where=st.sampled_from(HEADER_FIELDS), value=st.one_of(_VALUES, st.integers()))
 @example(where=("config", "latent_dim"), value=4.0)
 @example(where=("config", "input_modes"), value=3)
 @example(where=("config", "fusion"), value=1)
@@ -339,6 +351,25 @@ def test_any_header_value_loads_or_is_a_format_error(saved_model, where, value):
         load_model(path)
     except FormatError as exc:
         assert str(path) in str(exc)
+
+
+def test_a_header_dimension_beyond_the_file_fails_before_the_build(saved_model):
+    """A small file whose header names a large latent_dim fails on the
+    manifest's size, with a peak allocation a small multiple of the file:
+    the model its config describes is never built."""
+    raw, path = saved_model
+    header, blocks = _header(raw)
+    header["config"]["latent_dim"] = 1500
+    data = _model_file(header, blocks)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="latent_dim|dimension of 1500"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(data), (peak, len(data))
 
 
 # a dataset whose lines hold every kind of field: a header with a merge

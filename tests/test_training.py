@@ -406,28 +406,35 @@ class TestGanTerms:
             assert b is not None and (a is None or not np.array_equal(a, b))
 
     def test_generator_term_scores_the_combiners_z_g(self, monkeypatch):
-        """Each module's adversarial pass scores a z_g that is bitwise the
-        one the combiner consumed: the generator applied to the live
-        latent with the noise fuse_batch drew."""
-        from fuselab.fusion import GanFusionModule
+        """The stacked adversarial pass scores a z_g that is bitwise the one
+        the combiner consumed, slab by slab: each generator applied to its
+        live latent with the noise fuse_batch drew."""
+        from fuselab import numcore as nc
+        from fuselab.fusion import GanStack
 
         ds = _dataset(20)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = model.prepare(ds.publications[:8])
         latents = model.encode(batch)
         _, result = model.head(latents, np.random.default_rng(1))
-        mech = model.mechanism
-        want = {key: module.generate(latents[source], result.noise[key]).data
-                for key, module, source in (("t", mech.text_module, "text"),
-                                            ("v", mech.visual_module, "visual"))}
+        want = model.mechanism.modules.generate(
+            nc.stack([latents["text"], latents["visual"]]), result.noise).data
 
-        scored = []
-        adversarial = GanFusionModule.adversarial
-        monkeypatch.setattr(GanFusionModule, "adversarial",
-                            lambda module, real, z_g: scored.append(z_g.data)
-                            or adversarial(module, real, z_g))
+        generated, scored = [], []
+        generate, adversarial = GanStack.generate, GanStack.adversarial
+        monkeypatch.setattr(GanStack, "generate",
+                            lambda stack, *args: generated.append(generate(stack, *args))
+                            or generated[-1])
+        monkeypatch.setattr(GanStack, "adversarial",
+                            lambda stack, real, z_g: scored.append(z_g.data)
+                            or adversarial(stack, real, z_g))
         self._run(model, batch)
-        assert [z.tobytes() for z in scored] == [want[k].tobytes() for k in ("t", "v")]
+        # fuse_batch generates the combiner's z_g first, then the
+        # generator term regenerates it from the latents' values
+        assert len(generated) == 2 and len(scored) == 1
+        combiners = generated[0].data
+        assert want.shape == (2, 8, 8)
+        assert scored[0].tobytes() == combiners.tobytes() == want.tobytes()
 
 
 class TestMainObjective:

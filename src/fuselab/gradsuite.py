@@ -13,7 +13,9 @@ Checks, at tolerance tol against central finite differences:
     over generator outputs and raw latents): the fusion term stops at
     the encoders, so the encoder parameters are checked against J_C and
     every other parameter against J (J_C, J_C + J_auto, or J_C + the
-    generator-side adversarial term).
+    generator-side adversarial term). Each group's probes skip work
+    that cannot change what they read (the fusion term for the
+    encoders, the encoders for the rest), so no checked value changes.
 
 Random draws are seeded, and toy inputs carry noise so no relu sits
 exactly on its kink (where finite differences are undefined).
@@ -38,7 +40,12 @@ from .fusion import (
 from .layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from .numcore import CheckReport, Tensor, grad_check, grad_check_params
 from .training import ModelConfig, build_model
-from .training.objectives import Objective, batch_cross_entropy, main_objective, one_hot
+from .training.objectives import (
+    batch_cross_entropy,
+    classification_objective,
+    main_objective,
+    one_hot,
+)
 
 
 def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckReport]:
@@ -193,25 +200,35 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     return reports
 
 
-def _end_to_end_objective(model, pubs, seed: int = 17) -> Callable[[], Objective]:
-    """The main objective of model on pubs, prepared once; each evaluation
-    seeds a fresh rng, so every probe draws the same GAN noise."""
-    batch = model.prepare(pubs)
-    return lambda: main_objective(model, batch, model.encode(batch),
-                                  np.random.default_rng(seed))
+# seeds the fresh rng of every end-to-end evaluation, so every probe
+# draws the same GAN noise
+END_TO_END_SEED = 17
 
 
 def end_to_end_check(model, pubs, h: float, tol: float) -> Dict[str, CheckReport]:
     """Per-parameter checks of the main step's gradient on pubs: the
-    encoder parameters against J_C, which alone reaches them, and every
-    other parameter against J. Parameters keep model.parameters() order."""
-    objective = _end_to_end_objective(model, pubs)
+    encoder parameters against J_C (classification_objective), which
+    alone reaches them, and every other parameter against J from latents
+    encoded once, since none of their probes moves an encoder.
+    Parameters keep model.parameters() order."""
+    batch = model.prepare(pubs)
     encoders = [p for encoder in (model.text_encoder, model.visual_encoder)
                 if encoder is not None for p in encoder.parameters()]
     skip = {id(p) for p in encoders}
     rest = [p for p in model.parameters() if id(p) not in skip]
-    return {**grad_check_params(lambda: objective().j_c, encoders, h, tol),
-            **grad_check_params(lambda: objective().j, rest, h, tol)}
+    with nc.no_graph():
+        latents = model.encode(batch)
+
+    def j_c() -> Tensor:
+        rng = np.random.default_rng(END_TO_END_SEED)
+        return classification_objective(model, batch, model.encode(batch), rng)[0]
+
+    def j() -> Tensor:
+        rng = np.random.default_rng(END_TO_END_SEED)
+        return main_objective(model, batch, latents, rng).j
+
+    return {**grad_check_params(j_c, encoders, h, tol),
+            **grad_check_params(j, rest, h, tol)}
 
 
 def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:

@@ -13,8 +13,9 @@ latents:
 Both steps use Adam at the configured lr. Each backward names the
 parameters its optimizer updates, and that list alone decides what is
 differentiated. The discriminator step reads the latents' values, not
-their graph, and runs both adversarial modules as one stacked pass, one
-node per layer (fusion.GanStack).
+their graph, generates z_g without recording a graph, and scores both
+adversarial modules as one stacked pass, one node per layer
+(fusion.GanStack).
 
 The main step's objective is objectives.main_objective, the one the
 gradient suite checks. Its fusion term stops at the encoders, which
@@ -36,7 +37,7 @@ import numpy as np
 from .. import numcore as nc
 from ..datakit import BatchStream, Dataset
 from ..exceptions import ConfigError, DivergenceError, DomainError, InputError
-from ..fusion import GanFusion, gan_adv_loss
+from ..fusion import GanFusion
 from ..metrics import MetricsReport, evaluate
 from ..numcore import Tensor, clip_grad_norm
 from .model import FusionModel, PreparedBatch
@@ -167,13 +168,16 @@ def step_discriminator(model: FusionModel, latents: Dict[str, Tensor], disc_opt,
     from one stacked pass; only discriminator parameters change.
 
     latents are the batch's encoder outputs, as the main step reads them.
-    The step reads their values only: its backward is with respect to
-    disc_opt.params alone, so the encoder graph would be walked for
-    nothing.
+    The step reads their values only, and generates z_g under no_graph:
+    its backward is with respect to disc_opt.params alone, so neither the
+    encoder graph nor the generators' would be walked for anything.
     """
     mech: GanFusion = model.mechanism
     real, source = mech.adversarial_inputs(latents["visual"], latents["text"])
-    j_adv = nc.tsum(gan_adv_loss(mech.modules, real, source, rng=rng).j_adv)
+    noise = mech.modules.sample_noise(source.shape[1], rng)
+    with nc.no_graph():
+        z_g = mech.modules.generate(source, noise)
+    j_adv = nc.tsum(mech.modules.adversarial(real, z_g).j_adv)
     _finite_or_raise(float(j_adv.data), step, "J_adv")
     disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
 

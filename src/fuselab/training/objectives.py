@@ -6,18 +6,21 @@ it against finite differences:
   concat, unimodal  J = J_C
   auto              J = J_C + J_auto
   gan               J = J_C + (generator-side adversarial term)
+J_C itself is classification_objective, which main_objective calls; the
+suite checks the encoders, which only J_C reaches, against it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import numcore as nc
 from ..exceptions import ConfigError, ShapeError
-from ..fusion import AutoFusion, GanFusion, auto_fusion_loss, gan_adv_loss, generator_loss
+from ..fusion import (AutoFusion, FusionResult, GanFusion, auto_fusion_loss, gan_adv_loss,
+                      generator_loss)
 from ..numcore import Tensor
 
 
@@ -48,23 +51,31 @@ class Objective:
     parts: Dict[str, float] = field(default_factory=dict)
 
 
+def classification_objective(model, batch, latents: Dict[str, Tensor],
+                             rng: Optional[np.random.Generator]
+                             ) -> Tuple[Tensor, Optional[FusionResult]]:
+    """J_C of one prepared batch (model.prepare) from its encoder latents,
+    plus the fusion auxiliaries of a multimodal model (model.head draws
+    the adversarial noise from rng)."""
+    space = model.label_space
+    if (batch.labels < 0).any():
+        raise ConfigError(f"dataset labels do not match the model label space "
+                          f"{list(space.names)}")
+    probs, result = model.head(latents, rng)
+    return batch_cross_entropy(one_hot(batch.labels, space.num_classes), probs), result
+
+
 def main_objective(model, batch, latents: Dict[str, Tensor],
                    rng: Optional[np.random.Generator]) -> Objective:
-    """The main objective of one prepared batch (model.prepare) from its
-    encoder latents (model.head draws the adversarial noise from rng).
+    """The main objective of one prepared batch from its encoder latents:
+    classification_objective's J_C plus the mechanism's fusion term.
 
     The fusion term reads detached latents, a deliberate stop-gradient
     that confines it to the fusion module: J_C alone reaches the encoders.
     The GAN term therefore regenerates z_g from the latents' values (3
     nodes for both modules) rather than reading fuse_batch's live z_g.
     """
-    space = model.label_space
-    if (batch.labels < 0).any():
-        raise ConfigError(f"dataset labels do not match the model label space "
-                          f"{list(space.names)}")
-    probs, result = model.head(latents, rng)
-    targets = one_hot(batch.labels, space.num_classes)
-    j_c = batch_cross_entropy(targets, probs)
+    j_c, result = classification_objective(model, batch, latents, rng)
     mech = model.mechanism
 
     if isinstance(mech, GanFusion):

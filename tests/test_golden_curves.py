@@ -100,6 +100,38 @@ def test_ops_per_training_step_match_budget(monkeypatch, config_file):
     assert steps == [OPS_PER_STEP[config_file]] * len(steps), steps
 
 
+# Nodes with a backward that one xor-gan discriminator step records: the
+# discriminators' layers and the loss. The generators run without a
+# graph, since the step's backward names discriminator parameters only.
+DISC_STEP_NODES = 14
+
+
+def test_discriminator_step_records_no_generator_node(monkeypatch):
+    from fuselab.numcore import Tensor
+    from fuselab.training import loop
+
+    made, steps = [], []
+    from_op, step_discriminator = Tensor._from_op.__func__, loop.step_discriminator
+
+    def recorded_from_op(cls, *args, **kwargs):
+        out = from_op(cls, *args, **kwargs)
+        made.append(out)
+        return out
+
+    def recorded_step(*args, **kwargs):
+        made.clear()
+        step_discriminator(*args, **kwargs)
+        steps.append(sum(t._backward is not None for t in made))
+
+    monkeypatch.setattr(Tensor, "_from_op", classmethod(recorded_from_op))
+    monkeypatch.setattr(loop, "step_discriminator", recorded_step)
+    config = load_experiment_config(ROOT / "configs" / "xor-gan.ini")
+    config.data.synthetic = dataclasses.replace(config.data.synthetic, n=80)
+    config.train = dataclasses.replace(config.train, epochs=1)
+    run_experiment(config)
+    assert steps == [DISC_STEP_NODES] * 2, steps
+
+
 def _columns(text: str) -> dict:
     """A golden file as column name -> values (None where a part is
     absent); test_macro_f1 is its own one-value column."""

@@ -246,3 +246,35 @@ def test_fused_recurrence_with_distinct_direction_weights_passes_grad_check():
         lambda: nc.tsum(nc.mul(nc.gated_recurrence(*params, lengths=lengths), weights)),
         params, h=1e-5, tol=1e-4)
     assert len(reports) == 5 and all(r.passed for r in reports.values()), reports
+
+
+# FusionModel.encode calls the three end-to-end checks make: per
+# mechanism, two probes of each of the 276 encoder coordinates against
+# J_C, the J_C analytic pass, and the one encode that the J analytic pass
+# and every probe of a parameter after the encoders share.
+E2E_ENCODER_COORDS = 276
+E2E_ENCODES = 3 * (2 * E2E_ENCODER_COORDS + 1 + 1)
+
+
+def test_end_to_end_checks_encode_within_budget(monkeypatch):
+    from fuselab import gradsuite
+    from fuselab.training import FusionModel
+
+    calls, coords = [0], []
+    encode, check = FusionModel.encode, gradsuite.end_to_end_check
+
+    def counted_encode(self, batch):
+        calls[0] += 1
+        return encode(self, batch)
+
+    def counted_check(model, *args, **kwargs):
+        coords.append(sum(p.size for enc in (model.text_encoder, model.visual_encoder)
+                          for p in enc.parameters()))
+        return check(model, *args, **kwargs)
+
+    monkeypatch.setattr(FusionModel, "encode", counted_encode)
+    monkeypatch.setattr(gradsuite, "end_to_end_check", counted_check)
+    reports = gradsuite._end_to_end_checks(h=1e-5, tol=1e-4)
+    assert all(r.passed for r in reports), reports
+    assert coords == [E2E_ENCODER_COORDS] * 3
+    assert calls[0] == E2E_ENCODES == 1662

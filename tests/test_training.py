@@ -437,24 +437,85 @@ class TestGanTerms:
         assert scored[0].tobytes() == combiners.tobytes() == want.tobytes()
 
 
+def _staged_checks(model, pubs):
+    """The (objective, parameters) pairs that gradsuite.end_to_end_check
+    hands to grad_check_params, in call order, each objective unevaluated.
+    Each evaluation seeds its rng with gradsuite.END_TO_END_SEED."""
+    from fuselab import gradsuite
+
+    calls = []
+
+    def record(f, params, h, tol):
+        calls.append((f, list(params)))
+        return {p.name: nc.CheckReport(max_rel_err=0.0, passed=True) for p in params}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradsuite, "grad_check_params", record)
+        gradsuite.end_to_end_check(model, pubs, h=1e-5, tol=1e-4)
+    return calls
+
+
 class TestMainObjective:
     def test_gradient_suite_checks_the_objective_train_step_reports(self):
-        """The objective that `fuselab gradcheck` differentiates end to end
-        is the one the main step minimizes, for the same model, batch and
-        seeded rng."""
-        from fuselab.gradsuite import _end_to_end_objective
+        """The objectives that `fuselab gradcheck` differentiates end to end
+        are the ones the main step reports, J_C for the encoders and J for
+        the rest, for the same model, batch and seeded rng."""
+        from fuselab.gradsuite import END_TO_END_SEED
         from fuselab.training.loop import _train_step
         from fuselab.training.optim import Adam
 
         ds = _dataset(20, seed=4)
         model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:6]
-        checked = _end_to_end_objective(model, batch, seed=5)()
+        (j_c, _), (j, _) = _staged_checks(model, batch)
+        checked_j_c, checked_j = j_c().data.item(), j().data.item()
         opt = Adam(model.main_parameters(), TrainConfig().lr)
         report = _train_step(model, model.prepare(batch),
-                             np.random.default_rng(5), opt, None, 0)
-        assert (report.j, report.j_c) == (checked.j.data.item(), checked.j_c.data.item())
+                             np.random.default_rng(END_TO_END_SEED), opt, None, 0)
+        assert (report.j, report.j_c) == (checked_j, checked_j_c)
         assert report.j != report.j_c + report.j_f  # not J_C + J_adv
+
+    @pytest.mark.parametrize("fusion", ["concat", "auto", "gan"])
+    def test_staged_checks_differentiate_the_gradient_train_step_takes(
+            self, monkeypatch, fusion):
+        """Backpropagated over their parameters, the staged end-to-end
+        objectives give, bit for bit, the gradient the main step takes
+        (before any clip), and for the discriminators the gradient of J on
+        live latents; every parameter is checked exactly once."""
+        from fuselab.gradsuite import END_TO_END_SEED
+        from fuselab.training import loop
+        from fuselab.training.objectives import main_objective
+
+        ds = _dataset(20, seed=4)
+        model = _model(ds, fusion)
+        pubs = ds.publications[:6]
+        staged = {}
+        for f, params in _staged_checks(model, pubs):
+            for p, g in zip(params, f().backward(params)):
+                assert p.name not in staged
+                staged[p.name] = g.tobytes()
+        assert list(staged) == [p.name for p in model.parameters()]
+
+        taken, norms, clip = [], [], loop.clip_grad_norm
+        opt = SimpleNamespace(params=model.main_parameters(),
+                              step=lambda grads: taken.append([g.copy() for g in grads]))
+        monkeypatch.setattr(loop, "clip_grad_norm",
+                            lambda grads, max_norm: norms.append(clip(grads, max_norm)))
+        rng = np.random.default_rng(END_TO_END_SEED)
+        loop._train_step(model, model.prepare(pubs), rng, opt, None, 0)
+        assert norms and max(norms) <= loop.CLIP_NORM  # the clip scaled nothing
+        (grads,) = taken
+        trained = {p.name: g.tobytes() for p, g in zip(opt.params, grads)}
+
+        disc = model.discriminator_parameters()
+        assert bool(disc) == (fusion == "gan")
+        if disc:
+            batch = model.prepare(pubs)
+            live = main_objective(model, batch, model.encode(batch),
+                                  np.random.default_rng(END_TO_END_SEED)).j
+            trained.update((p.name, g.tobytes()) for p, g in zip(disc, live.backward(disc)))
+        assert sorted(trained) == sorted(staged)
+        assert [name for name in staged if staged[name] != trained[name]] == []
 
 
 def _probs(model, pubs):

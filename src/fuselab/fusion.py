@@ -185,11 +185,10 @@ class GanLossParts:
 
 
 def gan_adv_loss(stack: GanStack, real: Tensor, source: Tensor,
-                 rng: Optional[np.random.Generator] = None,
-                 noise: Optional[np.ndarray] = None) -> GanLossParts:
+                 noise: np.ndarray) -> GanLossParts:
     """Adversarial objective of each module of stack over (K, batch, d)
-    latents: generate from source (with noise, or noise drawn from rng),
-    then score against real (GanStack.adversarial).
+    latents: generate from source with noise (GanStack.sample_noise), then
+    score against real (GanStack.adversarial).
 
     The discriminators ascend this; the generators descend its
     non-saturating surrogate (generator_loss).
@@ -198,8 +197,6 @@ def gan_adv_loss(stack: GanStack, real: Tensor, source: Tensor,
         raise ShapeError(f"gan_adv_loss: need real and source stacks of "
                          f"{len(stack.modules)} modules' (batch, d) latents, got "
                          f"{real.shape} and {source.shape}")
-    if noise is None:
-        noise = stack.sample_noise(source.shape[1], rng)
     return stack.adversarial(real, stack.generate(source, noise))
 
 

@@ -10,12 +10,13 @@ Checks, at tolerance tol against central finite differences:
   - end to end, for all three mechanisms on d=4, 2-class toys, the
     gradient the main training step takes (main_objective) through the
     one head each mechanism has (concat's projection, the GAN combiner
-    over generator outputs and raw latents): the fusion term stops at
-    the encoders, so the encoder parameters are checked against J_C and
-    every other parameter against J (J_C, J_C + J_auto, or J_C + the
-    generator-side adversarial term). Each group's probes skip work
-    that cannot change what they read (the fusion term for the
-    encoders, the encoders for the rest), so no checked value changes.
+    over generator outputs and raw latents). J is J_C, J_C + J_auto, or
+    J_C + the generator-side adversarial term, and the fusion term stops
+    at the encoders. Each parameter's probes recompute only the parts of
+    J it reaches (end_to_end_groups): an encoder's, J_C on its own
+    modality's live latents; every other one's, J_C, the term or both,
+    with the rest held at values computed once. A held part has the
+    bits a probe would recompute, so no checked value changes.
 
 Random draws are seeded, and toy inputs carry noise so no relu sits
 exactly on its kink (where finite differences are undefined).
@@ -23,6 +24,7 @@ exactly on its kink (where finite differences are undefined).
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from .training import ModelConfig, build_model
 from .training.objectives import (
     batch_cross_entropy,
     classification_objective,
+    fusion_term,
     main_objective,
     one_hot,
 )
@@ -205,30 +208,65 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
 END_TO_END_SEED = 17
 
 
-def end_to_end_check(model, pubs, h: float, tol: float) -> Dict[str, CheckReport]:
-    """Per-parameter checks of the main step's gradient on pubs: the
-    encoder parameters against J_C (classification_objective), which
-    alone reaches them, and every other parameter against J from latents
-    encoded once, since none of their probes moves an encoder.
-    Parameters keep model.parameters() order."""
-    batch = model.prepare(pubs)
-    encoders = [p for encoder in (model.text_encoder, model.visual_encoder)
-                if encoder is not None for p in encoder.parameters()]
-    skip = {id(p) for p in encoders}
-    rest = [p for p in model.parameters() if id(p) not in skip]
+def end_to_end_groups(model, batch) -> List[Tuple[str, Callable[[], Tensor], List[Tensor]]]:
+    """The probe groups of the main step's gradient on a prepared batch:
+    consecutive runs of model.parameters(), each with its group and the
+    objective its parameters are probed against, which recomputes only
+    the parts of J = J_C + term that they reach and holds every other
+    part at its value from latents encoded once:
+      "text", "visual"  an encoder's: J_C on that modality's live latents
+      "J_C"             reached by J_C alone: J_C + the fixed term (or J_C
+                        when the mechanism has no term)
+      "term"            reached by the term alone: the fixed J_C + term
+      "J"               reached by both, or by neither: J
+    Which parts a head parameter reaches is read from the backward of J_C
+    and of the term. A fixed part holds the bits a probe would recompute,
+    so every objective's value is J's (J_C's for the encoders)."""
     with nc.no_graph():
         latents = model.encode(batch)
 
-    def j_c() -> Tensor:
+    def seeded_j_c(live: Dict[str, Tensor]):
         rng = np.random.default_rng(END_TO_END_SEED)
-        return classification_objective(model, batch, model.encode(batch), rng)[0]
+        return classification_objective(model, batch, {**latents, **live}, rng)
 
-    def j() -> Tensor:
-        rng = np.random.default_rng(END_TO_END_SEED)
-        return main_objective(model, batch, latents, rng).j
+    j_c, result = seeded_j_c({})
+    term = fusion_term(model, latents, result)[0]
+    group: Dict[int, str] = {}
+    objectives: Dict[str, Callable[[], Tensor]] = {}
+    for modality, encoder in model.encoders().items():
+        group.update((id(p), modality) for p in encoder.parameters())
+        objectives[modality] = lambda m=modality: seeded_j_c(
+            model.encode_modality(batch, m))[0]
+    head = [p for p in model.parameters() if id(p) not in group]
+    by_j_c = j_c.backward(head)
+    by_term = [None] * len(head) if term is None else term.backward(head)
+    for p, g_c, g_t in zip(head, by_j_c, by_term):
+        group[id(p)] = ("J" if (g_c is None) == (g_t is None)
+                        else "J_C" if g_t is None else "term")
 
-    return {**grad_check_params(j_c, encoders, h, tol),
-            **grad_check_params(j, rest, h, tol)}
+    fixed_j_c = j_c.detach()
+    fixed_term = None if term is None else term.detach()
+
+    def j_c_alone() -> Tensor:
+        live = seeded_j_c({})[0]
+        return live if fixed_term is None else nc.add(live, fixed_term)
+
+    objectives["J_C"] = j_c_alone
+    objectives["term"] = lambda: nc.add(fixed_j_c, fusion_term(model, latents, result)[0])
+    objectives["J"] = lambda: main_objective(
+        model, batch, latents, np.random.default_rng(END_TO_END_SEED)).j
+    return [(name, objectives[name], list(run)) for name, run in
+            itertools.groupby(model.parameters(), key=lambda p: group[id(p)])]
+
+
+def end_to_end_check(model, pubs, h: float, tol: float) -> Dict[str, CheckReport]:
+    """Per-parameter checks of the main step's gradient on pubs, each group
+    of end_to_end_groups against its own objective. Parameters keep
+    model.parameters() order."""
+    reports: Dict[str, CheckReport] = {}
+    for _, objective, params in end_to_end_groups(model, model.prepare(pubs)):
+        reports.update(grad_check_params(objective, params, h, tol))
+    return reports
 
 
 def _end_to_end_checks(h: float, tol: float) -> List[CheckReport]:

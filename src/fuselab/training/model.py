@@ -227,12 +227,17 @@ class FusionModel:
 
     # -- parameter bookkeeping -------------------------------------------
 
+    def encoders(self) -> Dict[str, object]:
+        """The encoder of each modality the model reads, keyed "text" and
+        "visual", text first."""
+        return {modality: encoder for modality, encoder in
+                (("text", self.text_encoder), ("visual", self.visual_encoder))
+                if encoder is not None}
+
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
         params: List[Tuple[str, Tensor]] = []
-        if self.text_encoder:
-            params += [(p.name, p) for p in self.text_encoder.parameters()]
-        if self.visual_encoder:
-            params += [(p.name, p) for p in self.visual_encoder.parameters()]
+        for encoder in self.encoders().values():
+            params += [(p.name, p) for p in encoder.parameters()]
         if self.mechanism:
             params += [(p.name, p) for p in self.mechanism.parameters()]
         params += [(p.name, p) for p in self.classifier.parameters()]
@@ -312,19 +317,23 @@ class FusionModel:
         counts = np.maximum(batch.tuple_counts, 1).astype(np.float64)
         return nc.div(sums, Tensor(np.repeat(counts[:, None], table.dim, axis=1)))
 
+    def encode_modality(self, batch: PreparedBatch, modality: str) -> Dict[str, Tensor]:
+        """The latents that one modality's encoder reaches: (batch, d) under
+        "text", plus the entity-tuple rows under "tuple" when the model reads
+        them, or (batch, d) under "visual". The texts of a batch, whatever
+        their lengths, take one text-encoder call. Draws no randomness."""
+        if modality == "visual":
+            return {"visual": self.visual_encoder.encode_batch(Tensor(batch.grids))}
+        latents = {"text": self.text_encoder.encode_batch(batch.ids, batch.lengths)[0]}
+        if self.config.wants_entity_tuple:
+            latents["tuple"] = self._tuple_vectors(batch)
+        return latents
+
     def encode(self, batch: PreparedBatch) -> Dict[str, Tensor]:
-        """Encoder latents (batch, d) of every modality the model reads,
-        keyed "text" and "visual", plus the entity-tuple rows under "tuple"
-        when the model reads them. The texts of a batch, whatever their
-        lengths, take one text-encoder call. Draws no randomness."""
+        """encode_modality's latents of every modality the model reads."""
         latents: Dict[str, Tensor] = {}
-        mode = self.config.input_modes
-        if mode in ("text", "multimodal"):
-            latents["text"], _ = self.text_encoder.encode_batch(batch.ids, batch.lengths)
-            if self.config.wants_entity_tuple:
-                latents["tuple"] = self._tuple_vectors(batch)
-        if mode in ("visual", "multimodal"):
-            latents["visual"] = self.visual_encoder.encode_batch(Tensor(batch.grids))
+        for modality in self.encoders():
+            latents.update(self.encode_modality(batch, modality))
         return latents
 
     def head(self, latents: Dict[str, Tensor],

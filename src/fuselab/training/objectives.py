@@ -6,8 +6,9 @@ it against finite differences:
   concat, unimodal  J = J_C
   auto              J = J_C + J_auto
   gan               J = J_C + (generator-side adversarial term)
-J_C itself is classification_objective, which main_objective calls; the
-suite checks the encoders, which only J_C reaches, against it alone.
+J_C is classification_objective and the term is fusion_term, and
+main_objective adds the two. The suite probes each parameter against
+only the parts of J it reaches: the encoders against J_C alone.
 """
 
 from __future__ import annotations
@@ -65,19 +66,18 @@ def classification_objective(model, batch, latents: Dict[str, Tensor],
     return batch_cross_entropy(one_hot(batch.labels, space.num_classes), probs), result
 
 
-def main_objective(model, batch, latents: Dict[str, Tensor],
-                   rng: Optional[np.random.Generator]) -> Objective:
-    """The main objective of one prepared batch from its encoder latents:
-    classification_objective's J_C plus the mechanism's fusion term.
+def fusion_term(model, latents: Dict[str, Tensor], result: Optional[FusionResult]
+                ) -> Tuple[Optional[Tensor], float, Dict[str, float]]:
+    """The mechanism's term of J (None for concat and unimodal models),
+    the fusion objective J_F and its parts, from a batch's encoder latents
+    and the FusionResult that classification_objective returned for them.
 
-    The fusion term reads detached latents, a deliberate stop-gradient
-    that confines it to the fusion module: J_C alone reaches the encoders.
+    The term reads detached latents, a deliberate stop-gradient that
+    confines it to the fusion module: J_C alone reaches the encoders.
     The GAN term therefore regenerates z_g from the latents' values (3
     nodes for both modules) rather than reading fuse_batch's live z_g.
     """
-    j_c, result = classification_objective(model, batch, latents, rng)
     mech = model.mechanism
-
     if isinstance(mech, GanFusion):
         # one stacked adversarial pass for both modules, on z_g regenerated
         # from the latents' values with the noise fuse_batch drew: the
@@ -86,14 +86,22 @@ def main_objective(model, batch, latents: Dict[str, Tensor],
         adv = gan_adv_loss(mech.modules, real, source, noise=result.noise)
         term = generator_loss(adv)
         j_adv_t, j_adv_v = (float(v) for v in adv.j_adv.data)
-        parts = {"j_adv_t": j_adv_t, "j_adv_v": j_adv_v, "gen_term": float(term.data)}
-        j_f = j_adv_t + j_adv_v
-    elif isinstance(mech, AutoFusion):
+        return term, j_adv_t + j_adv_v, {"j_adv_t": j_adv_t, "j_adv_v": j_adv_v,
+                                         "gen_term": float(term.data)}
+    if isinstance(mech, AutoFusion):
         z = result.z.detach()
         term = auto_fusion_loss(z, mech.decoder(mech.encoder(z)))
         j_f = float(term.data)
-        parts = {"j_auto": j_f}
-    else:
-        return Objective(j_c, j_c)
+        return term, j_f, {"j_auto": j_f}
+    return None, 0.0, {}
 
+
+def main_objective(model, batch, latents: Dict[str, Tensor],
+                   rng: Optional[np.random.Generator]) -> Objective:
+    """The main objective of one prepared batch from its encoder latents:
+    classification_objective's J_C plus fusion_term's term."""
+    j_c, result = classification_objective(model, batch, latents, rng)
+    term, j_f, parts = fusion_term(model, latents, result)
+    if term is None:
+        return Objective(j_c, j_c)
     return Objective(nc.add(j_c, term), j_c, j_f, parts)

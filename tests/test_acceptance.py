@@ -100,9 +100,9 @@ def test_criterion_03_loss_oracles_exact():
         module = GanFusionModule(latent_dim=3, name=name, rng=np.random.default_rng(seed))
         for p in module.discriminator_parameters():
             p.data[...] = 0.0  # sigmoid(0) = 0.5 for every input
-        parts = gan_adv_loss(GanStack([module]), Tensor(np.ones((1, 4, 3))),
-                             Tensor(np.zeros((1, 4, 3))),
-                             rng=np.random.default_rng(7))
+        stack = GanStack([module])
+        parts = gan_adv_loss(stack, Tensor(np.ones((1, 4, 3))), Tensor(np.zeros((1, 4, 3))),
+                             noise=stack.sample_noise(4, np.random.default_rng(7)))
         assert abs(parts.j_adv.data.item() - (-2.0 * math.log(2.0))) < tol
         components.append(parts.j_adv)
 
@@ -244,10 +244,12 @@ def test_criterion_07_gan_dynamics_sanity():
         for _ in range(800):
             for _ in range(2):  # k = 2 discriminator steps per generator step
                 parts = gan_adv_loss(stack, Tensor(rng.standard_normal((1, 128, 1))),
-                                     Tensor(rng.standard_normal((1, 128, 1))), rng=rng)
+                                     Tensor(rng.standard_normal((1, 128, 1))),
+                                     noise=stack.sample_noise(128, rng))
                 d_opt.step(nc.neg(parts.j_adv).backward(d_opt.params))
             parts = gan_adv_loss(stack, Tensor(rng.standard_normal((1, 128, 1))),
-                                 Tensor(rng.standard_normal((1, 128, 1))), rng=rng)
+                                 Tensor(rng.standard_normal((1, 128, 1))),
+                                 noise=stack.sample_noise(128, rng))
             g_opt.step(generator_loss(parts).backward(g_opt.params))
 
         held_out = np.random.default_rng(seed + 1000)

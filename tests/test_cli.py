@@ -317,11 +317,6 @@ class TestSynthCommand:
 
 
 class TestGradcheckCommand:
-    def test_passes_at_default_tolerance(self, capsys):
-        assert main(["gradcheck", "--tol", "1e-4"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--tol", "1e-18"]) == 1
 

@@ -115,8 +115,9 @@ class TestGanLoss:
     def test_indifferent_discriminator_value(self):
         module = self._module()
         _zero_params(module.discriminator_parameters())  # sigmoid(0) = 0.5
-        parts = gan_adv_loss(GanStack([module]), Tensor([[[0.2, 0.3]]]),
-                             Tensor([[[1.0, -1.0]]]), rng=np.random.default_rng(0))
+        stack = GanStack([module])
+        parts = gan_adv_loss(stack, Tensor([[[0.2, 0.3]]]), Tensor([[[1.0, -1.0]]]),
+                             noise=stack.sample_noise(1, np.random.default_rng(0)))
         assert abs(parts.j_adv.data.item() - (-TWO_LN_2)) < 1e-9
         assert abs(parts.j_adv.data.item() - (math.log(0.5) + math.log(0.5))) < 1e-9
 
@@ -160,8 +161,8 @@ class TestGanLoss:
     def test_seeded_components_recompute_identically(self):
         stack = GanStack([self._module(seed=4)])
         args = (Tensor([[[0.2, 0.3]]]), Tensor([[[1.0, -1.0]]]))
-        a = gan_adv_loss(stack, *args, rng=np.random.default_rng(9)).j_adv.data.item()
-        b = gan_adv_loss(stack, *args, rng=np.random.default_rng(9)).j_adv.data.item()
+        a, b = (gan_adv_loss(stack, *args, noise=stack.sample_noise(
+            1, np.random.default_rng(9))).j_adv.data.item() for _ in range(2))
         assert a == b
 
 

@@ -248,33 +248,62 @@ def test_fused_recurrence_with_distinct_direction_weights_passes_grad_check():
     assert len(reports) == 5 and all(r.passed for r in reports.values()), reports
 
 
-# FusionModel.encode calls the three end-to-end checks make: per
-# mechanism, two probes of each of the 276 encoder coordinates against
-# J_C, the J_C analytic pass, and the one encode that the J analytic pass
-# and every probe of a parameter after the encoders share.
-E2E_ENCODER_COORDS = 276
-E2E_ENCODES = 3 * (2 * E2E_ENCODER_COORDS + 1 + 1)
+# Encoder forwards the three end-to-end checks make: per mechanism, two
+# probes of each of that encoder's coordinates against J_C, the analytic
+# pass of its group, and the one encode whose latents every other probe
+# holds fixed. Both counts were 1662 while every encoder probe ran both
+# encoders.
+E2E_ENCODER_COORDS = {"text": 147, "visual": 129}
+E2E_ENCODES = {modality: 3 * (2 * coords + 2)
+               for modality, coords in E2E_ENCODER_COORDS.items()}
+
+
+def _expected_groups(model):
+    """The probe group of each parameter after the encoders: which of J_C
+    and the fusion term reach it."""
+    mech, classifier = model.mechanism, model.classifier.parameters()
+    if model.config.fusion == "concat":
+        return {"J_C": mech.parameters() + classifier}
+    if model.config.fusion == "auto":
+        return {"J": mech.encoder.parameters(), "term": mech.decoder.parameters(),
+                "J_C": classifier}
+    return {"J": mech.text_module.generator_parameters()
+            + mech.visual_module.generator_parameters(),
+            "J_C": mech.combiner.parameters() + classifier,
+            "term": mech.discriminator_parameters()}
 
 
 def test_end_to_end_checks_encode_within_budget(monkeypatch):
     from fuselab import gradsuite
-    from fuselab.training import FusionModel
+    from fuselab.layers import ConvVisualEncoder, RecurrentTextEncoder
 
-    calls, coords = [0], []
-    encode, check = FusionModel.encode, gradsuite.end_to_end_check
+    calls = {"text": 0, "visual": 0}
+    for modality, cls in (("text", RecurrentTextEncoder), ("visual", ConvVisualEncoder)):
+        def counted(self, *args, _encode=cls.encode_batch, _modality=modality):
+            calls[_modality] += 1
+            return _encode(self, *args)
+        monkeypatch.setattr(cls, "encode_batch", counted)
 
-    def counted_encode(self, batch):
-        calls[0] += 1
-        return encode(self, batch)
+    groups, end_to_end_groups = {}, gradsuite.end_to_end_groups
 
-    def counted_check(model, *args, **kwargs):
-        coords.append(sum(p.size for enc in (model.text_encoder, model.visual_encoder)
-                          for p in enc.parameters()))
-        return check(model, *args, **kwargs)
+    def recorded(model, batch):
+        runs = end_to_end_groups(model, batch)
+        names = {}
+        for label, _, params in runs:
+            names.setdefault(label, []).extend(p.name for p in params)
+        groups[model.config.fusion] = model, names
+        return runs
 
-    monkeypatch.setattr(FusionModel, "encode", counted_encode)
-    monkeypatch.setattr(gradsuite, "end_to_end_check", counted_check)
+    monkeypatch.setattr(gradsuite, "end_to_end_groups", recorded)
     reports = gradsuite._end_to_end_checks(h=1e-5, tol=1e-4)
     assert all(r.passed for r in reports), reports
-    assert coords == [E2E_ENCODER_COORDS] * 3
-    assert calls[0] == E2E_ENCODES == 1662
+    assert sorted(groups) == ["auto", "concat", "gan"]
+    for fusion, (model, names) in groups.items():
+        expected = {modality: encoder.parameters()
+                    for modality, encoder in model.encoders().items()}
+        expected.update(_expected_groups(model))
+        assert names == {label: [p.name for p in params]
+                         for label, params in expected.items()}, fusion
+        assert {modality: sum(p.size for p in encoder.parameters())
+                for modality, encoder in model.encoders().items()} == E2E_ENCODER_COORDS
+    assert calls == E2E_ENCODES == {"text": 888, "visual": 780}

@@ -438,42 +438,79 @@ class TestGanTerms:
 
 
 def _staged_checks(model, pubs):
-    """The (objective, parameters) pairs that gradsuite.end_to_end_check
-    hands to grad_check_params, in call order, each objective unevaluated.
-    Each evaluation seeds its rng with gradsuite.END_TO_END_SEED."""
+    """The (group, objective, parameters) runs of
+    gradsuite.end_to_end_groups, each objective unevaluated, after checking
+    that gradsuite.end_to_end_check hands exactly these objectives and
+    parameters to grad_check_params, in this order."""
     from fuselab import gradsuite
 
-    calls = []
+    groups, calls, end_to_end_groups = [], [], gradsuite.end_to_end_groups
+
+    def grouped(model, batch):
+        groups.extend(end_to_end_groups(model, batch))
+        return groups
 
     def record(f, params, h, tol):
         calls.append((f, list(params)))
         return {p.name: nc.CheckReport(max_rel_err=0.0, passed=True) for p in params}
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gradsuite, "end_to_end_groups", grouped)
         patch.setattr(gradsuite, "grad_check_params", record)
         gradsuite.end_to_end_check(model, pubs, h=1e-5, tol=1e-4)
-    return calls
+    assert len(calls) == len(groups)
+    for (f, params), (_, objective, run) in zip(calls, groups):
+        assert f is objective and [id(p) for p in params] == [id(p) for p in run]
+    return groups
+
+
+# the parts of J = J_C + term that each probe group's objective holds at
+# their base-point values (an encoder's group reads J_C alone, so only
+# the other modality's latent)
+HELD = {"text": {"visual"}, "visual": {"text"}, "J_C": {"text", "visual", "term"},
+        "term": {"text", "visual", "j_c"}, "J": {"text", "visual"}}
+
+
+def _parts(model, batch):
+    """The bytes of each part of the main objective, recomputed in full."""
+    from fuselab.gradsuite import END_TO_END_SEED
+    from fuselab.training.objectives import classification_objective, fusion_term
+
+    with nc.no_graph():
+        latents = model.encode(batch)
+        j_c, result = classification_objective(
+            model, batch, latents, np.random.default_rng(END_TO_END_SEED))
+        term = fusion_term(model, latents, result)[0]
+    parts = {"text": latents["text"], "visual": latents["visual"], "j_c": j_c,
+             "term": term}
+    return {name: part.data.tobytes() for name, part in parts.items() if part is not None}
 
 
 class TestMainObjective:
     def test_gradient_suite_checks_the_objective_train_step_reports(self):
-        """The objectives that `fuselab gradcheck` differentiates end to end
-        are the ones the main step reports, J_C for the encoders and J for
-        the rest, for the same model, batch and seeded rng."""
+        """Each staged end-to-end objective evaluates, bit for bit, to what
+        the main step reports for the same model, batch and seeded rng: J_C
+        for an encoder's group, J for every other group."""
         from fuselab.gradsuite import END_TO_END_SEED
         from fuselab.training.loop import _train_step
         from fuselab.training.optim import Adam
 
         ds = _dataset(20, seed=4)
-        model = _model(ds, "gan", fusion_out_dim=8)
         batch = ds.publications[:6]
-        (j_c, _), (j, _) = _staged_checks(model, batch)
-        checked_j_c, checked_j = j_c().data.item(), j().data.item()
-        opt = Adam(model.main_parameters(), TrainConfig().lr)
-        report = _train_step(model, model.prepare(batch),
-                             np.random.default_rng(END_TO_END_SEED), opt, None, 0)
-        assert (report.j, report.j_c) == (checked_j, checked_j_c)
-        assert report.j != report.j_c + report.j_f  # not J_C + J_adv
+        groups = {"concat": ["J_C"], "auto": ["J", "term", "J_C"],
+                  "gan": ["J", "J_C", "term", "J_C"]}
+        for fusion, head_groups in groups.items():
+            model = _model(ds, fusion)
+            staged = _staged_checks(model, batch)
+            values = [f().data.item() for _, f, _ in staged]
+            opt = Adam(model.main_parameters(), TrainConfig().lr)
+            report = _train_step(model, model.prepare(batch),
+                                 np.random.default_rng(END_TO_END_SEED), opt, None, 0)
+            assert [group for group, _, _ in staged] == ["text", "visual"] + head_groups
+            assert values == [report.j_c if group in ("text", "visual") else report.j
+                              for group, _, _ in staged], fusion
+            if fusion == "gan":
+                assert report.j != report.j_c + report.j_f  # not J_C + J_adv
 
     @pytest.mark.parametrize("fusion", ["concat", "auto", "gan"])
     def test_staged_checks_differentiate_the_gradient_train_step_takes(
@@ -481,7 +518,8 @@ class TestMainObjective:
         """Backpropagated over their parameters, the staged end-to-end
         objectives give, bit for bit, the gradient the main step takes
         (before any clip), and for the discriminators the gradient of J on
-        live latents; every parameter is checked exactly once."""
+        live latents; every parameter is checked exactly once, in
+        model.parameters() order."""
         from fuselab.gradsuite import END_TO_END_SEED
         from fuselab.training import loop
         from fuselab.training.objectives import main_objective
@@ -490,7 +528,7 @@ class TestMainObjective:
         model = _model(ds, fusion)
         pubs = ds.publications[:6]
         staged = {}
-        for f, params in _staged_checks(model, pubs):
+        for _, f, params in _staged_checks(model, pubs):
             for p, g in zip(params, f().backward(params)):
                 assert p.name not in staged
                 staged[p.name] = g.tobytes()
@@ -516,6 +554,32 @@ class TestMainObjective:
             trained.update((p.name, g.tobytes()) for p, g in zip(disc, live.backward(disc)))
         assert sorted(trained) == sorted(staged)
         assert [name for name in staged if staged[name] != trained[name]] == []
+
+    @pytest.mark.parametrize("fusion", ["concat", "auto", "gan"])
+    def test_moving_a_parameter_leaves_the_parts_its_group_holds(self, fusion):
+        """A probe of any parameter, by +h or -h in its first or last
+        coordinate, leaves bit-identical every part of J that the
+        parameter's group holds at its base-point value, recomputed in
+        full; and some probe of each group moves a part it recomputes."""
+        ds = _dataset(20, seed=4)
+        model = _model(ds, fusion)
+        pubs = ds.publications[:6]
+        batch = model.prepare(pubs)
+        base = _parts(model, batch)
+        moved_any = set()
+        for group, _, params in _staged_checks(model, pubs):
+            for p in params:
+                flat = p.data.reshape(-1)
+                for i in {0, flat.size - 1}:
+                    orig = flat[i]
+                    for step in (1e-5, -1e-5):
+                        flat[i] = orig + step
+                        moved = _parts(model, batch)
+                        flat[i] = orig
+                        changed = {name for name in base if moved[name] != base[name]}
+                        assert changed.isdisjoint(HELD[group]), (p.name, i, changed)
+                        moved_any.update([group] if changed else [])
+        assert moved_any == {group for group, _, _ in _staged_checks(model, pubs)}
 
 
 def _probs(model, pubs):

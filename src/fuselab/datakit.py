@@ -339,18 +339,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(pubs, space)
 
 
-def hidden_bits(pub: Publication, spec: SyntheticSpec) -> Tuple[int, int]:
-    """Recover (visual bit, text bit) from a rendered sample; exact at
-    zero noise."""
-    g = spec.grid_size
-    left = float(pub.visual[:, : g // 2, 0].sum())
-    right = float(pub.visual[:, g // 2 :, 0].sum())
-    a = 0 if left > right else 1
-    words = set(pub.text.split())
-    b = 1 if DEFAULT_VOCAB[1] in words else 0
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # splits and batches
 

@@ -4,7 +4,9 @@ Checks, at tolerance tol against central finite differences:
   - every tensor primitive at random points, the fused gated
     recurrence in both directions, and the one-node layer ops in the
     forms the models run (dense stacked, cell_means, conv2d with relu),
-  - each layer (dense, embedding, recurrent encoder, conv encoder),
+  - each layer (dense, embedding, recurrent encoder over a batch of
+    uneven lengths, so its masked attention and held steps too, conv
+    encoder),
   - the fusion losses (reconstruction and adversarial) and the batch
     cross-entropy,
   - end to end, for all three mechanisms on d=4, 2-class toys, the
@@ -25,7 +27,7 @@ exactly on its kink (where finite differences are undefined).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -53,20 +55,15 @@ from .training.objectives import (
 
 def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckReport]:
     const = lambda shape: Tensor(rng.normal(size=shape))
-    cases: List[Tuple[Optional[str], Tuple[int, ...], Optional[Callable]]] = [
+    cases: List[Tuple[str, Tuple[int, ...], Callable]] = [
         ("op add", (5,), lambda c=const((5,)): lambda x: nc.tsum(nc.add(x, c))),
         ("op sub", (5,), lambda c=const((5,)): lambda x: nc.tsum(nc.sub(c, x))),
         ("op mul", (5,), lambda c=const((5,)): lambda x: nc.tsum(nc.mul(x, c))),
         ("op div", (5,), lambda c=const((5,)): lambda x: nc.tsum(
             nc.div(c, nc.add(nc.mul(x, x), 1.0)))),
         ("op matmul", (2, 4), lambda c=const((4, 3)): lambda x: nc.tsum(nc.matmul(x, c))),
-        ("op linear", (2, 4), lambda w=const((3, 4)), b=const((3,)):
-            lambda x: nc.tsum(nc.linear(x, w, b))),
         ("op concat", (4,), lambda c=const((3,)): lambda x: nc.squared_norm(
             nc.concat([x, c], axis=0))),
-        # the point of a deleted check (op slice), still drawn so that every
-        # later check keeps its draws
-        (None, (3, 3), None),
         ("op take_rows", (3, 2), lambda: lambda x: nc.tsum(
             nc.take_rows(x, np.array([0, 2, 2])))),
         ("op reshape", (2, 3), lambda: lambda x: nc.squared_norm(nc.reshape(x, (6,)))),
@@ -74,8 +71,6 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
         ("op mean", (3, 4), lambda: lambda x: nc.squared_norm(nc.tmean(x, axis=1))),
         ("op log", (5,), lambda: lambda x: nc.tsum(nc.tlog(nc.add(nc.mul(x, x), 0.5)))),
         ("op tanh", (5,), lambda: lambda x: nc.tsum(nc.tanh(x))),
-        ("op sigmoid", (5,), lambda: lambda x: nc.tsum(nc.sigmoid(x))),
-        ("op relu", (5,), lambda: lambda x: nc.tsum(nc.relu(x))),
         ("op softmax", (2, 4), lambda: lambda x: nc.squared_norm(nc.softmax(x, axis=-1))),
         ("op squared_norm", (5,), lambda: lambda x: nc.squared_norm(x)),
         ("op row_scale", (3, 4), lambda c=const((3,)): lambda x: nc.tsum(
@@ -88,8 +83,7 @@ def _primitive_checks(rng: np.random.Generator, h: float, tol: float) -> List[Ch
     reports = []
     for label, shape, factory in cases:
         point = Tensor(rng.normal(size=shape))
-        if factory is not None:
-            reports.append(grad_check(factory(), point, h=h, tol=tol, label=label))
+        reports.append(grad_check(factory(), point, h=h, tol=tol, label=label))
 
     # the fused recurrence, batch 2 with lengths 4 and 2, so the held
     # steps of the shorter row are checked too. Both directions read the
@@ -154,9 +148,10 @@ def _layer_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckR
     text = RecurrentTextEncoder(vocab_size=9, embed_dim=3, hidden_dim=3,
                                 latent_dim=4, rng=np.random.default_rng(2))
     ids = np.random.default_rng(3).integers(0, 9, size=(2, 6))
+    lengths = np.array([6, 3])  # the second row's steps past 3 are padding
     target = np.random.default_rng(4).normal(size=(2, 4))
     reports.append(_summary("layer text_encoder", grad_check_params(
-        lambda: nc.squared_norm(nc.sub(text.encode_batch(ids)[0], Tensor(target))),
+        lambda: nc.squared_norm(nc.sub(text.encode_batch(ids, lengths)[0], Tensor(target))),
         text.parameters(), h, tol)))
 
     visual = ConvVisualEncoder(in_channels=1, latent_dim=4, channels=(2, 3),

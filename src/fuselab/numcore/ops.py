@@ -13,11 +13,12 @@ backward calls no closure without a needed parent.
 A layer is one node: dense is a linear map and its activation, conv2d
 may carry its relu, cell_means is the visual summary grid and
 cross_entropy the classifier's loss. Each runs the numpy expressions of
-the primitive chain it stands for, in the same order, so it computes the
-same values, forward and backward, bit for bit. dense also runs K layers
-of one shape side by side over a (K, batch, in) stack, each slab through
-its own weight and bias tensors; stack and side_by_side move tensors in
-and out of such stacks.
+the chain of one-step ops it stands for, in the same order, so it
+computes the same values, forward and backward, bit for bit
+(tests/reference_ops.py keeps the steps numcore no longer has). dense
+also runs K layers of one shape side by side over a (K, batch, in)
+stack, each slab through its own weight and bias tensors; stack and
+side_by_side move tensors in and out of such stacks.
 
 conv2d is one matrix product over im2col columns (each output position's
 window as a row, built from a strided view); its backward builds the
@@ -25,11 +26,11 @@ columns again instead of holding them with the graph, so a recorded conv
 holds its input grid, not the kh*kw times larger columns.
 
 Shape discipline: operand shapes must conform exactly; the only implicit
-broadcast is scalar-with-tensor. Batched ops (linear, row_scale,
+broadcast is scalar-with-tensor. Batched ops (dense, row_scale,
 gated_recurrence) treat a leading axis as the batch and say so
 explicitly -- there is no silent numpy-style broadcasting anywhere else.
 conv2d, maxpool2d and cell_means take only (batch, H, W, C) grids.
-linear, dense and conv2d require their bias.
+dense and conv2d require their bias.
 
 log clamps its input upward to LOG_EPS = 1e-12 (probabilities saturate
 during adversarial training); strictly negative inputs are a domain
@@ -151,35 +152,6 @@ def matmul(a: Arrayish, b: Arrayish) -> Tensor:
         return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), backward)
-
-
-def linear(x: Arrayish, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map y = x W^T + b for x of shape (in,) or (batch, in).
-
-    The bias add over batch rows is part of this op's definition, not an
-    implicit broadcast.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if w.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-D, got {w.shape}")
-    if x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
-    out = x.data @ w.data.T + b.data
-
-    def backward(g, needs):
-        need_x, need_w, need_b = needs
-        gx = g @ w.data if need_x else None
-        if x.ndim == 1:
-            gw = np.outer(g, x.data) if need_w else None
-            gb = g.copy() if need_b else None
-        else:
-            gw = g.T @ x.data if need_w else None
-            gb = g.sum(axis=0) if need_b else None
-        return gx, gw, gb
-
-    return Tensor._from_op(out, "linear", (x, w, b), backward)
 
 
 def row_scale(m: Arrayish, v: Arrayish) -> Tensor:
@@ -385,26 +357,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def sigmoid(a: Arrayish) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-
-    def backward(g, needs):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._from_op(out, "sigmoid", (a,), backward)
-
-
-def relu(a: Arrayish) -> Tensor:
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g, needs):
-        return (g * (a.data > 0.0),)
-
-    return Tensor._from_op(out, "relu", (a,), backward)
-
-
 def _softmax(z: np.ndarray, axis: int, mask: Optional[np.ndarray] = None) -> np.ndarray:
     if mask is None:
         shifted = z - np.max(z, axis=axis, keepdims=True)
@@ -457,7 +409,7 @@ ACTIVATIONS = ("identity", "sigmoid", "tanh", "relu", "softmax")
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    """The activation's op applied to z, which it may overwrite."""
+    """The activation applied to z, which it may overwrite."""
     if activation == "identity":
         return z
     if activation == "relu":
@@ -470,8 +422,8 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
-    """d(loss)/d(pre-activation) from g = d(loss)/d(out), read from out alone
-    by the expression of the activation op's backward."""
+    """d(loss)/d(pre-activation) from g = d(loss)/d(out), read from out
+    alone: the activation's derivative written in terms of its value."""
     if activation == "identity":
         return g
     if activation == "relu":
@@ -485,9 +437,9 @@ def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndar
 
 
 def dense(x: Arrayish, w, b, activation: str = "identity") -> Tensor:
-    """activation(x W^T + b) as one node: linear, then relu, sigmoid, tanh
-    or softmax over the last axis (or identity), with the values those ops
-    give.
+    """activation(x W^T + b) as one node: the affine map, then relu,
+    sigmoid, tanh or softmax over the last axis (or identity). The bias
+    add over batch rows is part of the op, not an implicit broadcast.
 
     x is (in,) or (batch, in), with w (out, in) and b (out,) Tensors. The
     stacked form runs K layers of one shape side by side: x is (K, batch,

@@ -6,6 +6,7 @@ lines as they complete. Every tolerance is pinned here, not configured.
 
 import math
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_criterion_02_gradient_suite_via_cli(capsys):
     elapsed = time.time() - start
     out = capsys.readouterr().out
     assert code == 0, out
-    assert "34/34 checks passed at tol 0.0001" in out, out
+    assert "31/31 checks passed at tol 0.0001" in out, out
     assert elapsed < 120.0, f"gradcheck took {elapsed:.1f}s"
     with capsys.disabled():
         _report(2, f"cmd_gradcheck all-pass at tol 1e-4 in {elapsed:.1f}s")
@@ -175,24 +176,37 @@ def _experiment_model_config(kind: str, seed: int) -> ModelConfig:
     return ModelConfig(input_modes="multimodal", fusion=kind, fusion_out_dim=16, **base)
 
 
+# criterion 5's data, built once in each worker process
+_WORKER_DATA = None
+
+
+def _build_worker_data():
+    global _WORKER_DATA
+    _WORKER_DATA = _xor_data()
+
+
+def _experiment_run(kind: str, seed: int):
+    """One seeded training of criterion 5's matrix: its test accuracy and
+    its seconds."""
+    ds, train_ds, test_ds, vocab = _WORKER_DATA
+    started = time.time()
+    model = build_model(_experiment_model_config(kind, seed), ds.label_space, vocab)
+    train(model, train_ds, TrainConfig(epochs=6, batch_size=32, seed=seed))
+    return evaluate_model(model, test_ds).accuracy, time.time() - started
+
+
 def test_criterion_05_fusion_benefit_experiment():
     """Unimodal models sit at chance on the cross-modal xor task while every
-    fusion mechanism solves it (>= 90% in at least 4 of 5 seeds)."""
-    ds, train_ds, test_ds, vocab = _xor_data()
-    seeds = (1, 2, 3, 4, 5)
-    accuracies = {}
-    worst_runtime = 0.0
-    for kind in ("text", "visual", "concat", "auto", "gan"):
-        accs = []
-        for seed in seeds:
-            started = time.time()
-            model = build_model(_experiment_model_config(kind, seed),
-                                ds.label_space, vocab)
-            train(model, train_ds,
-                  TrainConfig(epochs=6, batch_size=32, seed=seed))
-            accs.append(evaluate_model(model, test_ds).accuracy)
-            worst_runtime = max(worst_runtime, time.time() - started)
-        accuracies[kind] = accs
+    fusion mechanism solves it (>= 90% in at least 4 of 5 seeds). The 25
+    seeded trainings are independent, so two worker processes share them;
+    each run computes what it computes in a serial loop."""
+    kinds = ("text", "visual", "concat", "auto", "gan")
+    jobs = [(kind, seed) for kind in kinds for seed in (1, 2, 3, 4, 5)]
+    with ProcessPoolExecutor(max_workers=2, initializer=_build_worker_data) as pool:
+        results = list(pool.map(_experiment_run, *zip(*jobs)))
+    accuracies = {kind: [acc for (k, _), (acc, _) in zip(jobs, results) if k == kind]
+                  for kind in kinds}
+    worst_runtime = max(seconds for _, seconds in results)
 
     for kind in ("text", "visual"):
         assert all(a <= 0.55 for a in accuracies[kind]), (kind, accuracies[kind])

@@ -2,12 +2,14 @@
 
 import json
 import math
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from fuselab.datakit import (
     BINARY_SPACE,
+    DEFAULT_VOCAB,
     HATE_SPEECH_SPACE,
     BatchStream,
     Dataset,
@@ -16,13 +18,24 @@ from fuselab.datakit import (
     SyntheticSpec,
     Vocab,
     generate_synthetic,
-    hidden_bits,
     load_jsonl,
     merge_to_binary,
     save_jsonl,
     split_dataset,
 )
 from fuselab.exceptions import ConfigError, ParseError, SchemaError
+
+
+def hidden_bits(pub: Publication, spec: SyntheticSpec) -> Tuple[int, int]:
+    """Recover (visual bit, text bit) from a rendered sample; exact at
+    zero noise."""
+    g = spec.grid_size
+    left = float(pub.visual[:, : g // 2, 0].sum())
+    right = float(pub.visual[:, g // 2 :, 0].sum())
+    a = 0 if left > right else 1
+    words = set(pub.text.split())
+    b = 1 if DEFAULT_VOCAB[1] in words else 0
+    return a, b
 
 
 def _spec(**kw):

@@ -140,13 +140,15 @@ class TestGanLoss:
         assert abs(parts.j_adv.data.item()) < 0.05
 
     def test_one_dimensional_toy_gradient_matches_fd(self):
-        # D(x) = sigmoid(w x) with w scalar, checked at w = 0
-        x_real, x_fake = 0.7, -0.3
+        # D(x) = sigmoid(w x) with w scalar, a 1x1 sigmoid layer with zero
+        # bias, checked at w = 0
+        x_real, x_fake = Tensor([0.7]), Tensor([-0.3])
+        bias = Tensor([0.0])
 
         def f(w):
-            d_real = nc.sigmoid(nc.mul(w, x_real))
-            d_fake = nc.sigmoid(nc.mul(w, x_fake))
-            return nc.add(nc.tlog(d_real), nc.tlog(nc.sub(1.0, d_fake)))
+            d_real = nc.dense(x_real, nc.reshape(w, (1, 1)), bias, "sigmoid")
+            d_fake = nc.dense(x_fake, nc.reshape(w, (1, 1)), bias, "sigmoid")
+            return nc.tsum(nc.add(nc.tlog(d_real), nc.tlog(nc.sub(1.0, d_fake))))
 
         report = nc.grad_check(f, Tensor(0.0), h=1e-5, tol=1e-4)
         assert report.passed, report

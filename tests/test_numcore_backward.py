@@ -93,7 +93,7 @@ def _recorded_ops(rng):
         nc.add(t(2, 3), t(2, 3)), nc.sub(t(2, 3), t()), nc.mul(t(), t(2, 3)),
         nc.div(t(2, 3), nc.Tensor(rng.uniform(1.0, 2.0, size=(2, 3)))),
         nc.matmul(t(2, 3), t(3, 4)), nc.matmul(t(3), t(3)),
-        nc.linear(t(3), t(2, 3), t(2)), nc.linear(t(4, 3), t(2, 3), t(2)),
+        nc.dense(t(3), t(2, 3), t(2)), nc.dense(t(4, 3), t(2, 3), t(2), "relu"),
         nc.row_scale(t(4, 3), t(4)), nc.concat([t(2, 1), t(2, 3), t(2, 2)], axis=1),
         nc.gated_recurrence(t(2, 3, 2), t(8, 4), t(8), t(8, 4), t(8), lengths=np.array([3, 1])),
         nc.conv2d(t(2, 5, 4, 3), t(2, 3, 3, 2), t(2)),
@@ -170,8 +170,8 @@ def test_two_layer_network_matches_finite_differences():
     b2 = nc.Tensor(rng.normal(size=1), name="b2")
 
     def loss():
-        h = nc.tanh(nc.linear(x, w1, b1))
-        return nc.squared_norm(nc.linear(h, w2, b2))
+        h = nc.dense(x, w1, b1, "tanh")
+        return nc.squared_norm(nc.dense(h, w2, b2))
 
     reports = nc.grad_check_params(loss, [w1, b1, w2, b2], h=1e-5, tol=1e-4)
     assert all(r.passed for r in reports.values()), reports
@@ -183,7 +183,7 @@ def test_backward_bitwise_deterministic():
         w = nc.Tensor(rng.normal(size=(5, 5)))
         x = nc.Tensor(rng.normal(size=5))
         b = nc.Tensor(rng.normal(size=5))
-        y = nc.softmax(nc.linear(nc.tanh(nc.linear(x, w, b)), w, b))
+        y = nc.dense(nc.dense(x, w, b, "tanh"), w, b, "softmax")
         (gw,) = nc.squared_norm(y).backward([w])
         return gw
 
@@ -210,7 +210,7 @@ def test_independent_graphs_on_concurrent_threads():
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
-            (grad,) = nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward([w])
+            (grad,) = nc.squared_norm(nc.dense(x, w, b, "tanh")).backward([w])
         return grad
 
     serial = [build_and_backward(seed) for seed in range(8)]
@@ -242,9 +242,9 @@ def test_no_graph_outputs_are_plain_data():
     w = nc.Tensor(np.arange(4.0).reshape(2, 2))
     x = nc.Tensor(np.ones(2))
     b = nc.Tensor(np.ones(2))
-    with_graph = nc.squared_norm(nc.linear(x, w, b))
+    with_graph = nc.squared_norm(nc.dense(x, w, b))
     with nc.no_graph():
-        out = nc.squared_norm(nc.linear(x, w, b))
+        out = nc.squared_norm(nc.dense(x, w, b))
         param = nc.Tensor(np.ones(2))
     assert _plain(out) and out._op is None
     assert np.array_equal(out.data, with_graph.data)
@@ -282,7 +282,7 @@ def test_no_graph_is_local_to_its_thread():
         x = nc.Tensor(rng.normal(size=6))
         b = nc.Tensor(rng.normal(size=6))
         for _ in range(20):
-            (grad,) = nc.squared_norm(nc.tanh(nc.linear(x, w, b))).backward([w])
+            (grad,) = nc.squared_norm(nc.dense(x, w, b, "tanh")).backward([w])
         return grad
 
     entered, release = threading.Event(), threading.Event()

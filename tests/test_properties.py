@@ -110,7 +110,8 @@ def _recurrence(r, n, m, states):
 
 
 # each smooth op (relu, clamp and maxpool2d have kinks) as
-# (rng, n, m) -> (op, the tensors it reads); every one of them is checked
+# (rng, n, m) -> (op, the tensors it reads); every one of them is checked.
+# linear and sigmoid are dense's identity and sigmoid layers
 SMOOTH_OPS = {
     "add": lambda r, n, m: (nc.add, [_t(r, n, m), _t(r, n, m)]),
     "sub": lambda r, n, m: (nc.sub, [_t(r), _t(r, n, m)]),  # a scalar broadcasts
@@ -118,7 +119,7 @@ SMOOTH_OPS = {
     "div": lambda r, n, m: (lambda a, b: nc.div(a, _positive(b)), [_t(r, n, m), _t(r, n, m)]),
     "neg": lambda r, n, m: (nc.neg, [_t(r, n, m)]),
     "matmul": lambda r, n, m: (nc.matmul, [_t(r, n, m), _t(r, m, 2)]),
-    "linear": lambda r, n, m: (nc.linear, [_t(r, n, m), _t(r, 3, m), _t(r, 3)]),
+    "linear": lambda r, n, m: (nc.dense, [_t(r, n, m), _t(r, 3, m), _t(r, 3)]),
     "row_scale": lambda r, n, m: (nc.row_scale, [_t(r, n, m), _t(r, n)]),
     "concat": lambda r, n, m: (lambda a, b: nc.concat([a, b], axis=1),
                                [_t(r, n, m), _t(r, n, 2)]),
@@ -130,7 +131,8 @@ SMOOTH_OPS = {
     "squared_norm": lambda r, n, m: (nc.squared_norm, [_t(r, n, m)]),
     "log": lambda r, n, m: (lambda a: nc.tlog(_positive(a)), [_t(r, n, m)]),
     "tanh": lambda r, n, m: (nc.tanh, [_t(r, n, m)]),
-    "sigmoid": lambda r, n, m: (nc.sigmoid, [_t(r, n, m)]),
+    "sigmoid": lambda r, n, m: (lambda x, w, b: nc.dense(x, w, b, "sigmoid"),
+                                [_t(r, n, m), _t(r, 3, m), _t(r, 3)]),
     "softmax": lambda r, n, m: (nc.softmax, [_t(r, n, m)]),
     "masked softmax": lambda r, n, m: (
         lambda a, mask=np.arange(m) < r.integers(1, m + 1, size=(n, 1)):
@@ -164,7 +166,7 @@ def test_smooth_op_passes_grad_check(name, n, m, seed):
     assert all(report.passed for report in reports.values()), reports
 
 
-_UNARY = {"tanh": nc.tanh, "sigmoid": nc.sigmoid, "softmax": nc.softmax}
+_UNARY = {"tanh": nc.tanh, "softmax": nc.softmax}
 _BINARY = {"add": nc.add, "sub": nc.sub, "mul": nc.mul, "matmul": nc.matmul}
 # ops over two (n, n) nodes a and b that also read drawn constants, so
 # their closures are asked for some parents' gradients and not others
@@ -175,9 +177,10 @@ _WITH_CONSTANTS = {
     "conv2d with a constant kernel": lambda a, b, r, n: nc.reshape(nc.conv2d(
         nc.reshape(nc.concat([a, b], axis=0), (1, 2, n, n)), _t(r, 2, 1, n, n), tslice(b, 0)),
         (n, n)),
-    "linear of a constant input": lambda a, b, r, n: nc.linear(_t(r, n, n), a, tslice(b, 0)),
-    "linear with constant weights": lambda a, b, r, n: nc.linear(a, _t(r, n, n), _t(r, n)),
-    "linear with a constant bias": lambda a, b, r, n: nc.linear(a, b, _t(r, n)),
+    "dense of a constant input": lambda a, b, r, n: nc.dense(_t(r, n, n), a, tslice(b, 0),
+                                                              "sigmoid"),
+    "dense with constant weights": lambda a, b, r, n: nc.dense(a, _t(r, n, n), _t(r, n)),
+    "dense with a constant bias": lambda a, b, r, n: nc.dense(a, b, _t(r, n), "relu"),
 }
 _steps = st.lists(st.tuples(st.sampled_from(sorted(_UNARY) + sorted(_BINARY)
                                             + sorted(_WITH_CONSTANTS)),

@@ -198,8 +198,8 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     return reports
 
 
-# seeds the fresh rng of every end-to-end evaluation, so every probe
-# draws the same GAN noise
+# seeds the rng of every end-to-end evaluation, so every probe draws the
+# same GAN noise
 END_TO_END_SEED = 17
 
 
@@ -216,13 +216,23 @@ def end_to_end_groups(model, batch) -> List[Tuple[str, Callable[[], Tensor], Lis
       "J"               reached by both, or by neither: J
     Which parts a head parameter reaches is read from the backward of J_C
     and of the term. A fixed part holds the bits a probe would recompute,
-    so every objective's value is J's (J_C's for the encoders)."""
+    so every objective's value is J's (J_C's for the encoders).
+
+    Every evaluation draws from one generator, put back to its state as
+    seeded with END_TO_END_SEED first, so it draws what a fresh
+    np.random.default_rng(END_TO_END_SEED) would, without building one
+    per probe."""
     with nc.no_graph():
         latents = model.encode(batch)
+    rng = np.random.default_rng(END_TO_END_SEED)
+    seeded_state = rng.bit_generator.state
+
+    def seeded() -> np.random.Generator:
+        rng.bit_generator.state = seeded_state
+        return rng
 
     def seeded_j_c(live: Dict[str, Tensor]):
-        rng = np.random.default_rng(END_TO_END_SEED)
-        return classification_objective(model, batch, {**latents, **live}, rng)
+        return classification_objective(model, batch, {**latents, **live}, seeded())
 
     j_c, result = seeded_j_c({})
     term = fusion_term(model, latents, result)[0]
@@ -248,8 +258,7 @@ def end_to_end_groups(model, batch) -> List[Tuple[str, Callable[[], Tensor], Lis
 
     objectives["J_C"] = j_c_alone
     objectives["term"] = lambda: nc.add(fixed_j_c, fusion_term(model, latents, result)[0])
-    objectives["J"] = lambda: main_objective(
-        model, batch, latents, np.random.default_rng(END_TO_END_SEED)).j
+    objectives["J"] = lambda: main_objective(model, batch, latents, seeded()).j
     return [(name, objectives[name], list(run)) for name, run in
             itertools.groupby(model.parameters(), key=lambda p: group[id(p)])]
 

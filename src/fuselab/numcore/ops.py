@@ -39,6 +39,7 @@ error, as is division by zero.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -55,6 +56,13 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape == b.shape or a.ndim == 0 or b.ndim == 0:
         return
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
+
+
+def _mean(a: np.ndarray, axis: Axis, count: int):
+    """np.mean(a, axis) of float64 a, whose reduced axes hold count
+    entries: the two ufunc calls np.mean makes, without its Python
+    wrapper, so the same bits."""
+    return np.true_divide(np.add.reduce(a, axis), count)
 
 
 def _reduce_to(shape: Tuple[int, ...], g: np.ndarray) -> np.ndarray:
@@ -184,8 +192,7 @@ def concat(tensors: Sequence[Arrayish], axis: int = 0) -> Tensor:
             if ax != axis % base.ndim and t.shape[ax] != base.shape[ax]:
                 raise ShapeError(f"concat: shapes {base.shape} and {t.shape} differ off-axis")
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis % t.ndim] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(itertools.accumulate((t.shape[axis % t.ndim] for t in ts), initial=0))
 
     def backward(g, needs):
         grads = []
@@ -273,13 +280,13 @@ def tsum(a: Arrayish, axis: Axis = None) -> Tensor:
 
 def tmean(a: Arrayish, axis: Axis = None) -> Tensor:
     a = as_tensor(a)
-    out = np.mean(a.data, axis=axis)
     if axis is None:
         count = a.size
     elif isinstance(axis, tuple):
         count = int(np.prod([a.shape[ax] for ax in axis]))
     else:
         count = a.shape[axis]
+    out = _mean(a.data, axis, count)
 
     def backward(g, needs):
         if axis is None:
@@ -331,8 +338,8 @@ def cross_entropy(targets: np.ndarray, probs: Arrayish) -> Tensor:
     if np.any(p.data < 0.0):
         raise DomainError("log: negative argument")
     clamped = np.maximum(p.data, LOG_EPS)
-    out = -np.mean(np.sum(targets * np.log(clamped), axis=1))
     n = p.shape[0]
+    out = -_mean(np.sum(targets * np.log(clamped), axis=1), None, n)
 
     def backward(g, needs):
         return ((-g / n) * targets / clamped,)
@@ -345,7 +352,7 @@ def tanh(a: Arrayish) -> Tensor:
     out = np.tanh(a.data)
 
     def backward(g, needs):
-        return (g * (1.0 - out * out),)
+        return (_activation_grad(g, out, "tanh"),)
 
     return Tensor._from_op(out, "tanh", (a,), backward)
 
@@ -383,8 +390,7 @@ def softmax(a: Arrayish, axis: int = -1, mask: Optional[np.ndarray] = None) -> T
     out = _softmax(a.data, axis, mask)
 
     def backward(g, needs):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
+        return (_activation_grad(g, out, "softmax", axis),)
 
     return Tensor._from_op(out, "softmax", (a,), backward)
 
@@ -421,9 +427,11 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return _softmax(z, -1)
 
 
-def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
+def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str,
+                     axis: int = -1) -> np.ndarray:
     """d(loss)/d(pre-activation) from g = d(loss)/d(out), read from out
-    alone: the activation's derivative written in terms of its value."""
+    alone: the activation's derivative written in terms of its value.
+    axis is the one softmax normalizes over."""
     if activation == "identity":
         return g
     if activation == "relu":
@@ -432,7 +440,7 @@ def _activation_grad(g: np.ndarray, out: np.ndarray, activation: str) -> np.ndar
         return g * out * (1.0 - out)
     if activation == "tanh":
         return g * (1.0 - out * out)
-    dot = np.sum(g * out, axis=-1, keepdims=True)
+    dot = np.sum(g * out, axis=axis, keepdims=True)
     return out * (g - dot)
 
 
@@ -490,13 +498,16 @@ def _stacked_dense(x: Tensor, ws: List[Tensor], bs: List[Tensor],
     shape = ws[0].shape
     if len(shape) != 2 or x.shape[2] != shape[1]:
         raise ShapeError(f"dense: input {x.shape} does not match weight {shape}")
-    for wk, bk in zip(ws, bs):
+    wd = np.empty((k, *shape))
+    bd = np.empty((k, 1, shape[0]))
+    for i, (wk, bk) in enumerate(zip(ws, bs)):
         if wk.shape != shape or bk.shape != (shape[0],):
             raise ShapeError(f"dense: stacked weights and biases must all be {shape} "
                              f"and ({shape[0]},), got {wk.shape} and {bk.shape}")
-    wd = np.stack([t.data for t in ws])
+        wd[i] = wk.data
+        bd[i, 0] = bk.data
     out = np.matmul(x.data, wd.transpose(0, 2, 1))
-    out += np.stack([t.data for t in bs])[:, None, :]
+    out += bd
     out = _activate(out, activation)
 
     def backward(g, needs):
@@ -540,9 +551,19 @@ def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Array
 
     A recorded call keeps every step's cell input, gate pre-activations
     and activations, cell state and its tanh for the backward. A call
-    under no_graph() keeps every step's cell input and hidden state but
-    one step of the rest, and each gate's largest magnitude over the
-    steps for the finiteness check.
+    under no_graph() keeps every step's cell input, whose h part is the
+    previous step's hidden state, but one step of the rest (two of the
+    cell state), and each gate's largest magnitude over the steps for the
+    finiteness check.
+
+    The backward runs the steps from T-1 down to 0 and stores each
+    step's gate gradients, in reverse-time rows (row 0 is step T-1), and
+    the gradient of its whole cell input [x_t, h], from which the step
+    before reads dh. After the loop it forms every step's dw term in one
+    batched matmul and sums the terms over the rows, and db sums each
+    row's batch, then the rows, so both add the steps to a zero start in
+    the order the loop made them, step T-1 first; dx is the x part of
+    the stored cell-input gradients.
 
     Every value, forward and backward, is rounded as in the same cell
     built from the primitive ops above, so both give the same values;
@@ -573,56 +594,57 @@ def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Array
             held = (np.stack([times, times[::-1]], axis=1)[:, :, None, None]
                     >= lengths[:, None])
             xd = np.where((times < lengths[:, None])[:, :, None], xd, 0.0)
-    wd = np.stack([w_fwd.data, w_bwd.data])
+    wd = np.empty((2, 4 * hd, e + hd))
+    wd[0], wd[1] = w_fwd.data, w_bwd.data
     wt = wd.transpose(0, 2, 1)
-    bd = np.stack([b_fwd.data, b_bwd.data])[:, None, :]
+    bd = np.empty((2, 1, 4 * hd))
+    bd[0, 0], bd[1, 0] = b_fwd.data, b_bwd.data
     # per step and direction: the cell input [x_t, h], the gate
     # pre-activations, their activations i, f, o, g, the cell state and
     # its tanh. Direction 1 reads the sequence reversed, so its step s is
-    # input position T-1-s. Only the backward reads past steps, so a
-    # graph-free call keeps one step of all but the cell inputs. For the
+    # input position T-1-s. cats has one row more than the steps: row 0
+    # holds the zero start state and step s writes its h straight into
+    # row s+1. Only the backward reads past steps, so a graph-free call
+    # keeps one step of the rest, and two of the cells: a held row's
+    # step copies the previous cell state after writing its own. For the
     # check it keeps the gates' largest magnitudes, which np.maximum
     # leaves non-finite once one step's were; a non-finite cell state
     # stays non-finite on every later step, so the last one shows it.
     recording = _recording()
     kept = steps if recording else 1
     peak = None if recording else np.zeros((2, batch, 4 * hd))
-    cats = np.empty((steps, 2, batch, e + hd))
+    cats = np.empty((steps + 1, 2, batch, e + hd))
     seq = np.swapaxes(xd, 0, 1)
-    cats[:, 0, :, :e] = seq
-    cats[:, 1, :, :e] = seq[::-1]
+    cats[:steps, 0, :, :e] = seq
+    cats[:steps, 1, :, :e] = seq[::-1]
+    cats[0, :, :, e:] = 0.0
+    hs = cats[1:, :, :, e:]  # every step's h, held rows' included
     gates = np.empty((kept, 2, batch, 4 * hd))
     acts = np.empty((kept, 2, batch, 4 * hd))
-    cells = np.empty((kept, 2, batch, hd))
+    cells = np.empty((steps if recording else 2, 2, batch, hd))
     tcells = np.empty((kept, 2, batch, hd))
-    states = np.empty((steps, 2, batch, hd))
     zeros = np.zeros((2, batch, hd))
-    h = c = zeros
+    c = zeros
     for s in range(steps):
         k = s % kept
-        cat, z, act = cats[s], gates[k], acts[k]
-        cat[:, :, e:] = h
-        np.matmul(cat, wt, out=z)
+        z, act = gates[k], acts[k]
+        np.matmul(cats[s], wt, out=z)
         z += bd
         act[:, :, : 3 * hd] = _sigmoid(z[:, :, : 3 * hd])
         np.tanh(z[:, :, 3 * hd :], out=act[:, :, 3 * hd :])
         i, f, o, g = (act[:, :, : hd], act[:, :, hd : 2 * hd], act[:, :, 2 * hd : 3 * hd],
                       act[:, :, 3 * hd :])
-        if held is None:
-            c = np.add(f * c, i * g, out=cells[k])
-            tc = np.tanh(c, out=tcells[k])
-            h = np.multiply(o, tc, out=states[s])
-        else:
-            keep = held[s]
-            c = np.where(keep, c, f * c + i * g)
-            cells[k] = c
-            tc = np.tanh(c, out=tcells[k])
-            h = o * tc
-            states[s] = np.where(keep, 0.0, h)
+        fresh = np.add(f * c, i * g, out=cells[s % len(cells)])
+        if held is not None:
+            np.copyto(fresh, c, where=held[s])
+        c = fresh
+        np.multiply(o, np.tanh(c, out=tcells[k]), out=hs[s])
         if peak is not None:
             np.maximum(peak, np.abs(z), out=peak)
-    if not (np.isfinite(gates if peak is None else peak).all() and np.isfinite(cells).all()):
+    if not (np.isfinite(gates if peak is None else peak).all()
+            and np.isfinite(cells if recording else c).all()):
         raise DomainError("op 'gated_recurrence' produced a non-finite gate or cell state")
+    states = hs if held is None else np.where(held, 0.0, hs)
     out = np.empty((batch, steps, 2 * hd))
     out[:, :, :hd] = np.swapaxes(states[:, 0], 0, 1)
     out[:, :, hd:] = np.swapaxes(states[::-1, 1], 0, 1)
@@ -638,42 +660,43 @@ def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Array
         dsig = 1.0 - sig
         dtanh_g = 1.0 - cand * cand
         dtanh_c = 1.0 - tcells * tcells
-        dw = np.zeros_like(wd) if need_w else None
-        db = np.zeros((2, 4 * hd)) if need_b else None
-        dxs = np.empty((steps, 2, batch, e)) if need_x else None
-        dgates = np.empty((2, batch, 4 * hd))
-        dh_next = dc_next = None  # what step s+1 sends back to h and c of step s
+        # row steps-1-s of dgates is step s's, so the steps' terms of dw
+        # and db are summed below in the order this loop makes them; dcats
+        # holds each step's gradient of its whole cell input [x_t, h]
+        dgates = np.empty((steps, 2, batch, 4 * hd))
+        dcats = np.empty((steps, 2, batch, e + hd))
+        dc_next = None  # what step s+1 sends back to c of step s
         for s in range(steps - 1, -1, -1):
             act = acts[s]
             i, f, o, g = (act[:, :, : hd], act[:, :, hd : 2 * hd], act[:, :, 2 * hd : 3 * hd],
                           act[:, :, 3 * hd :])
-            dh = douts[s] if dh_next is None else douts[s] + dh_next
+            dh = douts[s] if s == steps - 1 else douts[s] + dcats[s + 1, :, :, e:]
             dc = dh * o * dtanh_c[s]
             if dc_next is not None:
                 dc += dc_next
             if held is not None:
                 # a held row's step is constant: its output is 0 and its
-                # state is the zero start or a state no later step reads
-                dh = np.where(held[s], 0.0, dh)
-                dc = np.where(held[s], 0.0, dc)
-            np.multiply(dc, g, out=dgates[:, :, :hd])
-            np.multiply(dc, cells[s - 1] if s else zeros, out=dgates[:, :, hd : 2 * hd])
-            np.multiply(dh, tcells[s], out=dgates[:, :, 2 * hd : 3 * hd])
-            dgates[:, :, : 3 * hd] *= sig[s]
-            dgates[:, :, : 3 * hd] *= dsig[s]
-            np.multiply(dc * i, dtanh_g[s], out=dgates[:, :, 3 * hd :])
-            dcat = dgates @ wd
-            if need_w:
-                dw += dgates.transpose(0, 2, 1) @ cats[s]
-            if need_b:
-                db += dgates.sum(axis=1)
-            if need_x:
-                dxs[s] = dcat[:, :, :e]
-            dh_next = dcat[:, :, e:]
+                # state is the zero start or a state no later step reads.
+                # dh and dc are this backward's own arrays, douts[s] too
+                np.copyto(dh, 0.0, where=held[s])
+                np.copyto(dc, 0.0, where=held[s])
+            dg = dgates[steps - 1 - s]
+            np.multiply(dc, g, out=dg[:, :, :hd])
+            np.multiply(dc, cells[s - 1] if s else zeros, out=dg[:, :, hd : 2 * hd])
+            np.multiply(dh, tcells[s], out=dg[:, :, 2 * hd : 3 * hd])
+            dg[:, :, : 3 * hd] *= sig[s]
+            dg[:, :, : 3 * hd] *= dsig[s]
+            np.multiply(dc * i, dtanh_g[s], out=dg[:, :, 3 * hd :])
+            np.matmul(dg, wd, out=dcats[s])
             dc_next = dc * f
+        # each step's (4h, e+h) product in one batched matmul, then the
+        # steps' terms summed from a zero start, step T-1 first
+        dw = (np.matmul(dgates.transpose(0, 1, 3, 2), cats[:steps][::-1]).sum(axis=0, initial=0.0)
+              if need_w else None)
+        db = dgates.sum(axis=2).sum(axis=0, initial=0.0) if need_b else None
         # each position's dx is what the forward direction sent it plus
         # what the backward one did
-        dx = (np.swapaxes(dxs[:, 0], 0, 1) + np.swapaxes(dxs[::-1, 1], 0, 1)
+        dx = (np.swapaxes(dcats[:, 0, :, :e], 0, 1) + np.swapaxes(dcats[::-1, 1, :, :e], 0, 1)
               if need_x else None)
         return (dx, dw[0] if need_wf else None, db[0] if need_bf else None,
                 dw[1] if need_wb else None, db[1] if need_bb else None)
@@ -789,8 +812,8 @@ def cell_means(x: Arrayish, grid: int) -> Tensor:
     as one node, flattened to (batch, grid*grid*C): cell (i, j) covers
     rows round(i*H/grid) to round((i+1)*H/grid) and the columns cut
     likewise, and the cells' channel means follow in row-major order.
-    Each cell is one np.mean, so the values are those of a slice, mean
-    and concat chain; uneven cells (odd H or W) are averaged as such."""
+    Each cell is one mean, as np.mean computes it, so the values are
+    those of a slice, mean and concat chain; uneven cells (odd H or W) are averaged as such."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"cell_means: expected (batch, H, W, C), got {x.shape}")
@@ -802,14 +825,15 @@ def cell_means(x: Arrayish, grid: int) -> Tensor:
     w_cuts = [round(j * w / grid) for j in range(grid + 1)]
     cells = [np.s_[:, h_cuts[i] : h_cuts[i + 1], w_cuts[j] : w_cuts[j + 1], :]
              for i in range(grid) for j in range(grid)]
+    counts = [(rows.stop - rows.start) * (cols.stop - cols.start)
+              for _, rows, cols, _ in cells]
     xd = x.data
-    out = np.concatenate([np.mean(xd[cell], axis=(1, 2)) for cell in cells], axis=1)
+    out = np.concatenate([_mean(xd[cell], (1, 2), count) for cell, count in zip(cells, counts)],
+                         axis=1)
 
     def backward(g, needs):
         gx = np.zeros_like(xd)
-        for k, cell in enumerate(cells):
-            _, rows, cols, _ = cell
-            count = (rows.stop - rows.start) * (cols.stop - cols.start)
+        for k, (cell, count) in enumerate(zip(cells, counts)):
             gx[cell] += np.expand_dims(g[:, k * c : (k + 1) * c], (1, 2)) / count
         return (gx,)
 

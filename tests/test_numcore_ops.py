@@ -1,5 +1,7 @@
 """Forward semantics of the tensor primitives."""
 
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -314,6 +316,81 @@ def test_gated_recurrence_shape_contract():
     for lengths in ([3], [3, 0], [4, 1], [2.0, 3.0], [[3, 3]]):
         with pytest.raises(ShapeError):
             nc.gated_recurrence(x, wf, bf, wb, bb, lengths=np.array(lengths))
+
+
+# the recurrence shapes the workloads run, (batch, T, e, h) and lengths:
+# social posts of uneven lengths, and the xor publications' 5 tokens
+WORKLOAD_RECURRENCES = {
+    "social": ((4, 23, 16, 16), [23, 9, 14, 4]),
+    "xor": ((32, 5, 8, 6), None),
+}
+# sha256 of the bytes of the states and the five gradients at each shape:
+# a change to how the op orders or groups its sums over the steps must
+# not move a bit
+WORKLOAD_DIGESTS = {
+    "social": "100e552959fa2091e99ef5709a12aac2d3467d9f2b186c1f37190b771106db7d",
+    "xor": "7c40eb5f0954073665b970c02c4e3a9e7619d5a739743c93e6be76ed7ab31a47",
+}
+
+
+def _workload_recurrence(name):
+    (batch, steps, e, hd), lengths = WORKLOAD_RECURRENCES[name]
+    x, params, weights = _recurrence_inputs(batch, steps, e=e, hd=hd, seed=5)
+    if lengths is not None:
+        lengths = np.array(lengths)
+        x.data[np.arange(steps)[None, :] >= lengths[:, None]] = 0.0
+    return x, params, weights, lengths
+
+
+def _digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_RECURRENCES))
+def test_gated_recurrence_at_the_workload_shapes_keeps_its_bytes(name):
+    """At the shapes the workloads run, the states and all five gradients
+    equal the primitive-op reference's (their bytes where every row is T
+    long; a masked reference step may leave -0.0 where the op writes 0.0),
+    hash to the bytes the op has always given, and the graph-free states
+    are the recorded ones' bytes."""
+    x, params, weights, lengths = _workload_recurrence(name)
+    fused, reference = _against_reference(x, params, weights, lengths)
+    for got, want in zip(fused, reference):
+        if lengths is None:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.array_equal(got, want)
+    out = nc.gated_recurrence(x, *params, lengths=lengths)
+    grads = nc.tsum(nc.mul(out, weights)).backward([x, *params])
+    assert _digest([out.data, *grads]) == WORKLOAD_DIGESTS[name]
+    with nc.no_graph():
+        plain = nc.gated_recurrence(x, *params, lengths=lengths)
+    assert plain.data.tobytes() == out.data.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_RECURRENCES))
+def test_gated_recurrence_gradients_of_any_subset_are_the_full_backward_bytes(name):
+    """Whichever of x and the four weights a backward needs, each gradient
+    it returns has the bytes of the backward that needs all five."""
+    x, params, weights, lengths = _workload_recurrence(name)
+    inputs = [x, *params]
+    loss = nc.tsum(nc.mul(nc.gated_recurrence(x, *params, lengths=lengths), weights))
+    full = [g.tobytes() for g in loss.backward(inputs)]
+    for k in range(1, len(inputs)):
+        for subset in itertools.combinations(range(len(inputs)), k):
+            got = loss.backward([inputs[i] for i in subset])
+            assert [g.tobytes() for g in got] == [full[i] for i in subset], subset
+
+
+def test_gated_recurrence_sums_the_steps_onto_a_positive_zero():
+    """dw and db add the steps' terms to zeroed arrays. Over one step the
+    forget gate's terms are dc times the zero start cell, -0.0 for every
+    row when each dc < 0, and their sum is still +0.0."""
+    x, params, _ = _recurrence_inputs(2, 1, seed=1)
+    out = nc.gated_recurrence(x, *params)
+    for g in nc.tsum(nc.neg(out)).backward(params):
+        forget = g[4:8]
+        assert not forget.any() and not np.signbit(forget).any()
 
 
 def _masked_against_trimmed(lengths, tied, seed):

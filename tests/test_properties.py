@@ -7,8 +7,9 @@ the lexicon names.
 numcore: every smooth op passes grad_check_params at tol 1e-4 over small
 drawn shapes, a backward with respect to a subset of the leaves, over
 graphs that also read constants, returns bitwise the same arrays as one
-with respect to all of them, and conv2d agrees with a per-tap reference
-over drawn shapes.
+with respect to all of them, conv2d agrees with a per-tap reference
+over drawn shapes, and an op rejects its value exactly when one entry is
+inf or nan, warning on no finite value.
 
 Model files: every single-bit flip and every truncation of a saved model
 is a FormatError, and so is a re-checksummed header with any one field
@@ -23,12 +24,14 @@ that names the file.
 """
 
 import base64
+import contextlib
 import dataclasses
 import hashlib
 import json
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +41,7 @@ from hypothesis import strategies as st
 from fuselab import numcore as nc
 from fuselab.config import _SECTIONS, load_experiment_config
 from fuselab.datakit import LabelSpace, Vocab, load_jsonl
-from fuselab.exceptions import ConfigError, FormatError, ParseError, SchemaError
+from fuselab.exceptions import ConfigError, DomainError, FormatError, ParseError, SchemaError
 from fuselab.textprep import TAG_EMOTICON, default_lexicons, normalize
 from fuselab.textprep.normalize import _scan
 from fuselab.training import (
@@ -252,6 +255,46 @@ def test_conv2d_matches_the_per_tap_reference(batch, ho, wo, kh, kw, c, f, seed)
     want = _conv2d_per_tap(x.data, k.data, b.data, g)
     for name, a, e in zip(("out", "dx", "dkernel", "dbias"), got, want):
         np.testing.assert_allclose(a, e, rtol=CONV_TOL, atol=CONV_TOL, err_msg=name)
+
+
+# finite entries whose sums overflow, and the non-finite ones, are drawn
+# often enough to meet each other
+_ENTRIES = st.one_of(st.floats(width=64),
+                     st.sampled_from([1e308, -1e308, np.inf, -np.inf, np.nan]))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(shape=st.lists(st.integers(0, 3), max_size=3).map(tuple), data=st.data())
+@example(shape=(), data=None)
+@example(shape=(0, 3), data=None)
+def test_an_op_rejects_its_value_exactly_when_an_entry_is_not_finite(shape, data):
+    """Over 0-d, empty and n-d values with inf and nan at drawn positions,
+    an op (reshape, which passes its value through) raises DomainError,
+    recorded and graph-free, exactly when np.isfinite(value).all() is
+    False, and warns on no finite value."""
+    size = int(np.prod(shape))
+    entries = [1e308] * size if data is None else data.draw(
+        st.lists(_ENTRIES, min_size=size, max_size=size))
+    value = np.array(entries, dtype=np.float64).reshape(shape)
+    for graph in (True, False):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.ExitStack() as stack:
+                if not graph:
+                    stack.enter_context(nc.no_graph())
+                if np.isfinite(value).all():
+                    out = nc.reshape(nc.Tensor(value), shape)
+                    assert out.data.tobytes() == value.tobytes()
+                else:
+                    with pytest.raises(DomainError):
+                        nc.reshape(nc.Tensor(value), shape)
+
+
+def test_finite_values_whose_sum_overflows_pass_the_check():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in ([1e308, 1e308], [[-1e308], [-1e308]], [1e308] * 5):
+            assert nc.reshape(nc.Tensor(value), (-1,)).data.tolist() == np.ravel(value).tolist()
 
 
 # -- model files --------------------------------------------------------------

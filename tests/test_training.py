@@ -581,6 +581,32 @@ class TestMainObjective:
                         moved_any.update([group] if changed else [])
         assert moved_any == {group for group, _, _ in _staged_checks(model, pubs)}
 
+    @pytest.mark.parametrize("fusion", ["concat", "auto", "gan"])
+    def test_staged_objectives_repeat_the_fresh_generator_draws(self, fusion):
+        """Every staged objective, which restores one shared generator's
+        state before it draws, returns the same bytes on each call, with
+        the graph and without, in any order, and they are the bytes a
+        fresh np.random.default_rng(END_TO_END_SEED) gives: J_C for an
+        encoder's group, J for every other."""
+        from fuselab import gradsuite
+        from fuselab.training.objectives import classification_objective, main_objective
+
+        ds = _dataset(20, seed=4)
+        model = _model(ds, fusion)
+        batch = model.prepare(ds.publications[:6])
+        staged = gradsuite.end_to_end_groups(model, batch)
+        with nc.no_graph():
+            latents = model.encode(batch)
+            fresh = lambda: np.random.default_rng(gradsuite.END_TO_END_SEED)
+            want = {"j_c": classification_objective(model, batch, latents, fresh())[0],
+                    "j": main_objective(model, batch, latents, fresh()).j}
+        first = [f().data.tobytes() for _, f, _ in staged]
+        with nc.no_graph():
+            again = [f().data.tobytes() for _, f, _ in reversed(staged)][::-1]
+        assert again == first
+        assert first == [want["j_c" if group in ("text", "visual") else "j"].data.tobytes()
+                         for group, _, _ in staged]
+
 
 def _probs(model, pubs):
     """Class probabilities of pubs from one graph-free batched forward."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,6 +109,9 @@ class Publication:
     text: str = ""
     caption: Optional[str] = None
     visual: Optional[np.ndarray] = None            # (H, W, C) grid
+    # how a model reads full_text(), kept by training.model.read_text so
+    # the text is normalized once; replace() starts a copy without it
+    _read: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fields = (self.id, self.label, self.text, "" if self.caption is None else self.caption)

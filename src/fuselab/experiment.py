@@ -50,7 +50,7 @@ def build_vocab(train_ds: Dataset, model_config: ModelConfig,
                 max_size: Optional[int] = None) -> Vocab:
     """Vocabulary over the training split, tokenized exactly as the model
     will tokenize at run time."""
-    texts = [read_text(pub.full_text(), model_config.normalize_text)[0] for pub in train_ds]
+    texts = [read_text(pub, model_config.normalize_text)[0] for pub in train_ds]
     return Vocab.from_texts(texts, max_size=max_size)
 
 

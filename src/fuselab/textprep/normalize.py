@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .lexicons import Lexicons, default_lexicons
 from .segment import segment
@@ -55,8 +55,10 @@ _REPAIR_MIN_LEN = 4
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A tuple of strings, which the garbage collector stops tracking, so
+    normalized texts kept for later reads cost it nothing."""
+
     surface: str
     tag: str
 

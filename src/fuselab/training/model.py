@@ -7,11 +7,16 @@ visual-only models skip fusion and classify the single latent directly
 (the unimodal baselines), while multimodal models require both encoders
 and a mechanism.
 
-The forward pipeline reads prepared batches: FusionModel.prepare
-normalizes each text once, pads token and entity-tuple ids, stacks the
-visual grids and indexes the labels, and PreparedBatch.take selects rows
-of it, so a dataset is read once however many epochs or batches use it
-and nothing after prepare reads a Publication.
+The forward pipeline reads prepared batches: FusionModel.prepare pads
+token and entity-tuple ids, stacks the visual grids and indexes the
+labels, and PreparedBatch.take selects rows of it, so a dataset is
+prepared once however many epochs or batches use it and nothing after
+prepare reads a Publication. Texts come through read_text, which keeps
+each publication's normalized read on the publication itself: a text is
+normalized once, and its entity tuple extracted once, for the life of
+the Publication, whether the vocabulary, train() or a validation pass
+reads it first. The one-hot classification targets are built only when
+an objective first asks for them.
 
 The entity-tuple path embeds the (subject, object, verb, modifier)
 tokens through the text embedding table, averages them, and concatenates
@@ -22,10 +27,12 @@ Model files are a versioned binary: magic, header JSON (config, vocab,
 label space, parameter manifest), raw little-endian float64 parameter
 blocks, and a trailing SHA-256 over everything before it. Loading
 verifies magic, version, checksum and the type of each header value, and
-round-trips every parameter bitwise. Before it builds a model it checks
-that the blocks hold exactly the floats the manifest lists and that no
-config dimension exceeds that count, so a small file cannot make it
-allocate a large model.
+round-trips every parameter bitwise. It builds the model without
+drawing its weights, and before it reads the blocks in it checks that
+they hold exactly the floats the manifest lists, that no dimension the
+model reads exceeds half that count, and that the manifest names the
+parameters the config builds, so a small file cannot make it allocate a
+large model.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +56,8 @@ from ..exceptions import ConfigError, FormatError, InputError
 from ..fusion import AutoFusion, ConcatFusion, FusionResult, GanFusion
 from ..layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from ..numcore import Tensor
-from ..textprep import EntityTuple, extract_entity_tuple, normalize
+from ..textprep import EntityTuple, NormalizedText, extract_entity_tuple, normalize
+from .objectives import one_hot
 
 MAGIC = b"FUSEMODL"
 FORMAT_VERSION = 1
@@ -131,14 +139,41 @@ def _holds(kind, value) -> bool:
     return type(value) is kind
 
 
-def read_text(text: str, normalize_text: bool,
+class _Read:
+    """What read_text keeps on a publication: the text it read, its token
+    surfaces joined by spaces, and its entity tuple once a caller asks for
+    it. The normalizer's output is kept only until then, as the tuple is
+    all that needs it."""
+
+    __slots__ = ("text", "surfaces", "normalized", "entity")
+
+    def __init__(self, text: str, normalized: NormalizedText):
+        self.text = text
+        self.surfaces = " ".join(t.surface for t in normalized.tokens)
+        self.normalized: Optional[NormalizedText] = normalized
+        self.entity: Optional[EntityTuple] = None
+
+
+def read_text(pub: Publication, normalize_text: bool,
               entity_tuple: bool = False) -> Tuple[str, Optional[EntityTuple]]:
-    """The text a model's vocabulary splits into tokens (the normalizer's
-    token surfaces joined by spaces, or the raw text) and, when asked for,
-    the entity tuple of the normalized text; normalize runs at most once."""
-    normalized = normalize(text) if normalize_text or entity_tuple else None
-    surfaces = " ".join(t.surface for t in normalized.tokens) if normalize_text else text
-    return surfaces, extract_entity_tuple(normalized) if entity_tuple else None
+    """The text of pub.full_text() that a model's vocabulary splits into
+    tokens (the normalizer's token surfaces joined by spaces, or the raw
+    text) and, when asked for, the entity tuple of the normalized text.
+
+    The read is kept on the publication, so each text is normalized once
+    and its tuple extracted once however many callers read it (the
+    vocabulary, prepare for training, every validation pass); a changed
+    text or caption is read afresh. Raw text needs no read and keeps none."""
+    text = pub.full_text()
+    if not (normalize_text or entity_tuple):
+        return text, None
+    read = pub._read
+    if read is None or read.text != text:
+        read = pub._read = _Read(text, normalize(text))
+    if entity_tuple and read.entity is None:
+        read.entity = extract_entity_tuple(read.normalized)
+        read.normalized = None
+    return (read.surfaces if normalize_text else text), read.entity if entity_tuple else None
 
 
 def _padded(rows: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,6 +207,8 @@ class PreparedBatch:
     lengths: Optional[np.ndarray] = None
     tuple_ids: Optional[np.ndarray] = None
     tuple_counts: Optional[np.ndarray] = None
+    _targets: Optional[np.ndarray] = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -188,9 +225,20 @@ class PreparedBatch:
             return ids[idx, : max(1, counts.max(initial=0))], counts
 
         grids = None if self.grids is None else self.grids[idx]
-        return PreparedBatch(self.labels[idx], grids,
-                             *trimmed(self.ids, self.lengths),
-                             *trimmed(self.tuple_ids, self.tuple_counts))
+        taken = PreparedBatch(self.labels[idx], grids,
+                              *trimmed(self.ids, self.lengths),
+                              *trimmed(self.tuple_ids, self.tuple_counts))
+        if self._targets is not None:
+            taken._targets = self._targets[idx]
+        return taken
+
+    def targets(self, num_classes: int) -> Optional[np.ndarray]:
+        """The (n, num_classes) one-hot rows of labels, None when a label is
+        outside the space. Built on the first call and kept, and a take of
+        a batch that has built them slices them; inference never asks."""
+        if self._targets is None and (self.labels >= 0).all():
+            self._targets = one_hot(self.labels, num_classes)
+        return self._targets
 
 
 class FusionModel:
@@ -262,12 +310,13 @@ class FusionModel:
     # -- forward pipeline ---------------------------------------------------
 
     def prepare(self, pubs: Sequence[Publication]) -> PreparedBatch:
-        """Read publications once into the arrays encode and head take.
+        """Read publications into the arrays encode and head take.
 
-        Each text goes through read_text once, and every publication is
-        checked against the inputs the model reads, so a publication that
-        lacks one, or whose grid differs in shape from the first one's,
-        raises InputError naming its id here. Draws no randomness."""
+        Texts come through read_text, so a text read before is not
+        normalized again. Every publication is checked against the inputs
+        the model reads, so a publication that lacks one, or whose grid
+        differs in shape from the first one's, raises InputError naming
+        its id here. Draws no randomness."""
         if not pubs:
             raise InputError("prepare: empty batch")
         config = self.config
@@ -281,8 +330,7 @@ class FusionModel:
                     raise InputError(f"publication {p.id}: text required by a "
                                      f"text-only model")
             wants_tuple = config.wants_entity_tuple
-            texts = [read_text(p.full_text(), config.normalize_text, wants_tuple)
-                     for p in pubs]
+            texts = [read_text(p, config.normalize_text, wants_tuple) for p in pubs]
             batch.ids, batch.lengths = _padded([self.vocab.encode(t) for t, _ in texts])
             if wants_tuple:
                 index, oov = self.vocab.index, self.vocab.oov_id
@@ -380,6 +428,18 @@ def _manifest(named: List[Tuple[str, Tensor]]) -> List[dict]:
     return [{"name": name, "shape": list(p.shape)} for name, p in named]
 
 
+class _NoDraws:
+    """Stands in for the generator a FusionModel draws its initial weights
+    from when load_model builds one: each draw is a zero-stride view of
+    one 0.0, so the model has every parameter's name and shape, for the
+    manifest check, but allocates only its zero biases, each at most four
+    times a config dimension long, before the file's blocks replace them."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def _manifest_floats(manifest) -> Optional[int]:
     """The number of floats a header parameter list names, or None unless
     it is a list of {"name": str, "shape": [int >= 0, ...]} entries."""
@@ -460,13 +520,17 @@ def load_model(path) -> FusionModel:
         raise FormatError(f"{path}: header 'config' does not build a model ({exc})")
     if header.get("config_hash") != _config_hash(config):
         raise FormatError(f"{path}: config hash mismatch")
-    # every dimension is an axis of some parameter, so none can exceed the
-    # float count; checked before the build allocates by the config
-    dims = (config.latent_dim, config.embed_dim, config.hidden_dim, *config.visual_channels,
-            config.in_channels, config.resolved_fusion_dim())
-    if max(dims) > floats:
+    # every dimension the model reads is an axis of a parameter whose other
+    # axes hold at least two floats, so none can exceed half the float
+    # count; this bounds the zero biases the build below allocates
+    dims = [config.latent_dim, config.resolved_fusion_dim()]
+    if config.input_modes != "visual":
+        dims += [config.embed_dim, config.hidden_dim]
+    if config.input_modes != "text":
+        dims += [*config.visual_channels, config.in_channels]
+    if 2 * max(dims) > floats:
         raise FormatError(f"{path}: header 'config' names a dimension of {max(dims)}, "
-                          f"more than the {floats} floats the file holds")
+                          f"more than half the {floats} floats the file holds")
     words = header["vocab"]
     reserved = Vocab([]).words
     if (not isinstance(words, list) or words[:2] != reserved
@@ -475,7 +539,7 @@ def load_model(path) -> FusionModel:
                           f"led by {reserved}")
     try:
         model = FusionModel(config, LabelSpace.from_json(header["label_space"]),
-                            Vocab(words[2:]))
+                            Vocab(words[2:]), rng=_NoDraws())
     except (ConfigError, MemoryError, OverflowError, ValueError) as exc:
         raise FormatError(f"{path}: header 'config' and 'label_space' do not build "
                           f"a model ({exc})")

@@ -59,11 +59,12 @@ def classification_objective(model, batch, latents: Dict[str, Tensor],
     plus the fusion auxiliaries of a multimodal model (model.head draws
     the adversarial noise from rng)."""
     space = model.label_space
-    if (batch.labels < 0).any():
+    targets = batch.targets(space.num_classes)
+    if targets is None:
         raise ConfigError(f"dataset labels do not match the model label space "
                           f"{list(space.names)}")
     probs, result = model.head(latents, rng)
-    return batch_cross_entropy(one_hot(batch.labels, space.num_classes), probs), result
+    return batch_cross_entropy(targets, probs), result
 
 
 def fusion_term(model, latents: Dict[str, Tensor], result: Optional[FusionResult]

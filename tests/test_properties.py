@@ -418,6 +418,31 @@ def test_a_header_dimension_beyond_the_file_fails_before_the_build(saved_model):
     assert peak < 16 * len(data), (peak, len(data))
 
 
+@pytest.mark.parametrize("dim, message", [(240, "dimension of 240"),
+                                          (120, "'params' does not list")])
+def test_header_dimensions_each_within_the_file_fail_before_the_build(saved_model, dim,
+                                                                      message):
+    """Every dimension under the file's float count, but their products far
+    beyond it: a dimension over half the count fails at once, and one under
+    it on the manifest of the model built without its weights, so the peak
+    stays a small multiple of the file."""
+    raw, path = saved_model
+    header, blocks = _header(raw)
+    assert 240 < len(blocks) // 8 < 2 * 240
+    header["config"].update(latent_dim=dim, embed_dim=dim, hidden_dim=dim,
+                            visual_channels=[dim, dim])
+    data = _model_file(header, blocks)
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(data), (peak, len(data))
+
+
 # a dataset whose lines hold every kind of field: a header with a merge
 # map, a record with a caption and a nested grid, and one with a blob
 DATASET = [

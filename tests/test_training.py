@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import struct
+import sys
+from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +46,8 @@ from fuselab.training import (
 )
 from fuselab.training.loop import PREDICT_BATCH
 from fuselab.training.model import PreparedBatch
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _dataset(n=200, seed=1, task="xor-crossmodal"):
@@ -876,6 +881,165 @@ class TestPrepare:
         truths, preds = predict_dataset(model, Dataset(pubs, ds.label_space))
         assert truths == ["a", "b", "c", "a", "z"] and len(preds) == 5
 
+    def test_targets_are_the_one_hot_labels_taken_with_the_rows(self):
+        """A batch builds its classification targets on the first ask and
+        keeps them; a take of it then slices them with the rows, and a
+        label outside the space gives none."""
+        from fuselab.training import one_hot
+
+        model, ds = self._text_model(9)
+        prepared = model.prepare(ds.publications)
+        rows = [8, 0, 2]
+        assert prepared.take(rows)._targets is None
+        targets = prepared.targets(3)
+        assert targets.tobytes() == one_hot(prepared.labels, 3).tobytes()
+        assert prepared.targets(3) is targets
+        assert prepared.take(rows)._targets.tobytes() == targets[rows].tobytes()
+        stray = Publication(id="stray", label="z", text="the cat")
+        assert model.prepare(ds.publications + [stray]).targets(3) is None
+
+    def test_prediction_builds_no_targets(self, monkeypatch):
+        from fuselab.training import model as model_module
+
+        model, ds = self._text_model(9)
+        monkeypatch.setattr(model_module, "one_hot", None)
+        truths, preds = predict_dataset(model, ds)
+        assert truths == [p.label for p in ds] and len(preds) == 9
+
+
+@pytest.fixture
+def read_counts(monkeypatch):
+    """The texts normalize is called on and the number of
+    extract_entity_tuple calls, counted through every fuselab module
+    attribute that holds either function, as the benchmark's tracer
+    rebinds them."""
+    from fuselab.textprep import extract_entity_tuple, normalize
+
+    counts = SimpleNamespace(normalized=Counter(), tuples=0)
+
+    def counted_normalize(text):
+        counts.normalized[text] += 1
+        return normalize(text)
+
+    def counted_tuple(text):
+        counts.tuples += 1
+        return extract_entity_tuple(text)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "fuselab" or name.startswith("fuselab.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is normalize:
+                monkeypatch.setattr(module, attr, counted_normalize)
+            elif value is extract_entity_tuple:
+                monkeypatch.setattr(module, attr, counted_tuple)
+    return counts
+
+
+def _text_only_config(**data):
+    """The shipped text-only experiment, its synthetic data resized."""
+    from fuselab.config import load_experiment_config
+
+    config = load_experiment_config(ROOT / "configs" / "text-only.ini")
+    spec = dataclasses.replace(config.data.synthetic, **data)
+    return dataclasses.replace(config, data=dataclasses.replace(config.data, synthetic=spec))
+
+
+class TestReadOnce:
+    """Each publication's text is normalized, and its entity tuple
+    extracted, once for the life of the Publication, whichever of the
+    vocabulary, training and validation reads it first."""
+
+    def _split(self, n=30):
+        model, ds = TestPrepare()._text_model(n)
+        train_ds = Dataset(ds.publications[: 2 * n // 3], ds.label_space)
+        val_ds = Dataset(ds.publications[2 * n // 3 :], ds.label_space)
+        return model, train_ds, val_ds
+
+    def test_an_experiment_reads_each_publication_once(self, read_counts):
+        from fuselab.experiment import prepare_data, run_experiment
+
+        config = _text_only_config(n=60)
+        config = dataclasses.replace(config, train=dataclasses.replace(config.train,
+                                                                       epochs=2))
+        result = run_experiment(config)
+        pubs = [p for part in prepare_data(config) for p in part]
+        assert result.split_sizes == (48, 6, 6) and len(pubs) == 60
+        assert read_counts.normalized == Counter(p.full_text() for p in pubs)
+        assert read_counts.tuples == 60
+
+    def test_validation_reads_its_split_once_over_the_epochs(self, read_counts):
+        model, train_ds, val_ds = self._split()
+        result = train(model, train_ds, TrainConfig(epochs=3, batch_size=5, seed=1),
+                       val_dataset=val_ds)
+        assert len(result.val_reports) == 3
+        assert read_counts.normalized == Counter(p.full_text()
+                                                 for p in train_ds.publications
+                                                 + val_ds.publications)
+        assert read_counts.tuples == len(train_ds) + len(val_ds)
+
+    def test_a_fresh_load_reads_again(self, read_counts, tmp_path):
+        from fuselab.datakit import load_jsonl, save_jsonl
+
+        model, ds, _ = self._split()
+        path = tmp_path / "posts.jsonl"
+        save_jsonl(ds, path)
+        first = load_jsonl(path)
+        model.prepare(first.publications)
+        model.prepare(first.publications)
+        assert sum(read_counts.normalized.values()) == len(ds)
+        model.prepare(load_jsonl(path).publications)
+        assert sum(read_counts.normalized.values()) == 2 * len(ds)
+        assert read_counts.tuples == 2 * len(ds)
+
+    def test_a_changed_text_is_read_afresh(self, read_counts):
+        model, ds, _ = self._split()
+        pub = ds.publications[0]
+        before = model.prepare([pub])
+        pub.text = "the cat saw a ball"
+        after = model.prepare([pub])
+        assert read_counts.normalized["the cat saw a ball"] == 1
+        assert after.ids.tolist() == [model.vocab.encode("the cat saw a ball")]
+        assert after.ids.tolist() != before.ids.tolist()
+        pub.caption = "quickly"
+        assert model.prepare([pub]).ids.tolist() == [
+            model.vocab.encode("the cat saw a ball quickly")]
+        copy = dataclasses.replace(pub)
+        model.prepare([copy])
+        assert read_counts.normalized["the cat saw a ball quickly"] == 2
+
+    def test_raw_text_models_read_nothing(self, read_counts):
+        model, ds, val_ds = self._split()
+        raw = build_model(dataclasses.replace(model.config, input_modes="multimodal",
+                                              fusion="concat", normalize_text=False),
+                          ds.label_space, model.vocab)
+        train(raw, ds, TrainConfig(epochs=2, batch_size=5, seed=1), val_dataset=val_ds)
+        assert not read_counts.normalized and read_counts.tuples == 0
+
+    def test_a_warm_read_prepares_the_bytes_of_a_cold_one(self):
+        """On the shipped text-only config: the vocabulary, in order, and
+        every prepared array are the same from publications read before
+        (by build_vocab, then by prepare) as from ones never read."""
+        from fuselab.experiment import build_vocab, prepare_data
+        from fuselab.textprep import normalize
+
+        config = _text_only_config()
+        warm, cold = prepare_data(config)[0], prepare_data(config)[0]
+        vocab = build_vocab(warm, config.model)
+        assert vocab.words == Vocab.from_texts(
+            [" ".join(t.surface for t in normalize(p.full_text()).tokens)
+             for p in cold]).words
+        model = build_model(config.model, warm.label_space, vocab)
+        first = model.prepare(warm.publications)
+        assert build_vocab(warm, config.model).words == vocab.words
+        want = model.prepare(cold.publications)
+        for got in (first, model.prepare(warm.publications)):
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (a is None and b is None) or (
+                    a.dtype == b.dtype and a.shape == b.shape
+                    and a.tobytes() == b.tobytes()), field.name
+
 
 def _rehashed(header, **config):
     """Edit the header's model config and recompute its config hash."""
@@ -978,6 +1142,31 @@ class TestPersistence:
         data = tmp_path / "ds.jsonl"
         save_jsonl(ds, data)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+
+    @pytest.mark.parametrize("config", [
+        dict(input_modes="text"),
+        dict(input_modes="text", normalize_text=False, embed_dim=5),
+        dict(input_modes="visual", in_channels=3, visual_channels=(2, 7)),
+        dict(input_modes="multimodal", fusion="concat"),
+        dict(input_modes="multimodal", fusion="auto", fusion_out_dim=5),
+        dict(input_modes="multimodal", fusion="gan"),
+        dict(input_modes="multimodal", fusion="gan", latent_dim=9, fusion_out_dim=3),
+    ], ids=["text", "text-raw", "visual", "concat", "auto", "gan", "gan-odd-dims"])
+    def test_a_build_without_draws_has_the_models_manifest(self, config):
+        """load_model builds a model without drawing its weights and checks
+        the header against it: it names the parameters, shapes and order of
+        the model that config builds, and every weight is a view of one 0.0."""
+        from fuselab.training.model import _manifest, _NoDraws
+
+        config = ModelConfig(**{"latent_dim": 6, "embed_dim": 4, "hidden_dim": 3,
+                                **config})
+        space, vocab = LabelSpace(("a", "b", "c")), Vocab(["x", "y", "z"])
+        model = build_model(config, space, vocab)
+        layout = FusionModel(config, space, vocab, rng=_NoDraws())
+        assert _manifest(layout.named_parameters()) == _manifest(model.named_parameters())
+        for name, p in layout.named_parameters():
+            if p.data.ndim > 1 or name == "text.attn_query":
+                assert not any(p.data.strides) and not p.data.any(), name
 
     @pytest.mark.parametrize("fields, message", [
         (dict(input_modes="text", fusion="gan"), "fusion: not applicable to text-only"),

@@ -58,12 +58,6 @@ class LabelSpace:
     def num_classes(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise SchemaError(f"label {name!r} not in label space {list(self.names)}")
-
     def to_json(self) -> dict:
         out = {"names": list(self.names), "mode": self.mode}
         if self.merge_map is not None:

@@ -15,10 +15,12 @@ may carry its relu, cell_means is the visual summary grid and
 cross_entropy the classifier's loss. Each runs the numpy expressions of
 the chain of one-step ops it stands for, in the same order, so it
 computes the same values, forward and backward, bit for bit
-(tests/reference_ops.py keeps the steps numcore no longer has). dense
-also runs K layers of one shape side by side over a (K, batch, in)
-stack, each slab through its own weight and bias tensors; stack and
-side_by_side move tensors in and out of such stacks.
+(tests/reference_ops.py keeps the steps numcore no longer has);
+cross_entropy takes class indices and skips the chain's products with
+the zeros of one-hot targets, which change no bit. dense also runs K
+layers of one shape side by side over a (K, batch, in) stack, each slab
+through its own weight and bias tensors; stack and side_by_side move
+tensors in and out of such stacks.
 
 conv2d is one matrix product over im2col columns (each output position's
 window as a row, built from a strided view); its backward builds the
@@ -45,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import ContractError, DomainError, ShapeError
-from .tensor import Arrayish, Tensor, _recording, as_tensor
+from .tensor import Arrayish, Tensor, _mode, as_tensor
 
 LOG_EPS = 1e-12
 
@@ -326,23 +328,32 @@ def tlog(a: Arrayish) -> Tensor:
     return Tensor._from_op(out, "log", (a,), backward)
 
 
-def cross_entropy(targets: np.ndarray, probs: Arrayish) -> Tensor:
-    """Mean over rows of -sum(targets * log(probs)) for (n, C) rows, as one
-    node: log's clamp, then the values the log, mul, sum, mean and neg ops
-    give. Its backward is ((-g / n) * targets) / clamped, their chain's."""
+def cross_entropy(labels: np.ndarray, probs: Arrayish) -> Tensor:
+    """Mean over the n rows of (n, C) probs of -log(probs[row, label]) for
+    (n,) class indices labels in 0..C-1, as one node: log's clamp, then
+    the values the log, mul, sum, mean and neg chain gives on one-hot
+    targets, whose other entries add only zeros. Its backward is that
+    chain's ((-g / n) * targets) / clamped: (-g / n) / clamped at each
+    label, and elsewhere the zero of (-g / n)'s sign."""
     p = as_tensor(probs)
-    targets = np.asarray(targets, dtype=np.float64)
-    if p.ndim != 2 or targets.shape != p.shape:
-        raise ShapeError(f"cross_entropy: targets {targets.shape} and predictions "
-                         f"{p.shape} must be the same (n, C)")
+    labels = np.asarray(labels)
+    if p.ndim != 2 or labels.shape != p.shape[:1] or labels.dtype.kind not in "iu":
+        raise ShapeError(f"cross_entropy: labels {labels.shape} {labels.dtype} must be "
+                         f"the integer class of each row of predictions {p.shape}")
+    n, classes = p.shape
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise ShapeError(f"cross_entropy: label out of range for {classes} classes")
     if np.any(p.data < 0.0):
         raise DomainError("log: negative argument")
-    clamped = np.maximum(p.data, LOG_EPS)
-    n = p.shape[0]
-    out = -_mean(np.sum(targets * np.log(clamped), axis=1), None, n)
+    rows = np.arange(n)
+    picked = np.maximum(p.data[rows, labels], LOG_EPS)
+    out = -_mean(np.log(picked), None, n)
 
     def backward(g, needs):
-        return ((-g / n) * targets / clamped,)
+        scale = -g / n
+        grad = np.full(p.shape, scale * 0.0)
+        grad[rows, labels] = scale / picked
+        return (grad,)
 
     return Tensor._from_op(np.asarray(out), "cross_entropy", (p,), backward)
 
@@ -610,7 +621,7 @@ def gated_recurrence(x: Arrayish, w_fwd: Arrayish, b_fwd: Arrayish, w_bwd: Array
     # check it keeps the gates' largest magnitudes, which np.maximum
     # leaves non-finite once one step's were; a non-finite cell state
     # stays non-finite on every later step, so the last one shows it.
-    recording = _recording()
+    recording = _mode.building
     kept = steps if recording else 1
     peak = None if recording else np.zeros((2, batch, 4 * hd))
     cats = np.empty((steps + 1, 2, batch, e + hd))

@@ -77,11 +77,6 @@ def no_graph():
         _mode.building = previous
 
 
-def _recording() -> bool:
-    """Whether ops record nodes, so a backward may read what they computed."""
-    return _mode.building
-
-
 class Tensor:
     """A node in the compute graph: value and provenance."""
 

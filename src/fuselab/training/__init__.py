@@ -17,7 +17,6 @@ from .model import (
     load_model,
     save_model,
 )
-from .objectives import batch_cross_entropy, one_hot
 from .optim import Adam
 
 __all__ = [
@@ -29,11 +28,9 @@ __all__ = [
     "PreparedBatch",
     "TrainConfig",
     "TrainResult",
-    "batch_cross_entropy",
     "build_model",
     "evaluate_model",
     "load_model",
-    "one_hot",
     "predict_dataset",
     "save_model",
     "train",

@@ -113,7 +113,6 @@ def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
 
     rng = np.random.default_rng(config.seed)
     prepared = model.prepare(dataset.publications)
-    prepared.targets(model.label_space.num_classes)  # built once; each take slices them
     stream = BatchStream(dataset, config.batch_size, seed=config.seed)
 
     curves: List[LossReport] = []

@@ -15,8 +15,7 @@ prepare reads a Publication. Texts come through read_text, which keeps
 each publication's normalized read on the publication itself: a text is
 normalized once, and its entity tuple extracted once, for the life of
 the Publication, whether the vocabulary, train() or a validation pass
-reads it first. The one-hot classification targets are built only when
-an objective first asks for them.
+reads it first. The labels stay class indices all the way to the loss.
 
 The entity-tuple path embeds the (subject, object, verb, modifier)
 tokens through the text embedding table, averages them, and concatenates
@@ -44,7 +43,7 @@ import json
 import math
 import struct
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +56,6 @@ from ..fusion import AutoFusion, ConcatFusion, FusionResult, GanFusion
 from ..layers import ConvVisualEncoder, DenseLayer, RecurrentTextEncoder
 from ..numcore import Tensor
 from ..textprep import EntityTuple, NormalizedText, extract_entity_tuple, normalize
-from .objectives import one_hot
 
 MAGIC = b"FUSEMODL"
 FORMAT_VERSION = 1
@@ -123,7 +121,7 @@ class ModelConfig:
         if bad:
             raise ConfigError(f"unsupported keys or mistyped values {bad}")
         obj = dict(obj)
-        obj["visual_channels"] = tuple(obj.get("visual_channels", (8, 16)))
+        obj["visual_channels"] = tuple(obj.get("visual_channels", cls.visual_channels))
         return cls(**obj)
 
 
@@ -207,8 +205,6 @@ class PreparedBatch:
     lengths: Optional[np.ndarray] = None
     tuple_ids: Optional[np.ndarray] = None
     tuple_counts: Optional[np.ndarray] = None
-    _targets: Optional[np.ndarray] = field(default=None, init=False, repr=False,
-                                           compare=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -225,20 +221,9 @@ class PreparedBatch:
             return ids[idx, : max(1, counts.max(initial=0))], counts
 
         grids = None if self.grids is None else self.grids[idx]
-        taken = PreparedBatch(self.labels[idx], grids,
-                              *trimmed(self.ids, self.lengths),
-                              *trimmed(self.tuple_ids, self.tuple_counts))
-        if self._targets is not None:
-            taken._targets = self._targets[idx]
-        return taken
-
-    def targets(self, num_classes: int) -> Optional[np.ndarray]:
-        """The (n, num_classes) one-hot rows of labels, None when a label is
-        outside the space. Built on the first call and kept, and a take of
-        a batch that has built them slices them; inference never asks."""
-        if self._targets is None and (self.labels >= 0).all():
-            self._targets = one_hot(self.labels, num_classes)
-        return self._targets
+        return PreparedBatch(self.labels[idx], grids,
+                             *trimmed(self.ids, self.lengths),
+                             *trimmed(self.tuple_ids, self.tuple_counts))
 
 
 class FusionModel:

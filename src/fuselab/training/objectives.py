@@ -6,42 +6,24 @@ it against finite differences:
   concat, unimodal  J = J_C
   auto              J = J_C + J_auto
   gan               J = J_C + (generator-side adversarial term)
-J_C is classification_objective and the term is fusion_term, and
-main_objective adds the two. The suite probes each parameter against
+J_C is classification_objective, one nc.cross_entropy node over the
+softmax rows at the class indices model.prepare read from the labels;
+the term is fusion_term, and main_objective adds the two. The suite probes each parameter against
 only the parts of J it reaches: the encoders against J_C alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .. import numcore as nc
-from ..exceptions import ConfigError, ShapeError
+from ..exceptions import ConfigError
 from ..fusion import (AutoFusion, FusionResult, GanFusion, auto_fusion_loss, gan_adv_loss,
                       generator_loss)
 from ..numcore import Tensor
-
-
-def batch_cross_entropy(targets: np.ndarray, probs: Tensor) -> Tensor:
-    """Mean cross-entropy of predicted rows against one-hot target rows, one
-    nc.cross_entropy node.
-
-    probs pass through the clamped log, so a saturated softmax cannot
-    produce an infinite loss.
-    """
-    if targets.shape != probs.shape:
-        raise ShapeError(f"batch_cross_entropy: targets {targets.shape} vs "
-                         f"predictions {probs.shape}")
-    return nc.cross_entropy(targets, probs)
-
-
-def one_hot(indices: Sequence[int], num_classes: int) -> np.ndarray:
-    out = np.zeros((len(indices), num_classes))
-    out[np.arange(len(indices)), list(indices)] = 1.0
-    return out
 
 
 @dataclass
@@ -58,13 +40,11 @@ def classification_objective(model, batch, latents: Dict[str, Tensor],
     """J_C of one prepared batch (model.prepare) from its encoder latents,
     plus the fusion auxiliaries of a multimodal model (model.head draws
     the adversarial noise from rng)."""
-    space = model.label_space
-    targets = batch.targets(space.num_classes)
-    if targets is None:
+    if (batch.labels < 0).any():
         raise ConfigError(f"dataset labels do not match the model label space "
-                          f"{list(space.names)}")
+                          f"{list(model.label_space.names)}")
     probs, result = model.head(latents, rng)
-    return batch_cross_entropy(targets, probs), result
+    return nc.cross_entropy(batch.labels, probs), result
 
 
 def fusion_term(model, latents: Dict[str, Tensor], result: Optional[FusionResult]

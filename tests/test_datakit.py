@@ -90,10 +90,6 @@ class TestLabelSpace:
         with pytest.raises(ConfigError):
             LabelSpace(("A",), "multi", merge_map={"A": "Maybe"})
 
-    def test_unknown_label_index(self):
-        with pytest.raises(SchemaError):
-            BINARY_SPACE.index("Meh")
-
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):

@@ -79,7 +79,7 @@ def _case_factories():
         ("dense_stacked", (2, 3, 4), lambda rng: (lambda x, w=[const(rng, (3, 4)), const(rng, (3, 4))], b=[const(rng, (3,)), const(rng, (3,))]: nc.squared_norm(nc.dense(x, w, b, "sigmoid")))),
         ("conv2d_relu", (1, 6, 6, 1), lambda rng: (lambda x, k=const(rng, (3, 3, 1, 2)), b=const(rng, (2,)): nc.squared_norm(nc.conv2d(x, k, b, relu=True)))),
         ("cell_means", (2, 5, 5, 2), lambda rng: (lambda x: nc.squared_norm(nc.cell_means(x, 2)))),
-        ("cross_entropy", (2, 3), lambda rng: (lambda x, t=rng.uniform(size=(2, 3)): nc.cross_entropy(t, nc.softmax(x)))),
+        ("cross_entropy", (2, 3), lambda rng: (lambda x, t=rng.integers(0, 3, size=2): nc.cross_entropy(t, nc.softmax(x)))),
         ("stack", (2, 3), lambda rng: (lambda x, c=const(rng, (2, 3)): nc.squared_norm(nc.stack([x, c, x])))),
         ("side_by_side", (2, 2, 3), lambda rng: (lambda x: nc.squared_norm(nc.side_by_side(x)))),
     ]

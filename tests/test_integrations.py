@@ -1,6 +1,7 @@
-"""Cross-module surfaces: bundled lexicons, entity-tuple classifier
-path."""
+"""Cross-module surfaces: package exports, bundled lexicons, entity-tuple
+classifier path."""
 
+import importlib
 import shutil
 
 import numpy as np
@@ -10,6 +11,20 @@ from fuselab import numcore as nc
 from fuselab.datakit import BINARY_SPACE, Dataset, Publication, Vocab
 from fuselab.exceptions import ConfigError
 from fuselab.training import ModelConfig, build_model, predict_dataset
+
+
+@pytest.mark.parametrize("package", ["fuselab.numcore", "fuselab.training",
+                                     "fuselab.textprep"])
+def test_every_export_resolves_and_is_listed_once(package):
+    """A name deleted from a package but left in its __all__ would break
+    `from package import *`."""
+    module = importlib.import_module(package)
+    names = module.__all__
+    assert len(set(names)) == len(names), "a name is listed twice"
+    assert [name for name in names if not hasattr(module, name)] == []
+    star = {}
+    exec(f"from {package} import *", star)
+    assert set(names) <= set(star)
 
 
 class TestEntityTuplePath:

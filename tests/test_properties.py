@@ -148,7 +148,7 @@ SMOOTH_OPS = {
                                       [_t(r, 2, n, m), _t(r, 3, m), _t(r, 3, m), _t(r, 3),
                                        _t(r, 3)]),
     "cell_means": lambda r, n, m: (lambda x: nc.cell_means(x, 2), [_t(r, 2, n + 1, m + 1, 2)]),
-    "cross_entropy": lambda r, n, m: (lambda p, t=r.uniform(size=(n, m)): nc.cross_entropy(
+    "cross_entropy": lambda r, n, m: (lambda p, t=r.integers(0, m, size=n): nc.cross_entropy(
         t, _positive(p)), [_t(r, n, m)]),
     "stack": lambda r, n, m: (lambda a, b: nc.stack([a, b]), [_t(r, n, m), _t(r, n, m)]),
     "side_by_side": lambda r, n, m: (nc.side_by_side, [_t(r, 2, n, m)]),

@@ -36,7 +36,6 @@ from fuselab.training import (
     FusionModel,
     ModelConfig,
     TrainConfig,
-    batch_cross_entropy,
     build_model,
     evaluate_model,
     load_model,
@@ -63,52 +62,56 @@ def _model(ds, fusion="concat", seed=3, **extra):
     return build_model(mc, ds.label_space, vocab)
 
 
-def _row_ce(t, y):
-    """batch_cross_entropy of one target row against one prediction row."""
-    return batch_cross_entropy(np.array([t], dtype=np.float64), Tensor([y]))
+def _row_ce(label, y):
+    """nc.cross_entropy of one class index against one prediction row."""
+    return nc.cross_entropy(np.array([label]), Tensor([y]))
 
 
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
-        assert _row_ce([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]).data.item() == 0.0
+        assert _row_ce(1, [0.0, 1.0, 0.0]).data.item() == 0.0
 
     def test_uniform_prediction_is_log_c(self):
-        assert abs(_row_ce([1.0, 0.0], [0.5, 0.5]).data.item() - math.log(2)) < 1e-12
-        loss4 = _row_ce([0.0, 0.0, 1.0, 0.0], [0.25] * 4)
+        assert abs(_row_ce(0, [0.5, 0.5]).data.item() - math.log(2)) < 1e-12
+        loss4 = _row_ce(2, [0.25] * 4)
         assert abs(loss4.data.item() - math.log(4)) < 1e-12
 
     def test_hand_value(self):
-        loss = _row_ce([1.0, 0.0], [0.8, 0.2])
+        loss = _row_ce(0, [0.8, 0.2])
         assert abs(loss.data.item() - 0.223144) < 1e-6
         assert abs(loss.data.item() - (-math.log(0.8))) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            _row_ce([1.0, 0.0], [1.0, 0.0, 0.0])
+            nc.cross_entropy(np.array([0, 1]), Tensor([[1.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("labels", [[-1, 0], [0, 3], [[0], [1]], [0.0, 1.0]],
+                             ids=["minus-one", "num-classes", "column", "floats"])
+    def test_labels_outside_the_classes_or_misshapen(self, labels):
+        """Labels -1 and C, an (n, 1) label column and float labels are
+        each a ShapeError, as take_rows rejects an index out of range."""
+        with pytest.raises(ShapeError):
+            nc.cross_entropy(np.array(labels), Tensor(np.full((2, 3), 1.0 / 3)))
 
     def test_nonnegative_for_one_hot_targets(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             y = nc.softmax(Tensor(rng.normal(size=5))).data
-            t = np.zeros(5)
-            t[rng.integers(5)] = 1.0
-            assert _row_ce(t, y).data.item() >= 0.0
+            assert _row_ce(rng.integers(5), y).data.item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
-        t = np.zeros((1, 3))
-        t[0, 1] = 1.0
+        labels = np.array([1])
 
         def f(logits):
-            return batch_cross_entropy(t, nc.softmax(logits))
+            return nc.cross_entropy(labels, nc.softmax(logits))
 
         report = nc.grad_check(f, Tensor(np.random.default_rng(2).normal(size=(1, 3))),
                                h=1e-5, tol=1e-4)
         assert report.passed, report
 
     def test_batch_loss_is_mean_of_sample_losses(self):
-        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
         probs = Tensor(np.array([[0.8, 0.2], [0.4, 0.6]]))
-        plain = batch_cross_entropy(targets, probs).data.item()
+        plain = nc.cross_entropy(np.array([0, 1]), probs).data.item()
         expected = (-math.log(0.8) - math.log(0.6)) / 2
         assert abs(plain - expected) < 1e-12
 
@@ -880,31 +883,6 @@ class TestPrepare:
             main_objective(model, batch, model.encode(batch), None)
         truths, preds = predict_dataset(model, Dataset(pubs, ds.label_space))
         assert truths == ["a", "b", "c", "a", "z"] and len(preds) == 5
-
-    def test_targets_are_the_one_hot_labels_taken_with_the_rows(self):
-        """A batch builds its classification targets on the first ask and
-        keeps them; a take of it then slices them with the rows, and a
-        label outside the space gives none."""
-        from fuselab.training import one_hot
-
-        model, ds = self._text_model(9)
-        prepared = model.prepare(ds.publications)
-        rows = [8, 0, 2]
-        assert prepared.take(rows)._targets is None
-        targets = prepared.targets(3)
-        assert targets.tobytes() == one_hot(prepared.labels, 3).tobytes()
-        assert prepared.targets(3) is targets
-        assert prepared.take(rows)._targets.tobytes() == targets[rows].tobytes()
-        stray = Publication(id="stray", label="z", text="the cat")
-        assert model.prepare(ds.publications + [stray]).targets(3) is None
-
-    def test_prediction_builds_no_targets(self, monkeypatch):
-        from fuselab.training import model as model_module
-
-        model, ds = self._text_model(9)
-        monkeypatch.setattr(model_module, "one_hot", None)
-        truths, preds = predict_dataset(model, ds)
-        assert truths == [p.label for p in ds] and len(preds) == 9
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Golden-curve pin: the first 20 training steps of every shipped config,
-and the number of graph nodes each of their training steps records.
+the report files of each run, and the number of graph nodes each of
+their training steps records.
 
 Each run is a config from `configs/` with a smaller `synthetic_n` (every
 other setting as shipped). The committed files hold the `loss.csv` rows, the adversarial and
@@ -13,9 +14,12 @@ That command prints, before it overwrites a file, the max abs and rel
 drift of each column against the committed file and whether
 `test_macro_f1` changed: the lines to copy into CHANGES.md. It also
 deletes, and names, any file in `golden/` whose run has left RUNS.
+The report files (`metrics.txt` and `metrics.csv` as `run_experiment`
+lays them out) are pinned in REPORTS below, by hand.
 """
 
 import dataclasses
+import functools
 from pathlib import Path
 
 import pytest
@@ -38,11 +42,16 @@ RUNS = {
 }
 
 
-def _curve(name: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _run(name: str):
     config_file, n = RUNS[name]
     config = load_experiment_config(ROOT / "configs" / config_file)
     config.data.synthetic = dataclasses.replace(config.data.synthetic, n=n)
-    result = run_experiment(config)
+    return run_experiment(config)
+
+
+def _curve(name: str) -> str:
+    result = _run(name)
     curves = result.train_result.curves
     assert len(curves) >= STEPS, (name, len(curves))
     lines = ["step,J_C,J_F,J," + ",".join(PART_KEYS)]
@@ -58,6 +67,73 @@ def _curve(name: str) -> str:
 def test_first_steps_match_golden(name):
     expected = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8")
     assert _curve(name) == expected
+
+
+# run name -> (metrics.txt, metrics.csv) of its test split
+REPORTS = {
+    "text-only": ("""\
+Model | Input modes | Fusion type | P      | R      | F      | A
+------+-------------+-------------+--------+--------+--------+-------
+model | text        | none        | 0.6842 | 0.5385 | 0.3407 | 0.4000
+
+class                   P        R       F1  support
+0                  1.0000   0.0769   0.1429       13
+1                  0.3684   1.0000   0.5385        7
+macro              0.6842   0.5385   0.3407
+accuracy 0.4000 (uninformative under heavy class skew; prefer macro-F)
+""", """\
+Model,Input modes,Fusion type,P,R,F,A
+model,text,none,0.6842,0.5385,0.3407,0.4000
+"""),
+    "xor-auto": ("""\
+Model | Input modes | Fusion type | P      | R      | F      | A
+------+-------------+-------------+--------+--------+--------+-------
+model | image+text  | Auto-Fusion | 0.3818 | 0.3968 | 0.3651 | 0.3750
+
+class                   P        R       F1  support
+0                  0.3636   0.5714   0.4444        7
+1                  0.4000   0.2222   0.2857        9
+macro              0.3818   0.3968   0.3651
+accuracy 0.3750 (uninformative under heavy class skew; prefer macro-F)
+""", """\
+Model,Input modes,Fusion type,P,R,F,A
+model,image+text,Auto-Fusion,0.3818,0.3968,0.3651,0.3750
+"""),
+    "xor-concat": ("""\
+Model | Input modes | Fusion type | P      | R      | F      | A
+------+-------------+-------------+--------+--------+--------+-------
+model | image+text  | Concat      | 0.2812 | 0.5000 | 0.3600 | 0.5625
+
+class                   P        R       F1  support
+0                  0.0000   0.0000   0.0000        7
+1                  0.5625   1.0000   0.7200        9
+macro              0.2812   0.5000   0.3600
+accuracy 0.5625 (uninformative under heavy class skew; prefer macro-F)
+""", """\
+Model,Input modes,Fusion type,P,R,F,A
+model,image+text,Concat,0.2812,0.5000,0.3600,0.5625
+"""),
+    "xor-gan": ("""\
+Model | Input modes | Fusion type | P      | R      | F      | A
+------+-------------+-------------+--------+--------+--------+-------
+model | image+text  | GAN-Fusion  | 0.2188 | 0.5000 | 0.3043 | 0.4375
+
+class                   P        R       F1  support
+0                  0.4375   1.0000   0.6087        7
+1                  0.0000   0.0000   0.0000        9
+macro              0.2188   0.5000   0.3043
+accuracy 0.4375 (uninformative under heavy class skew; prefer macro-F)
+""", """\
+Model,Input modes,Fusion type,P,R,F,A
+model,image+text,GAN-Fusion,0.2188,0.5000,0.3043,0.4375
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_files_match_pinned(name):
+    result = _run(name)
+    assert (result.table_text, result.table_csv) == REPORTS[name]
 
 
 def test_every_golden_file_is_a_run():

@@ -21,8 +21,7 @@ from .datakit import (
     save_jsonl,
 )
 from .exceptions import DivergenceError, FuselabError
-from .experiment import describe_model, run_experiment
-from .metrics import ResultRow, format_csv, format_report, format_table
+from .experiment import render_report, run_experiment
 from .training import evaluate_model, load_model
 
 EXIT_OK = 0
@@ -51,7 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--binarize", action="store_true",
                         help="merge multi-class labels to Hate/NoHate before scoring")
     p_eval.add_argument("--out", type=Path, default=None,
-                        help="also write the metrics table here (.csv twin alongside)")
+                        help="also write the metrics table here, and its CSV to the "
+                             "same path with a .csv suffix (so this path must not "
+                             "end in .csv)")
 
     p_norm = sub.add_parser("normalize", help="normalize text, one string per line")
     p_norm.add_argument("--in", dest="inp", required=True, type=Path)
@@ -90,6 +91,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out is not None and args.out.suffix == ".csv":
+        raise FuselabError(f"--out {args.out}: the CSV is written to the same path "
+                           f"with a .csv suffix; give a path that does not end in .csv")
     model = load_model(args.model)
     dataset = load_jsonl(args.data)
     if args.binarize:
@@ -100,14 +104,12 @@ def cmd_eval(args) -> int:
             f"dataset {list(dataset.label_space.names)}"
             + ("" if args.binarize else " (did you mean --binarize?)"))
     report = evaluate_model(model, dataset)
-    modes, fusion_type = describe_model(model.config)
-    row = ResultRow(args.model.stem, modes, fusion_type, report)
-    text = format_table([row]) + "\n\n" + format_report(report) + "\n"
+    text, csv = render_report(args.model.stem, model.config, report)
     print(text, end="")
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text, encoding="utf-8")
-        args.out.with_suffix(".csv").write_text(format_csv([row]), encoding="utf-8")
+        args.out.with_suffix(".csv").write_text(csv, encoding="utf-8")
     return EXIT_OK
 
 

@@ -69,8 +69,6 @@ _SECTIONS = {
              **_keys(SyntheticSpec, "task", "n", prefix="synthetic_")},
     "train": _keys(TrainConfig, skip=("seed",)),
 }
-_MODEL_KEYS, _DATA_KEYS, _TRAIN_KEYS = (
-    set(_SECTIONS[name]) for name in ("model", "data", "train"))
 
 
 def _read(kind, text: str, where: str):

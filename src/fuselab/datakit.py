@@ -199,7 +199,8 @@ def save_jsonl(dataset: Dataset, path) -> None:
 
 def load_jsonl(path) -> Dataset:
     """Load a dataset; malformed lines raise ParseError with the 1-based
-    line number, schema violations raise SchemaError."""
+    line number, schema violations (a header after the first record
+    included) raise SchemaError."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"dataset file not found: {path}")
@@ -218,6 +219,9 @@ def load_jsonl(path) -> Dataset:
             if not isinstance(rec, dict):
                 raise ParseError(f"{path}:{lineno}: record must be an object", line=lineno)
             if "_schema" in rec:
+                if publications or label_space is not None:
+                    raise SchemaError(f"{path}:{lineno}: a label-space header must be "
+                                      f"the first record")
                 if rec["_schema"] != SCHEMA:
                     raise SchemaError(f"{path}:{lineno}: unknown schema {rec['_schema']!r}, "
                                       f"expected {SCHEMA!r}")

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from .config import ExperimentConfig
 from .datakit import Dataset, Vocab, generate_synthetic, load_jsonl, split_dataset
 from .exceptions import InputError
-from .metrics import MetricsReport, ResultRow, format_csv, format_report, format_table
+from .metrics import MetricsReport
 from .training import (
     FusionModel,
     TrainResult,
@@ -74,8 +74,39 @@ def describe_model(config: ModelConfig) -> Tuple[str, str]:
     return config.input_modes, "none"
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
-                   model_name: str = "model") -> ExperimentResult:
+TABLE_COLUMNS = ("Model", "Input modes", "Fusion type", "P", "R", "F", "A")
+
+
+def render_report(model_name: str, config: ModelConfig,
+                  report: MetricsReport) -> Tuple[str, str]:
+    """(metrics.txt, metrics.csv) of one model: the results table (one row
+    in the Model | Input modes | Fusion type | P | R | F | A layout, with
+    macro P, R and F), a blank line and the per-class breakdown; and the
+    table as CSV."""
+    r = report
+    row = (model_name, *describe_model(config),
+           *(f"{v:.4f}" for v in (r.macro_precision, r.macro_recall, r.macro_f1, r.accuracy)))
+    widths = [max(len(a), len(b)) for a, b in zip(TABLE_COLUMNS, row)]
+
+    def table_line(cells) -> str:
+        return " | ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+
+    lines = [table_line(TABLE_COLUMNS), "-+-".join("-" * w for w in widths),
+             table_line(row), "",
+             f"{'class':<16} {'P':>8} {'R':>8} {'F1':>8} {'support':>8}"]
+    for name, m in r.per_class.items():
+        lines.append(f"{name:<16} {m.precision:8.4f} {m.recall:8.4f} "
+                     f"{m.f1:8.4f} {m.support:8d}")
+    lines.append(f"{'macro':<16} {r.macro_precision:8.4f} "
+                 f"{r.macro_recall:8.4f} {r.macro_f1:8.4f}")
+    lines.append(f"accuracy {r.accuracy:.4f} "
+                 f"(uninformative under heavy class skew; prefer macro-F)")
+    csv = ",".join(TABLE_COLUMNS) + "\n" + ",".join(row) + "\n"
+    return "\n".join(lines) + "\n", csv
+
+
+def run_experiment(config: ExperimentConfig,
+                   out_dir: Optional[Path] = None) -> ExperimentResult:
     train_ds, val_ds, test_ds = prepare_data(config)
     histogram: dict = {}
     for part in (train_ds, val_ds, test_ds):
@@ -92,16 +123,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None,
                    val_dataset=val_ds if len(val_ds) else None)
     report = evaluate_model(model, test_ds)
 
-    modes, fusion_type = describe_model(config.model)
-    row = ResultRow(model_name, modes, fusion_type, report)
-    table_text = format_table([row]) + "\n\n" + format_report(report) + "\n"
-    table_csv = format_csv([row])
+    table_text, table_csv = render_report("model", config.model, report)
 
     artifacts: List[Path] = []
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        model_path = out_dir / f"{model_name}.fuse"
+        model_path = out_dir / "model.fuse"
         save_model(model, model_path)
         loss_path = out_dir / "loss.csv"
         loss_path.write_text(result.loss_csv(), encoding="utf-8")

@@ -188,7 +188,7 @@ def _loss_checks(rng: np.random.Generator, h: float, tol: float) -> List[CheckRe
     labels = np.array([1, 2])
     reports.append(grad_check(
         lambda logits: nc.cross_entropy(labels, nc.softmax(logits)),
-        Tensor(rng.normal(size=(2, 3))), h=h, tol=tol, label="loss batch_cross_entropy"))
+        Tensor(rng.normal(size=(2, 3))), h=h, tol=tol, label="loss cross_entropy"))
     return reports
 
 

@@ -91,12 +91,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _finite_or_raise(value: float, step: int, what: str) -> float:
-    if not np.isfinite(value):
-        raise DivergenceError(f"{what} became non-finite at step {step}", step=step)
-    return value
-
-
 def train(model: FusionModel, dataset: Dataset, config: TrainConfig,
           val_dataset: Optional[Dataset] = None) -> TrainResult:
     """Train in place and return the model with its per-step loss curves."""
@@ -141,11 +135,10 @@ def _train_step(model: FusionModel, batch: PreparedBatch, rng: np.random.Generat
     the discriminator step when a discriminator optimizer is given."""
     latents = model.encode(batch)
     if disc_opt is not None:
-        step_discriminator(model, latents, disc_opt, rng, step)
+        step_discriminator(model, latents, disc_opt, rng)
 
     objective = main_objective(model, batch, latents, rng)
     j = objective.j
-    _finite_or_raise(float(j.data), step, "training objective")
     grads = j.backward(main_opt.params)
     recurrent = model.recurrent_parameters()
     if recurrent:
@@ -155,15 +148,15 @@ def _train_step(model: FusionModel, batch: PreparedBatch, rng: np.random.Generat
 
     return LossReport(
         step=step,
-        j_c=_finite_or_raise(float(objective.j_c.data), step, "J_C"),
-        j_f=_finite_or_raise(objective.j_f, step, "J_F"),
+        j_c=float(objective.j_c.data),
+        j_f=objective.j_f,
         j=float(j.data),
         parts=objective.parts,
     )
 
 
 def step_discriminator(model: FusionModel, latents: Dict[str, Tensor], disc_opt,
-                       rng: np.random.Generator, step: int) -> None:
+                       rng: np.random.Generator) -> None:
     """One ascent update on J_adv, the sum of both modules' objectives,
     from one stacked pass; only discriminator parameters change.
 
@@ -178,7 +171,6 @@ def step_discriminator(model: FusionModel, latents: Dict[str, Tensor], disc_opt,
     with nc.no_graph():
         z_g = mech.modules.generate(source, noise)
     j_adv = nc.tsum(mech.modules.adversarial(real, z_g).j_adv)
-    _finite_or_raise(float(j_adv.data), step, "J_adv")
     disc_opt.step(nc.neg(j_adv).backward(disc_opt.params))  # ascent on J_adv
 
 

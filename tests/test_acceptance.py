@@ -365,7 +365,7 @@ def test_criterion_10_parameter_partition_100_steps():
             batch = model.prepare([ds.publications[i] for i in idx])
             main_before = [p.data.copy() for p in main_params]
             latents = model.encode(batch)  # as _train_step passes them
-            step_discriminator(model, latents, disc_opt, rng, steps)
+            step_discriminator(model, latents, disc_opt, rng)
             for before, p in zip(main_before, main_params):
                 assert np.array_equal(before, p.data), \
                     f"discriminator update moved {p.name} at step {steps}"

@@ -165,14 +165,28 @@ class TestEvalCommand:
         data = tmp_path / "ds.jsonl"
         assert main(["synth", "--task", "xor-crossmodal", "--n", "40",
                      "--seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
         report = tmp_path / "report.txt"
         assert main(["eval", "--model", str(model), "--data", str(data),
                      "--out", str(report)]) == 0
-        capsys.readouterr()
-        assert report.exists()
+        assert report.read_text() == capsys.readouterr().out
         csv_twin = report.with_suffix(".csv")
         assert csv_twin.exists()
         assert csv_twin.read_text().startswith("Model,Input modes,Fusion type")
+
+    def test_out_ending_in_csv_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # the CSV would go to the same path and overwrite the table
+        model = self._trained(tmp_path, capsys)
+        data = tmp_path / "ds.jsonl"
+        assert main(["synth", "--task", "xor-crossmodal", "--n", "40",
+                     "--seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "out" / "report.csv"
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "report.csv" in captured.err
+        assert not report.parent.exists()
 
     def test_binarize_equals_premerged(self, tmp_path, capsys):
         """--binarize on a multi-class dataset scores the same as a
@@ -527,8 +541,7 @@ class TestConfigParsing:
         from fuselab import config as config_module
 
         assert {s: set(keys) for s, keys in self.KNOBS.items()} == {
-            "model": config_module._MODEL_KEYS, "data": config_module._DATA_KEYS,
-            "train": config_module._TRAIN_KEYS}
+            s: set(config_module._SECTIONS[s]) for s in ("model", "data", "train")}
 
         def parsed(sections):
             body = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())

@@ -162,6 +162,19 @@ class TestJsonl:
                                               r"'fuselab/publications@1'"):
             load_jsonl(path)
 
+    def test_header_after_the_first_record_is_schema_error_with_line(self, tmp_path):
+        def header(*names):
+            return {"_schema": "fuselab/publications@1",
+                    "label_space": {"names": list(names), "mode": "multi"}}
+
+        a, b = ({"id": i, "label": "X", "text": "x"} for i in "ab")
+        path = tmp_path / "ds.jsonl"
+        for records, line in (([a, header("X", "Y"), b, header("Y", "X", "Z")], 2),
+                              ([header("X", "Y"), header("Y", "X"), a], 2)):
+            path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+            with pytest.raises(SchemaError, match=rf"ds\.jsonl:{line}: .*first record"):
+                load_jsonl(path)
+
     @pytest.mark.parametrize("field", ["visual_features", "entity_features"])
     def test_precomputed_vector_field_is_schema_error_with_line(self, tmp_path, field):
         path = tmp_path / "ds.jsonl"

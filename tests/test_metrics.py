@@ -1,17 +1,13 @@
-"""Confusion bookkeeping and metric formulas against brute-force recounts."""
+"""Per-class counts and metric formulas against brute-force recounts."""
 
 import numpy as np
 import pytest
 
 from fuselab.datakit import BINARY_SPACE, LabelSpace, merge_to_binary
 from fuselab.exceptions import InputError
-from fuselab.metrics import (
-    ResultRow,
-    confusion,
-    evaluate,
-    format_csv,
-    format_table,
-)
+from fuselab.experiment import render_report
+from fuselab.metrics import evaluate
+from fuselab.training import ModelConfig
 
 HAND_TRUTHS = ["H", "H", "H", "H", "N", "N", "N", "N", "N", "N"]
 HAND_PREDS = ["H", "H", "H", "N", "H", "N", "N", "N", "N", "N"]
@@ -20,27 +16,35 @@ HN_SPACE = LabelSpace(("H", "N"), "binary")
 
 class TestConfusion:
     def test_perfect_predictor_has_no_errors(self):
-        counts = confusion(HAND_TRUTHS, HAND_TRUTHS, HN_SPACE)
-        for c in counts.per_class.values():
-            assert c.fp == 0 and c.fn == 0
+        report = evaluate(HAND_TRUTHS, HAND_TRUTHS, HN_SPACE)
+        for m in report.per_class.values():
+            assert (m.precision, m.recall) == (1.0, 1.0)
+        assert [m.support for m in report.per_class.values()] == [4, 6]
 
     def test_hand_count(self):
-        counts = confusion(HAND_TRUTHS, HAND_PREDS, HN_SPACE)
-        h = counts.per_class["H"]
-        assert (h.tp, h.fp, h.fn, h.tn) == (3, 1, 1, 5)
+        # H: 3 true positives of 4 predictions and of 4 truths
+        h = evaluate(HAND_TRUTHS, HAND_PREDS, HN_SPACE).per_class["H"]
+        assert (h.precision, h.recall, h.support) == (3 / 4, 3 / 4, 4)
 
     def test_single_correct_sample(self):
-        counts = confusion(["H"], ["H"], HN_SPACE)
-        assert counts.per_class["H"].tp == 1
-        assert counts.per_class["N"].tn == 1
+        report = evaluate(["H"], ["H"], HN_SPACE)
+        h, n = report.per_class["H"], report.per_class["N"]
+        assert (h.precision, h.recall, h.support) == (1.0, 1.0, 1)
+        assert (n.precision, n.recall, n.support) == (0.0, 0.0, 0)
+        assert report.accuracy == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            confusion(["H"], ["H", "N"], HN_SPACE)
+            evaluate(["H"], ["H", "N"], HN_SPACE)
 
     def test_unknown_label(self):
+        for truths, preds in ((["H"], ["X"]), (["X"], ["H"])):
+            with pytest.raises(InputError, match="'X'"):
+                evaluate(truths, preds, HN_SPACE)
+
+    def test_empty_input(self):
         with pytest.raises(InputError):
-            confusion(["H"], ["X"], HN_SPACE)
+            evaluate([], [], HN_SPACE)
 
 
 class TestComputeMetrics:
@@ -129,15 +133,6 @@ class TestOracleEquivalence:
             overall = sum(1 for t, p in zip(truths, preds) if t == p) / n
             assert abs(report.accuracy - overall) < 1e-12
 
-    def test_binary_accuracy_identical_from_either_class(self):
-        rng = np.random.default_rng(5)
-        names = ("Hate", "NoHate")
-        truths = [names[i] for i in rng.integers(0, 2, size=100)]
-        preds = [names[i] for i in rng.integers(0, 2, size=100)]
-        counts = confusion(truths, preds, BINARY_SPACE)
-        accs = {(c.tp + c.tn) / counts.n_samples for c in counts.per_class.values()}
-        assert len(accs) == 1
-
     def test_binary_merge_then_metrics_equals_metrics_in_binary_space(self):
         from fuselab.datakit import HATE_SPEECH_SPACE
         rng = np.random.default_rng(17)
@@ -154,10 +149,11 @@ class TestOracleEquivalence:
 class TestFormatting:
     def test_table_layout(self):
         report = evaluate(HAND_TRUTHS, HAND_PREDS, HN_SPACE)
-        row = ResultRow("M2", "image+text", "GAN-Fusion", report)
-        text = format_table([row])
-        assert "Model" in text and "Fusion type" in text
-        assert "GAN-Fusion" in text
-        csv = format_csv([row])
-        assert csv.startswith("Model,Input modes,Fusion type,P,R,F,A")
-        assert "0.7917" in csv
+        text, csv = render_report("M2", ModelConfig(fusion="gan"), report)
+        assert text.splitlines()[:3] == [
+            "Model | Input modes | Fusion type | P      | R      | F      | A",
+            "------+-------------+-------------+--------+--------+--------+-------",
+            "M2    | image+text  | GAN-Fusion  | 0.7917 | 0.7917 | 0.7917 | 0.8000"]
+        assert text.splitlines()[3] == "" and text.endswith("prefer macro-F)\n")
+        assert csv == ("Model,Input modes,Fusion type,P,R,F,A\n"
+                       "M2,image+text,GAN-Fusion,0.7917,0.7917,0.7917,0.8000\n")

@@ -206,7 +206,7 @@ class TestParameterPartition:
                 batch = model.prepare([ds.publications[i] for i in idx])
                 main_before = [p.data.copy() for p in main_params]
                 latents = model.encode(batch)  # as _train_step passes them
-                step_discriminator(model, latents, disc_opt, rng, step)
+                step_discriminator(model, latents, disc_opt, rng)
                 for before, p in zip(main_before, main_params):
                     assert np.array_equal(before, p.data), \
                         f"discriminator step moved {p.name} at step {step}"
@@ -248,7 +248,7 @@ class TestParameterPartition:
                 latents = {name: z.detach() for name, z in latents.items()}
             rng = np.random.default_rng(7)
             for _ in range(2):  # the second step reads the same latents
-                step_discriminator(model, latents, recorder, rng, 0)
+                step_discriminator(model, latents, recorder, rng)
             monkeypatch.undo()
             runs.append(([[g.tobytes() for g in step] for step in grads], called))
         (detached, detached_called), (encoded, encoded_called) = runs

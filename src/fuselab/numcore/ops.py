@@ -22,10 +22,16 @@ layers of one shape side by side over a (K, batch, in) stack, each slab
 through its own weight and bias tensors; stack and side_by_side move
 tensors in and out of such stacks.
 
-conv2d is one matrix product over im2col columns (each output position's
-window as a row, built from a strided view); its backward builds the
+conv2d is one matrix product over im2col columns laid out by channel
+count: a 1-channel grid (the raw input) as tap-major rows, one per kernel
+tap, and any other as position-major rows, each output position's window
+as a row; both are built from a strided view. Its backward builds the
 columns again instead of holding them with the graph, so a recorded conv
 holds its input grid, not the kh*kw times larger columns.
+
+The reductions' backward closures fill one fresh array each: tsum and
+tmean broadcast g into np.empty, and cell_means divides g by the cell
+counts once and repeats each cell over its grid rows and columns.
 
 Shape discipline: operand shapes must conform exactly; the only implicit
 broadcast is scalar-with-tensor. Batched ops (dense, row_scale,
@@ -42,6 +48,7 @@ error, as is division by zero.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -272,10 +279,9 @@ def tsum(a: Arrayish, axis: Axis = None) -> Tensor:
     out = np.sum(a.data, axis=axis)
 
     def backward(g, needs):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gx = np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.shape).copy(),)
+        ga = np.empty(a.shape)
+        ga[...] = g if axis is None else np.expand_dims(g, axis)
+        return (ga,)
 
     return Tensor._from_op(np.asarray(out), "sum", (a,), backward)
 
@@ -285,16 +291,15 @@ def tmean(a: Arrayish, axis: Axis = None) -> Tensor:
     if axis is None:
         count = a.size
     elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
+        count = math.prod(a.shape[ax] for ax in axis)
     else:
         count = a.shape[axis]
     out = _mean(a.data, axis, count)
 
     def backward(g, needs):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.shape).copy(),)
-        gx = np.expand_dims(g, axis) / count
-        return (np.broadcast_to(gx, a.shape).copy(),)
+        ga = np.empty(a.shape)
+        ga[...] = (g if axis is None else np.expand_dims(g, axis)) / count
+        return (ga,)
 
     return Tensor._from_op(np.asarray(out), "mean", (a,), backward)
 
@@ -731,6 +736,19 @@ def _columns(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return windows.reshape(b_ * ho * wo, kh * kw * c)
 
 
+def _taps(xd: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The transpose of the im2col matrix of (batch, H, W, 1) grids, laid
+    out tap-major: one row per kernel tap (p, q), in kernel order, holding
+    that tap's value at every output position, copied from one strided
+    view."""
+    b_, h, w, _ = xd.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    s0, s1, s2, _ = xd.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xd, shape=(kh, kw, b_, ho, wo), strides=(s1, s2, s0, s1, s2), writeable=False)
+    return taps.reshape(kh * kw, b_ * ho * wo)
+
+
 def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor, relu: bool = False) -> Tensor:
     """Stride-1 valid 2-D convolution of (batch, H, W, C) grids with
     kernel (kh, kw, C, F), plus one bias (F,) per filter, and with relu
@@ -739,12 +757,21 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor, relu: bool = False) -> Ten
     Lowered to matrix products over the im2col columns (one row per
     output position, its (kh, kw, C) window flattened): the output is
     columns @ kernel, the kernel gradient columns.T @ g and the grid
-    gradient g @ kernel.T, scattered back tap by tap. The backward
-    rebuilds the columns rather than keeping them alive with the graph,
-    and computes no grid gradient for a grid that needs none (the raw
-    input grids). The relu's mask is read from the node's own output, so
-    a conv without relu holds nothing larger than its grid, and one with
-    relu nothing larger than its output."""
+    gradient g @ kernel.T, copied tap-major and added back tap by tap.
+
+    The columns are laid out by channel count. A 1-channel grid, the raw
+    input the first conv reads, takes tap-major rows (_taps) when the
+    kernel has at most 3x3 taps and two or more filters: there the
+    products taps.T @ kernel and (g.T @ taps.T).T were measured bitwise
+    equal to the position-major ones, at about half their cost. A single
+    filter, or 16 or more taps with few filters, takes another BLAS path
+    whose sums differ, so those, and grids with more channels, keep
+    position-major rows. The backward rebuilds the columns rather than
+    keeping them alive with the graph, and computes no grid gradient for
+    a grid that needs none (the raw input grids). The relu's mask is read
+    from the node's own output, so a conv without relu holds nothing
+    larger than its grid, and one with relu nothing larger than its
+    output."""
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be (kh, kw, cin, cout), got {kernel.shape}")
@@ -761,7 +788,9 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor, relu: bool = False) -> Ten
     ho, wo = h - kh + 1, w - kw + 1
     xd = x.data
     km = kernel.data.reshape(kh * kw * c, cout)
-    out = (_columns(xd, kh, kw) @ km).reshape(b_, ho, wo, cout)
+    tap_major = c == 1 and cout > 1 and kh * kw <= 9
+    out = _taps(xd, kh, kw).T @ km if tap_major else _columns(xd, kh, kw) @ km
+    out = out.reshape(b_, ho, wo, cout)
     out += bias.data
     rectified = np.maximum(out, 0.0, out=out) if relu else None
 
@@ -770,14 +799,18 @@ def conv2d(x: Arrayish, kernel: Tensor, bias: Tensor, relu: bool = False) -> Ten
         if rectified is not None:
             g = g * (rectified > 0.0)
         g2 = g.reshape(-1, cout)
-        gk = (_columns(xd, kh, kw).T @ g2).reshape(kernel.shape) if need_k else None
+        gk = None
+        if need_k:
+            gk = ((g2.T @ _taps(xd, kh, kw).T).T if tap_major
+                  else _columns(xd, kh, kw).T @ g2).reshape(kernel.shape)
         gx = None
         if need_x:
             gcols = (g2 @ km.T).reshape(b_, ho, wo, kh, kw, c)
+            gtaps = np.ascontiguousarray(gcols.transpose(3, 4, 0, 1, 2, 5))
             gx = np.zeros_like(xd)
             for p in range(kh):
                 for q in range(kw):
-                    gx[:, p : p + ho, q : q + wo, :] += gcols[:, :, :, p, q, :]
+                    gx[:, p : p + ho, q : q + wo, :] += gtaps[p, q]
         gb = g.sum(axis=(0, 1, 2)) if need_b else None
         return gx, gk, gb
 
@@ -824,7 +857,11 @@ def cell_means(x: Arrayish, grid: int) -> Tensor:
     rows round(i*H/grid) to round((i+1)*H/grid) and the columns cut
     likewise, and the cells' channel means follow in row-major order.
     Each cell is one mean, as np.mean computes it, so the values are
-    those of a slice, mean and concat chain; uneven cells (odd H or W) are averaged as such."""
+    those of a slice, mean and concat chain; uneven cells (odd H or W) are averaged as such.
+
+    The backward divides g by each cell's count once, then repeats each
+    cell over its grid rows and columns, and adds 0.0 as the chain's
+    scatter into zeros did, so a -0.0 gradient becomes +0.0 there too."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"cell_means: expected (batch, H, W, C), got {x.shape}")
@@ -843,9 +880,10 @@ def cell_means(x: Arrayish, grid: int) -> Tensor:
                          axis=1)
 
     def backward(g, needs):
-        gx = np.zeros_like(xd)
-        for k, (cell, count) in enumerate(zip(cells, counts)):
-            gx[cell] += np.expand_dims(g[:, k * c : (k + 1) * c], (1, 2)) / count
-        return (gx,)
+        per_cell = g.reshape(b_, grid, grid, c) / np.reshape(counts, (grid, grid, 1))
+        # each cell row repeated over its grid rows, each cell column over
+        # its grid columns
+        gx = np.repeat(np.repeat(per_cell, np.diff(h_cuts), axis=1), np.diff(w_cuts), axis=2)
+        return (np.add(gx, 0.0, out=gx),)
 
     return Tensor._from_op(out, "cell_means", (x,), backward)

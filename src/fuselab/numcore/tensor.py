@@ -22,7 +22,20 @@ A node's closure is called as ``closure(g, needs)``: g is d(loss)/d(node)
 and needs holds one bool per parent, True where that parent has a
 tensor of wrt at or below it. It returns one gradient per parent, in
 order, and None for each parent whose entry in needs is False, which it
-need not compute; ``backward`` reads only the needed entries.
+need not compute; ``backward`` reads only the needed entries. It must not
+write into g, which may be a wanted tensor's flow that backward copies
+for the caller only after the walk.
+
+The walk keys its sets and dicts on the tensors themselves (Tensor has
+no ``__eq__``, so it hashes by identity). A depth-first walk from the
+loss, over each node's parents last first, lists the nodes whose
+closures run, parents before children; backward runs them in reverse and
+adds each gradient a closure returns to the flow its parent has so far.
+That order is part of the gradients' bits: a tensor that receives three
+or more flows sums them in it (two flows give the same bits in either
+order), so it must not change. tests/reference_ops.py keeps the walk
+keyed on id() that fixed it, and the tests compare every gradient of the
+shipped training steps with that walk's.
 
 Graph construction and backward are single-threaded per graph; distinct
 graphs are independent (there is no global tape) and may run on distinct
@@ -64,6 +77,8 @@ class _GraphMode(threading.local):
 
 
 _mode = _GraphMode()
+
+_ZERO = np.zeros(())
 
 
 @contextmanager
@@ -157,46 +172,51 @@ class Tensor:
                                 "so no gradient would reach any parameter")
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
-        wanted = {id(t) for t in wrt}
-        found: dict = {}
-        flows = {id(self): np.ones_like(self.data)}
+        wanted = set(wrt)
+        flows = {self: np.ones_like(self.data)}
         for node, needs in reversed(self._topo_order(wanted)):
-            # every live node below the loss has a live child, which sent it a flow
-            g = flows.pop(id(node))
-            if id(node) in wanted:
-                # a flow may be shared with another node; the caller gets its own
-                found[id(node)] = 0.0 + g
-            if not any(needs):
-                continue
+            # every live node below the loss has a live child, which sent it
+            # a flow; a wanted node's flow stays for the caller
+            g = flows[node] if node in wanted else flows.pop(node)
             for parent, need, pg in zip(node._parents, needs, node._backward(g, needs)):
                 if need:
-                    key = id(parent)
-                    flows[key] = flows[key] + pg if key in flows else pg
-        return [found.get(id(t)) for t in wrt]
+                    sent = flows.get(parent)
+                    flows[parent] = pg if sent is None else sent + pg
+        # a flow may be shared with another node, so the caller gets its own
+        # copy; adding a 0-d zero, not the float 0.0, skips a scalar
+        # conversion and rounds the same: -0.0 becomes +0.0
+        return [None if (g := flows.get(t)) is None else g + _ZERO for t in wrt]
 
     def _topo_order(self, wanted: set) -> List[Tuple["Tensor", Tuple[bool, ...]]]:
-        """Post-order DFS over the nodes with a wanted id at or below them,
-        each with its needs: per parent, whether that parent is such a
-        node. Parents precede children, so are judged first."""
+        """The nodes whose closures backward runs, parents before children,
+        each with its needs: per parent, whether a wanted tensor lies at or
+        below it, which makes the parent live. A wanted tensor is live, and
+        so is a node with a live parent; backward runs the closure of the
+        latter only.
+
+        A post-order DFS from the loss: each stack entry resumes an
+        iterator over its node's parents, last parent first, so every
+        parent is visited once, and a leaf (no parents) needs no entry, as
+        only a wanted one is live. A node is judged after all its parents.
+        The order fixes the order in which backward sums a tensor's flows
+        (see the module docstring)."""
         order: list = []
-        live = set()
+        live = set(wanted)
         seen = set()
-        stack: list = [(self, False)]
+        stack: list = [(self, reversed(self._parents))]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                needs = tuple(id(p) in live for p in node._parents)
-                if id(node) in wanted or any(needs):
-                    live.add(id(node))
+            node, parents = stack[-1]
+            for p in parents:
+                if p._parents and p not in seen:
+                    seen.add(p)
+                    stack.append((p, reversed(p._parents)))
+                    break
+            else:
+                stack.pop()
+                needs = tuple([p in live for p in node._parents])
+                if True in needs:
+                    live.add(node)
                     order.append((node, needs))
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
         return order
 
     # -- reshaping, which the encoders write as a method -------------------

@@ -533,8 +533,10 @@ def load_model(path) -> FusionModel:
     if header["params"] != _manifest(named):
         raise FormatError(f"{path}: header 'params' does not list the names and "
                           f"shapes of the parameters its config builds")
-    for _, p in named:  # the manifest check above fixed their total size
-        block = raw[offset : offset + 8 * p.size]
-        p.data = np.frombuffer(block, dtype="<f8").reshape(p.shape).copy()
-        offset += len(block)
+    for name, p in named:  # the manifest check above fixed their total size
+        block = np.frombuffer(raw, dtype="<f8", count=p.size, offset=offset)
+        if not np.isfinite(block).all():
+            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
+        p.data = block.reshape(p.shape).copy()
+        offset += 8 * p.size
     return model

@@ -6,7 +6,9 @@ linear, relu and sigmoid are the steps dense fuses with its activation
 cell is built from them; tslice is basic indexing as a graph node, the
 op the summary grid and that cell were built from; argmax_maxpool2d is
 max pooling as it was before its forward became strided np.maximums.
-Each is written exactly as the library wrote it.
+topo_order and backward are the backward walk as it was keyed on id(),
+whose order of summing flows the library's walk keeps. Each is written
+exactly as the library wrote it.
 """
 
 import numpy as np
@@ -97,3 +99,48 @@ def argmax_maxpool2d(x: nc.Tensor, size: int = 2) -> nc.Tensor:
         return (gx,)
 
     return nc.Tensor._from_op(out, "maxpool2d", (x,), backward)
+
+
+def topo_order(loss: nc.Tensor, wanted: set):
+    """Tensor._topo_order as it was keyed on id(): wanted holds ids."""
+    order = []
+    live = set()
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            needs = tuple(id(p) in live for p in node._parents)
+            if id(node) in wanted or any(needs):
+                live.add(id(node))
+                order.append((node, needs))
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def backward(loss: nc.Tensor, wrt, flow_counts=None):
+    """Tensor.backward as it was keyed on id(). With a dict flow_counts,
+    it also counts there, per node, the flows that node received."""
+    wanted = {id(t) for t in wrt}
+    found = {}
+    flows = {id(loss): np.ones_like(loss.data)}
+    for node, needs in reversed(topo_order(loss, wanted)):
+        g = flows.pop(id(node))
+        if id(node) in wanted:
+            found[id(node)] = 0.0 + g
+        if not any(needs):
+            continue
+        for parent, need, pg in zip(node._parents, needs, node._backward(g, needs)):
+            if need:
+                key = id(parent)
+                flows[key] = flows[key] + pg if key in flows else pg
+                if flow_counts is not None:
+                    flow_counts[parent] = flow_counts.get(parent, 0) + 1
+    return [found.get(id(t)) for t in wrt]

@@ -331,8 +331,25 @@ class TestSynthCommand:
 
 
 class TestGradcheckCommand:
-    def test_impossible_tolerance_fails(self, capsys):
+    def test_impossible_tolerance_fails(self, capsys, monkeypatch):
+        """A failing check exits 1 and prints its line. The suite is stubbed
+        with one failing report: the exit code and the lines depend only on
+        the reports, and the real suite runs in criterion 2."""
+        from fuselab import gradsuite
+        from fuselab.numcore.gradcheck import CheckReport
+
+        failing = CheckReport(max_rel_err=3e-17, passed=False, label="op stub")
+        asked = []
+
+        def suite(tol, h):
+            asked.append(tol)
+            return [failing]
+
+        monkeypatch.setattr(gradsuite, "run_gradient_suite", suite)
         assert main(["gradcheck", "--tol", "1e-18"]) == 1
+        assert asked == [1e-18]
+        assert capsys.readouterr().out.splitlines() == [
+            "op stub: max_rel_err=3.000e-17 [FAIL]", "0/1 checks passed at tol 1e-18"]
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--step", "0", "step h"), ("--step", "-0.001", "step h"),

@@ -1,6 +1,7 @@
 """Golden-curve pin: the first 20 training steps of every shipped config,
-the report files of each run, and the number of graph nodes each of
-their training steps records.
+the report files of each run, the number of graph nodes each of their
+training steps records, and the bytes and flow order of that step's
+gradients.
 
 Each run is a config from `configs/` with a smaller `synthetic_n` (every
 other setting as shipped). The committed files hold the `loss.csv` rows, the adversarial and
@@ -206,6 +207,52 @@ def test_discriminator_step_records_no_generator_node(monkeypatch):
     config.train = dataclasses.replace(config.train, epochs=1)
     run_experiment(config)
     assert steps == [DISC_STEP_NODES] * 2, steps
+
+
+# Per backward call of one training step (on xor-gan the discriminator
+# step's comes first), the nodes that receive three or more gradient
+# flows, as (op or parameter name, shape, flows). IEEE addition is
+# commutative, so two flows sum to the same bits in either order; three
+# or more must be summed in the order of the walk that
+# tests/reference_ops.backward keeps. No shipped step has such a node.
+MANY_FLOW_NODES = {"xor-gan.ini": [[], []], "xor-auto.ini": [[]], "xor-concat.ini": [[]],
+                   "text-only.ini": [[]]}
+
+
+@pytest.mark.parametrize("config_file", sorted(MANY_FLOW_NODES))
+def test_training_step_gradients_are_the_reference_walks_bytes(monkeypatch, config_file):
+    """Every gradient of the first training step's backward calls is, in
+    shape and bytes, the one reference_ops.backward returns, and the nodes
+    that sum three or more flows are MANY_FLOW_NODES's."""
+    import reference_ops
+    from fuselab.numcore import Tensor
+    from fuselab.training import loop
+
+    calls, first = [], []
+    backward, train_step = Tensor.backward, loop._train_step
+
+    def checked_backward(loss, wrt):
+        got = backward(loss, wrt)
+        if len(first) == 1:
+            flows = {}
+            want = reference_ops.backward(loss, wrt, flows)
+            assert [None if g is None else (g.shape, g.tobytes()) for g in got] == \
+                [None if g is None else (g.shape, g.tobytes()) for g in want]
+            calls.append(sorted((t.name or t._op, t.shape, n)
+                                for t, n in flows.items() if n >= 3))
+        return got
+
+    def first_step(*args, **kwargs):
+        first.append(None)
+        return train_step(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", checked_backward)
+    monkeypatch.setattr(loop, "_train_step", first_step)
+    config = load_experiment_config(ROOT / "configs" / config_file)
+    config.data.synthetic = dataclasses.replace(config.data.synthetic, n=80)
+    config.train = dataclasses.replace(config.train, epochs=1)
+    run_experiment(config)
+    assert calls == MANY_FLOW_NODES[config_file]
 
 
 def _columns(text: str) -> dict:

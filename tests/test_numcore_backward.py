@@ -8,6 +8,8 @@ import pytest
 from fuselab import numcore as nc
 from fuselab.exceptions import ContractError, DomainError
 
+import reference_ops
+
 
 def _plain(t):
     """No graph attached: no parents and no backward closure."""
@@ -142,6 +144,25 @@ def test_shared_subexpression_sums_contributions():
     y = nc.mul(x, x)  # d/dx = 2x
     loss = nc.add(y, y)  # total d/dx = 4x
     assert loss.backward([x]) == [8.0]
+
+
+def test_three_flows_into_a_tensor_sum_in_the_reference_walks_order():
+    """A tensor read by three nodes receives three flows, and float
+    addition is not associative: flows of 1e16, 1.0 and -1e16 sum to 0.0 or
+    1.0 by their order. Whichever node reads which constant, the walk sums
+    them as the id()-keyed walk it replaced did (reference_ops.backward)."""
+    sums = set()
+    for constants in itertools.permutations((1e16, 1.0, -1e16)):
+        x = nc.Tensor(np.ones(2))
+        a, b, c = (nc.mul(x, nc.Tensor(np.full(2, k))) for k in constants)
+        loss = nc.tsum(nc.add(nc.add(a, b), c))
+        flows = {}
+        (want,) = reference_ops.backward(loss, [x], flows)
+        (got,) = loss.backward([x])
+        assert flows[x] == 3
+        assert got.tobytes() == want.tobytes(), constants
+        sums.add(float(got[0]))
+    assert sums == {0.0, 1.0}
 
 
 def test_concat_gradient_splits_exactly():

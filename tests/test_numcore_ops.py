@@ -133,12 +133,49 @@ def test_conv2d_known_kernel():
 
 def test_conv2d_graph_holds_no_columns():
     """The backward rebuilds the im2col columns (kh*kw times the grid's
-    size), so the recorded node holds no array larger than its grid."""
+    size), position-major or tap-major, so the recorded node holds no
+    array larger than its grid."""
     r = np.random.default_rng(0)
-    x = nc.Tensor(r.normal(size=(4, 8, 8, 2)))
-    out = nc.conv2d(x, nc.Tensor(r.normal(size=(3, 3, 2, 5))), nc.Tensor(r.normal(size=5)))
-    held = [cell.cell_contents for cell in out._backward.__closure__]
-    assert max(a.size for a in held if isinstance(a, np.ndarray)) <= x.data.size
+    for channels in (2, 1):
+        x = nc.Tensor(r.normal(size=(4, 8, 8, channels)))
+        out = nc.conv2d(x, nc.Tensor(r.normal(size=(3, 3, channels, 5))),
+                        nc.Tensor(r.normal(size=5)))
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        assert max(a.size for a in held if isinstance(a, np.ndarray)) <= x.data.size
+
+
+# (batch, H, W, 1) grids and (3, 3, 1, F) kernels: train's conv1, eval's
+# requests of 32 and chunks of 64 (training.loop.PREDICT_BATCH), odd
+# batches, and the gradient suite's grid
+TAP_MAJOR_SHAPES = [((32, 12, 12, 1), 4), ((64, 12, 12, 1), 4), ((1, 12, 12, 1), 4),
+                    ((7, 12, 12, 1), 4), ((13, 12, 12, 1), 4), ((33, 12, 12, 1), 4),
+                    ((47, 12, 12, 1), 8), ((5, 9, 11, 1), 2), ((1, 6, 6, 1), 2)]
+
+
+@pytest.mark.parametrize("grid, filters", TAP_MAJOR_SHAPES)
+def test_conv2d_tap_major_products_are_the_position_major_bytes(grid, filters):
+    """On a 1-channel grid, conv2d multiplies tap-major columns. Its output
+    and kernel gradient are tobytes()-equal to the products over the
+    position-major im2col rows (_columns), which grids with more channels
+    use. This equality is a measured property of the BLAS, not one the
+    algebra guarantees, so it is tested at the shapes the models run."""
+    from fuselab.numcore.ops import _columns, _taps
+
+    r = np.random.default_rng(grid[0])
+    x = nc.Tensor(r.normal(size=grid))
+    kernel = nc.Tensor(r.normal(size=(3, 3, 1, filters)))
+    bias = nc.Tensor(r.normal(size=filters))
+    km = kernel.data.reshape(9, filters)
+    cols = _columns(x.data, 3, 3)
+    assert (_taps(x.data, 3, 3).T @ km).tobytes() == (cols @ km).tobytes()
+
+    out = nc.conv2d(x, kernel, bias)
+    want = (cols @ km).reshape(out.shape)
+    want += bias.data
+    assert out.data.tobytes() == want.tobytes()
+    g = r.normal(size=out.shape)
+    _, gk, _ = out._backward(g, (False, True, True))
+    assert gk.tobytes() == (cols.T @ g.reshape(-1, filters)).reshape(kernel.shape).tobytes()
 
 
 def test_conv2d_with_relu_graph_holds_nothing_beyond_its_output():

@@ -1121,6 +1121,43 @@ class TestPersistence:
         save_jsonl(ds, data)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("text.embed.matrix", math.nan), ("classifier.bias", math.inf)],
+        ids=["nan-in-the-empty-text-row", "inf-in-the-classifier-bias"])
+    def test_non_finite_parameter_is_format_error(self, tmp_path, capsys, name, value):
+        """A file whose checksum holds but one of whose parameters is not
+        finite fails to load, naming the file and the parameter, and
+        `fuselab eval` exits 2. Here the parameter's first float is set:
+        row 0 of the embedding is the empty text's, which xor texts never
+        read, so a NaN there would otherwise run to a report; a +inf in the
+        classifier bias would otherwise fail in the first dense op with a
+        message naming neither."""
+        from fuselab.cli import main
+        from fuselab.datakit import save_jsonl
+
+        ds = _dataset(10)
+        model = _model(ds, "gan", fusion_out_dim=8)
+        path = tmp_path / "model.fuse"
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        # the blocks follow the header in manifest order, then the checksum
+        named = model.named_parameters()
+        at = [n for n, _ in named].index(name)
+        offset = len(raw) - 32 - 8 * sum(p.size for _, p in named[at:])
+        struct.pack_into("<d", raw, offset, value)
+        body = bytes(raw[:-32])
+        path.write_bytes(body + hashlib.sha256(body).digest())
+
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: parameter {name!r} holds a non-finite value"
+        data = tmp_path / "ds.jsonl"
+        save_jsonl(ds, data)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {exc.value}\n"
+
     @pytest.mark.parametrize("config", [
         dict(input_modes="text"),
         dict(input_modes="text", normalize_text=False, embed_dim=5),

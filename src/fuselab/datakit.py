@@ -37,12 +37,9 @@ HATE_SPEECH_CLASSES = ("Racist", "Sexist", "Homophobic", "Religion-based",
 @dataclass(frozen=True)
 class LabelSpace:
     names: Tuple[str, ...]
-    mode: str = "multi"  # "binary" | "multi"
     merge_map: Optional[Dict[str, str]] = None
 
     def __post_init__(self):
-        if self.mode not in ("binary", "multi"):
-            raise ConfigError(f"label space mode must be binary or multi, got {self.mode!r}")
         if len(set(self.names)) != len(self.names) or not self.names:
             raise ConfigError("label space needs distinct, non-empty class names")
         if self.merge_map is not None:
@@ -59,7 +56,7 @@ class LabelSpace:
         return len(self.names)
 
     def to_json(self) -> dict:
-        out = {"names": list(self.names), "mode": self.mode}
+        out = {"names": list(self.names)}
         if self.merge_map is not None:
             out["merge"] = dict(self.merge_map)
         return out
@@ -67,20 +64,21 @@ class LabelSpace:
     @classmethod
     def from_json(cls, obj: dict) -> "LabelSpace":
         """The label space to_json wrote; ConfigError unless obj holds a
-        list of string names and, if any, a merge object of strings."""
+        list of string names and, if any, a merge object of strings. Other
+        keys, such as the "mode" that older files carry, are ignored."""
         obj = obj if isinstance(obj, dict) else {}
         names, merge = obj.get("names"), obj.get("merge")
         if not (isinstance(names, list) and isinstance(merge, (dict, type(None)))
                 and all(isinstance(s, str) for s in names + list((merge or {}).values()))):
             raise ConfigError("label space needs 'names', a list of strings, and may "
                               "have a 'merge' object of strings")
-        return cls(names=tuple(names), mode=obj.get("mode", "multi"), merge_map=merge)
+        return cls(names=tuple(names), merge_map=merge)
 
 
-BINARY_SPACE = LabelSpace((HATE, NO_HATE), "binary")
+BINARY_SPACE = LabelSpace((HATE, NO_HATE))
 
 HATE_SPEECH_SPACE = LabelSpace(
-    HATE_SPEECH_CLASSES, "multi",
+    HATE_SPEECH_CLASSES,
     merge_map={name: (NO_HATE if name == "No Hate" else HATE) for name in HATE_SPEECH_CLASSES},
 )
 
@@ -256,8 +254,7 @@ def load_jsonl(path) -> Dataset:
         names = tuple(sorted({pub.label for pub in publications}))
         if not names:
             raise SchemaError(f"{path}: no records and no label-space header")
-        mode = "binary" if set(names) == {HATE, NO_HATE} else "multi"
-        label_space = LabelSpace(names, mode)
+        label_space = LabelSpace(names)
     dataset = Dataset(publications, label_space)
     for lineno, pub in zip(linenos, publications):
         if pub.label not in label_space.names:
@@ -274,7 +271,7 @@ DEFAULT_VOCAB = ("north", "south", "the", "sky", "is", "wide", "we", "walk",
                  "see", "one", "day", "light")
 SEQ_LEN = 5
 
-XOR_SPACE = LabelSpace(("0", "1"), "binary")
+XOR_SPACE = LabelSpace(("0", "1"))
 
 
 @dataclass(frozen=True)
@@ -321,7 +318,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset; the same spec always yields the
     same publications."""
     rng = np.random.default_rng(spec.seed)
-    space = LabelSpace(XOR_SPACE.names, XOR_SPACE.mode)
     pubs: List[Publication] = []
     for i in range(spec.n):
         if spec.task == "xor-crossmodal":
@@ -337,7 +333,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             text=_render_text(b, spec, rng),
             visual=_render_grid(a, spec, rng),
         ))
-    return Dataset(pubs, space)
+    return Dataset(pubs, XOR_SPACE)
 
 
 # ---------------------------------------------------------------------------

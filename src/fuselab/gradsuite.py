@@ -230,18 +230,18 @@ def end_to_end_groups(model, batch) -> List[Tuple[str, Callable[[], Tensor], Lis
 
     j_c, result = seeded_j_c({})
     term = fusion_term(model, latents, result)[0]
-    group: Dict[int, str] = {}
+    group: Dict[Tensor, str] = {}
     objectives: Dict[str, Callable[[], Tensor]] = {}
     for modality, encoder in model.encoders().items():
-        group.update((id(p), modality) for p in encoder.parameters())
+        group.update((p, modality) for p in encoder.parameters())
         objectives[modality] = lambda m=modality: seeded_j_c(
             model.encode_modality(batch, m))[0]
-    head = [p for p in model.parameters() if id(p) not in group]
+    head = [p for p in model.parameters() if p not in group]
     by_j_c = j_c.backward(head)
     by_term = [None] * len(head) if term is None else term.backward(head)
     for p, g_c, g_t in zip(head, by_j_c, by_term):
-        group[id(p)] = ("J" if (g_c is None) == (g_t is None)
-                        else "J_C" if g_t is None else "term")
+        group[p] = ("J" if (g_c is None) == (g_t is None)
+                    else "J_C" if g_t is None else "term")
 
     fixed_j_c = j_c.detach()
     fixed_term = None if term is None else term.detach()
@@ -254,7 +254,7 @@ def end_to_end_groups(model, batch) -> List[Tuple[str, Callable[[], Tensor], Lis
     objectives["term"] = lambda: nc.add(fixed_j_c, fusion_term(model, latents, result)[0])
     objectives["J"] = lambda: main_objective(model, batch, latents, seeded()).j
     return [(name, objectives[name], list(run)) for name, run in
-            itertools.groupby(model.parameters(), key=lambda p: group[id(p)])]
+            itertools.groupby(model.parameters(), key=lambda p: group[p])]
 
 
 def end_to_end_check(model, pubs, h: float, tol: float) -> Dict[str, CheckReport]:

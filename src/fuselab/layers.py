@@ -29,7 +29,8 @@ def _glorot(rng: np.random.Generator, shape: Tuple[int, ...],
 
 
 class DenseLayer:
-    """Fully connected layer y = activation(W x + b), one dense node."""
+    """Fully connected layer y = activation(W x + b), one dense node: the
+    op's stack of one, or slab k of a stack of K (see stacked)."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
                  rng: Optional[np.random.Generator] = None, name: str = "dense"):

@@ -17,10 +17,11 @@ the chain of one-step ops it stands for, in the same order, so it
 computes the same values, forward and backward, bit for bit
 (tests/reference_ops.py keeps the steps numcore no longer has);
 cross_entropy takes class indices and skips the chain's products with
-the zeros of one-hot targets, which change no bit. dense also runs K
-layers of one shape side by side over a (K, batch, in) stack, each slab
-through its own weight and bias tensors; stack and side_by_side move
-tensors in and out of such stacks.
+the zeros of one-hot targets, which change no bit. dense has one
+kernel: K layers of one shape side by side over a (K, batch, in) stack,
+each slab through its own weight and bias tensors, where a plain (in,)
+or (batch, in) input is a stack of one, read through views; stack and
+side_by_side move tensors in and out of such stacks.
 
 conv2d is one matrix product over im2col columns laid out by channel
 count: a 1-channel grid (the raw input) as tap-major rows, one per kernel
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -465,77 +466,65 @@ def dense(x: Arrayish, w, b, activation: str = "identity") -> Tensor:
     sigmoid, tanh or softmax over the last axis (or identity). The bias
     add over batch rows is part of the op, not an implicit broadcast.
 
-    x is (in,) or (batch, in), with w (out, in) and b (out,) Tensors. The
-    stacked form runs K layers of one shape side by side: x is (K, batch,
-    in) and w and b are sequences of K weights and K biases, slab k going
-    through w[k] and b[k]. Those 2K tensors are the parents, so each layer
-    keeps its own parameters; the forward is one batched matmul against
-    the weights stacked inside the op, and the backward forms g W, g^T x
-    and the row sums once for all K slabs, handing slab k to w[k] and
-    b[k]. A batched matmul computes each slab as the 2-D product would.
+    One kernel runs K layers of one shape side by side: x is (K, batch,
+    in) and w and b are sequences of K weights (out, in) and K biases
+    (out,), slab k going through w[k] and b[k]. Those 2K tensors are the
+    parents, so each layer keeps its own parameters. A plain layer, x of
+    (in,) or (batch, in) with one weight and one bias Tensor, is a stack
+    of one read through views, and its output keeps x's leading shape.
+    The forward is one batched matmul against the weights stacked inside
+    the op, and the backward forms g W, g^T x and the row sums once for
+    all K slabs, handing slab k to w[k] and b[k]. A batched matmul
+    computes each slab as the 2-D product would, so a plain layer gets
+    the bits of x W^T + b.
     """
     x = as_tensor(x)
     if activation not in ACTIVATIONS:
         raise ContractError(f"dense: unknown activation {activation!r}, "
                             f"expected one of {ACTIVATIONS}")
-    if x.ndim == 3:
-        return _stacked_dense(x, [as_tensor(t) for t in w], [as_tensor(t) for t in b],
-                              activation)
-    w, b = as_tensor(w), as_tensor(b)
-    if w.ndim != 2:
-        raise ShapeError(f"dense: weight must be 2-D, got {w.shape}")
-    if x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"dense: input {x.shape} does not match weight {w.shape}")
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"dense: bias {b.shape} does not match weight {w.shape}")
-    out = _activate(x.data @ w.data.T + b.data, activation)
-
-    def backward(g, needs):
-        need_x, need_w, need_b = needs
-        g = _activation_grad(g, out, activation)
-        gx = g @ w.data if need_x else None
-        if x.ndim == 1:
-            gw = np.outer(g, x.data) if need_w else None
-            gb = g.copy() if need_b else None
-        else:
-            gw = g.T @ x.data if need_w else None
-            gb = g.sum(axis=0) if need_b else None
-        return gx, gw, gb
-
-    return Tensor._from_op(out, "dense", (x, w, b), backward)
-
-
-def _stacked_dense(x: Tensor, ws: List[Tensor], bs: List[Tensor],
-                   activation: str) -> Tensor:
-    k = x.shape[0]
+    xshape = x.data.shape
+    if len(xshape) == 3 and xshape[0] > 0:
+        ws, bs = [as_tensor(t) for t in w], [as_tensor(t) for t in b]
+        k = xshape[0]
+    elif len(xshape) in (1, 2):
+        ws, bs = [as_tensor(w)], [as_tensor(b)]
+        k = 1
+    else:
+        raise ShapeError(f"dense: input must be (in,), (batch, in) or (K, batch, in) "
+                         f"with K >= 1, got {xshape}")
     if len(ws) != k or len(bs) != k:
         raise ShapeError(f"dense: a stack of {k} needs {k} weights and {k} biases, "
                          f"got {len(ws)} and {len(bs)}")
-    shape = ws[0].shape
-    if len(shape) != 2 or x.shape[2] != shape[1]:
-        raise ShapeError(f"dense: input {x.shape} does not match weight {shape}")
-    wd = np.empty((k, *shape))
-    bd = np.empty((k, 1, shape[0]))
-    for i, (wk, bk) in enumerate(zip(ws, bs)):
-        if wk.shape != shape or bk.shape != (shape[0],):
-            raise ShapeError(f"dense: stacked weights and biases must all be {shape} "
-                             f"and ({shape[0]},), got {wk.shape} and {bk.shape}")
-        wd[i] = wk.data
-        bd[i, 0] = bk.data
-    out = np.matmul(x.data, wd.transpose(0, 2, 1))
+    shape = ws[0].data.shape
+    if len(shape) != 2 or xshape[-1] != shape[1]:
+        raise ShapeError(f"dense: input {xshape} does not match weight {shape}")
+    for wk, bk in zip(ws, bs):
+        if wk.data.shape != shape or bk.data.shape != shape[:1]:
+            raise ShapeError(f"dense: weights and biases must all be {shape} and "
+                             f"({shape[0]},), got {wk.shape} and {bk.shape}")
+    if k == 1:
+        wd, bd = ws[0].data[None], bs[0].data
+    else:
+        wd = np.empty((k, *shape))
+        bd = np.empty((k, 1, shape[0]))
+        for i, (wk, bk) in enumerate(zip(ws, bs)):
+            wd[i] = wk.data
+            bd[i, 0] = bk.data
+    xd = x.data.reshape(k, -1, shape[1])
+    out = xd @ wd.transpose(0, 2, 1)
     out += bd
     out = _activate(out, activation)
 
     def backward(g, needs):
-        need_x, need_w, need_b = needs[0], needs[1 : k + 1], needs[k + 1 :]
-        g = _activation_grad(g, out, activation)
-        gx = np.matmul(g, wd) if need_x else None
-        gw = np.matmul(g.transpose(0, 2, 1), x.data) if any(need_w) else None
-        gb = g.sum(axis=1) if any(need_b) else None
-        return ((gx,) + tuple(gw[i] if need else None for i, need in enumerate(need_w))
-                + tuple(gb[i] if need else None for i, need in enumerate(need_b)))
+        g = _activation_grad(g.reshape(out.shape), out, activation)
+        gx = (g @ wd).reshape(xshape) if needs[0] else None
+        gw = g.transpose(0, 2, 1) @ xd if True in needs[1 : k + 1] else None
+        gb = g.sum(axis=1) if True in needs[k + 1 :] else None
+        return (gx, *[gw[i] if needs[1 + i] else None for i in range(k)],
+                *[gb[i] if needs[1 + k + i] else None for i in range(k)])
 
-    return Tensor._from_op(out, "dense", (x, *ws, *bs), backward)
+    return Tensor._from_op(out.reshape(xshape[:-1] + shape[:1]), "dense", (x, *ws, *bs),
+                           backward)
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,8 @@ def _train_step(model: FusionModel, batch: PreparedBatch, rng: np.random.Generat
     grads = j.backward(main_opt.params)
     recurrent = model.recurrent_parameters()
     if recurrent:
-        index = {id(p): i for i, p in enumerate(main_opt.params)}
-        clip_grad_norm([grads[index[id(p)]] for p in recurrent], CLIP_NORM)
+        index = {p: i for i, p in enumerate(main_opt.params)}
+        clip_grad_norm([grads[index[p]] for p in recurrent], CLIP_NORM)
     main_opt.step(grads)
 
     return LossReport(

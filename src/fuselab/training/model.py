@@ -286,8 +286,8 @@ class FusionModel:
 
     def main_parameters(self) -> List[Tensor]:
         """Everything the classification-side descent step may update."""
-        disc = {id(p) for p in self.discriminator_parameters()}
-        return [p for p in self.parameters() if id(p) not in disc]
+        disc = set(self.discriminator_parameters())
+        return [p for p in self.parameters() if p not in disc]
 
     def recurrent_parameters(self) -> List[Tensor]:
         return self.text_encoder.recurrent_parameters() if self.text_encoder else []

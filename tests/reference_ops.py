@@ -3,9 +3,12 @@ check an op bit for bit against the primitive chain it replaced.
 
 linear, relu and sigmoid are the steps dense fuses with its activation
 (tanh and softmax are still numcore ops), and the recurrence's reference
-cell is built from them; tslice is basic indexing as a graph node, the
-op the summary grid and that cell were built from; argmax_maxpool2d is
-max pooling as it was before its forward became strided np.maximums.
+cell is built from them; linear is also dense's own plain (in,) and
+(batch, in) kernel as it was before dense ran that form as a stack of
+one, so it is the plain form's reference. tslice is basic indexing as a
+graph node, the op the summary grid and that cell were built from;
+argmax_maxpool2d is max pooling as it was before its forward became
+strided np.maximums.
 topo_order and backward are the backward walk as it was keyed on id(),
 whose order of summing flows the library's walk keeps. Each is written
 exactly as the library wrote it.

@@ -147,7 +147,7 @@ def test_criterion_04_metrics_oracle():
     # the worked hand-count example
     truths = ["H", "H", "H", "H", "N", "N", "N", "N", "N", "N"]
     preds = ["H", "H", "H", "N", "H", "N", "N", "N", "N", "N"]
-    report = evaluate(truths, preds, LabelSpace(("H", "N"), "binary"))
+    report = evaluate(truths, preds, LabelSpace(("H", "N")))
     assert abs(report.macro_f1 - (0.75 + 5.0 / 6.0) / 2.0) < 1e-12
     assert round(report.macro_f1, 6) == 0.791667
     _report(4, "1,000 randomized cases match the brute-force recount to 1e-12; "

@@ -84,11 +84,11 @@ class TestLabelSpace:
 
     def test_merge_map_must_be_total(self):
         with pytest.raises(ConfigError):
-            LabelSpace(("A", "B"), "multi", merge_map={"A": "Hate"})
+            LabelSpace(("A", "B"), merge_map={"A": "Hate"})
 
     def test_merge_targets_must_be_binary_space(self):
         with pytest.raises(ConfigError):
-            LabelSpace(("A",), "multi", merge_map={"A": "Maybe"})
+            LabelSpace(("A",), merge_map={"A": "Maybe"})
 
 
 class TestJsonl:

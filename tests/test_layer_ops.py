@@ -4,14 +4,17 @@ Each property draws shapes and values, runs an op and the chain of
 primitive ops it stands for, and requires the forward values and the
 gradient of every parent to be the same bytes. A stacked dense of K
 layers is checked against K separate chains, and one stacked GAN pass of
-two modules against two passes of one.
+two modules against two passes of one. Plain dense is also checked at
+the shapes the shipped models run, and its shape checks are exercised.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuselab import numcore as nc
+from fuselab.exceptions import ShapeError
 from fuselab.fusion import GanFusionModule, GanStack, gan_adv_loss, generator_loss
 from fuselab.numcore import Tensor
 
@@ -42,6 +45,8 @@ def _grads(out, weights, wrt):
 @given(activation=st.sampled_from(sorted(ACTIVATION_OPS)), vector=st.booleans(),
        batch=st.integers(1, 4), n_in=st.integers(1, 5), n_out=st.integers(1, 5),
        seed=st.integers(0, 2**16))
+# the (in,) layer that perfbench's gradcheck warm-up runs
+@example(activation="sigmoid", vector=True, batch=1, n_in=4, n_out=3, seed=0)
 def test_dense_is_linear_then_its_activation(activation, vector, batch, n_in, n_out, seed):
     r = np.random.default_rng(seed)
     x = _t(r, n_in) if vector else _t(r, batch, n_in)
@@ -52,6 +57,48 @@ def test_dense_is_linear_then_its_activation(activation, vector, batch, n_in, n_
     _same([fused.data] + _grads(fused, weights, [x, w, b]),
           [chain.data] + _grads(chain, weights, [x, w, b]))
 
+
+# (in, out, activation) of every plain dense layer the shipped configs
+# run: text.proj (xor and text-only), visual.proj, the auto-fusion
+# combiner, encoder and decoder, the concat projection and the classifier
+SHIPPED_DENSE = [(12, 12, "identity"), (32, 32, "identity"), (32, 12, "identity"),
+                 (48, 16, "relu"), (24, 16, "tanh"), (16, 24, "identity"),
+                 (24, 16, "relu"), (16, 2, "softmax"), (48, 2, "softmax")]
+
+
+@pytest.mark.parametrize("batch", [32, 64, 16, 36])
+@pytest.mark.parametrize("n_in, n_out, activation", SHIPPED_DENSE)
+def test_dense_at_the_shipped_shapes_is_linear_then_its_activation(batch, n_in, n_out,
+                                                                    activation):
+    """The property above reaches only dims up to 5, and BLAS picks its
+    kernels by size: at every row count the shipped runs reach (the
+    training batch of 32, eval chunks of 64, and last chunks of 16 and,
+    on text-only, 36), dense's values and gradients are the bytes of the
+    reference chain."""
+    r = np.random.default_rng(n_in * 100 + n_out)
+    x, w, b = _t(r, batch, n_in), _t(r, n_out, n_in), _t(r, n_out)
+    fused = nc.dense(x, w, b, activation)
+    chain = ACTIVATION_OPS[activation](linear(x, w, b))
+    weights = _t(r, *fused.shape)
+    _same([fused.data] + _grads(fused, weights, [x, w, b]),
+          [chain.data] + _grads(chain, weights, [x, w, b]))
+
+
+
+def test_dense_of_a_vector_at_signed_zeros_gives_the_reference_gradients():
+    """An (in,) input runs as a stack of one, so its closure forms g^T x as
+    a matmul and the bias gradient as a sum over one row, where the
+    reference uses np.outer and a copy: a -0.0 there comes out +0.0.
+    backward adds each flow it returns to +0.0, so the gradients it
+    returns are still the reference's bytes."""
+    x = Tensor(np.array([0.0, -0.0, 1.5, -2.0]))
+    w = Tensor(np.array([[1.0, -1.0, 0.0, 2.0], [0.0, -0.0, 0.0, 0.0],
+                         [-1.0, 2.0, 3.0, -0.0]]))
+    b = Tensor(np.array([0.0, -0.0, 1.0]))
+    weights = Tensor(np.array([-1.0, -0.0, 0.0]))
+    fused, chain = nc.dense(x, w, b), linear(x, w, b)
+    _same([fused.data] + _grads(fused, weights, [x, w, b]),
+          [chain.data] + _grads(chain, weights, [x, w, b]))
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(activation=st.sampled_from(sorted(ACTIVATION_OPS)), k=st.integers(1, 2),
@@ -73,6 +120,43 @@ def test_stacked_dense_is_one_chain_per_slab(activation, k, batch, n_in, n_out, 
     wrt = xs + ws + bs
     _same(list(fused.data) + _grads(fused, Tensor(weights), wrt),
           [c.data for c in chains] + loss.backward(wrt))
+
+
+def _zeros(*shapes):
+    return [Tensor(np.zeros(shape)) for shape in shapes]
+
+
+@pytest.mark.parametrize("x, w, b", [
+    # a weight that is not 2-D, plain and stacked
+    ((2, 3), (4, 3, 1), (4,)),
+    ((3,), (3,), (1,)),
+    ((2, 5, 3), [(4, 3, 1)] * 2, [(4,)] * 2),
+    # an input width that is not the weight's
+    ((2, 3), (4, 5), (4,)),
+    ((3,), (4, 5), (4,)),
+    ((2, 5, 3), [(4, 5)] * 2, [(4,)] * 2),
+    # a bias of the wrong length
+    ((2, 3), (4, 3), (5,)),
+    ((3,), (4, 3), (3,)),
+    ((2, 5, 3), [(4, 3)] * 2, [(4,), (5,)]),
+    # an input that is not (in,), (batch, in) or (K, batch, in) with K >= 1
+    ((1, 2, 5, 3), (4, 3), (4,)),
+    ((), (4, 3), (4,)),
+    ((0, 5, 3), [], []),
+    # a stack of K given K-1 or K+1 weights or biases
+    ((2, 5, 3), [(4, 3)], [(4,)] * 2),
+    ((2, 5, 3), [(4, 3)] * 3, [(4,)] * 2),
+    ((2, 5, 3), [(4, 3)] * 2, [(4,)]),
+    ((2, 5, 3), [(4, 3)] * 2, [(4,)] * 3),
+    # stacked weights of differing shapes
+    ((2, 5, 3), [(4, 3), (6, 3)], [(4,), (6,)]),
+    ((2, 5, 3), [(4, 3), (4, 2)], [(4,)] * 2),
+])
+def test_dense_rejects_shapes_that_do_not_conform(x, w, b):
+    w = _zeros(*w) if isinstance(w, list) else _zeros(w)[0]
+    b = _zeros(*b) if isinstance(b, list) else _zeros(b)[0]
+    with pytest.raises(ShapeError, match="dense"):
+        nc.dense(_zeros(x)[0], w, b, "relu")
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)

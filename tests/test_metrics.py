@@ -11,7 +11,7 @@ from fuselab.training import ModelConfig
 
 HAND_TRUTHS = ["H", "H", "H", "H", "N", "N", "N", "N", "N", "N"]
 HAND_PREDS = ["H", "H", "H", "N", "H", "N", "N", "N", "N", "N"]
-HN_SPACE = LabelSpace(("H", "N"), "binary")
+HN_SPACE = LabelSpace(("H", "N"))
 
 
 class TestConfusion:

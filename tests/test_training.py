@@ -172,7 +172,7 @@ class TestTrainLoop:
 
         ds = _dataset(60)
         model = _model(ds, "concat")
-        other_space = LabelSpace(("X", "Y"), "binary")
+        other_space = LabelSpace(("X", "Y"))
         relabeled = Dataset(
             [Publication(id=p.id, label="X", text=p.text, visual=p.visual)
              for p in _dataset(60)],
@@ -1026,6 +1026,21 @@ def _rehashed(header, **config):
     header["config_hash"] = hashlib.sha256(blob).hexdigest()
 
 
+def _rewrite_header(path, mutate):
+    """Edit a model file's header in place, keeping its checksum valid."""
+    from fuselab.training.model import MAGIC
+
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (header_len,) = struct.unpack_from("<Q", raw, start)
+    header = json.loads(raw[start + 8 : start + 8 + header_len])
+    mutate(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = (raw[:start] + struct.pack("<Q", len(blob)) + blob
+            + raw[start + 8 + header_len : -32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         ds = _dataset(60)
@@ -1099,20 +1114,11 @@ class TestPersistence:
     def test_header_that_does_not_build_is_format_error(self, tmp_path, key, mutate):
         from fuselab.cli import main
         from fuselab.datakit import save_jsonl
-        from fuselab.training.model import MAGIC
 
         ds = _dataset(10)
         path = tmp_path / "model.fuse"
         save_model(_model(ds, "concat"), path)
-        raw = path.read_bytes()
-        start = len(MAGIC) + 4
-        (header_len,) = struct.unpack_from("<Q", raw, start)
-        header = json.loads(raw[start + 8 : start + 8 + header_len])
-        mutate(header)
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        body = (raw[:start] + struct.pack("<Q", len(blob)) + blob
-                + raw[start + 8 + header_len : -32])
-        path.write_bytes(body + hashlib.sha256(body).digest())  # a valid checksum
+        _rewrite_header(path, mutate)
 
         with pytest.raises(FormatError) as exc:
             load_model(path)
@@ -1120,6 +1126,30 @@ class TestPersistence:
         data = tmp_path / "ds.jsonl"
         save_jsonl(ds, data)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+
+    def test_files_with_a_label_space_mode_still_load(self, tmp_path):
+        """Older versions wrote a label-space "mode" ("binary" or "multi")
+        into model and dataset headers. Both files still load, the mode is
+        ignored, and saving them again writes the same files without it."""
+        from fuselab.datakit import load_jsonl, save_jsonl
+
+        ds = _dataset(10)
+        model = _model(ds, "concat")
+        path, data = tmp_path / "model.fuse", tmp_path / "ds.jsonl"
+        save_model(model, path)
+        save_jsonl(ds, data)
+        current = path.read_bytes(), data.read_bytes()
+        _rewrite_header(path, lambda h: h["label_space"].update(mode="binary"))
+        lines = data.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["label_space"]["mode"] = "binary"
+        data.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+        loaded, read = load_model(path), load_jsonl(data)
+        assert loaded.label_space == read.label_space == ds.label_space
+        save_model(loaded, path)
+        save_jsonl(read, data)
+        assert (path.read_bytes(), data.read_bytes()) == current
 
     @pytest.mark.parametrize("name, value", [
         ("text.embed.matrix", math.nan), ("classifier.bias", math.inf)],
